@@ -11,12 +11,12 @@ pieces of lengths 1/(N1*(N1+N2)) and 1/((N1+N2)*N2), which sum back to
 import random
 
 import skelgraph as sk
-from skelgraph import BlowUpStep, MetricKind, VertexLabel as V
+from skelgraph import BlowUpStep, VertexLabel as V
 
 g = sk.WeightedDualGraph(vertices=[V("a", 4), V("b", 6)], edges=[("a", "b")])
 print("One edge, multiplicities 4 and 6:")
-print("  model length ", sk.edge_length(g, "e0", MetricKind.MODEL))
-print("  stable length", sk.edge_length(g, "e0", MetricKind.STABLE))
+print("  model length ", sk.edge_length(g, "e0"))
+print("  stable length", sk.edge_length(g.replace(metric="stable"), "e0"))
 
 out = sk.blow_up_node(g, "e0")
 mid = next(v for v in out.vertices if v.id not in ("a", "b"))

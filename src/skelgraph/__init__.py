@@ -64,12 +64,14 @@ from .potential import (
     spanning_tree,
 )
 from .skeleton import (
+    CanonicalLocusReport,
     WitnessBundle,
     canonical_form_locus,
     combinatorial_skeleton,
     essential_skeleton,
     find_maximal_tails,
     strip_genus,
+    verify_canonical_locus,
     witness_bridge_chain,
     witness_cycle,
 )

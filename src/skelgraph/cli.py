@@ -21,13 +21,12 @@ from .errors import SkelgraphError
 from .fixtures import fixture, fixture_names
 from .potential import bridges, laplacian, maximal_bridge_chains, solve_poisson
 from .skeleton import (
-    canonical_form_locus,
     essential_skeleton,
     strip_genus,
+    verify_canonical_locus,
     witness_bridge_chain,
     witness_cycle,
 )
-from .loci import union_loci, vertex_locus
 from .weight import ks_skeleton, verify_laplacian_theorem, weight_function
 
 EXIT_OK = 0
@@ -67,7 +66,7 @@ def _cmd_export_dot(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     target = sio.divisor_from_json(_read_json(args.divisor))
-    slopes = {str(k): int(v) for k, v in (_read_json(args.ray_slopes) or {}).items()} \
+    slopes = sio.ray_slopes_from_json(_read_json(args.ray_slopes) or {}) \
         if args.ray_slopes else {}
     f = solve_poisson(g, target, ray_slopes=slopes, anchor=args.anchor)
     _emit(sio.function_to_json(f))
@@ -139,21 +138,16 @@ def _verify_bridge(g, data_doc) -> dict:
     return {"ok": ok, "chains": results}
 
 
-def _verify_nonbridge(g, data_doc) -> dict:
-    expected = canonical_form_locus(g)
-    work = strip_genus(g)
-    non_bridges = sorted(e.id for e in work.edges if e.id not in bridges(work))
-    loci = [witness_cycle(work, eid).locus for eid in non_bridges]
-    genus_vertices = [v.id for v in g.vertices if v.genus > 0]
-    got_on_work = union_loci(work, loci + [vertex_locus(work, *genus_vertices)])
-    # re-express on the original graph (same ids and lengths)
-    got = sio.locus_from_json(g, sio.locus_to_json(got_on_work))
-    ok = got == expected
-    return {
-        "ok": ok,
-        "canonical_form_locus": sio.locus_to_json(expected),
-        "witness_union": sio.locus_to_json(got),
+def _verify_nonbridge(g) -> dict:
+    report = verify_canonical_locus(g)
+    out = {
+        "ok": report.ok,
+        "canonical_form_locus": sio.locus_to_json(report.expected),
+        "witness_union": sio.locus_to_json(report.witness_union),
     }
+    if report.failed_edge is not None:
+        out["failed"] = {"edge": report.failed_edge, "error": str(report.error)}
+    return out
 
 
 def _cmd_verify(args) -> int:
@@ -173,7 +167,7 @@ def _cmd_verify(args) -> int:
     elif args.subject == "bridge":
         report = _verify_bridge(g, data_doc)
     else:
-        report = _verify_nonbridge(g, data_doc)
+        report = _verify_nonbridge(g)
     report["subject"] = args.subject
     report["graph"] = g.name or args.graph
     _emit(report)

@@ -10,7 +10,11 @@ Two metrics are supported.  In the model metric an edge between
 vertices of multiplicities N1, N2 has length 1/(N1*N2); in the stable
 metric it has length 1/lcm(N1, N2).  Lengths may also be stored
 explicitly (subdivision writes explicit lengths, after which the
-multiplicity formula no longer applies to the pieces).
+multiplicity formula no longer applies to the pieces).  Every length,
+distance and slope is measured in the graph's own metric, set only at
+construction and by ``replace(metric=...)``, which refuses to change it
+while an edge has an explicit length: that has no counterpart in the
+other metric.
 
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is fractions.Fraction.
@@ -303,14 +307,13 @@ class WeightedDualGraph:
             n += len(self.rays_at(vid))
         return n
 
-    def edge_length(self, eid: str, metric: Optional[MetricKind] = None) -> Fraction:
+    def edge_length(self, eid: str) -> Fraction:
         e = self.edge(eid)
         if e.length is not None:
             return e.length
-        m = MetricKind.coerce(metric) if metric is not None else self.metric
         n1 = self.vertex(e.a).multiplicity
         n2 = self.vertex(e.b).multiplicity
-        return formula_length(n1, n2, m)
+        return formula_length(n1, n2, self.metric)
 
     def loops(self) -> tuple[Edge, ...]:
         return tuple(e for e in self._edges if e.a == e.b)
@@ -343,7 +346,8 @@ class WeightedDualGraph:
 
     def replace(self, vertices=None, edges=None, rays=None, metric=None,
                 name=None, pair_model=None) -> "WeightedDualGraph":
-        return WeightedDualGraph(
+        """A copy with the given parts swapped in; see the module notes on metrics."""
+        out = WeightedDualGraph(
             vertices=self.vertices if vertices is None else vertices,
             edges=self._edges if edges is None else edges,
             rays=self._rays if rays is None else rays,
@@ -351,6 +355,10 @@ class WeightedDualGraph:
             name=self.name if name is None else name,
             pair_model=self.pair_model if pair_model is None else pair_model,
         )
+        if out.metric is not self.metric and any(e.length is not None for e in out.edges):
+            raise GraphStructureError(
+                f"explicit edge lengths have no {out.metric.value}-metric counterpart")
+        return out
 
     def without_rays(self) -> "WeightedDualGraph":
         return self.replace(rays=(), pair_model=False)
@@ -406,15 +414,10 @@ class WeightedDualGraph:
 # -- module-level operations ----------------------------------------------
 
 
-def edge_length(graph: WeightedDualGraph, eid: str,
-                metric: Optional[MetricKind] = None) -> Fraction:
-    """Exact length of an edge under the requested metric.
-
-    Explicitly stored lengths (written by subdivision) take precedence;
-    otherwise the formula of the requested metric applies: 1/(N1*N2)
-    for the model metric, 1/lcm(N1, N2) for the stable one.
-    """
-    return graph.edge_length(eid, metric)
+def edge_length(graph: WeightedDualGraph, eid: str) -> Fraction:
+    """Exact length of an edge: its explicit length if it has one, else
+    the formula of the graph's metric."""
+    return graph.edge_length(eid)
 
 
 def graph_genus(graph: WeightedDualGraph) -> int:
@@ -445,8 +448,7 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
     return 1 + total / 2
 
 
-def vertex_distances(graph: WeightedDualGraph, source: str,
-                     metric: Optional[MetricKind] = None) -> dict[str, Fraction]:
+def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:
     """Exact single-source shortest-path distances to all vertices."""
     dist = {source: Fraction(0)}
     heap = [(Fraction(0), source)]
@@ -457,7 +459,7 @@ def vertex_distances(graph: WeightedDualGraph, source: str,
             continue
         done.add(v)
         for e in graph.edges_at(v):
-            ell = graph.edge_length(e.id, metric)
+            ell = graph.edge_length(e.id)
             for w in {e.a, e.b}:
                 nd = d + ell
                 if w not in dist or nd < dist[w]:
@@ -466,32 +468,23 @@ def vertex_distances(graph: WeightedDualGraph, source: str,
     return dist
 
 
-def _anchors(graph, p, metric):
+def _anchors(graph, p):
     """(vertex, cost) pairs from which p is reached along its own edge."""
     if p.kind == "vertex":
         return ((p.where, Fraction(0)),)
     e = graph.edge(p.where)
-    ell = graph.edge_length(p.where, metric)
+    ell = graph.edge_length(p.where)
     return ((e.a, p.offset), (e.b, ell - p.offset))
 
 
-def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike,
-             metric: Optional[MetricKind] = None) -> Fraction:
+def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     """Shortest-path distance between two points, exact.
 
     Points on rays may only be paired with points on the same ray or
-    with its attachment vertex.  Interior-point positions are
-    coordinates of the graph's own metric, so cross-metric queries are
-    restricted to vertices and ray points.
+    with its attachment vertex.
     """
     p = graph.check_point(p)
     q = graph.check_point(q)
-    if metric is not None and MetricKind.coerce(metric) != graph.metric:
-        if p.kind == "edge" or q.kind == "edge":
-            raise InvalidPointError(
-                "interior positions are coordinates of the graph's own metric; "
-                "cross-metric distances are defined between vertices only"
-            )
     if p.kind == "ray" or q.kind == "ray":
         if p.kind == "ray" and q.kind == "ray":
             if p.where != q.where:
@@ -509,10 +502,10 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike,
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
         best = abs(p.offset - q.offset)
     dist_from = {}
-    for va, ca in _anchors(graph, p, metric):
+    for va, ca in _anchors(graph, p):
         if va not in dist_from:
-            dist_from[va] = vertex_distances(graph, va, metric)
-        for vb, cb in _anchors(graph, q, metric):
+            dist_from[va] = vertex_distances(graph, va)
+        for vb, cb in _anchors(graph, q):
             d = ca + dist_from[va][vb] + cb
             if best is None or d < best:
                 best = d

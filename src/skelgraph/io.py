@@ -15,7 +15,6 @@ from .divisors import GraphDivisor
 from .errors import GraphStructureError, InvalidPointError
 from .graphs import (
     GraphPoint,
-    MetricKind,
     Ray,
     VertexLabel,
     WeightedDualGraph,
@@ -42,6 +41,14 @@ def parse_rational(raw) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidPointError(f"not a rational: {raw!r}") from exc
     raise InvalidPointError(f"not a rational: {raw!r}")
+
+
+def _shaped(doc, kind: type, what: str, *keys: str):
+    """The document itself, once it is a ``kind`` holding every key."""
+    if not isinstance(doc, kind) or any(k not in doc for k in keys):
+        need = f"a {kind.__name__}" + (f" with keys {', '.join(keys)}" if keys else "")
+        raise GraphStructureError(f"malformed {what} JSON: expected {need}, got {doc!r:.80}")
+    return doc
 
 
 # -- graphs --------------------------------------------------------------------
@@ -80,11 +87,11 @@ def graph_from_json(doc: dict) -> WeightedDualGraph:
                 for r in doc.get("rays", ())]
         return WeightedDualGraph(
             vertices=vertices, edges=edges, rays=rays,
-            metric=MetricKind.coerce(doc.get("metric", "model")),
+            metric=doc.get("metric", "model"),
             name=str(doc.get("name", "")),
             pair_model=bool(doc.get("pair_model", False)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphStructureError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -100,11 +107,13 @@ def point_to_json(p: GraphPoint) -> dict:
 
 
 def point_from_json(doc: dict) -> GraphPoint:
-    if "vertex" in doc:
+    if "vertex" in _shaped(doc, dict, "point"):
         return GraphPoint.at_vertex(str(doc["vertex"]))
     if "edge" in doc:
+        _shaped(doc, dict, "edge point", "position")
         return GraphPoint.on_edge(str(doc["edge"]), parse_rational(doc["position"]))
     if "ray" in doc:
+        _shaped(doc, dict, "ray point", "distance")
         return GraphPoint.on_ray(str(doc["ray"]), parse_rational(doc["distance"]))
     raise InvalidPointError(f"malformed point JSON: {doc!r}")
 
@@ -118,12 +127,11 @@ def divisor_to_json(D: GraphDivisor) -> list:
             for p, c in D.items()]
 
 
-def divisor_from_json(doc: Iterable) -> GraphDivisor:
+def divisor_from_json(doc: list) -> GraphDivisor:
     entries = []
-    for item in doc:
-        c = item["coeff"]
-        coeff = c if isinstance(c, int) else parse_rational(c)
-        entries.append((point_from_json(item["point"]), coeff))
+    for item in _shaped(doc, list, "divisor"):
+        _shaped(item, dict, "divisor entry", "point", "coeff")
+        entries.append((point_from_json(item["point"]), parse_rational(item["coeff"])))
     return GraphDivisor(entries)
 
 
@@ -135,15 +143,23 @@ def function_to_json(f: PLFunction) -> list:
     return out
 
 
-def function_from_json(doc: Iterable) -> PLFunction:
+def function_from_json(doc: list) -> PLFunction:
     values = {}
     slopes = {}
-    for item in doc:
-        if "ray" in item:
-            slopes[str(item["ray"])] = int(item["slope"])
+    for item in _shaped(doc, list, "function"):
+        if "ray" in _shaped(item, dict, "function entry"):
+            _shaped(item, dict, "ray slope entry", "slope")
+            slopes[str(item["ray"])] = parse_rational(item["slope"])
         else:
+            _shaped(item, dict, "function value entry", "point", "value")
             values[point_from_json(item["point"])] = parse_rational(item["value"])
     return PLFunction(values, slopes)
+
+
+def ray_slopes_from_json(doc: dict) -> dict[str, Fraction]:
+    """A JSON object mapping ray labels to slopes."""
+    return {str(label): parse_rational(s)
+            for label, s in _shaped(doc, dict, "ray slopes").items()}
 
 
 def locus_to_json(locus: SubgraphLocus) -> dict:

@@ -10,12 +10,11 @@ away from the skeleton; rays never carry interior breakpoints.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import InvalidPointError, NonIntegralError
 from .graphs import (
     GraphPoint,
-    MetricKind,
     PointLike,
     Rational,
     WeightedDualGraph,
@@ -36,10 +35,10 @@ class PLFunction:
             vals[as_point(p)] = Fraction(x)
         slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
         for label, s in slopes.items():
-            if not isinstance(s, int):
-                raise NonIntegralError(f"ray slope for {label!r} must be an integer")
+            if not isinstance(s, (int, Fraction)) or s.denominator != 1:
+                raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
         object.__setattr__(self, "_values", vals)
-        object.__setattr__(self, "_ray_slopes", slopes)
+        object.__setattr__(self, "_ray_slopes", {label: int(s) for label, s in slopes.items()})
 
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
@@ -113,23 +112,11 @@ class PLFunction:
         return tuple((y1 - y0) / (x1 - x0)
                      for (x0, y0), (x1, y1) in zip(profile, profile[1:]))
 
-    def has_integer_slopes(self, graph: WeightedDualGraph,
-                           metric: Optional[MetricKind] = None) -> bool:
-        """Whether every linear piece has integer slope in the given
-        metric (default: the graph's own).  Cross-metric checks rescale
-        formula-fresh edges by the ratio of the two formula lengths."""
-        for e in graph.edges:
-            scale = Fraction(1)
-            if metric is not None and MetricKind.coerce(metric) != graph.metric:
-                if e.length is not None:
-                    raise InvalidPointError(
-                        f"edge {e.id!r} has an explicit length; no {metric} counterpart"
-                    )
-                scale = graph.edge_length(e.id) / graph.edge_length(e.id, metric)
-            for s in self.slopes_on_edge(graph, e.id):
-                if (s * scale).denominator != 1:
-                    return False
-        return True
+    def has_integer_slopes(self, graph: WeightedDualGraph) -> bool:
+        """Whether every linear piece has integer slope in the graph's
+        metric."""
+        return all(s.denominator == 1 for e in graph.edges
+                   for s in self.slopes_on_edge(graph, e.id))
 
     def min_over_compact(self) -> Fraction:
         return min(self._values.values())

@@ -33,8 +33,8 @@ from .errors import (
 )
 from .graphs import (
     GraphPoint,
-    MetricKind,
     PointLike,
+    Rational,
     WeightedDualGraph,
     as_point,
     refine,
@@ -49,21 +49,12 @@ _MAX_DHAR_ROUNDS = 200000
 # -- Laplacian and friends ---------------------------------------------------
 
 
-def laplacian(graph: WeightedDualGraph, f: PLFunction,
-              metric: Optional[MetricKind] = None) -> GraphDivisor:
+def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     """Divisor whose degree at each point is the sum of the outgoing
-    slopes of f there; declared ray slopes count at their attachments.
-
-    With an explicit metric different from the graph's own, slopes are
-    rescaled per edge by the ratio of the two lengths (the metrics are
-    proportional on every edge); support points keep the graph's own
-    coordinates."""
+    slopes of f there; declared ray slopes count at their attachments."""
     f.validate_on(graph)
     acc: dict[GraphPoint, Fraction] = defaultdict(Fraction)
     for e in graph.edges:
-        scale = Fraction(1)
-        if metric is not None and MetricKind.coerce(metric) != graph.metric:
-            scale = graph.edge_length(e.id) / graph.edge_length(e.id, metric)
         profile = f.edge_profile(graph, e.id)
         ell = graph.edge_length(e.id)
 
@@ -75,7 +66,7 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction,
             return GraphPoint.on_edge(e.id, x)
 
         for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
-            s = (y1 - y0) / (x1 - x0) * scale
+            s = (y1 - y0) / (x1 - x0)
             acc[node(x0)] += s
             acc[node(x1)] -= s
     for label, s in f.ray_slopes.items():
@@ -84,11 +75,10 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction,
     return GraphDivisor(acc)
 
 
-def div(graph: WeightedDualGraph, f: PLFunction,
-        metric: Optional[MetricKind] = None) -> GraphDivisor:
+def div(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     """div(f) = -laplacian(f): degree at a point is the sum of the
     incoming slopes."""
-    return -laplacian(graph, f, metric)
+    return -laplacian(graph, f)
 
 
 def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
@@ -127,15 +117,15 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 
 
 def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
-                  ray_slopes: Optional[Mapping[str, int]] = None,
+                  ray_slopes: Optional[Mapping[str, Rational]] = None,
                   anchor: Optional[PointLike] = None) -> PLFunction:
     """The unique PLFunction f with f(anchor) = 0, the declared ray
     slopes, and laplacian(f) = target.
 
     Solvability requires deg(target) over the compact part to equal the
-    sum of the declared ray slopes.
+    sum of the declared ray slopes, which must be integers.
     """
-    slopes = {label: int(s) for label, s in (ray_slopes or {}).items()}
+    slopes = PLFunction({}, ray_slopes or {}).ray_slopes  # checked integral up front
     for label in slopes:
         graph.ray(label)
     support = []
@@ -600,12 +590,37 @@ class LemmaReport:
         return self.ok
 
 
-def _interior_support_hits(graph, D, eid) -> bool:
-    ell = graph.edge_length(eid)
-    for p in D.support:
-        if p.kind == "edge" and p.where == eid and 0 < p.offset < ell:
-            return True
-    return False
+def _witness_hypotheses(graph, D, f, covered):
+    """D effective, f tropical, and D's support meeting the relative
+    interior of every edge outside ``covered``."""
+    yield "effective", D.is_effective()
+    yield "tropical", f.has_integer_slopes(graph)
+    hit = {p.where for p in D.support
+           if p.kind == "edge" and 0 < p.offset < graph.edge_length(p.where)}
+    for other in graph.edges:
+        if other.id not in covered:
+            yield f"support-on-{other.id}", other.id in hit
+
+
+def _check_lemma(graph, m, D, f, hypotheses, expected, mismatch) -> LemmaReport:
+    """Raise unless div(f) = D - mK; report the failed (name, holds) pairs
+    of ``hypotheses(K)``, or else whether min_locus(f) == expected()."""
+    K = canonical_divisor(graph, 1)
+    if div(graph, f) != D - m * K:
+        raise DivisorMismatchError(
+            f"div(f) != D - {'' if m == 1 else m}K; not a valid lemma witness")
+    failed = tuple(name for name, holds in hypotheses(K) if not holds)
+    if failed:
+        return LemmaReport(ok=False, failed_hypotheses=failed,
+                           conclusion_holds=None,
+                           messages=("hypotheses failed; conclusion not asserted",))
+    computed = min_locus(graph, f)
+    expected = expected()
+    holds = computed == expected
+    return LemmaReport(ok=holds, failed_hypotheses=(),
+                       conclusion_holds=holds,
+                       computed_locus=computed, expected_locus=expected,
+                       messages=() if holds else (mismatch,))
 
 
 def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
@@ -617,36 +632,16 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
     relative interior of every non-tree edge other than e.  Conclusion:
     the minimum locus of f is the fundamental cycle Z(tree, e)."""
     tset = set(tree)
-    K = canonical_divisor(graph, 1)
-    if div(graph, f) != D - K:
-        raise DivisorMismatchError("div(f) != D - K; not a valid lemma witness")
-    failed = []
-    if not graph.is_loop_free():
-        failed.append("loop-free")
-    if not is_spanning_tree(graph, tset):
-        failed.append("spanning-tree")
-    if eid in tset:
-        failed.append("edge-outside-tree")
-    if not D.is_effective():
-        failed.append("effective")
-    if not f.has_integer_slopes(graph):
-        failed.append("tropical")
-    for other in graph.edges:
-        if other.id in tset or other.id == eid:
-            continue
-        if not _interior_support_hits(graph, D, other.id):
-            failed.append(f"support-on-{other.id}")
-    if failed:
-        return LemmaReport(ok=False, failed_hypotheses=tuple(failed),
-                           conclusion_holds=None,
-                           messages=("hypotheses failed; conclusion not asserted",))
-    computed = min_locus(graph, f)
-    expected = fundamental_cycle(graph, tset, eid)
-    holds = computed == expected
-    return LemmaReport(ok=holds, failed_hypotheses=(),
-                       conclusion_holds=holds,
-                       computed_locus=computed, expected_locus=expected,
-                       messages=() if holds else ("min locus differs from Z(T,e)",))
+
+    def hypotheses(K):
+        yield "loop-free", graph.is_loop_free()
+        yield "spanning-tree", is_spanning_tree(graph, tset)
+        yield "edge-outside-tree", eid not in tset
+        yield from _witness_hypotheses(graph, D, f, tset | {eid})
+
+    return _check_lemma(graph, 1, D, f, hypotheses,
+                        lambda: fundamental_cycle(graph, tset, eid),
+                        "min locus differs from Z(T,e)")
 
 
 def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
@@ -658,42 +653,18 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
     interior of every non-tree edge, and D >= K - (v1) - (v2).
     Conclusion: the minimum locus of f is the chain."""
     tset = set(tree)
-    K = canonical_divisor(graph, 1)
-    if div(graph, f) != D - 2 * K:
-        raise DivisorMismatchError("div(f) != D - 2K; not a valid lemma witness")
-    failed = []
-    if not graph.is_loop_free():
-        failed.append("loop-free")
-    if any(graph.valency(v, include_rays=False) == 1 for v in graph.vertex_ids):
-        failed.append("no-1-valent")
-    if not any(set(chain.edges) == set(c.edges)
-               and set(chain.endpoints) == set(c.endpoints)
-               for c in maximal_bridge_chains(graph)):
-        failed.append("maximal-bridge-chain")
-    if not is_spanning_tree(graph, tset):
-        failed.append("spanning-tree")
-    if not D.is_effective():
-        failed.append("effective")
-    if not f.has_integer_slopes(graph):
-        failed.append("tropical")
-    for other in graph.edges:
-        if other.id in tset:
-            continue
-        if not _interior_support_hits(graph, D, other.id):
-            failed.append(f"support-on-{other.id}")
-    v1, v2 = chain.endpoints
-    bound = K - GraphDivisor.at(GraphPoint.at_vertex(v1)) \
-              - GraphDivisor.at(GraphPoint.at_vertex(v2))
-    if not D >= bound:
-        failed.append("dominates-K-minus-endpoints")
-    if failed:
-        return LemmaReport(ok=False, failed_hypotheses=tuple(failed),
-                           conclusion_holds=None,
-                           messages=("hypotheses failed; conclusion not asserted",))
-    computed = min_locus(graph, f)
-    expected = chain.as_locus(graph)
-    holds = computed == expected
-    return LemmaReport(ok=holds, failed_hypotheses=(),
-                       conclusion_holds=holds,
-                       computed_locus=computed, expected_locus=expected,
-                       messages=() if holds else ("min locus differs from the chain",))
+
+    def hypotheses(K):
+        yield "loop-free", graph.is_loop_free()
+        yield "no-1-valent", not any(graph.valency(v, include_rays=False) == 1
+                                     for v in graph.vertex_ids)
+        yield "maximal-bridge-chain", any(
+            set(chain.edges) == set(c.edges) and set(chain.endpoints) == set(c.endpoints)
+            for c in maximal_bridge_chains(graph))
+        yield "spanning-tree", is_spanning_tree(graph, tset)
+        yield from _witness_hypotheses(graph, D, f, tset)
+        v1, v2 = chain.endpoints
+        yield "dominates-K-minus-endpoints", D >= K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
+
+    return _check_lemma(graph, 2, D, f, hypotheses, lambda: chain.as_locus(graph),
+                        "min locus differs from the chain")

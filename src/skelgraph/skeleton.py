@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .divisors import GraphDivisor
-from .errors import GraphStructureError, PipelineError
+from .errors import GraphStructureError, PipelineError, SkelgraphError
 from .graphs import (
     GraphPoint,
     PointLike,
@@ -30,7 +30,7 @@ from .graphs import (
     curve_genus,
     graph_genus,
 )
-from .loci import SubgraphLocus
+from .loci import SubgraphLocus, union_loci, vertex_locus
 from .plfunction import PLFunction
 from .potential import (
     BridgeChain,
@@ -274,3 +274,33 @@ def witness_bridge_chain(graph: WeightedDualGraph,
             f"{report.failed_hypotheses}, conclusion {report.conclusion_holds}"
         )
     return WitnessBundle(tree=T, divisor=D, function=f, locus=report.computed_locus)
+
+
+@dataclass(frozen=True)
+class CanonicalLocusReport:
+    ok: bool
+    expected: SubgraphLocus
+    witness_union: SubgraphLocus
+    failed_edge: Optional[str] = None
+    error: Optional[SkelgraphError] = None
+
+
+def verify_canonical_locus(graph: WeightedDualGraph) -> CanonicalLocusReport:
+    """Compare the canonical-form locus with the union of the genus
+    vertices and the witness_cycle loci of the non-bridge edges of the
+    genus-stripped graph; the first failed witness stops the check."""
+    expected = canonical_form_locus(graph)
+    work = strip_genus(graph)
+    loci = [vertex_locus(work, *(v.id for v in graph.vertices if v.genus > 0))]
+    failed_edge = error = None
+    cut_edges = bridges(work)
+    for eid in sorted(e.id for e in work.edges if e.id not in cut_edges):
+        try:
+            loci.append(witness_cycle(work, eid).locus)
+        except SkelgraphError as exc:
+            failed_edge, error = eid, exc
+            break
+    union = union_loci(work, loci)
+    return CanonicalLocusReport(ok=error is None and union == expected,
+                                expected=expected, witness_union=union,
+                                failed_edge=failed_edge, error=error)

@@ -199,15 +199,8 @@ def test_criterion_8_nonbridge_locus_cross_validation():
         if sk.graph_genus(g) < 1:
             continue
         checked += 1
-        expected = sk.canonical_form_locus(g)
-        work = sk.strip_genus(g)
-        loci = [sk.witness_cycle(work, eid).locus
-                for eid in sorted(e.id for e in work.edges
-                                  if e.id not in sk.bridges(work))]
-        genus_vertices = [v.id for v in g.vertices if v.genus > 0]
-        got = sk.union_loci(work, loci + [sk.vertex_locus(work, *genus_vertices)])
-        assert got.vertices == expected.vertices, g
-        assert got.segments == expected.segments, g
+        result = sk.verify_canonical_locus(g)
+        assert result.ok, (g, result.failed_edge, result.error)
     report(8, "witness-cycle union + genus vertices = canonical-form locus "
               "on 50 graphs", t0)
 
@@ -246,7 +239,7 @@ def test_criterion_10_stable_metric_gap():
             assert gap == F(gcd(n1, n2), n1 * n2) == F(1, lcm(n1, n2)), (n1, n2)
             g = WeightedDualGraph(vertices=[V("a", n1), V("b", n2)],
                                   edges=[("a", "b")])
-            assert sk.edge_length(g, "e0", sk.MetricKind.STABLE) == gap
+            assert sk.edge_length(g.replace(metric="stable"), "e0") == gap
     # the pruning is exact: cross-check against the full double loop
     for n1 in range(1, 7):
         for n2 in range(1, 7):

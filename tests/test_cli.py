@@ -1,8 +1,11 @@
 """CLI: commands, exit codes, end-to-end flows."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import io as sio
@@ -129,6 +132,22 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_nonbridge_failed_witness_exits_one(self, tmp_path, capsys):
+        # these lengths need a lattice past the reduction cap, so the
+        # first witness fails; that is a verification failure
+        g = sk.WeightedDualGraph(
+            vertices=[sk.VertexLabel("u"), sk.VertexLabel("v")],
+            edges=[("u", "v", sio.parse_rational(x))
+                   for x in ("1/101", "1/103", "1/107")])
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        code, out, _ = run(capsys, "verify", "nonbridge", "--graph", gpath)
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert report["failed"]["edge"] == "e0"
+        assert report["canonical_form_locus"] == sio.locus_to_json(
+            sk.canonical_form_locus(g))
+
     def test_schema_violation_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -183,3 +202,56 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--graph", gpath,
                            "--divisor", dpath, "--anchor", "u")
         assert code == 2
+
+    def test_non_integral_ray_slope_exits_two(self, tmp_path, capsys):
+        g = sk.WeightedDualGraph(vertices=[sk.VertexLabel("a"), sk.VertexLabel("b")],
+                                 edges=[("a", "b")], rays=[sk.Ray("a", "x", 1)])
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        dpath = write_json(tmp_path / "d.json",
+                           sio.divisor_to_json(sk.GraphDivisor.at("b", 1)))
+        for slope in ("3/2", 1.5):
+            spath = write_json(tmp_path / "s.json", {"x": slope})
+            code, _, err = run(capsys, "solve", "--graph", gpath, "--divisor", dpath,
+                               "--anchor", "a", "--ray-slopes", spath)
+            assert code == 2, slope
+            assert "error" in err
+
+
+# Documents near the shape solve expects, plus arbitrary JSON values.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(["u", "v", "e0", "x", "1/2", "-1", "3/2", "0", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["point", "coeff", "vertex", "edge", "ray",
+                                       "position", "distance", "x", "a"]),
+                      inner, max_size=3),
+    max_leaves=8)
+_point = st.fixed_dictionaries({"vertex": st.sampled_from(["u", "v", "w"])}) | \
+    st.fixed_dictionaries({"edge": st.sampled_from(["e0", "e9"]),
+                           "position": st.sampled_from(["1/2", "1/3", "2", "-1", 0])}) | \
+    st.fixed_dictionaries({"ray": st.sampled_from(["x", "y"]),
+                           "distance": st.sampled_from(["1", "0", 1])}) | _json
+_entry = st.fixed_dictionaries({"point": _point,
+                                "coeff": st.integers(-2, 2) | _json}) | _json
+
+
+class TestSolveFuzz:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(divisor=st.lists(_entry, max_size=4) | _json,
+           slopes=st.none() | st.dictionaries(st.sampled_from(["x", "y"]),
+                                              _json, max_size=2) | _json)
+    @example(divisor={"a": 1}, slopes=None)
+    @example(divisor=[{"point": {"vertex": "u"}}], slopes=None)
+    @example(divisor=[5], slopes=None)
+    @example(divisor=[], slopes=["x"])
+    def test_exit_code_contract(self, tmp_path, divisor, slopes):
+        g = sk.WeightedDualGraph(vertices=[sk.VertexLabel("u"), sk.VertexLabel("v")],
+                                 edges=[("u", "v"), ("u", "v")],
+                                 rays=[sk.Ray("u", "x", 1)])
+        argv = ["solve", "--graph", write_json(tmp_path / "g.json", sio.graph_to_json(g)),
+                "--divisor", write_json(tmp_path / "d.json", divisor), "--anchor", "u"]
+        if slopes is not None:
+            argv += ["--ray-slopes", write_json(tmp_path / "s.json", slopes)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -27,12 +27,12 @@ class TestEdgeLength:
 
     def test_stable_2_6(self):
         g = two_vertex(2, 6)
-        assert sk.edge_length(g, "e0", MetricKind.STABLE) == F(1, 6)
+        assert sk.edge_length(g.replace(metric="stable"), "e0") == F(1, 6)
 
     def test_unit_both_metrics(self):
         g = two_vertex(1, 1)
-        assert sk.edge_length(g, "e0", MetricKind.MODEL) == 1
-        assert sk.edge_length(g, "e0", MetricKind.STABLE) == 1
+        assert sk.edge_length(g, "e0") == 1
+        assert sk.edge_length(g.replace(metric="stable"), "e0") == 1
 
     def test_unknown_edge(self):
         g = two_vertex(1, 1)
@@ -47,8 +47,8 @@ class TestEdgeLength:
     @given(n1=st.integers(1, 20), n2=st.integers(1, 20))
     def test_stable_dominates_model(self, n1, n2):
         g = two_vertex(n1, n2)
-        model = sk.edge_length(g, "e0", MetricKind.MODEL)
-        stable = sk.edge_length(g, "e0", MetricKind.STABLE)
+        model = sk.edge_length(g, "e0")
+        stable = sk.edge_length(g.replace(metric="stable"), "e0")
         assert model > 0 and stable > 0
         assert stable >= model
         assert (stable == model) == (gcd(n1, n2) == 1)
@@ -57,7 +57,16 @@ class TestEdgeLength:
         g = WeightedDualGraph(vertices=[V("a", 2), V("b", 3)],
                               edges=[("a", "b", F(7, 5))])
         assert sk.edge_length(g, "e0") == F(7, 5)
-        assert sk.edge_length(g, "e0", MetricKind.STABLE) == F(7, 5)
+        # an explicit length has no stable counterpart
+        with pytest.raises(sk.GraphStructureError):
+            g.replace(metric="stable")
+
+    def test_split_edge_cannot_change_metric(self):
+        g = two_vertex(2, 2)  # model length 1/4, stable length 1/2
+        h = sk.subdivide_edge_at(g, "e0", F(1, 8), V("m", 2))
+        assert sk.distance(h, "a", "b") == F(1, 4)
+        with pytest.raises(sk.GraphStructureError):
+            h.replace(metric="stable")
 
 
 class TestGraphGenus:

@@ -161,6 +161,17 @@ class TestSolvePoisson:
             + D({P.at_vertex("a"): 0})
         assert f.ray_slopes == {"x": 2}
 
+    def test_ray_slopes_never_truncated(self):
+        g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b")],
+                              rays=[sk.Ray("a", "x", 1)])
+        f = sk.solve_poisson(g, D({P.at_vertex("b"): 2}),
+                             ray_slopes={"x": F(4, 2)}, anchor="a")
+        assert f.ray_slopes == {"x": 2}
+        for bad in (F(3, 2), 1.5):
+            with pytest.raises(sk.NonIntegralError):
+                sk.solve_poisson(g, D({P.at_vertex("b"): F(3, 2)}),
+                                 ray_slopes={"x": bad}, anchor="a")
+
     def test_interior_target(self):
         g = unit_edge()
         mid = P.on_edge("e0", F(1, 2))

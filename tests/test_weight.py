@@ -64,14 +64,14 @@ class TestWeightFunction:
         g, data = kodaira()
         wt = sk.weight_function(g, data)
         # the type-II weight function is integral in both structures
-        assert wt.has_integer_slopes(g, sk.MetricKind.MODEL)
-        assert wt.has_integer_slopes(g, sk.MetricKind.STABLE)
+        assert wt.has_integer_slopes(g)
+        assert wt.has_integer_slopes(g.replace(metric="stable"))
         # unit slope in the model metric on a gcd-2 edge halves in the
         # stable metric
         h = WeightedDualGraph(vertices=[V("a", 2), V("b", 6)], edges=[("a", "b")])
         f = sk.PLFunction({"a": 0, "b": F(1, 12)})
-        assert f.has_integer_slopes(h, sk.MetricKind.MODEL)
-        assert not f.has_integer_slopes(h, sk.MetricKind.STABLE)
+        assert f.has_integer_slopes(h)
+        assert not f.has_integer_slopes(h.replace(metric="stable"))
 
     def test_denominators_divide_multiplicity(self, rng):
         from skelgraph.sampling import random_pair_fixture
