@@ -97,12 +97,11 @@ def _verify_essential(g) -> dict:
 
 def _verify_min_locus(g, data_doc) -> dict:
     work = strip_genus(g)
-    if data_doc:
-        eids = [str(data_doc["edge"])]
-        tree = [str(t) for t in data_doc["tree"]] if "tree" in data_doc else None
+    edge, tree = sio.min_locus_request_from_json(data_doc)
+    if edge is not None:
+        eids = [edge]
     else:
         eids = sorted(e.id for e in work.edges if e.id not in bridges(work))
-        tree = None
     results = {}
     ok = True
     for eid in eids:
@@ -117,8 +116,8 @@ def _verify_min_locus(g, data_doc) -> dict:
 
 def _verify_bridge(g, data_doc) -> dict:
     work = strip_genus(g)
-    if data_doc and "chain" in data_doc:
-        wanted = {str(e) for e in data_doc["chain"]}
+    wanted = sio.bridge_request_from_json(data_doc)
+    if wanted is not None:
         chains = [c for c in maximal_bridge_chains(work) if set(c.edges) == wanted]
         if not chains:
             raise SkelgraphError(f"no maximal bridge chain with edges {sorted(wanted)}")

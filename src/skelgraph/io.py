@@ -210,6 +210,27 @@ def data_from_json(doc: dict) -> PluricanonicalModelData:
         raise GraphStructureError(f"malformed data JSON: {exc}") from exc
 
 
+def min_locus_request_from_json(doc: Optional[dict]) -> tuple[Optional[str],
+                                                             Optional[list[str]]]:
+    """The (edge, tree) named by a ``verify min-locus`` data document;
+    null or an empty object names neither, and the tree is optional."""
+    if doc is None or not _shaped(doc, dict, "min-locus data"):
+        return None, None
+    _shaped(doc, dict, "min-locus data", "edge")
+    tree = None
+    if "tree" in doc:
+        tree = [str(t) for t in _shaped(doc["tree"], list, "min-locus tree")]
+    return str(doc["edge"]), tree
+
+
+def bridge_request_from_json(doc: Optional[dict]) -> Optional[frozenset[str]]:
+    """The edges of the chain named by a ``verify bridge`` data document,
+    or None when it is null or names no chain."""
+    if doc is None or "chain" not in _shaped(doc, dict, "bridge data"):
+        return None
+    return frozenset(str(e) for e in _shaped(doc["chain"], list, "bridge chain"))
+
+
 def blowups_to_json(steps: Iterable[BlowUpStep]) -> list:
     return [{"op": s.op, "target": s.target} for s in steps]
 

@@ -25,7 +25,7 @@ from .graphs import (
 class PLFunction:
     """Breakpoint values plus per-ray slopes."""
 
-    __slots__ = ("_values", "_ray_slopes")
+    __slots__ = ("_values", "_ray_slopes", "_on_edge")
 
     def __init__(self, values: Mapping[PointLike, Rational],
                  ray_slopes: Mapping[str, int] = ()):
@@ -33,12 +33,17 @@ class PLFunction:
         items = values.items() if hasattr(values, "items") else values
         for p, x in items:
             vals[as_point(p)] = Fraction(x)
+        on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
+        for p, x in vals.items():
+            if p.kind == "edge":
+                on_edge.setdefault(p.where, []).append((p.offset, x))
         slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
         for label, s in slopes.items():
             if not isinstance(s, (int, Fraction)) or s.denominator != 1:
                 raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_ray_slopes", {label: int(s) for label, s in slopes.items()})
+        object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)]
 
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
@@ -83,10 +88,8 @@ class PLFunction:
         e = graph.edge(eid)
         ell = graph.edge_length(eid)
         pts = [(Fraction(0), self._values[GraphPoint.at_vertex(e.a)]),
-               (ell, self._values[GraphPoint.at_vertex(e.b)])]
-        for p, x in self._values.items():
-            if p.kind == "edge" and p.where == eid:
-                pts.append((p.offset, x))
+               (ell, self._values[GraphPoint.at_vertex(e.b)]),
+               *self._on_edge.get(eid, ())]
         pts.sort(key=lambda t: t[0])
         return pts
 

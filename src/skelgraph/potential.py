@@ -10,6 +10,14 @@ outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
 A declared ray slope s (oriented away from the skeleton) therefore
 contributes +s to the Laplacian at the attachment, and the degree of
 laplacian(f) over the compact part equals the sum of the ray slopes.
+
+Poisson problems are solved in the cycle space (the electrical-network
+view of Baker-Faber, "Metrized graphs, Laplacian operators and
+electrical networks"): on the graph refined at the target's support,
+a spanning tree carries slopes fixed by flow conservation up to the
+slopes of the g = b1 chords, and only the g x g system that closes
+the fundamental cycles is solved.  The cost is O(V g + g^3) Fraction
+operations instead of O(V^3); a tree needs no linear algebra.
 """
 
 from __future__ import annotations
@@ -99,7 +107,8 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
 
 
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fraction; raises on a singular system."""
+    """Gauss-Jordan over Fraction, skipping zero entries; raises on a
+    singular system."""
     n = len(rows)
     m = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
     for col in range(n):
@@ -108,11 +117,11 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
             raise PipelineError("singular Poisson system; graph disconnected?")
         m[col], m[piv] = m[piv], m[col]
         pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
+        m[col] = [x / pv if x else x for x in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
                 fac = m[r][col]
-                m[r] = [x - fac * y for x, y in zip(m[r], m[col])]
+                m[r] = [x - fac * y if y else x for x, y in zip(m[r], m[col])]
     return [m[i][n] for i in range(n)]
 
 
@@ -124,6 +133,14 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
 
     Solvability requires deg(target) over the compact part to equal the
     sum of the declared ray slopes, which must be integers.
+
+    The graph is refined at the target's interior support and the
+    anchor.  A BFS tree from the anchor is peeled from the leaves, which
+    makes each tree-edge slope affine in the slopes of the g chords;
+    integrating down from the anchor makes each value affine in them
+    too, and each chord then closes one equation of a g x g symmetric
+    positive-definite system.  Cost: O(V g + g^3) exact operations on a
+    refinement with V vertices; none of the linear algebra on a tree.
     """
     slopes = PLFunction({}, ray_slopes or {}).ray_slopes  # checked integral up front
     for label in slopes:
@@ -158,38 +175,69 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     ref = refine(graph, cuts)
     rg = ref.graph
 
+    # t[v]: the sum of the outgoing slopes along bounded edges at v
     t = {v: Fraction(0) for v in rg.vertex_ids}
     for p, c in support:
         t[ref.to_refined(p).where] += Fraction(c)
     for label, s in slopes.items():
         t[graph.ray(label).attach] -= s
 
-    ids = list(rg.vertex_ids)
-    pos = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rhs = [Fraction(0)] * n
-    for e in rg.edges:
-        if e.a == e.b:
-            continue  # a function linear on a loop is constant there
-        c = 1 / rg.edge_length(e.id)
-        ia, ib = pos[e.a], pos[e.b]
-        rows[ia][ia] -= c
-        rows[ia][ib] += c
-        rows[ib][ib] -= c
-        rows[ib][ia] += c
-    for i, v in enumerate(ids):
-        rhs[i] = t[v]
+    # BFS spanning tree from the anchor; the other non-loop edges are the
+    # chords (a function linear on a loop is constant there)
+    root = ref.to_refined(anchor_pt).where
+    parent: dict[str, tuple[str, Fraction]] = {}  # v -> (parent, tree-edge length)
+    order = [root]
+    tree = set()
+    for v in order:
+        for e in rg.edges_at(v):
+            w = e.b if e.a == v else e.a
+            if w != root and w not in parent:
+                parent[w] = (v, rg.edge_length(e.id))
+                tree.add(e.id)
+                order.append(w)
+    chords = [e for e in rg.edges if e.a != e.b and e.id not in tree]
+    g = len(chords)
 
-    ai = pos[ref.to_refined(anchor_pt).where]
-    rows[ai] = [Fraction(0)] * n
-    rows[ai][ai] = Fraction(1)
-    rhs[ai] = Fraction(0)
+    # Peel from the leaves: up[v], the outgoing slope at v along the edge
+    # to its parent, is t[v] minus v's outgoing chord slopes plus up[w]
+    # of each child w.  It is affine in the chord slopes y: a constant and
+    # integer coefficients.  Chord j runs from a to b with slope y_j, so it
+    # leaves a with slope +y_j and b with slope -y_j.
+    up = {v: (t[v], [0] * g) for v in order}
+    for j, e in enumerate(chords):
+        up[e.a][1][j] -= 1
+        up[e.b][1][j] += 1
+    for v in reversed(order[1:]):
+        p = parent[v][0]
+        (c, k), (pc, pk) = up[v], up[p]
+        up[p] = (pc + c, [x + y for x, y in zip(pk, k)])
 
-    sol = _solve_linear(rows, rhs)
+    # Integrate down from the anchor, where f = 0: f(v) = f(p) - len * up[v].
+    f = {root: (Fraction(0), [0] * g)}
+    for v in order[1:]:
+        p, ell = parent[v]
+        (c, k), (fc, fk) = up[v], f[p]
+        f[v] = (fc - ell * c, [x - ell * y if y else x for x, y in zip(fk, k)])
+
+    # Chord j closes a cycle: f(b) - f(a) = len_j * y_j.  Written as
+    # f(a) - f(b) + len_j * y_j = 0 this is the g x g cycle-length system,
+    # symmetric positive definite; a tree has no chords and no system.
+    y: list[Fraction] = []
+    if chords:
+        rows, rhs = [], []
+        for j, e in enumerate(chords):
+            (ac, ak), (bc, bk) = f[e.a], f[e.b]
+            row = [x - z for x, z in zip(ak, bk)]
+            row[j] += rg.edge_length(e.id)
+            rows.append(row)
+            rhs.append(bc - ac)
+        y = _solve_linear(rows, rhs)
+
     values = {}
-    for v, x in zip(ids, sol):
-        values[ref.to_base(GraphPoint.at_vertex(v))] = x
+    for v in rg.vertex_ids:
+        c, k = f[v]
+        values[ref.to_base(GraphPoint.at_vertex(v))] = c + sum(
+            (x * yj for x, yj in zip(k, y) if x), Fraction(0))
     return PLFunction(values, slopes)
 
 
@@ -207,8 +255,9 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
                 f"ray {label!r} has negative slope {s}; no minimum is attained"
             )
     m = f.min_over_compact()
+    values = f.values
     vertices = [v for v in graph.vertex_ids
-                if f.values[GraphPoint.at_vertex(v)] == m]
+                if values[GraphPoint.at_vertex(v)] == m]
     segments: dict[str, list] = defaultdict(list)
     for e in graph.edges:
         profile = f.edge_profile(graph, e.id)

@@ -100,6 +100,27 @@ def random_degree_zero_divisor(rng, graph, spread=3, interior=True):
     return sk.GraphDivisor(entries)
 
 
+def random_multigraph(rng, max_vertices=5, extra=3, loops=2, rays=0, lengths=True):
+    """A random connected graph with parallel edges and loops: a random
+    tree plus up to ``extra`` edges (a parallel copy of a tree edge among
+    them), up to ``loops`` loops and ``rays`` rays; random rational edge
+    lengths unless ``lengths`` is false."""
+    n = rng.randint(2, max_vertices)
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(vs[rng.randrange(i)], vs[i]) for i in range(1, n)]
+    pairs.append(rng.choice(pairs))
+    for _ in range(rng.randint(0, extra - 1)):
+        pairs.append((rng.choice(vs), rng.choice(vs)))
+    for _ in range(rng.randint(0, loops)):
+        v = rng.choice(vs)
+        pairs.append((v, v))
+    edges = [(a, b, Fraction(rng.randint(1, 6), rng.randint(1, 4)) if lengths else None)
+             for a, b in pairs]
+    return sk.WeightedDualGraph(
+        vertices=[sk.VertexLabel(v) for v in vs], edges=edges,
+        rays=[sk.Ray(rng.choice(vs), f"r{i}", 1) for i in range(rays)])
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -155,6 +155,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("subject, doc", [
+        ("min-locus", [1, 2]), ("min-locus", {"edge": "e0", "tree": 5}),
+        ("min-locus", {"tree": ["e0"]}), ("bridge", [1, 2]), ("bridge", {"chain": 7}),
+    ])
+    def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
+        gpath = write_json(tmp_path / "g.json",
+                           sio.graph_to_json(sk.fixtures.theta_graph()))
+        data = write_json(tmp_path / "d.json", doc)
+        code, out, err = run(capsys, "verify", subject, "--graph", gpath, "--data", data)
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
     def test_missing_data_exits_two(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",
                            sio.graph_to_json(sk.fixtures.kodaira_type_ii()))
@@ -253,5 +266,35 @@ class TestSolveFuzz:
                 "--divisor", write_json(tmp_path / "d.json", divisor), "--anchor", "u"]
         if slopes is not None:
             argv += ["--ray-slopes", write_json(tmp_path / "s.json", slopes)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+
+# Documents near the shapes verify min-locus and bridge expect.
+_verify_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2)
+    | st.sampled_from(["e0", "e1", "e2", "e9", "u", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["edge", "tree", "chain", "x"]), inner, max_size=3),
+    max_leaves=6)
+_edge_list = st.lists(st.sampled_from(["e0", "e1", "e2", "e9"]), max_size=3)
+_verify_data = st.fixed_dictionaries({"edge": st.sampled_from(["e0", "e2", "e9"])},
+                                     optional={"tree": _edge_list | _verify_json}) | \
+    st.fixed_dictionaries({"chain": _edge_list | _verify_json}) | _verify_json
+
+
+class TestVerifyFuzz:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(subject=st.sampled_from(["min-locus", "bridge"]), data=_verify_data)
+    @example(subject="min-locus", data=[1, 2])
+    @example(subject="min-locus", data={"edge": "e0", "tree": 5})
+    @example(subject="bridge", data={"chain": 7})
+    @example(subject="bridge", data=[])
+    def test_exit_code_contract(self, tmp_path, subject, data):
+        argv = ["verify", subject,
+                "--graph", write_json(tmp_path / "g.json",
+                                      sio.graph_to_json(sk.fixtures.theta_graph())),
+                "--data", write_json(tmp_path / "d.json", data)]
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)

@@ -1,6 +1,7 @@
 """Laplacians, Poisson solving, reduced divisors, bridges, lemmas."""
 
 import random
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,18 @@ from conftest import (
     brute_min_points,
     random_degree_zero_divisor,
     random_lattice_tropical,
+    random_multigraph,
     random_plfunction,
 )
+
+
+def to_networkx(graph):
+    import networkx as nx
+    G = nx.MultiGraph()
+    G.add_nodes_from(graph.vertex_ids)
+    for e in graph.edges:
+        G.add_edge(e.a, e.b, key=e.id)
+    return G
 
 
 def unit_edge():
@@ -206,6 +217,95 @@ class TestSolvePoisson:
             assert sk.differ_by_constant(g, back, f)
 
 
+def sympy_poisson(graph, target, ray_slopes, anchor):
+    """Oracle: sympy's exact LU solve of the dense Laplacian system on the
+    refined graph, with the anchor's row replaced by f(anchor) = 0, as a
+    map from base points to values."""
+    import sympy
+
+    anchor = graph.check_point(anchor)
+    cuts = defaultdict(list)
+    for p in [*target.support, anchor]:
+        if p.kind == "edge":
+            cuts[p.where].append(p.offset)
+    ref = sk.refine(graph, cuts)
+    rg = ref.graph
+    pos = {v: i for i, v in enumerate(rg.vertex_ids)}
+    n = len(pos)
+    lap, rhs = sympy.zeros(n, n), sympy.zeros(n, 1)
+    for e in rg.edges:
+        ell = rg.edge_length(e.id)
+        c = sympy.Rational(ell.denominator, ell.numerator)
+        i, j = pos[e.a], pos[e.b]
+        lap[i, i] -= c
+        lap[i, j] += c
+        lap[j, j] -= c
+        lap[j, i] += c
+    for p in target.support:
+        c = F(target.coeff(p))
+        rhs[pos[ref.to_refined(p).where]] += sympy.Rational(c.numerator, c.denominator)
+    for label, s in ray_slopes.items():
+        rhs[pos[graph.ray(label).attach]] -= s
+    a = pos[ref.to_refined(anchor).where]
+    lap[a, :] = sympy.zeros(1, n)
+    lap[a, a] = 1
+    rhs[a] = 0
+    sol = lap.LUsolve(rhs)
+    return {ref.to_base(P.at_vertex(v)): F(int(sol[i].p), int(sol[i].q))
+            for v, i in pos.items()}
+
+
+def random_poisson_problem(rng):
+    """A solvable problem on a random graph with parallel edges, loops
+    and rays: rational targets at vertices and interior edge points
+    (loops included), integer ray slopes, and a vertex or interior
+    anchor."""
+    g = random_multigraph(rng, rays=rng.randint(0, 2))
+    slopes = {r.label: rng.randint(-2, 2) for r in g.rays}
+    coeffs = {P.at_vertex(v): F(rng.randint(-3, 3), rng.randint(1, 3))
+              for v in g.vertex_ids}
+    for _ in range(rng.randint(1, 3)):
+        e = rng.choice(g.edges)
+        p = P.on_edge(e.id, g.edge_length(e.id) * rng.randint(1, 3) / 4)
+        coeffs[p] = coeffs.get(p, 0) + rng.randint(-2, 2)
+    first = P.at_vertex(g.vertex_ids[0])
+    coeffs[first] += sum(slopes.values()) - sum(coeffs.values())
+    if rng.random() < 0.5:
+        anchor = P.at_vertex(rng.choice(g.vertex_ids))
+    else:
+        e = rng.choice(g.edges)
+        anchor = P.on_edge(e.id, g.edge_length(e.id) * rng.randint(1, 4) / 5)
+    return g, D(coeffs), slopes, anchor
+
+
+class TestPoissonOracle:
+    def test_matches_dense_sympy_solve(self):
+        rng = random.Random(1506)
+        for _ in range(40):
+            g, t, slopes, anchor = random_poisson_problem(rng)
+            f = sk.solve_poisson(g, t, ray_slopes=slopes, anchor=anchor)
+            assert f.values == sympy_poisson(g, t, slopes, anchor)
+            assert f.ray_slopes == slopes
+
+    def test_tree_needs_no_linear_solve(self, monkeypatch):
+        def refuse(rows, rhs):
+            raise AssertionError("linear solve called")
+
+        monkeypatch.setattr(sk.potential, "_solve_linear", refuse)
+        # a tree with a loop that carries no target: no chords
+        g = WeightedDualGraph(vertices=[V("a"), V("b"), V("c"), V("d")],
+                              edges=[("a", "b", F(1, 2)), ("b", "c", 2), ("b", "d"),
+                                     ("c", "c", 3)],
+                              rays=[sk.Ray("d", "x", 1)])
+        t = D({P.on_edge("e1", 1): F(5, 2), P.at_vertex("a"): -1, P.at_vertex("c"): F(3, 2)})
+        anchor = P.on_edge("e0", F(1, 4))
+        f = sk.solve_poisson(g, t, ray_slopes={"x": 3}, anchor=anchor)
+        assert f.values == sympy_poisson(g, t, {"x": 3}, anchor)
+        assert sk.laplacian(g, f) == t
+        with pytest.raises(AssertionError, match="linear solve called"):
+            sk.solve_poisson(sk.fixtures.theta_graph(), D.zero())
+
+
 class TestMinLocus:
     def test_constant_whole_graph(self):
         g = sk.fixtures.theta_graph()
@@ -274,6 +374,14 @@ class TestBridges:
         g = random_graph(rng, max_vertices=7, max_multiplicity=3)
         assert sk.bridges(g) == brute_bridges(g)
 
+    def test_matches_networkx(self):
+        import networkx as nx
+        rng = random.Random(2006)
+        for _ in range(40):
+            g = random_multigraph(rng, max_vertices=7, lengths=False)
+            ours = {frozenset((g.edge(eid).a, g.edge(eid).b)) for eid in sk.bridges(g)}
+            assert ours == {frozenset(p) for p in nx.bridges(to_networkx(g))}
+
     def test_parallel_and_loops_never_bridges(self):
         g = WeightedDualGraph(vertices=[V("a"), V("b")],
                               edges=[("a", "b"), ("a", "b"), ("a", "a")])
@@ -303,6 +411,15 @@ class TestSpanningTrees:
         g = sk.fixtures.theta_graph()
         with pytest.raises(sk.GraphStructureError):
             sk.fundamental_cycle(g, ["e0", "e1"], "e2")
+
+    def test_tree_count_matches_kirchhoff(self):
+        import networkx as nx
+        rng = random.Random(2013)
+        for _ in range(25):
+            g = random_multigraph(rng, max_vertices=6, lengths=False)
+            # networkx returns a float for multigraphs
+            assert len(sk.all_spanning_trees(g)) == \
+                round(nx.number_of_spanning_trees(to_networkx(g)))
 
     def test_all_spanning_trees_theta(self):
         g = sk.fixtures.theta_graph()
