@@ -174,14 +174,17 @@ def locus_to_json(locus: SubgraphLocus) -> dict:
 
 
 def locus_from_json(graph: WeightedDualGraph, doc: dict) -> SubgraphLocus:
+    _shaped(doc, dict, "locus")
     segs: dict[str, list] = {}
-    for item in doc.get("segments", ()):
+    for item in _shaped(doc.get("segments", []), list, "locus segments"):
+        _shaped(item, dict, "locus segment", "edge", "start", "end")
         segs.setdefault(str(item["edge"]), []).append(
             (parse_rational(item["start"]), parse_rational(item["end"])))
-    return SubgraphLocus(graph,
-                         vertices=[str(v) for v in doc.get("vertices", ())],
-                         whole_edges=[str(e) for e in doc.get("edges", ())],
-                         segments=segs)
+    return SubgraphLocus(
+        graph,
+        vertices=[str(v) for v in _shaped(doc.get("vertices", []), list, "locus vertices")],
+        whole_edges=[str(e) for e in _shaped(doc.get("edges", []), list, "locus edges")],
+        segments=segs)
 
 
 # -- model data, blow-ups, witnesses ----------------------------------------------
@@ -198,15 +201,17 @@ def data_to_json(data: PluricanonicalModelData) -> dict:
 
 
 def data_from_json(doc: dict) -> PluricanonicalModelData:
+    _shaped(doc, dict, "data", "m", "nu")
+    rays = _shaped(doc.get("rays", {}), dict, "data rays")
     try:
         return PluricanonicalModelData(
             m=int(doc["m"]),
-            nu={str(k): int(v) for k, v in doc["nu"].items()},
-            ray_degrees={str(k): int(v["deg_div"])
-                         for k, v in doc.get("rays", {}).items()},
+            nu={str(k): int(v) for k, v in _shaped(doc["nu"], dict, "data nu").items()},
+            ray_degrees={str(k): int(_shaped(v, dict, "data ray", "deg_div")["deg_div"])
+                         for k, v in rays.items()},
             horizontal_edges=frozenset(str(e) for e in doc.get("horizontal_edges", ())),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphStructureError(f"malformed data JSON: {exc}") from exc
 
 

@@ -1,9 +1,9 @@
 """Potential theory on weighted metric graphs, all exact.
 
 Laplacians of piecewise-linear functions, canonical divisors of
-labelled graphs, exact Poisson solving, reduced divisors via Dhar
-burning, bridges, spanning trees and fundamental cycles, and the two
-min-locus lemma checkers used by the witness constructions.
+labelled graphs, exact Poisson solving, reduced divisors by borrowing,
+then Dhar burning, bridges, spanning trees and fundamental cycles, and
+the two min-locus lemma checkers used by the witness constructions.
 
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
@@ -416,9 +416,6 @@ class _Lattice:
     nodes: list[str]
     adj: dict[str, list[tuple[str, str]]]  # node -> (edge id, other node)
 
-    def neighbors(self, v):
-        return self.adj[v]
-
 
 def _build_lattice(graph: WeightedDualGraph,
                    points: Sequence[GraphPoint]) -> _Lattice:
@@ -482,10 +479,9 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     """The q-reduced divisor equivalent to the input, together with the
     tropical rational function f with D' = D + div(f).
 
-    Runs the discrete Dhar algorithm on an exact lattice refinement:
-    negative coefficients are first cleared by firing balls around q
-    from the farthest layer inward, then unburnt sets are fired until
-    the burn from q consumes everything.
+    Works on an exact lattice refinement, by borrowing, then Dhar: each
+    node other than q that is in debt borrows until none is, then
+    unburnt sets are fired until the burn from q consumes everything.
     """
     if graph.rays:
         raise GraphStructureError("reduce_divisor works on compact graphs; drop rays")
@@ -501,27 +497,20 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     q_node = ref.to_refined(q_pt).where
     u: dict[str, int] = {v: 0 for v in lat.nodes}
 
-    # hop layers from q (unit segments: hop distance = L * metric distance)
-    dist = {q_node: 0}
-    queue = deque([q_node])
-    while queue:
-        v = queue.popleft()
+    # stage 1: every node off q in debt borrows (the reverse of a firing)
+    # until none is.  By least action no node borrows more than in any
+    # script that clears the debt, and the borrows, hence the end state,
+    # do not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
+    debt = [v for v in lat.nodes if v != q_node and chips[v] < 0]
+    while debt:
+        v = debt.pop()
+        k = -(chips[v] // len(lat.adj[v]))  # borrows that leave v out of debt
+        u[v] += k
+        chips[v] += k * len(lat.adj[v])
         for _, w in lat.adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-
-    # stage 1: clear negatives off q, farthest layer first
-    maxd = max(dist.values())
-    for k in range(maxd, 0, -1):
-        layer = [v for v in lat.nodes if dist[v] == k]
-        guard = 0
-        while any(chips[v] < 0 for v in layer):
-            ball = {v for v in lat.nodes if dist[v] <= k - 1}
-            _fire_set(lat, chips, u, ball)
-            guard += 1
-            if guard > _MAX_DHAR_ROUNDS:
-                raise PipelineError("negative-clearing did not terminate")
+            chips[w] -= k
+            if w != q_node and chips[w] < 0 <= chips[w] + k:  # w fell into debt
+                debt.append(w)
 
     # stage 2: Dhar burning with maximal unburnt firings
     rounds = 0
@@ -539,29 +528,19 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
         for v, c in chips.items() if c != 0
     })
 
-    # assemble f = u / L on the base graph, keeping only slope changes
+    # f = u / L on the base graph: the vertex values, and each lattice
+    # point of an edge where the slopes on its two sides differ (the
+    # lattice is uniform, so where the second difference is non-zero)
     base_min = min(u.values())
-    values: dict[GraphPoint, Fraction] = {}
-    for v in graph.vertex_ids:
-        values[GraphPoint.at_vertex(v)] = Fraction(
-            u[ref.to_refined(GraphPoint.at_vertex(v)).where] - base_min, lat.L)
-    for base_eid, parts in ref.pieces.items():
-        if len(parts) == 1:
-            continue
-        chain = []  # (base offset, lattice node) along the edge
-        for (pid, start, end, rev) in parts:
-            pe = ref.graph.edge(pid)
-            first = pe.b if rev else pe.a
-            chain.append((start, first))
-        last_pid, _, last_end, last_rev = parts[-1]
-        pe = ref.graph.edge(last_pid)
-        chain.append((last_end, pe.a if last_rev else pe.b))
-        for (x0, n0), (x1, n1), (x2, n2) in zip(chain, chain[1:], chain[2:]):
-            s01 = Fraction(u[n1] - u[n0], lat.L) / (x1 - x0)
-            s12 = Fraction(u[n2] - u[n1], lat.L) / (x2 - x1)
-            if s01 != s12:
-                values[GraphPoint.on_edge(base_eid, x1)] = Fraction(u[n1] - base_min, lat.L)
-    f = PLFunction(values)
+    base = {v: GraphPoint.at_vertex(v) for v in graph.vertex_ids} | ref.cut_vertex_points
+    at = {p: Fraction(u[v] - base_min, lat.L) for v, p in base.items()}
+    h = Fraction(1, lat.L)
+
+    def beside(p: GraphPoint, dx: Fraction) -> Fraction:
+        return at[graph.check_point(GraphPoint.on_edge(p.where, p.offset + dx))]
+
+    f = PLFunction({p: y for p, y in at.items()
+                    if p.kind == "vertex" or beside(p, -h) + beside(p, h) != 2 * y})
 
     # certificate: equivalence via the independent laplacian path,
     # effectivity off q, and a clean burn

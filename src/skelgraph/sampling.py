@@ -22,6 +22,33 @@ from .weight import (
 )
 
 
+def _connect(rng: random.Random, vertices: list[VertexLabel],
+             extra_edges: Optional[int], allow_leaves: bool) -> WeightedDualGraph:
+    """A random tree on the vertices plus ``extra_edges`` (possibly
+    parallel) edges, 0-3 when None; without leaves, each 1-valent vertex
+    in turn gains an edge to a random other vertex, which raises b1 and
+    keeps the graph reduced."""
+    ids = [v.id for v in vertices]
+    n = len(ids)
+    edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    k = extra_edges if extra_edges is not None else rng.randint(0, 3)
+    for _ in range(k):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            j = (j + 1) % n
+        edges.append((ids[i], ids[j]))
+    g = WeightedDualGraph(vertices=vertices, edges=edges)
+    if not allow_leaves:
+        while True:
+            leaves = [v for v in g.vertex_ids if g.valency(v, include_rays=False) == 1]
+            if not leaves:
+                break
+            v = leaves[0]
+            others = [w for w in g.vertex_ids if w != v]
+            g = g.replace(edges=list(g.edges) + [(v, rng.choice(others))])
+    return g
+
+
 def random_graph(rng: random.Random, max_vertices: int = 10,
                  max_multiplicity: int = 8, max_genus: int = 0,
                  extra_edges: Optional[int] = None,
@@ -31,26 +58,7 @@ def random_graph(rng: random.Random, max_vertices: int = 10,
     n = rng.randint(2, max_vertices)
     vertices = [VertexLabel(f"v{i}", rng.randint(1, max_multiplicity),
                             rng.randint(0, max_genus)) for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        edges.append((f"v{rng.randrange(i)}", f"v{i}"))
-    k = extra_edges if extra_edges is not None else rng.randint(0, 3)
-    for _ in range(k):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            j = (j + 1) % n
-        edges.append((f"v{i}", f"v{j}"))
-    g = WeightedDualGraph(vertices=vertices, edges=edges)
-    if not allow_leaves:
-        # pair up 1-valent vertices with extra edges until none remain
-        while True:
-            leaves = [v for v in g.vertex_ids if g.valency(v, include_rays=False) == 1]
-            if not leaves:
-                break
-            v = leaves[0]
-            others = [w for w in g.vertex_ids if w != v]
-            g = g.replace(edges=list(g.edges) + [(v, rng.choice(others))])
-    return g
+    return _connect(rng, vertices, extra_edges, allow_leaves)
 
 
 def random_reduced_graph(rng: random.Random, max_vertices: int = 8,
@@ -62,26 +70,7 @@ def random_reduced_graph(rng: random.Random, max_vertices: int = 8,
     n = rng.randint(2, max_vertices)
     vertices = [VertexLabel(f"v{i}", 1, rng.randint(0, max_genus_label))
                 for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        edges.append((f"v{rng.randrange(i)}", f"v{i}"))
-    b1 = genus if genus is not None else rng.randint(0, 3)
-    for _ in range(b1):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            j = (j + 1) % n
-        edges.append((f"v{i}", f"v{j}"))
-    g = WeightedDualGraph(vertices=vertices, edges=edges)
-    if not allow_leaves:
-        while True:
-            leaves = [v for v in g.vertex_ids if g.valency(v, include_rays=False) == 1]
-            if not leaves:
-                break
-            # attach the leaf back into the graph, raising b1; keeps reduced
-            v = leaves[0]
-            others = [w for w in g.vertex_ids if w != v]
-            g = g.replace(edges=list(g.edges) + [(v, rng.choice(others))])
-    return g
+    return _connect(rng, vertices, genus, allow_leaves)
 
 
 # -- consistent snc-pair fixtures ---------------------------------------------

@@ -23,10 +23,8 @@ from .divisors import GraphDivisor
 from .errors import GraphStructureError, PipelineError, SkelgraphError
 from .graphs import (
     GraphPoint,
-    PointLike,
     VertexLabel,
     WeightedDualGraph,
-    as_point,
     curve_genus,
     graph_genus,
 )
@@ -195,8 +193,7 @@ def _effective_part(graph, target, q) -> tuple[GraphDivisor, PLFunction]:
 
 
 def witness_cycle(graph: WeightedDualGraph, eid: str,
-                  tree: Optional[Iterable[str]] = None,
-                  base_point: Optional[PointLike] = None) -> WitnessBundle:
+                  tree: Optional[Iterable[str]] = None) -> WitnessBundle:
     """Construct (T, D, f) realizing the fundamental cycle Z(T, e) as a
     minimum locus: D is effective, equivalent to K, and carries a point
     in the interior of every non-tree edge other than e; f solves
@@ -211,8 +208,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     D0 = GraphDivisor({graph.midpoint(other): 1
                        for other in non_tree if other != eid})
     K = canonical_divisor(graph, 1)
-    q = as_point(base_point) if base_point is not None else \
-        GraphPoint.at_vertex(graph.edge(eid).a)
+    q = GraphPoint.at_vertex(graph.edge(eid).a)
     E, _ = _effective_part(graph, K - D0, q)
     D = D0 + E
     f = solve_poisson(graph, K - D, anchor=q)
@@ -230,8 +226,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
 
 def witness_bridge_chain(graph: WeightedDualGraph,
                          chain: Optional[BridgeChain] = None,
-                         tree: Optional[Iterable[str]] = None,
-                         base_point: Optional[PointLike] = None) -> WitnessBundle:
+                         tree: Optional[Iterable[str]] = None) -> WitnessBundle:
     """Construct (T, D, f) realizing a maximal bridge chain B as a
     minimum locus: D is effective, equivalent to 2K, dominates
     K - (v1) - (v2), and has a point in the interior of every non-tree
@@ -263,7 +258,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
             "K - (v1) - (v2) is not effective; chain endpoints should have "
             "valency >= 3 in a graph without 1-valent vertices"
         )
-    q = as_point(base_point) if base_point is not None else GraphPoint.at_vertex(v1)
+    q = GraphPoint.at_vertex(v1)
     E, _ = _effective_part(graph, 2 * K - D0 - D1, q)
     D = D0 + D1 + E
     f = solve_poisson(graph, 2 * K - D, anchor=q)

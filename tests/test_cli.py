@@ -23,6 +23,19 @@ def write_json(path, doc):
     return str(path)
 
 
+def _document_argv(tmp_path, g, subject, doc):
+    """``export-dot`` reading doc as its --locus, or ``verify subject``
+    reading it as its --data."""
+    gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+    dpath = write_json(tmp_path / "d.json", doc)
+    if subject == "export-dot":
+        return ["export-dot", "--graph", gpath, "--locus", dpath]
+    return ["verify", subject, "--graph", gpath, "--data", dpath]
+
+
+_KODAIRA_NU = sio.data_to_json(sk.fixtures.kodaira_type_ii_data(1))["nu"]
+
+
 class TestFixtureCommand:
     def test_kodaira(self, capsys):
         code, out, _ = run(capsys, "fixture", "kodaira-II")
@@ -158,12 +171,13 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("subject, doc", [
         ("min-locus", [1, 2]), ("min-locus", {"edge": "e0", "tree": 5}),
         ("min-locus", {"tree": ["e0"]}), ("bridge", [1, 2]), ("bridge", {"chain": 7}),
+        ("export-dot", [1]), ("laplacian", {"m": 1, "nu": [1]}),
+        ("ks", {"m": 1, "nu": _KODAIRA_NU, "rays": [1]}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
-        gpath = write_json(tmp_path / "g.json",
-                           sio.graph_to_json(sk.fixtures.theta_graph()))
-        data = write_json(tmp_path / "d.json", doc)
-        code, out, err = run(capsys, "verify", subject, "--graph", gpath, "--data", data)
+        g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \
+            else sk.fixtures.theta_graph()
+        code, out, err = run(capsys, *_document_argv(tmp_path, g, subject, doc))
         assert code == 2
         assert out == ""
         assert "malformed" in err
@@ -296,5 +310,50 @@ class TestVerifyFuzz:
                 "--graph", write_json(tmp_path / "g.json",
                                       sio.graph_to_json(sk.fixtures.theta_graph())),
                 "--data", write_json(tmp_path / "d.json", data)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
+
+
+# Documents near the shapes export-dot --locus and verify laplacian|ks
+# --data expect, on the kodaira-II graph (vertices v1-v4, edges e0-e2).
+_doc_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["v1", "v4", "e0", "e9", "x", "1/2", "1/6", "-1", "1/0", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["vertices", "edges", "segments", "edge", "start",
+                                       "end", "m", "nu", "rays", "deg_div", "v1"]),
+                      inner, max_size=3),
+    max_leaves=8)
+_vertex = st.sampled_from(["v1", "v2", "v3", "v4", "v9"])
+_bound = st.sampled_from(["0", "1/12", "1/6", "1", "-1", 0]) | _doc_json
+_segment = st.fixed_dictionaries({"edge": st.sampled_from(["e0", "e2", "e9"]),
+                                  "start": _bound, "end": _bound}) | _doc_json
+_locus = st.fixed_dictionaries({}, optional={
+    "vertices": st.lists(_vertex, max_size=3) | _doc_json,
+    "edges": st.lists(st.sampled_from(["e0", "e1", "e9"]), max_size=2) | _doc_json,
+    "segments": st.lists(_segment, max_size=2) | _doc_json}) | _doc_json
+_model_data = st.fixed_dictionaries(
+    {"m": st.integers(-1, 3) | _doc_json,
+     "nu": st.dictionaries(_vertex, st.integers(-3, 6) | _doc_json, max_size=4)
+     | st.just(_KODAIRA_NU) | _doc_json},
+    optional={"rays": st.dictionaries(st.sampled_from(["x", "v1"]),
+                                      st.fixed_dictionaries({"deg_div": _doc_json})
+                                      | _doc_json, max_size=2) | _doc_json,
+              "horizontal_edges": st.lists(st.sampled_from(["e0", "e9"]), max_size=2)
+              | _doc_json}) | _doc_json
+
+
+class TestDocumentFuzz:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(subject=st.sampled_from(["export-dot", "laplacian", "ks"]),
+           locus=_locus, model_data=_model_data)
+    @example(subject="export-dot", locus=[1], model_data=None)
+    @example(subject="laplacian", locus=None, model_data={"m": 1, "nu": [1]})
+    @example(subject="ks", locus=None, model_data={"m": 1, "nu": _KODAIRA_NU, "rays": [1]})
+    @example(subject="ks", locus=None, model_data={"m": 1e999, "nu": _KODAIRA_NU})
+    def test_exit_code_contract(self, tmp_path, subject, locus, model_data):
+        argv = _document_argv(tmp_path, sk.fixtures.kodaira_type_ii(), subject,
+                              locus if subject == "export-dot" else model_data)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)

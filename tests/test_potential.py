@@ -441,15 +441,32 @@ class TestReduceDivisor:
         assert out == D.at("a", 2)
         assert out == D.at("b", 2) - sk.laplacian(g, f)
 
-    def test_equivalence_is_exact(self, rng):
+    @staticmethod
+    def inputs(rng, count):
+        """(graph, divisor, q): random reduced graphs with vertex and
+        interior support, reduced at a vertex and inside an edge, then
+        debts four or more hops from q on a triangle chain and a ring."""
         from skelgraph.sampling import random_reduced_graph
-        for _ in range(10):
+        for _ in range(count):
             g = random_reduced_graph(rng, max_vertices=5)
-            Din = random_degree_zero_divisor(rng, g, interior=False) \
-                + D.at(g.vertex_ids[0], rng.randint(0, 4))
-            out, f = sk.reduce_divisor(g, Din, g.vertex_ids[-1])
+            e = rng.choice(g.edges)
+            for q in (g.vertex_ids[-1], P.on_edge(e.id, g.edge_length(e.id) / 2)):
+                yield g, random_degree_zero_divisor(rng, g) \
+                    + D.at(g.vertex_ids[0], rng.randint(0, 4)), q
+        chain = sk.fixtures.triangle_chain(3)
+        yield chain, D({P.at_vertex("t2v1"): -3, P.at_vertex("t2v2"): -2,
+                        P.on_edge("e10", F(1, 2)): -1, P.at_vertex("t0v0"): 8}), "t0v0"
+        ring = sk.fixtures.cycle_graph(6)
+        yield ring, D({P.at_vertex("v3"): -4, P.on_edge("e2", F(1, 4)): -1,
+                       P.at_vertex("v1"): 2}), P.on_edge("e5", F(1, 2))
+
+    def test_equivalence_is_exact(self, rng):
+        for g, Din, q in self.inputs(rng, 10):
+            out, f = sk.reduce_divisor(g, Din, q)
             assert out == Din - sk.laplacian(g, f)
             assert f.has_integer_slopes(g)
+            q_pt = g.check_point(q)
+            assert all(out.coeff(p) >= 0 for p in out.support if p != q_pt)
 
     def test_high_degree_becomes_effective(self, rng):
         from skelgraph.sampling import random_reduced_graph
@@ -467,14 +484,9 @@ class TestReduceDivisor:
         # the reduced representative only depends on the divisor class:
         # perturbing by div of a random lattice tropical function must
         # not change the output
-        from skelgraph.sampling import random_reduced_graph
-        for _ in range(8):
-            g = random_reduced_graph(rng, max_vertices=4)
-            Din = random_degree_zero_divisor(rng, g, interior=False) \
-                + D.at(g.vertex_ids[0], 2)
+        for g, Din, q in self.inputs(rng, 8):
             h = random_lattice_tropical(rng, g, L=2, bound=2)
             Dtwisted = Din - sk.laplacian(g, h)
-            q = g.vertex_ids[-1]
             assert sk.reduce_divisor(g, Din, q)[0] == \
                 sk.reduce_divisor(g, Dtwisted, q)[0]
 
@@ -503,6 +515,13 @@ class TestMinLocusLemma:
         assert report.ok and report.conclusion_holds
         assert b.locus == sk.SubgraphLocus(g, vertices=["u", "v"],
                                            whole_edges=sorted(b.tree) + ["e1"])
+
+    def test_far_edge_of_a_long_chain(self):
+        # K - D0 is reduced at an end of e28, ten triangles from most of
+        # the debt
+        g = sk.fixtures.triangle_chain(10)
+        b = sk.witness_cycle(g, "e28")
+        assert b.locus == sk.fundamental_cycle(g, b.tree, "e28")
 
     def test_missing_support_flagged(self):
         g = sk.fixtures.theta_graph()
