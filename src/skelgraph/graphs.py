@@ -167,6 +167,26 @@ def as_point(p: PointLike) -> GraphPoint:
     return GraphPoint.at_vertex(p)
 
 
+def fresh_id(taken, stem: str) -> str:
+    """``stem`` if it is not in ``taken``, else the first free ``stem.i``."""
+    if stem not in taken:
+        return stem
+    i = 0
+    while f"{stem}.{i}" in taken:
+        i += 1
+    return f"{stem}.{i}"
+
+
+def edge_position(eid, count: int) -> int:
+    """Position of edge ``eid`` among ``count`` edges: edge ids are
+    ``e0, e1, ...`` in construction order."""
+    digits = eid[1:] if isinstance(eid, str) and eid[:1] == "e" else ""
+    if digits.isascii() and digits.isdigit() and eid == f"e{int(digits)}" \
+            and int(digits) < count:
+        return int(digits)
+    raise UnknownElementError(f"unknown edge {eid!r}")
+
+
 def formula_length(n1: int, n2: int, metric: MetricKind) -> Fraction:
     if metric is MetricKind.MODEL:
         return Fraction(1, n1 * n2)
@@ -364,12 +384,7 @@ class WeightedDualGraph:
         return self.replace(rays=(), pair_model=False)
 
     def fresh_vertex_id(self, stem: str) -> str:
-        if stem not in self._vertices:
-            return stem
-        i = 0
-        while f"{stem}.{i}" in self._vertices:
-            i += 1
-        return f"{stem}.{i}"
+        return fresh_id(self._vertices, stem)
 
     # -- points ----------------------------------------------------------
 
@@ -449,23 +464,32 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
 
 
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:
-    """Exact single-source shortest-path distances to all vertices."""
-    dist = {source: Fraction(0)}
-    heap = [(Fraction(0), source)]
+    """Exact single-source shortest-path distances to all vertices.
+
+    Every edge length is read once and scaled by the lcm L of the length
+    denominators, so Dijkstra runs on integers; each distance d*L is
+    returned as Fraction(d, L), which is still exact."""
+    graph.vertex(source)
+    lengths = [(e.a, e.b, graph.edge_length(e.id)) for e in graph.edges if e.a != e.b]
+    scale = math.lcm(*(ell.denominator for _, _, ell in lengths))
+    adjacency = {v: [] for v in graph.vertex_ids}
+    for a, b, ell in lengths:
+        step = ell.numerator * (scale // ell.denominator)
+        adjacency[a].append((b, step))
+        adjacency[b].append((a, step))
+    dist = {source: 0}
+    heap = [(0, source)]
     done = set()
     while heap:
         d, v = heapq.heappop(heap)
         if v in done:
             continue
         done.add(v)
-        for e in graph.edges_at(v):
-            ell = graph.edge_length(e.id)
-            for w in {e.a, e.b}:
-                nd = d + ell
-                if w not in dist or nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-    return dist
+        for w, step in adjacency[v]:
+            if w not in done and (w not in dist or d + step < dist[w]):
+                dist[w] = d + step
+                heapq.heappush(heap, (d + step, w))
+    return {v: Fraction(d, scale) for v, d in dist.items()}
 
 
 def _anchors(graph, p):

@@ -51,6 +51,13 @@ def _shaped(doc, kind: type, what: str, *keys: str):
     return doc
 
 
+def _integer(raw, what: str) -> int:
+    """A JSON integer (an int that is not a bool), never a truncated number."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    raise GraphStructureError(f"malformed {what} JSON: expected an integer, got {raw!r:.80}")
+
+
 # -- graphs --------------------------------------------------------------------
 
 
@@ -77,13 +84,15 @@ def graph_to_json(graph: WeightedDualGraph) -> dict:
 
 def graph_from_json(doc: dict) -> WeightedDualGraph:
     try:
-        vertices = [VertexLabel(str(v["id"]), int(v.get("N", 1)), int(v.get("g", 0)))
+        vertices = [VertexLabel(str(v["id"]), _integer(v.get("N", 1), "vertex N"),
+                                _integer(v.get("g", 0), "vertex g"))
                     for v in doc["vertices"]]
         edges = []
         for e in doc.get("edges", ()):
             length = parse_rational(e["length"]) if "length" in e else None
             edges.append((str(e["a"]), str(e["b"]), length))
-        rays = [Ray(str(r["attach"]), str(r["label"]), int(r.get("degree", 1)))
+        rays = [Ray(str(r["attach"]), str(r["label"]),
+                    _integer(r.get("degree", 1), "ray degree"))
                 for r in doc.get("rays", ())]
         return WeightedDualGraph(
             vertices=vertices, edges=edges, rays=rays,
@@ -205,9 +214,11 @@ def data_from_json(doc: dict) -> PluricanonicalModelData:
     rays = _shaped(doc.get("rays", {}), dict, "data rays")
     try:
         return PluricanonicalModelData(
-            m=int(doc["m"]),
-            nu={str(k): int(v) for k, v in _shaped(doc["nu"], dict, "data nu").items()},
-            ray_degrees={str(k): int(_shaped(v, dict, "data ray", "deg_div")["deg_div"])
+            m=_integer(doc["m"], "data m"),
+            nu={str(k): _integer(v, "data nu")
+                for k, v in _shaped(doc["nu"], dict, "data nu").items()},
+            ray_degrees={str(k): _integer(_shaped(v, dict, "data ray", "deg_div")["deg_div"],
+                                          "data ray deg_div")
                          for k, v in rays.items()},
             horizontal_edges=frozenset(str(e) for e in doc.get("horizontal_edges", ())),
         )
@@ -240,9 +251,12 @@ def blowups_to_json(steps: Iterable[BlowUpStep]) -> list:
     return [{"op": s.op, "target": s.target} for s in steps]
 
 
-def blowups_from_json(doc: Iterable) -> list[BlowUpStep]:
-    return [BlowUpStep(op=str(item["op"]), target=str(item["target"]))
-            for item in doc]
+def blowups_from_json(doc: list) -> list[BlowUpStep]:
+    steps = []
+    for item in _shaped(doc, list, "blow-up sequence"):
+        _shaped(item, dict, "blow-up step", "op", "target")
+        steps.append(BlowUpStep(op=str(item["op"]), target=str(item["target"])))
+    return steps
 
 
 def witness_to_json(bundle) -> dict:

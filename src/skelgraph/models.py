@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import GraphStructureError, LoopsPresentError, UnknownElementError
@@ -21,25 +20,53 @@ from .graphs import (
     VertexLabel,
     WeightedDualGraph,
     distance,
+    edge_position,
     formula_length,
+    fresh_id,
 )
 
 
-def _require_model_formula_edge(graph: WeightedDualGraph, eid: str) -> Fraction:
-    e = graph.edge(eid)
-    if e.a == e.b:
-        raise LoopsPresentError(f"edge {eid!r} is a loop; resolve_loops first")
-    if graph.metric is not MetricKind.MODEL:
-        raise GraphStructureError("node blow-ups are defined in the model metric")
-    n1 = graph.vertex(e.a).multiplicity
-    n2 = graph.vertex(e.b).multiplicity
-    expected = formula_length(n1, n2, MetricKind.MODEL)
-    if graph.edge_length(eid) != expected:
-        raise GraphStructureError(
-            f"edge {eid!r} carries an explicit length {graph.edge_length(eid)} "
-            f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
-        )
-    return expected
+def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]) -> WeightedDualGraph:
+    """Apply ``(op, target, new_id)`` steps to working lists of vertex
+    labels and ``(a, b, length)`` edges, then construct the graph once.
+
+    Each target is read against the evolving graph: a node blow-up
+    replaces edge e{i} by two edges at positions i and i+1, so later
+    edge ids shift by one, exactly as if the graph were rebuilt after
+    every step.  No steps returns the input graph itself."""
+    steps = list(steps)
+    if not steps:
+        return graph
+    vertices = {v.id: v for v in graph.vertices}
+    edges = [(e.a, e.b, e.length) for e in graph.edges]
+    for op, target, new_id in steps:
+        if op == "node":
+            i = edge_position(target, len(edges))
+            a, b, length = edges[i]
+            if a == b:
+                raise LoopsPresentError(f"edge {target!r} is a loop; resolve_loops first")
+            if graph.metric is not MetricKind.MODEL:
+                raise GraphStructureError("node blow-ups are defined in the model metric")
+            n1, n2 = vertices[a].multiplicity, vertices[b].multiplicity
+            expected = formula_length(n1, n2, MetricKind.MODEL)
+            if length is not None and length != expected:
+                raise GraphStructureError(
+                    f"edge {target!r} carries an explicit length {length} "
+                    f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
+                )
+            wid = fresh_id(vertices, new_id or f"{target}*")
+            vertices[wid] = VertexLabel(wid, n1 + n2, 0)
+            # endpoints sorted as the constructor sorts them: a later
+            # blow-up of a piece orders its two halves by them
+            edges[i:i + 1] = [(min(a, wid), max(a, wid), None),
+                              (min(wid, b), max(wid, b), None)]
+        else:
+            if target not in vertices:
+                raise UnknownElementError(f"unknown vertex {target!r}")
+            wid = fresh_id(vertices, new_id or f"{target}'")
+            vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
+            edges.append((min(target, wid), max(target, wid), None))
+    return graph.replace(vertices=vertices.values(), edges=edges)
 
 
 def blow_up_node(graph: WeightedDualGraph, eid: str,
@@ -50,31 +77,14 @@ def blow_up_node(graph: WeightedDualGraph, eid: str,
     their lengths from the model formula, so the total length of the
     replaced edge is preserved exactly.
     """
-    _require_model_formula_edge(graph, eid)
-    e = graph.edge(eid)
-    n1 = graph.vertex(e.a).multiplicity
-    n2 = graph.vertex(e.b).multiplicity
-    wid = graph.fresh_vertex_id(new_id or f"{eid}*")
-    vertices = list(graph.vertices) + [VertexLabel(wid, n1 + n2, 0)]
-    edges = []
-    for other in graph.edges:
-        if other.id == eid:
-            edges.append((e.a, wid, None))
-            edges.append((wid, e.b, None))
-        else:
-            edges.append(other)
-    return graph.replace(vertices=vertices, edges=edges)
+    return _blow_up(graph, [("node", eid, new_id)])
 
 
 def blow_up_interior_point(graph: WeightedDualGraph, vid: str,
                            new_id: Optional[str] = None) -> WeightedDualGraph:
     """Blow up a free point of the component at a vertex: attach a
     genus-0 leaf of the same multiplicity at model distance 1/N^2."""
-    v = graph.vertex(vid)
-    wid = graph.fresh_vertex_id(new_id or f"{vid}'")
-    vertices = list(graph.vertices) + [VertexLabel(wid, v.multiplicity, 0)]
-    edges = list(graph.edges) + [(vid, wid, None)]
-    return graph.replace(vertices=vertices, edges=edges)
+    return _blow_up(graph, [("interior", vid, new_id)])
 
 
 def base_change_subdivide(graph: WeightedDualGraph, n: int,
@@ -126,13 +136,11 @@ class BlowUpStep:
 
 def apply_blowups(graph: WeightedDualGraph,
                   steps: Iterable[BlowUpStep]) -> WeightedDualGraph:
-    g = graph
-    for step in steps:
-        if step.op == "node":
-            g = blow_up_node(g, step.target)
-        else:
-            g = blow_up_interior_point(g, step.target)
-    return g
+    """Apply a blow-up sequence.  Each step's target is read against the
+    graph left by the steps before it, as if every step were applied
+    alone, but the graph is constructed once, at the end.  An empty
+    sequence returns the input graph itself."""
+    return _blow_up(graph, ((s.op, s.target, None) for s in steps))
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,24 @@ def random_multigraph(rng, max_vertices=5, extra=3, loops=2, rays=0, lengths=Tru
         rays=[sk.Ray(rng.choice(vs), f"r{i}", 1) for i in range(rays)])
 
 
+def random_blowups(rng, graph, steps=50):
+    """``steps`` random node and interior blow-ups, each drawn against the
+    graph left by the ones before it.  Node steps pick among the edges a
+    node blow-up accepts (no loops, model-formula length).  Returns the
+    steps and the final graph, built one step at a time."""
+    cur, seq = graph, []
+    for _ in range(steps):
+        nodes = [e for e in cur.edges if e.a != e.b and cur.edge_length(e.id) == Fraction(
+            1, cur.vertex(e.a).multiplicity * cur.vertex(e.b).multiplicity)]
+        if rng.random() < 0.5 and nodes:
+            step = sk.BlowUpStep("node", rng.choice(nodes).id)
+        else:
+            step = sk.BlowUpStep("interior", rng.choice(cur.vertex_ids))
+        seq.append(step)
+        cur = sk.apply_blowups(cur, [step])
+    return seq, cur
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

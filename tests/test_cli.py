@@ -173,6 +173,10 @@ class TestVerifyCommand:
         ("min-locus", {"tree": ["e0"]}), ("bridge", [1, 2]), ("bridge", {"chain": 7}),
         ("export-dot", [1]), ("laplacian", {"m": 1, "nu": [1]}),
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "rays": [1]}),
+        ("laplacian", {"m": 1.9, "nu": _KODAIRA_NU}),
+        ("laplacian", {"m": 1, "nu": {**_KODAIRA_NU, "v1": 1.5}}),
+        ("ks", {"m": True, "nu": _KODAIRA_NU}),
+        ("ks", {"m": 1, "nu": _KODAIRA_NU, "rays": {"x": {"deg_div": 2.5}}}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
         g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import skelgraph as sk
 from skelgraph import GraphPoint as P, MetricKind, VertexLabel as V, WeightedDualGraph
 
+from conftest import random_blowups, random_multigraph
+
 
 def two_vertex(n1, n2, metric=MetricKind.MODEL):
     return WeightedDualGraph(vertices=[V("a", n1), V("b", n2)],
@@ -174,6 +176,55 @@ class TestDistance:
                 for r in pts:
                     assert sk.distance(g, p, r) <= \
                         sk.distance(g, p, q) + sk.distance(g, q, r)
+
+
+def networkx_distances(graph, source):
+    import networkx as nx
+    G = nx.MultiGraph()
+    G.add_nodes_from(graph.vertex_ids)
+    for e in graph.edges:
+        G.add_edge(e.a, e.b, length=graph.edge_length(e.id))
+    return nx.single_source_dijkstra_path_length(G, source, weight="length")
+
+
+class TestVertexDistancesOracle:
+    """vertex_distances against networkx Dijkstra on Fraction lengths; both
+    stay exact, so every comparison is ==."""
+
+    def check(self, graph):
+        for v in graph.vertex_ids:
+            assert sk.vertex_distances(graph, v) == networkx_distances(graph, v)
+
+    def test_multigraphs_with_loops(self, rng):
+        for _ in range(30):
+            self.check(random_multigraph(rng, max_vertices=7, extra=4, loops=3))
+
+    def test_coprime_denominators(self, rng):
+        for _ in range(30):
+            g = random_multigraph(rng, max_vertices=7, extra=4, loops=2)
+            edges = [(e.a, e.b, F(rng.randint(1, 40), rng.choice((7, 11, 13, 17, 19, 23))))
+                     for e in g.edges]
+            self.check(g.replace(edges=edges))
+
+    def test_formula_lengths_both_metrics(self, rng):
+        from skelgraph.sampling import random_graph
+        for _ in range(20):
+            g = random_graph(rng, max_vertices=8, max_multiplicity=12, extra_edges=3)
+            self.check(g)
+            self.check(g.replace(metric="stable"))
+
+    def test_blown_up_models(self, rng):
+        from skelgraph.sampling import random_graph
+        for _ in range(6):
+            g = random_graph(rng, max_vertices=6, max_multiplicity=60, extra_edges=2)
+            _, big = random_blowups(rng, g, 50)
+            assert max(v.multiplicity for v in big.vertices) > 60
+            self.check(big)
+
+    def test_unknown_source(self):
+        g = sk.fixtures.theta_graph()
+        with pytest.raises(sk.UnknownElementError, match="unknown vertex 'zz'"):
+            sk.vertex_distances(g, "zz")
 
 
 class TestResolveLoops:

@@ -64,6 +64,45 @@ class TestGraphRoundTrip:
                                  "edges": [{"a": "a", "b": "zz"}]})
 
 
+class TestIntegerFields:
+    """Multiplicities, genera and degrees are JSON integers: a float,
+    a bool or a string is malformed input, never truncated."""
+
+    @pytest.mark.parametrize("vertex, ray, field", [
+        ({"id": "a", "N": 2.7}, {}, "vertex N"),
+        ({"id": "a", "N": 2, "g": True}, {}, "vertex g"),
+        ({"id": "a", "N": "2"}, {}, "vertex N"),
+        ({"id": "a", "g": 0.5}, {}, "vertex g"),
+        ({"id": "a"}, {"degree": 1.5}, "ray degree"),
+        ({"id": "a"}, {"degree": True}, "ray degree"),
+    ])
+    def test_graph_fields(self, vertex, ray, field):
+        doc = {"vertices": [vertex], "rays": [{"attach": "a", "label": "x", **ray}]}
+        with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
+            sio.graph_from_json(doc)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"m": 1.9, "nu": {"v1": 1}}, "data m"),
+        ({"m": True, "nu": {"v1": 1}}, "data m"),
+        ({"m": 1, "nu": {"v1": 1.5}}, "data nu"),
+        ({"m": 1, "nu": {"v1": "2"}}, "data nu"),
+        ({"m": 1, "nu": {"v1": 1}, "rays": {"x": {"deg_div": 2.5}}}, "data ray deg_div"),
+        ({"m": 1, "nu": {"v1": 1}, "rays": {"x": {"deg_div": False}}}, "data ray deg_div"),
+    ])
+    def test_data_fields(self, doc, field):
+        with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
+            sio.data_from_json(doc)
+
+
+class TestBlowupShape:
+    @pytest.mark.parametrize("doc", [
+        [1], {"op": "node", "target": "e0"}, [{"op": "node"}], None,
+    ])
+    def test_malformed_sequence(self, doc):
+        with pytest.raises(sk.GraphStructureError, match="malformed blow-up"):
+            sio.blowups_from_json(doc)
+
+
 class TestValueRoundTrips:
     def test_points(self):
         for p in (P.at_vertex("v1"), P.on_edge("e0", F(5, 36)),

@@ -7,6 +7,8 @@ import pytest
 import skelgraph as sk
 from skelgraph import BlowUpStep, VertexLabel as V, WeightedDualGraph
 
+from conftest import random_blowups
+
 
 def two_vertex(n1, n2):
     return WeightedDualGraph(vertices=[V("a", n1), V("b", n2)], edges=[("a", "b")])
@@ -119,6 +121,74 @@ class TestBaseChange:
                 assert sk.distance(out, v, w) == sk.distance(g, v, w)
 
 
+def edge_rows(g):
+    return [(e.id, e.a, e.b, e.length, g.edge_length(e.id)) for e in g.edges]
+
+
+class TestApplyBlowups:
+    def assert_same(self, one_shot, stepwise):
+        assert one_shot == stepwise
+        assert one_shot.vertices == stepwise.vertices
+        assert edge_rows(one_shot) == edge_rows(stepwise)
+        assert one_shot.rays == stepwise.rays
+        assert (one_shot.pair_model, one_shot.name) == (stepwise.pair_model, stepwise.name)
+
+    def test_one_shot_equals_stepwise(self, rng):
+        from skelgraph.sampling import random_graph
+        for _ in range(10):
+            g = random_graph(rng, max_vertices=8, max_multiplicity=8, extra_edges=3)
+            seq, stepwise = random_blowups(rng, g, 50)
+            self.assert_same(sk.apply_blowups(g, seq), stepwise)
+
+    def test_pair_model_with_explicit_lengths(self, rng):
+        from skelgraph.sampling import random_pair_fixture
+        for m in (1, 2, 3):
+            pg, _ = random_pair_fixture(rng, m)
+            # every third edge keeps the formula, every third states it
+            # explicitly, every third is twice as long (no node blow-up)
+            lengths = [pg.edge_length(e.id) for e in pg.edges]
+            edges = [(e.a, e.b, (None, ell, 2 * ell)[i % 3])
+                     for i, (e, ell) in enumerate(zip(pg.edges, lengths))]
+            g = pg.replace(edges=edges)
+            assert g.pair_model and g.rays
+            seq, stepwise = random_blowups(rng, g, 50)
+            self.assert_same(sk.apply_blowups(g, seq), stepwise)
+            assert sk.verify_metric_invariance(g, seq).ok
+
+    # later steps name edges of the evolving graph: e1 in the first case
+    # and the loop e2 in the second exist only after the first node blow-up
+    @pytest.mark.parametrize("graph, steps, error, message", [
+        (two_vertex(1, 2), [("node", "e0"), ("node", "e1"), ("node", "e3")],
+         sk.UnknownElementError, "unknown edge 'e3'"),
+        (WeightedDualGraph(vertices=[V("a", 1), V("b", 2)], edges=[("a", "b"), ("a", "a")]),
+         [("node", "e0"), ("node", "e2")],
+         sk.LoopsPresentError, "edge 'e2' is a loop; resolve_loops first"),
+        (two_vertex(1, 2).replace(metric="stable"), [("interior", "a"), ("node", "e0")],
+         sk.GraphStructureError, "node blow-ups are defined in the model metric"),
+        (WeightedDualGraph(vertices=[V("a", 1), V("b", 2)], edges=[("a", "b", F(1, 3))]),
+         [("interior", "b"), ("node", "e0")], sk.GraphStructureError,
+         "edge 'e0' carries an explicit length 1/3 != 1/(N1*N2) = 1/2; "
+         "not the edge of a model node"),
+        (two_vertex(1, 2), [("node", "e0"), ("interior", "zz")],
+         sk.UnknownElementError, "unknown vertex 'zz'"),
+    ])
+    def test_invalid_step_in_sequence(self, graph, steps, error, message):
+        seq = [BlowUpStep(op, target) for op, target in steps]
+        with pytest.raises(error) as raised:
+            sk.apply_blowups(graph, seq)
+        assert str(raised.value) == message
+        if error is sk.UnknownElementError:
+            wrapped = f"invalid instruction in sequence: {message}"
+            with pytest.raises(sk.GraphStructureError) as raised:
+                sk.verify_metric_invariance(graph, seq)
+            assert str(raised.value) == wrapped
+
+    def test_empty_sequence_returns_input(self):
+        g = sk.fixtures.kodaira_type_ii()
+        assert sk.apply_blowups(g, []) is g
+        assert sk.apply_blowups(g, iter(())) is g
+
+
 class TestVerifyMetricInvariance:
     def test_empty_sequence(self):
         g = sk.fixtures.kodaira_type_ii()
@@ -142,15 +212,7 @@ class TestVerifyMetricInvariance:
         from skelgraph.sampling import random_graph
         for _ in range(5):
             g = random_graph(rng, max_vertices=6, max_multiplicity=6)
-            cur = g
-            seq = []
-            for _ in range(15):
-                if rng.random() < 0.5 and cur.edges:
-                    step = BlowUpStep("node", rng.choice(cur.edges).id)
-                else:
-                    step = BlowUpStep("interior", rng.choice(cur.vertex_ids))
-                seq.append(step)
-                cur = sk.apply_blowups(cur, [step])
+            seq, _ = random_blowups(rng, g, 15)
             assert sk.verify_metric_invariance(g, seq).ok
 
     def test_invalid_instruction(self):
