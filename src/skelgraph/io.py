@@ -98,7 +98,7 @@ def graph_from_json(doc: dict) -> WeightedDualGraph:
             vertices=vertices, edges=edges, rays=rays,
             metric=doc.get("metric", "model"),
             name=str(doc.get("name", "")),
-            pair_model=bool(doc.get("pair_model", False)),
+            pair_model=_shaped(doc.get("pair_model", False), bool, "graph pair_model"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphStructureError(f"malformed graph JSON: {exc}") from exc
@@ -220,7 +220,8 @@ def data_from_json(doc: dict) -> PluricanonicalModelData:
             ray_degrees={str(k): _integer(_shaped(v, dict, "data ray", "deg_div")["deg_div"],
                                           "data ray deg_div")
                          for k, v in rays.items()},
-            horizontal_edges=frozenset(str(e) for e in doc.get("horizontal_edges", ())),
+            horizontal_edges=frozenset(str(e) for e in _shaped(
+                doc.get("horizontal_edges", []), list, "data horizontal_edges")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphStructureError(f"malformed data JSON: {exc}") from exc

@@ -407,18 +407,10 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
 # -- reduced divisors -----------------------------------------------------------
 
 
-@dataclass
-class _Lattice:
-    """Discrete working copy: all features on a 1/L grid of nodes."""
-
-    ref: object
-    L: int
-    nodes: list[str]
-    adj: dict[str, list[tuple[str, str]]]  # node -> (edge id, other node)
-
-
-def _build_lattice(graph: WeightedDualGraph,
-                   points: Sequence[GraphPoint]) -> _Lattice:
+def _lattice(graph: WeightedDualGraph, points: Sequence[GraphPoint]):
+    """The uniform 1/L lattice on integer nodes: L, each node's base point
+    (the vertices, then each edge's interior multiples of 1/L, edge by
+    edge), each node's neighbours, and each edge's chain from e.a to e.b."""
     dens = [graph.edge_length(e.id).denominator for e in graph.edges]
     for e in graph.edges:
         if e.a == e.b:
@@ -434,44 +426,49 @@ def _build_lattice(graph: WeightedDualGraph,
             f"lattice refinement would need {total} segments (> {_MAX_LATTICE_NODES}); "
             "edge-length denominators are too heterogeneous for chip-firing"
         )
-    cuts = {}
+    index = {v: i for i, v in enumerate(graph.vertex_ids)}
+    where = [GraphPoint.at_vertex(v) for v in graph.vertex_ids]
+    adj: list[list[int]] = [[] for _ in where]
+    chains = {}
     for e in graph.edges:
-        steps = int(graph.edge_length(e.id) * L)
-        if steps > 1:
-            cuts[e.id] = [Fraction(k, L) for k in range(1, steps)]
-    ref = refine(graph, cuts)
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in ref.graph.vertex_ids}
-    for e in ref.graph.edges:
-        adj[e.a].append((e.id, e.b))
-        if e.b != e.a:
-            adj[e.b].append((e.id, e.a))
-    return _Lattice(ref=ref, L=L, nodes=list(ref.graph.vertex_ids), adj=adj)
+        chain = [index[e.a]]
+        for k in range(1, int(graph.edge_length(e.id) * L)):
+            chain.append(len(where))
+            where.append(GraphPoint.on_edge(e.id, Fraction(k, L)))
+            adj.append([])
+        chain.append(index[e.b])
+        for a, b in zip(chain, chain[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
+        chains[e.id] = chain
+    return L, where, adj, chains
 
 
-def _burn(lat: _Lattice, chips: dict[str, int], q: str) -> set[str]:
-    burnt = {q}
-    arriving: dict[str, int] = defaultdict(int)
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for _, w in lat.adj[v]:
-            if w in burnt:
-                continue
-            arriving[w] += 1
-            if arriving[w] > chips.get(w, 0):
-                burnt.add(w)
-                queue.append(w)
+def _burn(adj: list[list[int]], chips: list[int], q: int) -> list[bool]:
+    """Dhar: a node burns once more burning edges reach it than it has chips."""
+    burnt = [False] * len(adj)
+    burnt[q] = True
+    arriving = [0] * len(adj)
+    stack = [q]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not burnt[w]:
+                arriving[w] += 1
+                if arriving[w] > chips[w]:
+                    burnt[w] = True
+                    stack.append(w)
     return burnt
 
 
-def _fire_set(lat: _Lattice, chips: dict[str, int], u: dict[str, int],
-              region: set[str]) -> None:
-    for v in region:
-        u[v] -= 1
-        for _, w in lat.adj[v]:
-            if w not in region:
-                chips[v] -= 1
-                chips[w] = chips.get(w, 0) + 1
+def _fire_set(adj: list[list[int]], chips: list[int], u: list[int], burnt: list[bool]):
+    """Fire the unburnt set: one chip crosses each edge out of it."""
+    for v, b in enumerate(burnt):
+        if not b:
+            u[v] -= 1
+            for w in adj[v]:
+                if burnt[w]:
+                    chips[v] -= 1
+                    chips[w] += 1
 
 
 def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
@@ -479,35 +476,40 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     """The q-reduced divisor equivalent to the input, together with the
     tropical rational function f with D' = D + div(f).
 
-    Works on an exact lattice refinement, by borrowing, then Dhar: each
-    node other than q that is in debt borrows until none is, then
-    unburnt sets are fired until the burn from q consumes everything.
+    Works on the uniform 1/L lattice of the graph, on integer nodes, by
+    borrowing, then Dhar: each node other than q that is in debt borrows
+    until none is, then unburnt sets are fired until the burn from q
+    consumes everything.
     """
     if graph.rays:
         raise GraphStructureError("reduce_divisor works on compact graphs; drop rays")
     divisor_in.require_integral("divisor to reduce")
     q_pt = graph.check_point(as_point(q))
-    pts = [graph.check_point(p) for p in divisor_in.support] + [q_pt]
-    lat = _build_lattice(graph, pts)
-    ref = lat.ref
+    support = [(graph.check_point(p), c) for p, c in divisor_in.items()]
+    L, where, adj, chains = _lattice(graph, [p for p, _ in support] + [q_pt])
 
-    chips: dict[str, int] = {v: 0 for v in lat.nodes}
-    for p in divisor_in.support:
-        chips[ref.to_refined(graph.check_point(p)).where] += divisor_in.coeff(p)
-    q_node = ref.to_refined(q_pt).where
-    u: dict[str, int] = {v: 0 for v in lat.nodes}
+    def node(p: GraphPoint) -> int:
+        if p.kind == "vertex":
+            return graph.vertex_ids.index(p.where)
+        return chains[p.where][int(p.offset * L)]
+
+    chips = [0] * len(where)
+    for p, c in support:
+        chips[node(p)] += c
+    q_node = node(q_pt)
+    u = [0] * len(where)
 
     # stage 1: every node off q in debt borrows (the reverse of a firing)
     # until none is.  By least action no node borrows more than in any
     # script that clears the debt, and the borrows, hence the end state,
     # do not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
-    debt = [v for v in lat.nodes if v != q_node and chips[v] < 0]
+    debt = [v for v, c in enumerate(chips) if v != q_node and c < 0]
     while debt:
         v = debt.pop()
-        k = -(chips[v] // len(lat.adj[v]))  # borrows that leave v out of debt
+        k = -(chips[v] // len(adj[v]))  # borrows that leave v out of debt
         u[v] += k
-        chips[v] += k * len(lat.adj[v])
-        for _, w in lat.adj[v]:
+        chips[v] += k * len(adj[v])
+        for w in adj[v]:
             chips[w] -= k
             if w != q_node and chips[w] < 0 <= chips[w] + k:  # w fell into debt
                 debt.append(w)
@@ -515,32 +517,26 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     # stage 2: Dhar burning with maximal unburnt firings
     rounds = 0
     while True:
-        burnt = _burn(lat, chips, q_node)
-        if len(burnt) == len(lat.nodes):
+        burnt = _burn(adj, chips, q_node)
+        if all(burnt):
             break
-        _fire_set(lat, chips, u, set(lat.nodes) - burnt)
+        _fire_set(adj, chips, u, burnt)
         rounds += 1
         if rounds > _MAX_DHAR_ROUNDS:
             raise PipelineError("Dhar reduction did not terminate")
 
-    reduced = GraphDivisor({
-        ref.to_base(GraphPoint.at_vertex(v)): c
-        for v, c in chips.items() if c != 0
-    })
+    reduced = GraphDivisor({where[v]: c for v, c in enumerate(chips) if c != 0})
 
     # f = u / L on the base graph: the vertex values, and each lattice
     # point of an edge where the slopes on its two sides differ (the
     # lattice is uniform, so where the second difference is non-zero)
-    base_min = min(u.values())
-    base = {v: GraphPoint.at_vertex(v) for v in graph.vertex_ids} | ref.cut_vertex_points
-    at = {p: Fraction(u[v] - base_min, lat.L) for v, p in base.items()}
-    h = Fraction(1, lat.L)
-
-    def beside(p: GraphPoint, dx: Fraction) -> Fraction:
-        return at[graph.check_point(GraphPoint.on_edge(p.where, p.offset + dx))]
-
-    f = PLFunction({p: y for p, y in at.items()
-                    if p.kind == "vertex" or beside(p, -h) + beside(p, h) != 2 * y})
+    base_min = min(u)
+    values = {where[v]: Fraction(u[v] - base_min, L) for v in range(len(graph.vertex_ids))}
+    for chain in chains.values():
+        for a, b, c in zip(chain, chain[1:], chain[2:]):
+            if u[a] + u[c] != 2 * u[b]:
+                values[where[b]] = Fraction(u[b] - base_min, L)
+    f = PLFunction(values)
 
     # certificate: equivalence via the independent laplacian path,
     # effectivity off q, and a clean burn

@@ -24,8 +24,12 @@ def write_json(path, doc):
 
 
 def _document_argv(tmp_path, g, subject, doc):
-    """``export-dot`` reading doc as its --locus, or ``verify subject``
-    reading it as its --data."""
+    """``export-dot`` reading doc as its --locus, ``verify essential``
+    reading g with doc's fields written over it, or ``verify subject``
+    reading doc as its --data."""
+    if subject == "essential":
+        return ["verify", subject, "--graph",
+                write_json(tmp_path / "g.json", {**sio.graph_to_json(g), **doc})]
     gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
     dpath = write_json(tmp_path / "d.json", doc)
     if subject == "export-dot":
@@ -177,6 +181,8 @@ class TestVerifyCommand:
         ("laplacian", {"m": 1, "nu": {**_KODAIRA_NU, "v1": 1.5}}),
         ("ks", {"m": True, "nu": _KODAIRA_NU}),
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "rays": {"x": {"deg_div": 2.5}}}),
+        ("essential", {"pair_model": "false"}),
+        ("ks", {"m": 1, "nu": _KODAIRA_NU, "horizontal_edges": "e12"}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
         g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \
@@ -185,6 +191,9 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "malformed" in err
+        # a malformed optional field is named in the message
+        for field in ("pair_model", "horizontal_edges"):
+            assert field in err or field not in doc
 
     def test_missing_data_exits_two(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",

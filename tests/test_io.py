@@ -94,6 +94,29 @@ class TestIntegerFields:
             sio.data_from_json(doc)
 
 
+class TestOptionalFields:
+    """An optional field may be absent, but when present it has its JSON
+    type: a string is never read as a bool or as a list of edges."""
+
+    @pytest.mark.parametrize("raw", ["false", 1, None])
+    def test_pair_model_is_a_bool(self, raw):
+        doc = {**sio.graph_to_json(sk.fixtures.theta_graph()), "pair_model": raw}
+        with pytest.raises(sk.GraphStructureError, match="malformed graph pair_model JSON"):
+            sio.graph_from_json(doc)
+
+    def test_pair_model_absent_is_false(self):
+        doc = sio.graph_to_json(sk.fixtures.theta_graph())
+        assert "pair_model" not in doc
+        assert sio.graph_from_json(doc).pair_model is False
+        assert sio.graph_from_json({**doc, "pair_model": False}).pair_model is False
+
+    @pytest.mark.parametrize("raw", ["e12", 5])
+    def test_horizontal_edges_is_a_list(self, raw):
+        doc = {"m": 1, "nu": {"v1": 1}, "horizontal_edges": raw}
+        with pytest.raises(sk.GraphStructureError, match="malformed data horizontal_edges JSON"):
+            sio.data_from_json(doc)
+
+
 class TestBlowupShape:
     @pytest.mark.parametrize("doc", [
         [1], {"op": "node", "target": "e0"}, [{"op": "node"}], None,

@@ -1,8 +1,10 @@
 """Laplacians, Poisson solving, reduced divisors, bridges, lemmas."""
 
+import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,13 @@ def to_networkx(graph):
     for e in graph.edges:
         G.add_edge(e.a, e.b, key=e.id)
     return G
+
+
+def k4_graph(*mults):
+    """K4 on v0..v3 with the given multiplicities and model lengths."""
+    vs = [V(f"v{i}", m) for i, m in enumerate(mults)]
+    return WeightedDualGraph(vertices=vs,
+                             edges=list(itertools.combinations([v.id for v in vs], 2)))
 
 
 def unit_edge():
@@ -459,6 +468,24 @@ class TestReduceDivisor:
         ring = sk.fixtures.cycle_graph(6)
         yield ring, D({P.at_vertex("v3"): -4, P.on_edge("e2", F(1, 4)): -1,
                        P.at_vertex("v1"): 2}), P.on_edge("e5", F(1, 2))
+        # lattice shapes, each reduced at a vertex and inside an edge: odd
+        # loops (only the two-segment rule makes L = 2), parallel edges,
+        # and K4 with coprime multiplicities (L = 1155)
+        loops = WeightedDualGraph(vertices=[V("a"), V("b")],
+                                  edges=[("a", "b"), ("a", "a"), ("b", "b", 3)])
+        parallel = WeightedDualGraph(vertices=[V("u"), V("v")],
+                                     edges=[("u", "v", F(1, 2)), ("u", "v", F(1, 3)),
+                                            ("u", "v", 1)])
+        yield from [(loops, D({P.at_vertex("a"): 3, P.at_vertex("b"): -2,
+                               P.on_edge("e2", 1): -1}), q)
+                    for q in ("a", P.on_edge("e2", 2))]
+        yield from [(parallel, D({P.at_vertex("u"): -3, P.at_vertex("v"): 2,
+                                  P.on_edge("e2", F(1, 2)): 1}), q)
+                    for q in ("v", P.on_edge("e1", F(1, 6)))]
+        k4 = k4_graph(3, 5, 7, 11)
+        yield from [(k4, D({P.at_vertex("v0"): -4, P.at_vertex("v1"): 2,
+                            P.on_edge("e0", F(1, 35)): 3, P.at_vertex("v3"): -1}), q)
+                    for q in ("v2", P.on_edge("e5", F(1, 231)))]
 
     def test_equivalence_is_exact(self, rng):
         for g, Din, q in self.inputs(rng, 10):
@@ -483,9 +510,11 @@ class TestReduceDivisor:
     def test_class_invariance_oracle(self, rng):
         # the reduced representative only depends on the divisor class:
         # perturbing by div of a random lattice tropical function must
-        # not change the output
+        # not change the output; h lives on the 1/L grid the edge lengths
+        # need, refined to halves at least
         for g, Din, q in self.inputs(rng, 8):
-            h = random_lattice_tropical(rng, g, L=2, bound=2)
+            L = lcm(2, *(g.edge_length(e.id).denominator for e in g.edges))
+            h = random_lattice_tropical(rng, g, L=L, bound=2)
             Dtwisted = Din - sk.laplacian(g, h)
             assert sk.reduce_divisor(g, Din, q)[0] == \
                 sk.reduce_divisor(g, Dtwisted, q)[0]
@@ -502,6 +531,10 @@ class TestReduceDivisor:
         with pytest.raises(sk.NonIntegralError):
             sk.reduce_divisor(g, D({P.at_vertex("a"): F(1, 2),
                                     P.at_vertex("b"): F(-1, 2)}), "a")
+
+    def test_lattice_past_the_cap_rejected(self):
+        with pytest.raises(sk.PipelineError, match="would need 24916 segments"):
+            sk.reduce_divisor(k4_graph(59, 61, 67, 71), D.at("v1", 1) - D.at("v2", 1), "v0")
 
 
 class TestMinLocusLemma:
