@@ -561,12 +561,42 @@ def resolve_loops(graph: WeightedDualGraph) -> WeightedDualGraph:
     return graph.replace(vertices=vertices, edges=edges)
 
 
+def split_edges(graph: WeightedDualGraph, stops: Mapping[str, list]):
+    """Replace each edge named in ``stops`` in place by the chain of
+    explicit-length pieces through its ``(offset, VertexLabel)`` stops,
+    which the caller gives sorted, interior and with fresh ids.
+
+    Returns the new graph and, for every edge of ``graph``, its
+    ``(piece id, start, end, reversed)`` tuples in walk order from
+    endpoint ``a``; ``reversed`` means the piece's own ``a`` is its walk
+    end, as the constructor sorts endpoints.  An unsplit edge is kept as
+    it is, as its own single piece."""
+    vertices = list(graph.vertices)
+    edges: list = []
+    pieces: dict[str, tuple] = {}
+    for e in graph.edges:
+        ell = graph.edge_length(e.id)
+        cut = stops.get(e.id, ())
+        if not cut:
+            pieces[e.id] = ((f"e{len(edges)}", Fraction(0), ell, False),)
+            edges.append(e)
+            continue
+        parts = []
+        start, a = Fraction(0), e.a
+        for end, b in [*((o, v.id) for o, v in cut), (ell, e.b)]:
+            parts.append((f"e{len(edges)}", start, end, b < a))
+            edges.append((a, b, end - start))
+            start, a = end, b
+        vertices.extend(v for _, v in cut)
+        pieces[e.id] = tuple(parts)
+    return graph.replace(vertices=vertices, edges=edges), pieces
+
+
 def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
                       new_label: VertexLabel) -> WeightedDualGraph:
     """Split an edge at an interior position, inserting the given vertex.
 
     The two pieces carry explicit lengths summing to the original."""
-    e = graph.edge(eid)
     ell = graph.edge_length(eid)
     position = Fraction(position)
     if not 0 < position < ell:
@@ -575,15 +605,7 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
         )
     if graph.has_vertex(new_label.id):
         raise GraphStructureError(f"vertex id {new_label.id!r} already exists")
-    vertices = list(graph.vertices) + [new_label]
-    edges = []
-    for other in graph.edges:
-        if other.id == eid:
-            edges.append((e.a, new_label.id, position))
-            edges.append((new_label.id, e.b, ell - position))
-        else:
-            edges.append(other)
-    return graph.replace(vertices=vertices, edges=edges)
+    return split_edges(graph, {eid: [(position, new_label)]})[0]
 
 
 # -- refinement: subdividing at many points at once -------------------------
@@ -599,6 +621,12 @@ class Refinement:
     # base edge id -> ((piece edge id, start, end, reversed), ...) in walk order
     pieces: Mapping[str, tuple]
     cut_vertex_points: Mapping[str, GraphPoint]  # new vertex id -> base point
+
+    def __post_init__(self):
+        # piece edge id -> (base edge id, start, end, reversed)
+        object.__setattr__(self, "_piece_index", {
+            pid: (eid, start, end, rev)
+            for eid, parts in self.pieces.items() for pid, start, end, rev in parts})
 
     def to_refined(self, p: PointLike) -> GraphPoint:
         p = self.base.check_point(as_point(p))
@@ -618,75 +646,33 @@ class Refinement:
             if p.where in self.cut_vertex_points:
                 return self.cut_vertex_points[p.where]
             return p
-        for base_eid, parts in self.pieces.items():
-            for (pid, start, end, rev) in parts:
-                if pid == p.where:
-                    off = p.offset if not rev else (end - start) - p.offset
-                    return self.base.check_point(GraphPoint.on_edge(base_eid, start + off))
-        raise InvalidPointError(f"edge {p.where!r} not a refinement piece")
+        if p.where not in self._piece_index:
+            raise InvalidPointError(f"edge {p.where!r} not a refinement piece")
+        base_eid, start, end, rev = self._piece_index[p.where]
+        off = p.offset if not rev else (end - start) - p.offset
+        return self.base.check_point(GraphPoint.on_edge(base_eid, start + off))
 
 
 def refine(graph: WeightedDualGraph, cuts: Mapping[str, Iterable[Rational]]) -> Refinement:
     """Subdivide several edges at once at the given interior positions.
 
-    Cut vertices get fresh ids, multiplicity 1 and genus 0; the pieces
-    carry explicit lengths, so those labels never influence the metric.
+    The cut at offset o of edge e becomes a vertex of multiplicity 1 and
+    genus 0 named ``"e@o"``, or the first free ``"e@o.i"`` when the graph
+    already has that id; the pieces carry explicit lengths, so those
+    labels never influence the metric.
     """
-    norm: dict[str, list[Fraction]] = {}
+    stops: dict[str, list] = {}
     for eid, offs in cuts.items():
         ell = graph.edge_length(eid)
         uniq = sorted({Fraction(o) for o in offs})
         for o in uniq:
             if not 0 < o < ell:
                 raise InvalidPointError(f"cut {o} not interior to edge {eid!r}")
-        if uniq:
-            norm[eid] = uniq
-
-    vertices = list(graph.vertices)
-    edges: list = []
-    piece_slots: dict[str, list[int]] = {}
-    cut_points: dict[str, GraphPoint] = {}
-    spans: dict[str, list[tuple[Fraction, Fraction, str, str]]] = {}
-
-    for e in graph.edges:
-        offs = norm.get(e.id)
-        if not offs:
-            edges.append(e)
-            piece_slots[e.id] = [len(edges) - 1]
-            continue
-        ell = graph.edge_length(e.id)
-        stops = [Fraction(0)] + offs + [ell]
-        names = [e.a]
-        for o in offs:
-            wid = f"{e.id}@{o}"
-            if graph.has_vertex(wid) or wid in cut_points:
-                raise GraphStructureError(f"generated vertex id {wid!r} collides")
-            vertices.append(VertexLabel(wid, 1, 0))
-            cut_points[wid] = GraphPoint.on_edge(e.id, o)
-            names.append(wid)
-        names.append(e.b)
-        piece_slots[e.id] = []
-        spans[e.id] = []
-        for i in range(len(names) - 1):
-            edges.append((names[i], names[i + 1], stops[i + 1] - stops[i]))
-            piece_slots[e.id].append(len(edges) - 1)
-            spans[e.id].append((stops[i], stops[i + 1], names[i], names[i + 1]))
-
-    refined = graph.replace(vertices=vertices, edges=edges)
-    pieces: dict[str, tuple] = {}
-    for e in graph.edges:
-        slots = piece_slots[e.id]
-        if e.id not in spans:
-            pid = refined.edges[slots[0]].id
-            ell = graph.edge_length(e.id)
-            rev = refined.edge(pid).a != e.a and e.a != e.b
-            pieces[e.id] = ((pid, Fraction(0), ell, rev),)
-        else:
-            parts = []
-            for slot, (start, end, wa, wb) in zip(slots, spans[e.id]):
-                pid = refined.edges[slot].id
-                rev = refined.edge(pid).a != wa and wa != wb
-                parts.append((pid, start, end, rev))
-            pieces[e.id] = tuple(parts)
+        # the stems are distinct and dot-free, so no two fresh ids collide
+        stops[eid] = [(o, VertexLabel(graph.fresh_vertex_id(f"{eid}@{o}"), 1, 0))
+                      for o in uniq]
+    refined, pieces = split_edges(graph, stops)
+    cut_points = {v.id: GraphPoint.on_edge(e.id, o)
+                  for e in graph.edges for o, v in stops.get(e.id, ())}
     return Refinement(base=graph, graph=refined, pieces=pieces,
                       cut_vertex_points=cut_points)

@@ -97,7 +97,7 @@ def graph_from_json(doc: dict) -> WeightedDualGraph:
         return WeightedDualGraph(
             vertices=vertices, edges=edges, rays=rays,
             metric=doc.get("metric", "model"),
-            name=str(doc.get("name", "")),
+            name=_shaped(doc.get("name", ""), str, "graph name"),
             pair_model=_shaped(doc.get("pair_model", False), bool, "graph pair_model"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -23,12 +23,14 @@ from .graphs import (
     edge_position,
     formula_length,
     fresh_id,
+    split_edges,
 )
 
 
-def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]) -> WeightedDualGraph:
+def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
     """Apply ``(op, target, new_id)`` steps to working lists of vertex
     labels and ``(a, b, length)`` edges, then construct the graph once.
+    Returns the graph and the ids of the new vertices, one per step.
 
     Each target is read against the evolving graph: a node blow-up
     replaces edge e{i} by two edges at positions i and i+1, so later
@@ -36,7 +38,8 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]) -> WeightedDualGr
     every step.  No steps returns the input graph itself."""
     steps = list(steps)
     if not steps:
-        return graph
+        return graph, []
+    created = []
     vertices = {v.id: v for v in graph.vertices}
     edges = [(e.a, e.b, e.length) for e in graph.edges]
     for op, target, new_id in steps:
@@ -66,7 +69,8 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]) -> WeightedDualGr
             wid = fresh_id(vertices, new_id or f"{target}'")
             vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
             edges.append((min(target, wid), max(target, wid), None))
-    return graph.replace(vertices=vertices.values(), edges=edges)
+        created.append(wid)
+    return graph.replace(vertices=vertices.values(), edges=edges), created
 
 
 def blow_up_node(graph: WeightedDualGraph, eid: str,
@@ -77,14 +81,14 @@ def blow_up_node(graph: WeightedDualGraph, eid: str,
     their lengths from the model formula, so the total length of the
     replaced edge is preserved exactly.
     """
-    return _blow_up(graph, [("node", eid, new_id)])
+    return _blow_up(graph, [("node", eid, new_id)])[0]
 
 
 def blow_up_interior_point(graph: WeightedDualGraph, vid: str,
                            new_id: Optional[str] = None) -> WeightedDualGraph:
     """Blow up a free point of the component at a vertex: attach a
     genus-0 leaf of the same multiplicity at model distance 1/N^2."""
-    return _blow_up(graph, [("interior", vid, new_id)])
+    return _blow_up(graph, [("interior", vid, new_id)])[0]
 
 
 def base_change_subdivide(graph: WeightedDualGraph, n: int,
@@ -105,20 +109,12 @@ def base_change_subdivide(graph: WeightedDualGraph, n: int,
         )
     if n == 1:
         return graph
-    vertices = list(graph.vertices)
-    edges = []
+    stops = {}
     for e in graph.edges:
-        ell = graph.edge_length(e.id)
-        piece = ell / n
-        names = [e.a]
-        for j in range(1, n):
-            wid = graph.fresh_vertex_id(f"{e.id}s{j}")
-            vertices.append(VertexLabel(wid, 1, 0))
-            names.append(wid)
-        names.append(e.b)
-        for x, y in zip(names, names[1:]):
-            edges.append((x, y, piece))
-    return graph.replace(vertices=vertices, edges=edges)
+        piece = graph.edge_length(e.id) / n
+        stops[e.id] = [(j * piece, VertexLabel(graph.fresh_vertex_id(f"{e.id}s{j}"), 1, 0))
+                       for j in range(1, n)]
+    return split_edges(graph, stops)[0]
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def apply_blowups(graph: WeightedDualGraph,
     graph left by the steps before it, as if every step were applied
     alone, but the graph is constructed once, at the end.  An empty
     sequence returns the input graph itself."""
-    return _blow_up(graph, ((s.op, s.target, None) for s in steps))
+    return _blow_up(graph, ((s.op, s.target, None) for s in steps))[0]
 
 
 @dataclass(frozen=True)

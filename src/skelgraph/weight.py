@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import GraphPoint, Ray, WeightedDualGraph
 from .loci import SubgraphLocus
-from .models import blow_up_interior_point, blow_up_node
+from .models import _blow_up
 from .plfunction import PLFunction
 from .potential import canonical_divisor, laplacian, min_locus
 
@@ -202,9 +202,7 @@ def blow_up_node_with_data(graph: WeightedDualGraph,
     """Node blow-up: the exceptional component has nu' = nu1 + nu2 (the
     log-canonical bundle pulls back with no twist at a node)."""
     e = graph.edge(eid)
-    before = set(graph.vertex_ids)
-    out = blow_up_node(graph, eid, new_id=new_id)
-    wid = next(v for v in out.vertex_ids if v not in before)
+    out, (wid,) = _blow_up(graph, [("node", eid, new_id)])
     nu = dict(data.nu)
     nu[wid] = data.nu[e.a] + data.nu[e.b]
     return out, PluricanonicalModelData(m=data.m, nu=nu,
@@ -219,9 +217,7 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
     """Interior-point blow-up: nu' = nu + m, plus the ray coefficient if
     the blown-up point is the specialization of that marked point, in
     which case the ray moves to the new vertex."""
-    before = set(graph.vertex_ids)
-    out = blow_up_interior_point(graph, vid, new_id=new_id)
-    wid = next(v for v in out.vertex_ids if v not in before)
+    out, (wid,) = _blow_up(graph, [("interior", vid, new_id)])
     d = 0
     if toward_ray is not None:
         ray = graph.ray(toward_ray)

@@ -183,6 +183,7 @@ class TestVerifyCommand:
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "rays": {"x": {"deg_div": 2.5}}}),
         ("essential", {"pair_model": "false"}),
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "horizontal_edges": "e12"}),
+        ("essential", {"name": None}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
         g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \
@@ -192,7 +193,7 @@ class TestVerifyCommand:
         assert out == ""
         assert "malformed" in err
         # a malformed optional field is named in the message
-        for field in ("pair_model", "horizontal_edges"):
+        for field in ("pair_model", "horizontal_edges", "name"):
             assert field in err or field not in doc
 
     def test_missing_data_exits_two(self, tmp_path, capsys):

@@ -305,13 +305,36 @@ class TestSubdivide:
 
 
 class TestRefine:
-    def test_round_trip_points(self):
+    def test_round_trip_points(self, rng):
         g = sk.fixtures.theta_graph()
         ref = sk.refine(g, {"e0": [F(1, 3), F(2, 3)], "e2": [F(1, 2)]})
         for p in (P.at_vertex("u"), P.on_edge("e0", F(1, 3)),
                   P.on_edge("e0", F(1, 2)), P.on_edge("e2", F(3, 4))):
             q = ref.to_refined(p)
             assert ref.to_base(q) == g.check_point(p)
+        # every 1/10 grid point of the base edges and of every piece
+        for _ in range(30):
+            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2, rays=1)
+            cuts = {e.id: [g.edge_length(e.id) * k / 10
+                           for k in rng.sample(range(1, 10), rng.randint(0, 3))]
+                    for e in g.edges if rng.random() < 0.6}
+            ref = sk.refine(g, cuts)
+            for e in g.edges:
+                for k in range(11):
+                    p = P.on_edge(e.id, g.edge_length(e.id) * k / 10)
+                    assert ref.to_base(ref.to_refined(p)) == g.check_point(p)
+            for e in ref.graph.edges:
+                for k in range(11):
+                    q = P.on_edge(e.id, ref.graph.edge_length(e.id) * k / 10)
+                    assert ref.to_refined(ref.to_base(q)) == ref.graph.check_point(q)
+
+    def test_single_cut_matches_subdivide(self, rng):
+        for _ in range(30):
+            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2)
+            e = rng.choice(g.edges)
+            x = g.edge_length(e.id) * rng.randint(1, 9) / 10
+            assert sk.refine(g, {e.id: [x]}).graph == \
+                sk.subdivide_edge_at(g, e.id, x, V(f"{e.id}@{x}", 1, 0))
 
     def test_lengths_sum(self):
         g = sk.fixtures.kodaira_type_ii()

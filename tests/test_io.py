@@ -110,6 +110,18 @@ class TestOptionalFields:
         assert sio.graph_from_json(doc).pair_model is False
         assert sio.graph_from_json({**doc, "pair_model": False}).pair_model is False
 
+    @pytest.mark.parametrize("raw", [None, 5])
+    def test_name_is_a_string(self, raw):
+        doc = {**sio.graph_to_json(sk.fixtures.theta_graph()), "name": raw}
+        with pytest.raises(sk.GraphStructureError, match="malformed graph name JSON"):
+            sio.graph_from_json(doc)
+
+    def test_name_absent_is_empty(self):
+        doc = sio.graph_to_json(sk.fixtures.theta_graph())
+        assert sio.graph_from_json(doc).name == "theta"
+        del doc["name"]
+        assert sio.graph_from_json(doc).name == ""
+
     @pytest.mark.parametrize("raw", ["e12", 5])
     def test_horizontal_edges_is_a_list(self, raw):
         doc = {"m": 1, "nu": {"v1": 1}, "horizontal_edges": raw}

@@ -199,6 +199,19 @@ class TestSolvePoisson:
         f = sk.solve_poisson(g, t, anchor="a")
         assert sk.laplacian(g, f) == t
 
+    def test_vertex_named_like_a_cut(self):
+        # refine names the cut at e0's midpoint "e0@1/2"; a base vertex
+        # with that id gets the same solution as under any other name
+        def solve(name):
+            g = WeightedDualGraph(vertices=[V("a"), V(name)], edges=[("a", name)])
+            t = D({P.on_edge("e0", F(1, 2)): 1, P.at_vertex(name): -1})
+            f = sk.solve_poisson(g, t, anchor="a")
+            assert sk.laplacian(g, f) == t
+            return f
+        renamed = {P.at_vertex("e0@1/2"): P.at_vertex("b")}
+        assert {renamed.get(p, p): x for p, x in solve("e0@1/2").values.items()} \
+            == solve("b").values
+
     def test_ray_supported_target_rejected(self):
         g = WeightedDualGraph(vertices=[V("a")], rays=[sk.Ray("a", "x", 1)])
         t = D({P.on_ray("x", F(1, 2)): 1})
