@@ -90,9 +90,17 @@ def _verify_ks(g, data_doc) -> dict:
     return {"ok": True, "ks_skeleton": sio.locus_to_json(locus)}
 
 
-def _verify_essential(g) -> dict:
+def _verify_essential(g, data_doc) -> dict:
     skel = essential_skeleton(g)
     return {"ok": True, "essential_skeleton": sio.graph_to_json(skel)}
+
+
+def _attempt(build, *args) -> dict:
+    """One witness entry: the witness build(*args) made, or its error."""
+    try:
+        return {"ok": True, "witness": sio.witness_to_json(build(*args))}
+    except SkelgraphError as exc:
+        return {"ok": False, "error": str(exc)}
 
 
 def _verify_min_locus(g, data_doc) -> dict:
@@ -101,17 +109,10 @@ def _verify_min_locus(g, data_doc) -> dict:
     if edge is not None:
         eids = [edge]
     else:
-        eids = sorted(e.id for e in work.edges if e.id not in bridges(work))
-    results = {}
-    ok = True
-    for eid in eids:
-        try:
-            bundle = witness_cycle(work, eid, tree=tree)
-            results[eid] = {"ok": True, "witness": sio.witness_to_json(bundle)}
-        except SkelgraphError as exc:
-            results[eid] = {"ok": False, "error": str(exc)}
-            ok = False
-    return {"ok": ok, "edges": results}
+        cut_edges = bridges(work)
+        eids = sorted(e.id for e in work.edges if e.id not in cut_edges)
+    results = {eid: _attempt(witness_cycle, work, eid, tree) for eid in eids}
+    return {"ok": all(r["ok"] for r in results.values()), "edges": results}
 
 
 def _verify_bridge(g, data_doc) -> dict:
@@ -123,21 +124,12 @@ def _verify_bridge(g, data_doc) -> dict:
             raise SkelgraphError(f"no maximal bridge chain with edges {sorted(wanted)}")
     else:
         chains = maximal_bridge_chains(work)
-    results = []
-    ok = True
-    for chain in chains:
-        try:
-            bundle = witness_bridge_chain(work, chain)
-            results.append({"chain": list(chain.edges), "ok": True,
-                            "witness": sio.witness_to_json(bundle)})
-        except SkelgraphError as exc:
-            results.append({"chain": list(chain.edges), "ok": False,
-                            "error": str(exc)})
-            ok = False
-    return {"ok": ok, "chains": results}
+    results = [{"chain": list(chain.edges), **_attempt(witness_bridge_chain, work, chain)}
+               for chain in chains]
+    return {"ok": all(r["ok"] for r in results), "chains": results}
 
 
-def _verify_nonbridge(g) -> dict:
+def _verify_nonbridge(g, data_doc) -> dict:
     report = verify_canonical_locus(g)
     out = {
         "ok": report.ok,
@@ -149,24 +141,24 @@ def _verify_nonbridge(g) -> dict:
     return out
 
 
+# verify subject -> handler(graph, --data document or None), in --help order
+_VERIFY = {
+    "laplacian": _verify_laplacian,
+    "ks": _verify_ks,
+    "essential": _verify_essential,
+    "min-locus": _verify_min_locus,
+    "bridge": _verify_bridge,
+    "nonbridge": _verify_nonbridge,
+}
+
+
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     data_doc = _read_json(args.data) if args.data else None
     needs_data = {"laplacian", "ks"}
     if args.subject in needs_data and data_doc is None:
         raise SkelgraphError(f"verify {args.subject} requires --data")
-    if args.subject == "laplacian":
-        report = _verify_laplacian(g, data_doc)
-    elif args.subject == "ks":
-        report = _verify_ks(g, data_doc)
-    elif args.subject == "essential":
-        report = _verify_essential(g)
-    elif args.subject == "min-locus":
-        report = _verify_min_locus(g, data_doc)
-    elif args.subject == "bridge":
-        report = _verify_bridge(g, data_doc)
-    else:
-        report = _verify_nonbridge(g)
+    report = _VERIFY[args.subject](g, data_doc)
     report["subject"] = args.subject
     report["graph"] = g.name or args.graph
     _emit(report)
@@ -188,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix.set_defaults(func=_cmd_fixture)
 
     p_ver = sub.add_parser("verify", help="run a verification and report")
-    p_ver.add_argument("subject", choices=["laplacian", "ks", "essential",
-                                           "min-locus", "bridge", "nonbridge"])
+    p_ver.add_argument("subject", choices=list(_VERIFY))
     p_ver.add_argument("--graph", required=True, help="graph JSON file or -")
     p_ver.add_argument("--data", default=None, help="subject-specific JSON file")
     p_ver.set_defaults(func=_cmd_verify)

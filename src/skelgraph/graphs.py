@@ -643,8 +643,8 @@ class Refinement:
     def to_base(self, p: PointLike) -> GraphPoint:
         p = self.graph.check_point(as_point(p))
         if p.kind == "vertex":
-            if p.where in self.cut_vertex_points:
-                return self.cut_vertex_points[p.where]
+            return self.cut_vertex_points.get(p.where, p)
+        if p.kind == "ray":
             return p
         if p.where not in self._piece_index:
             raise InvalidPointError(f"edge {p.where!r} not a refinement piece")

@@ -84,14 +84,17 @@ def graph_to_json(graph: WeightedDualGraph) -> dict:
 
 def graph_from_json(doc: dict) -> WeightedDualGraph:
     try:
-        vertices = [VertexLabel(str(v["id"]), _integer(v.get("N", 1), "vertex N"),
+        vertices = [VertexLabel(_shaped(v["id"], str, "vertex id"),
+                                _integer(v.get("N", 1), "vertex N"),
                                 _integer(v.get("g", 0), "vertex g"))
                     for v in doc["vertices"]]
         edges = []
         for e in doc.get("edges", ()):
             length = parse_rational(e["length"]) if "length" in e else None
-            edges.append((str(e["a"]), str(e["b"]), length))
-        rays = [Ray(str(r["attach"]), str(r["label"]),
+            edges.append((_shaped(e["a"], str, "edge a"), _shaped(e["b"], str, "edge b"),
+                          length))
+        rays = [Ray(_shaped(r["attach"], str, "ray attach"),
+                    _shaped(r["label"], str, "ray label"),
                     _integer(r.get("degree", 1), "ray degree"))
                 for r in doc.get("rays", ())]
         return WeightedDualGraph(
@@ -117,13 +120,15 @@ def point_to_json(p: GraphPoint) -> dict:
 
 def point_from_json(doc: dict) -> GraphPoint:
     if "vertex" in _shaped(doc, dict, "point"):
-        return GraphPoint.at_vertex(str(doc["vertex"]))
+        return GraphPoint.at_vertex(_shaped(doc["vertex"], str, "point vertex"))
     if "edge" in doc:
         _shaped(doc, dict, "edge point", "position")
-        return GraphPoint.on_edge(str(doc["edge"]), parse_rational(doc["position"]))
+        return GraphPoint.on_edge(_shaped(doc["edge"], str, "point edge"),
+                                  parse_rational(doc["position"]))
     if "ray" in doc:
         _shaped(doc, dict, "ray point", "distance")
-        return GraphPoint.on_ray(str(doc["ray"]), parse_rational(doc["distance"]))
+        return GraphPoint.on_ray(_shaped(doc["ray"], str, "point ray"),
+                                 parse_rational(doc["distance"]))
     raise InvalidPointError(f"malformed point JSON: {doc!r}")
 
 

@@ -9,8 +9,12 @@ positive total genus this computes the essential skeleton.
 
 The witness constructions realize, by exact chip-firing and Poisson
 solving, the effective divisors whose associated tropical functions
-have as minimum locus a prescribed fundamental cycle or a maximal
-bridge chain.
+have as minimum locus a prescribed fundamental cycle (``witness_cycle``,
+D ~ K) or a maximal bridge chain (``witness_bridge_chain``, D ~ 2K).
+Both check their inputs and then run one recipe, ``_witness``: a point
+in the interior of the non-tree edges (plus K - (v1) - (v2) for a
+chain), completed to an effective D ~ mK by a q-reduced divisor, the
+Poisson solution of div(f) = D - mK, and the lemma that pins min_locus(f).
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ def canonical_form_locus(graph: WeightedDualGraph) -> SubgraphLocus:
                 f"1-valent genus-0 vertex {v.id!r}: not the shape of a minimal "
                 "semistable model"
             )
-    non_bridges = [e.id for e in graph.edges if e.id not in bridges(graph)]
+    cut_edges = bridges(graph)
+    non_bridges = [e.id for e in graph.edges if e.id not in cut_edges]
     vertices = set()
     for eid in non_bridges:
         e = graph.edge(eid)
@@ -181,15 +186,22 @@ def _require_maximally_degenerate(graph: WeightedDualGraph, what: str) -> None:
         )
 
 
-def _effective_part(graph, target, q) -> tuple[GraphDivisor, PLFunction]:
-    """An effective divisor equivalent to target, via the q-reduced
-    representative; raises if the class has no effective member."""
-    reduced, moves = reduce_divisor(graph, target, q)
-    if not reduced.is_effective():
-        raise PipelineError(
-            f"no effective representative: reduced divisor is {reduced}"
-        )
-    return reduced, moves
+def _witness(graph, T, skip, mK, fixed, q, lemma, what) -> WitnessBundle:
+    """The recipe both witnesses run: D = D0 + E, where D0 is ``fixed``
+    plus the midpoints of the non-tree edges but ``skip`` and E is the
+    q-reduced form of mK - D0; f solves div(f) = D - mK, checked by lemma."""
+    D0 = GraphDivisor({graph.midpoint(e.id): 1 for e in graph.edges
+                       if e.id not in T and e.id != skip}) + fixed
+    E, _ = reduce_divisor(graph, mK - D0, q)
+    if not E.is_effective():
+        raise PipelineError(f"no effective representative: reduced divisor is {E}")
+    D = D0 + E
+    f = solve_poisson(graph, mK - D, anchor=q)
+    report = lemma(D, f)
+    if not report:
+        raise PipelineError(f"{what}: hypotheses {report.failed_hypotheses}, "
+                            f"conclusion {report.conclusion_holds}")
+    return WitnessBundle(tree=T, divisor=D, function=f, locus=report.computed_locus)
 
 
 def witness_cycle(graph: WeightedDualGraph, eid: str,
@@ -204,24 +216,13 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
         raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
-    non_tree = [e.id for e in graph.edges if e.id not in T]
-    D0 = GraphDivisor({graph.midpoint(other): 1
-                       for other in non_tree if other != eid})
-    K = canonical_divisor(graph, 1)
-    q = GraphPoint.at_vertex(graph.edge(eid).a)
-    E, _ = _effective_part(graph, K - D0, q)
-    D = D0 + E
-    f = solve_poisson(graph, K - D, anchor=q)
-    report = check_min_locus_lemma(graph, T, eid, D, f)
-    if not report:
-        raise PipelineError(
-            f"cycle witness failed for {eid!r}: hypotheses {report.failed_hypotheses}, "
-            f"conclusion {report.conclusion_holds}"
-        )
-    locus = report.computed_locus
-    if not locus.contains(graph.midpoint(eid)):
+    bundle = _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
+                      GraphPoint.at_vertex(graph.edge(eid).a),
+                      lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
+                      f"cycle witness failed for {eid!r}")
+    if not bundle.locus.contains(graph.midpoint(eid)):
         raise PipelineError(f"witness locus does not contain {eid!r}")
-    return WitnessBundle(tree=T, divisor=D, function=f, locus=locus)
+    return bundle
 
 
 def witness_bridge_chain(graph: WeightedDualGraph,
@@ -247,28 +248,17 @@ def witness_bridge_chain(graph: WeightedDualGraph,
         raise GraphStructureError(f"{chain} is not a maximal bridge chain here")
 
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
-    non_tree = [e.id for e in graph.edges if e.id not in T]
-    D0 = GraphDivisor({graph.midpoint(other): 1 for other in non_tree})
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints
-    D1 = K - GraphDivisor.at(GraphPoint.at_vertex(v1)) \
-           - GraphDivisor.at(GraphPoint.at_vertex(v2))
+    D1 = K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
     if not D1.is_effective():
         raise PipelineError(
             "K - (v1) - (v2) is not effective; chain endpoints should have "
             "valency >= 3 in a graph without 1-valent vertices"
         )
-    q = GraphPoint.at_vertex(v1)
-    E, _ = _effective_part(graph, 2 * K - D0 - D1, q)
-    D = D0 + D1 + E
-    f = solve_poisson(graph, 2 * K - D, anchor=q)
-    report = check_bridge_lemma(graph, chain, T, D, f)
-    if not report:
-        raise PipelineError(
-            f"bridge witness failed for {chain.edges}: hypotheses "
-            f"{report.failed_hypotheses}, conclusion {report.conclusion_holds}"
-        )
-    return WitnessBundle(tree=T, divisor=D, function=f, locus=report.computed_locus)
+    return _witness(graph, T, None, 2 * K, D1, GraphPoint.at_vertex(v1),
+                    lambda D, f: check_bridge_lemma(graph, chain, T, D, f),
+                    f"bridge witness failed for {chain.edges}")
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,25 @@ class TestVerifyCommand:
         assert len(report["chains"]) == 1
         assert len(report["chains"][0]["chain"]) == 2
 
+    def test_bridge_with_pendant_leaf_exits_one(self, tmp_path, capsys):
+        # two triangles joined by a bridge, plus a pendant leaf: every
+        # chain's witness is refused, and each entry says why
+        tri = [("a0", "a1"), ("a1", "a2"), ("a2", "a0"),
+               ("b0", "b1"), ("b1", "b2"), ("b2", "b0")]
+        g = sk.WeightedDualGraph(
+            vertices=[sk.VertexLabel(v)
+                      for v in ("a0", "a1", "a2", "b0", "b1", "b2", "leaf")],
+            edges=tri + [("a0", "b0"), ("a1", "leaf")])
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        code, out, _ = run(capsys, "verify", "bridge", "--graph", gpath)
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False and report["chains"]
+        for entry in report["chains"]:
+            assert list(entry) == ["chain", "ok", "error"]
+            assert entry["ok"] is False
+            assert "1-valent" in entry["error"]
+
     def test_nonbridge_union(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",
                            sio.graph_to_json(sk.fixtures.dumbbell(1)))
@@ -184,6 +203,7 @@ class TestVerifyCommand:
         ("essential", {"pair_model": "false"}),
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "horizontal_edges": "e12"}),
         ("essential", {"name": None}),
+        ("essential", {"vertices": [{"id": 5, "g": 1}], "edges": []}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
         g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \

@@ -328,6 +328,15 @@ class TestRefine:
                     q = P.on_edge(e.id, ref.graph.edge_length(e.id) * k / 10)
                     assert ref.to_refined(ref.to_base(q)) == ref.graph.check_point(q)
 
+    def test_ray_points_pass_through(self):
+        # a ray labelled like a piece (e0) is still a ray, both ways
+        g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b")],
+                              rays=[sk.Ray("a", "x"), sk.Ray("b", "e0")])
+        ref = sk.refine(g, {"e0": [g.edge_length("e0") / 2]})
+        for p in (P.on_ray("x", F(1)), P.on_ray("e0", F(3, 2))):
+            assert ref.to_base(p) == p
+            assert ref.to_refined(ref.to_base(p)) == ref.graph.check_point(p)
+
     def test_single_cut_matches_subdivide(self, rng):
         for _ in range(30):
             g = random_multigraph(rng, max_vertices=6, extra=4, loops=2)

@@ -94,6 +94,34 @@ class TestIntegerFields:
             sio.data_from_json(doc)
 
 
+class TestStringFields:
+    """Vertex ids, edge endpoints, ray attachments and labels, and the
+    places a point names are JSON strings: a number or null is
+    malformed input, never read through str()."""
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"vertices": [{"id": 5}]}, "vertex id"),
+        ({"vertices": [{"id": None}]}, "vertex id"),
+        ({"vertices": [{"id": "a"}, {"id": "5"}], "edges": [{"a": "a", "b": 5}]}, "edge b"),
+        ({"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"a": None, "b": "b"}]},
+         "edge a"),
+        ({"vertices": [{"id": "a"}], "rays": [{"attach": "a", "label": 0}]}, "ray label"),
+        ({"vertices": [{"id": "a"}], "rays": [{"attach": [], "label": "x"}]}, "ray attach"),
+    ])
+    def test_graph_fields(self, doc, field):
+        with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
+            sio.graph_from_json(doc)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"vertex": 5}, "point vertex"),
+        ({"edge": None, "position": "1/2"}, "point edge"),
+        ({"ray": 1, "distance": "1"}, "point ray"),
+    ])
+    def test_point_fields(self, doc, field):
+        with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
+            sio.point_from_json(doc)
+
+
 class TestOptionalFields:
     """An optional field may be absent, but when present it has its JSON
     type: a string is never read as a bool or as a list of edges."""

@@ -240,6 +240,52 @@ class TestWitnessBridgeChain:
                 assert b.locus == chain.as_locus(g)
 
 
+class TestWitnessRecipe:
+    """Each witness is the recipe written out: D0 at the midpoints of
+    the non-tree edges, completed by the reduced divisor at q, and f the
+    Poisson solution anchored at q."""
+
+    def test_cycle(self, rng):
+        from skelgraph.sampling import random_reduced_graph
+        checked = 0
+        for _ in range(8):
+            g = random_reduced_graph(rng, max_vertices=5, genus=rng.randint(1, 3))
+            K = sk.canonical_divisor(g)
+            trees = sk.all_spanning_trees(g)
+            for T in rng.sample(trees, min(3, len(trees))):
+                for eid in sorted(e.id for e in g.edges if e.id not in T):
+                    a = sk.GraphPoint.at_vertex(g.edge(eid).a)
+                    D0 = D({g.midpoint(e.id): 1 for e in g.edges
+                            if e.id not in T and e.id != eid})
+                    E, _ = sk.reduce_divisor(g, K - D0, a)
+                    b = sk.witness_cycle(g, eid, tree=T)
+                    assert b.tree == T
+                    assert b.divisor == D0 + E
+                    assert b.function == sk.solve_poisson(g, K - b.divisor, anchor=a)
+                    assert b.locus == sk.fundamental_cycle(g, T, eid)
+                    checked += 1
+        assert checked >= 30
+
+    @pytest.mark.parametrize("g", [sk.fixtures.dumbbell(1), sk.fixtures.dumbbell(2),
+                                   sk.fixtures.triangle_chain(2),
+                                   sk.fixtures.triangle_chain(3, bridge_len=2)],
+                             ids=lambda g: g.name)
+    def test_bridge_chain(self, g, rng):
+        K = sk.canonical_divisor(g)
+        trees = sk.all_spanning_trees(g)
+        for chain in sk.maximal_bridge_chains(g):
+            v1, v2 = (sk.GraphPoint.at_vertex(v) for v in chain.endpoints)
+            D1 = K - D.at(v1) - D.at(v2)
+            for T in [sk.spanning_tree(g)] + rng.sample(trees, min(3, len(trees))):
+                D0 = D({g.midpoint(e.id): 1 for e in g.edges if e.id not in T})
+                E, _ = sk.reduce_divisor(g, 2 * K - D0 - D1, v1)
+                b = sk.witness_bridge_chain(g, chain, tree=T)
+                assert b.tree == T
+                assert b.divisor == D0 + D1 + E
+                assert b.function == sk.solve_poisson(g, 2 * K - b.divisor, anchor=v1)
+                assert b.locus == chain.as_locus(g)
+
+
 class TestWitnessUnionMatchesLocus:
     def test_union_of_cycle_witnesses(self, rng):
         from skelgraph.sampling import random_reduced_graph
