@@ -163,7 +163,8 @@ def function_from_json(doc: list) -> PLFunction:
     for item in _shaped(doc, list, "function"):
         if "ray" in _shaped(item, dict, "function entry"):
             _shaped(item, dict, "ray slope entry", "slope")
-            slopes[str(item["ray"])] = parse_rational(item["slope"])
+            slopes[_shaped(item["ray"], str, "function ray label")] = \
+                parse_rational(item["slope"])
         else:
             _shaped(item, dict, "function value entry", "point", "value")
             values[point_from_json(item["point"])] = parse_rational(item["value"])
@@ -192,12 +193,14 @@ def locus_from_json(graph: WeightedDualGraph, doc: dict) -> SubgraphLocus:
     segs: dict[str, list] = {}
     for item in _shaped(doc.get("segments", []), list, "locus segments"):
         _shaped(item, dict, "locus segment", "edge", "start", "end")
-        segs.setdefault(str(item["edge"]), []).append(
+        segs.setdefault(_shaped(item["edge"], str, "locus segment edge"), []).append(
             (parse_rational(item["start"]), parse_rational(item["end"])))
     return SubgraphLocus(
         graph,
-        vertices=[str(v) for v in _shaped(doc.get("vertices", []), list, "locus vertices")],
-        whole_edges=[str(e) for e in _shaped(doc.get("edges", []), list, "locus edges")],
+        vertices=[_shaped(v, str, "locus vertex")
+                  for v in _shaped(doc.get("vertices", []), list, "locus vertices")],
+        whole_edges=[_shaped(e, str, "locus edge")
+                     for e in _shaped(doc.get("edges", []), list, "locus edges")],
         segments=segs)
 
 
@@ -225,8 +228,9 @@ def data_from_json(doc: dict) -> PluricanonicalModelData:
             ray_degrees={str(k): _integer(_shaped(v, dict, "data ray", "deg_div")["deg_div"],
                                           "data ray deg_div")
                          for k, v in rays.items()},
-            horizontal_edges=frozenset(str(e) for e in _shaped(
-                doc.get("horizontal_edges", []), list, "data horizontal_edges")),
+            horizontal_edges=frozenset(
+                _shaped(e, str, "data horizontal_edges entry") for e in _shaped(
+                    doc.get("horizontal_edges", []), list, "data horizontal_edges")),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphStructureError(f"malformed data JSON: {exc}") from exc
@@ -241,8 +245,9 @@ def min_locus_request_from_json(doc: Optional[dict]) -> tuple[Optional[str],
     _shaped(doc, dict, "min-locus data", "edge")
     tree = None
     if "tree" in doc:
-        tree = [str(t) for t in _shaped(doc["tree"], list, "min-locus tree")]
-    return str(doc["edge"]), tree
+        tree = [_shaped(t, str, "min-locus tree entry")
+                for t in _shaped(doc["tree"], list, "min-locus tree")]
+    return _shaped(doc["edge"], str, "min-locus edge"), tree
 
 
 def bridge_request_from_json(doc: Optional[dict]) -> Optional[frozenset[str]]:
@@ -250,7 +255,8 @@ def bridge_request_from_json(doc: Optional[dict]) -> Optional[frozenset[str]]:
     or None when it is null or names no chain."""
     if doc is None or "chain" not in _shaped(doc, dict, "bridge data"):
         return None
-    return frozenset(str(e) for e in _shaped(doc["chain"], list, "bridge chain"))
+    return frozenset(_shaped(e, str, "bridge chain entry")
+                     for e in _shaped(doc["chain"], list, "bridge chain"))
 
 
 def blowups_to_json(steps: Iterable[BlowUpStep]) -> list:
@@ -261,7 +267,8 @@ def blowups_from_json(doc: list) -> list[BlowUpStep]:
     steps = []
     for item in _shaped(doc, list, "blow-up sequence"):
         _shaped(item, dict, "blow-up step", "op", "target")
-        steps.append(BlowUpStep(op=str(item["op"]), target=str(item["target"])))
+        steps.append(BlowUpStep(op=_shaped(item["op"], str, "blow-up op"),
+                                target=_shaped(item["target"], str, "blow-up target")))
     return steps
 
 

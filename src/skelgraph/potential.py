@@ -5,6 +5,14 @@ labelled graphs, exact Poisson solving, reduced divisors by borrowing,
 then Dhar burning, bridges, spanning trees and fundamental cycles, and
 the two min-locus lemma checkers used by the witness constructions.
 
+Reduced divisors are computed by chip-firing on the metric graph
+itself (Luo, "Rank-determining sets of metric graphs"; Baker-Shokrieh,
+"Chip-firing games, potential theory on graphs, and spanning trees").
+State lives only at marks, joined by chip-free segments of integer
+length in units of 1/L: least-action borrowing works segment by
+segment, and each Dhar firing moves the unburnt set by the distance to
+the next event, so the work is bounded by events and not by L.
+
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
 A declared ray slope s (oriented away from the skeleton) therefore
@@ -27,7 +35,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .divisors import GraphDivisor
 from .errors import (
@@ -407,135 +415,203 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
 # -- reduced divisors -----------------------------------------------------------
 
 
-def _lattice(graph: WeightedDualGraph, points: Sequence[GraphPoint]):
-    """The uniform 1/L lattice on integer nodes: L, each node's base point
-    (the vertices, then each edge's interior multiples of 1/L, edge by
-    edge), each node's neighbours, and each edge's chain from e.a to e.b."""
-    dens = [graph.edge_length(e.id).denominator for e in graph.edges]
-    for e in graph.edges:
-        if e.a == e.b:
-            # force at least two segments so no lattice edge is a loop
-            dens.append((graph.edge_length(e.id) / 2).denominator)
-    for p in points:
-        if p.kind == "edge":
-            dens.append(p.offset.denominator)
-    L = lcm(*dens) if dens else 1
-    total = sum(int(graph.edge_length(e.id) * L) for e in graph.edges)
-    if total > _MAX_LATTICE_NODES:
-        raise PipelineError(
-            f"lattice refinement would need {total} segments (> {_MAX_LATTICE_NODES}); "
-            "edge-length denominators are too heterogeneous for chip-firing"
-        )
-    index = {v: i for i, v in enumerate(graph.vertex_ids)}
-    where = [GraphPoint.at_vertex(v) for v in graph.vertex_ids]
-    adj: list[list[int]] = [[] for _ in where]
-    chains = {}
-    for e in graph.edges:
-        chain = [index[e.a]]
-        for k in range(1, int(graph.edge_length(e.id) * L)):
-            chain.append(len(where))
-            where.append(GraphPoint.on_edge(e.id, Fraction(k, L)))
-            adj.append([])
-        chain.append(index[e.b])
-        for a, b in zip(chain, chain[1:]):
-            adj[a].append(b)
-            adj[b].append(a)
-        chains[e.id] = chain
-    return L, where, adj, chains
-
-
-def _burn(adj: list[list[int]], chips: list[int], q: int) -> list[bool]:
-    """Dhar: a node burns once more burning edges reach it than it has chips."""
-    burnt = [False] * len(adj)
-    burnt[q] = True
-    arriving = [0] * len(adj)
-    stack = [q]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not burnt[w]:
-                arriving[w] += 1
-                if arriving[w] > chips[w]:
-                    burnt[w] = True
-                    stack.append(w)
-    return burnt
-
-
-def _fire_set(adj: list[list[int]], chips: list[int], u: list[int], burnt: list[bool]):
-    """Fire the unburnt set: one chip crosses each edge out of it."""
-    for v, b in enumerate(burnt):
-        if not b:
-            u[v] -= 1
-            for w in adj[v]:
-                if burnt[w]:
-                    chips[v] -= 1
-                    chips[w] += 1
-
-
 def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
                    q: PointLike) -> tuple[GraphDivisor, PLFunction]:
     """The q-reduced divisor equivalent to the input, together with the
     tropical rational function f with D' = D + div(f).
 
-    Works on the uniform 1/L lattice of the graph, on integer nodes, by
-    borrowing, then Dhar: each node other than q that is in debt borrows
-    until none is, then unburnt sets are fired until the burn from q
-    consumes everything.
+    Positions are integers in units of 1/L, L the lcm of the edge,
+    support and q denominators, but state lives only at marks: the
+    vertices, the interior support points, q, and the points where
+    chips land.  A chip-free stretch between consecutive marks of an
+    edge is one segment, on which f is linear with integer slope.
+    Stage 1 borrows mark by mark until no mark off q is in debt; stage 2
+    burns from q and fires the unburnt set by the shortest segment out
+    of it, one step per event, until the burn consumes everything.
     """
     if graph.rays:
         raise GraphStructureError("reduce_divisor works on compact graphs; drop rays")
     divisor_in.require_integral("divisor to reduce")
     q_pt = graph.check_point(as_point(q))
     support = [(graph.check_point(p), c) for p, c in divisor_in.items()]
-    L, where, adj, chains = _lattice(graph, [p for p, _ in support] + [q_pt])
 
-    def node(p: GraphPoint) -> int:
-        if p.kind == "vertex":
-            return graph.vertex_ids.index(p.where)
-        return chains[p.where][int(p.offset * L)]
+    lengths = [graph.edge_length(e.id) for e in graph.edges]
+    dens = [x.denominator for x in lengths]
+    for e, x in zip(graph.edges, lengths):
+        if e.a == e.b:
+            # a loop spans at least two steps, as if split at its midpoint
+            dens.append((x / 2).denominator)
+    for p, _ in support + [(q_pt, 0)]:
+        if p.kind == "edge":
+            dens.append(p.offset.denominator)
+    L = lcm(*dens) if dens else 1
+    steps = [x.numerator * (L // x.denominator) for x in lengths]
+    total = sum(steps)
+    if total > _MAX_LATTICE_NODES:
+        raise PipelineError(
+            f"lattice refinement would need {total} segments (> {_MAX_LATTICE_NODES}); "
+            "edge-length denominators are too heterogeneous for chip-firing"
+        )
 
-    chips = [0] * len(where)
+    # marks: the vertices first, then each edge's stops by position.
+    # Mark x holds chips[x] and the script u[x], and an interior mark
+    # sits pos[x] steps from e.a.  Segment j runs along edge E[j] from
+    # mark A[j] to mark B[j], N[j] steps further from e.a.  inc[x] lists
+    # the segments at x; for an interior mark, the one towards e.a comes
+    # first.  A loop without stops is left out: f is constant on it and
+    # no chip ever enters it.
+    index = {v: i for i, v in enumerate(graph.vertex_ids)}
+    chips = [0] * len(index)
+    stops: dict[str, dict[int, int]] = defaultdict(dict)  # edge -> {position: chips}
     for p, c in support:
-        chips[node(p)] += c
-    q_node = node(q_pt)
-    u = [0] * len(where)
+        if p.kind == "vertex":
+            chips[index[p.where]] += c
+        else:
+            stops[p.where][int(p.offset * L)] = c
+    if q_pt.kind == "edge":
+        q_stop = (q_pt.where, int(q_pt.offset * L))
+        stops[q_pt.where].setdefault(q_stop[1], 0)
+    else:
+        q_mark = index[q_pt.where]
+    inc: list[list[int]] = [[] for _ in chips]
+    A: list[int] = []
+    B: list[int] = []
+    N: list[int] = []
+    E: list[int] = []
+    pos = [0] * len(chips)
+    for i, e in enumerate(graph.edges):
+        x, at = index[e.a], 0
+        for k, c in sorted(stops[e.id].items()) + [(steps[i], None)]:
+            y = index[e.b] if c is None else len(chips)
+            if c is not None:
+                if q_pt.kind == "edge" and (e.id, k) == q_stop:
+                    q_mark = y
+                chips.append(c)
+                inc.append([])
+                pos.append(k)
+            if x != y:
+                inc[x].append(len(A))
+                inc[y].append(len(A))
+                A.append(x), B.append(y), N.append(k - at), E.append(i)
+            x, at = y, k
+    u = [0] * len(chips)
 
-    # stage 1: every node off q in debt borrows (the reverse of a firing)
-    # until none is.  By least action no node borrows more than in any
-    # script that clears the debt, and the borrows, hence the end state,
-    # do not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
-    debt = [v for v, c in enumerate(chips) if v != q_node and c < 0]
+    def split(j, k, height):
+        """A new mark k steps into segment j, holding one chip at script
+        height; j keeps the part before it."""
+        m, t, b = len(chips), len(A), B[j]
+        chips.append(1)
+        u.append(height)
+        pos.append(pos[A[j]] + k)
+        inc.append([j, t])
+        inc[b][inc[b].index(j)] = t
+        A.append(m), B.append(b), N.append(N[j] - k), E.append(E[j])
+        B[j], N[j] = m, k
+
+    def taken(x, t):
+        """Chips the least scripts on x's segments take from x at height t:
+        inside a chip-free segment the least script is the most even
+        concave sequence, whose first step from x is ceil((u_y - t) / n)."""
+        return -sum((t - u[B[j] if A[j] == x else A[j]]) // N[j] for j in inc[x])
+
+    # stage 1: each mark off q in debt borrows, raising u until its
+    # segments take no more than it holds.  By least action no mark
+    # rises above any script that clears the debt, and the end state
+    # does not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
+    # chips[x] tracks what x has left after its segments take their share.
+    start = chips[:]
+    unit = [all(N[j] == 1 for j in inc[x]) for x in range(len(chips))]
+    debt = [x for x, c in enumerate(chips) if x != q_mark and c < 0]
     while debt:
-        v = debt.pop()
-        k = -(chips[v] // len(adj[v]))  # borrows that leave v out of debt
-        u[v] += k
-        chips[v] += k * len(adj[v])
-        for w in adj[v]:
-            chips[w] -= k
-            if w != q_node and chips[w] < 0 <= chips[w] + k:  # w fell into debt
-                debt.append(w)
+        x = debt.pop()
+        t0 = u[x]
+        # raising x by d takes at most d chips less per segment, exactly
+        # d when it is one step long: the jump never overshoots
+        t = t0 - chips[x] // len(inc[x])
+        if not unit[x] and taken(x, t) > start[x]:  # gallop, then bisect
+            lo, hi = t, 2 * t - t0
+            while taken(x, hi) > start[x]:
+                lo, hi = hi, 2 * hi - t0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if taken(x, mid) > start[x] else (lo, mid)
+            t = hi
+        u[x] = t
+        for j in inc[x]:
+            y, n = B[j] if A[j] == x else A[j], N[j]
+            chips[x] += (t - u[y]) // n - (t0 - u[y]) // n
+            more = (u[y] - t0) // n - (u[y] - t) // n  # taken from y besides
+            chips[y] -= more
+            if y != q_mark and chips[y] < 0 <= chips[y] + more:
+                debt.append(y)
+    # the least script on a segment of n steps rising by s n + r (the
+    # first r steps by s + 1, the rest by s) leaves one chip r steps in
+    for j in range(len(A)):
+        s, r = divmod(u[B[j]] - u[A[j]], N[j])
+        if r:
+            split(j, r, u[A[j]] + r * (s + 1))
 
-    # stage 2: Dhar burning with maximal unburnt firings
-    rounds = 0
+    # stage 2: burn from q; the unburnt set fires by the shortest
+    # segment out of it, delta steps at once.  Each boundary chip walks
+    # delta steps along its out-segment and lands on a new mark (or on
+    # the far end), and u drops by delta on the unburnt set; until a
+    # chip lands, each lattice firing burns the same set, so this is
+    # delta lattice firings in one event.
+    events = 0
     while True:
-        burnt = _burn(adj, chips, q_node)
-        if all(burnt):
+        burnt = [False] * len(chips)
+        burnt[q_mark] = True
+        arriving = [0] * len(chips)
+        stack = [q_mark]
+        while stack:
+            x = stack.pop()
+            for j in inc[x]:
+                y = B[j] if A[j] == x else A[j]
+                if not burnt[y]:
+                    arriving[y] += 1
+                    if arriving[y] > chips[y]:
+                        burnt[y] = True
+                        stack.append(y)
+        unburnt = [x for x, b in enumerate(burnt) if not b]
+        if not unburnt:
             break
-        _fire_set(adj, chips, u, burnt)
-        rounds += 1
-        if rounds > _MAX_DHAR_ROUNDS:
+        out = [(x, j) for x in unburnt for j in inc[x] if burnt[B[j] if A[j] == x else A[j]]]
+        delta = min(N[j] for _, j in out)
+        for x, j in out:
+            chips[x] -= 1
+            y, n = B[j] if A[j] == x else A[j], N[j]
+            if n == delta:
+                chips[y] += 1
+            else:
+                height = u[x] + delta * ((u[y] - u[x]) // n)
+                split(j, delta if A[j] == x else n - delta, height)
+        for x in unburnt:
+            u[x] -= delta
+        events += 1
+        if events > _MAX_DHAR_ROUNDS:
             raise PipelineError("Dhar reduction did not terminate")
 
-    reduced = GraphDivisor({where[v]: c for v, c in enumerate(chips) if c != 0})
-
-    # f = u / L on the base graph: the vertex values, and each lattice
-    # point of an edge where the slopes on its two sides differ (the
-    # lattice is uniform, so where the second difference is non-zero)
+    # read-off in units of 1/L: chips and values at the vertices, then
+    # edge by edge each interior mark holding chips or where the slopes
+    # on its two sides differ
     base_min = min(u)
-    values = {where[v]: Fraction(u[v] - base_min, L) for v in range(len(graph.vertex_ids))}
-    for chain in chains.values():
-        for a, b, c in zip(chain, chain[1:], chain[2:]):
-            if u[a] + u[c] != 2 * u[b]:
-                values[where[b]] = Fraction(u[b] - base_min, L)
+    held: dict[GraphPoint, int] = {}
+    values: dict[GraphPoint, Fraction] = {}
+    for v, x in index.items():
+        p = GraphPoint.at_vertex(v)
+        values[p] = Fraction(u[x] - base_min, L)
+        if chips[x]:
+            held[p] = chips[x]
+    for m in sorted(range(len(index), len(chips)), key=lambda m: (E[inc[m][0]], pos[m])):
+        left, right = inc[m]
+        kink = (u[m] - u[A[left]]) * N[right] != (u[B[right]] - u[m]) * N[left]
+        if chips[m] or kink:
+            p = GraphPoint.on_edge(graph.edges[E[left]].id, Fraction(pos[m], L))
+            if chips[m]:
+                held[p] = chips[m]
+            if kink:
+                values[p] = Fraction(u[m] - base_min, L)
+    reduced = GraphDivisor(held)
     f = PLFunction(values)
 
     # certificate: equivalence via the independent laplacian path,

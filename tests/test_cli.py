@@ -204,6 +204,10 @@ class TestVerifyCommand:
         ("ks", {"m": 1, "nu": _KODAIRA_NU, "horizontal_edges": "e12"}),
         ("essential", {"name": None}),
         ("essential", {"vertices": [{"id": 5, "g": 1}], "edges": []}),
+        ("min-locus", {"edge": 0}), ("min-locus", {"edge": "e0", "tree": [1, 2]}),
+        ("bridge", {"chain": [0]}), ("export-dot", {"vertices": [0]}),
+        ("export-dot", {"segments": [{"edge": 1, "start": "0", "end": "1/2"}]}),
+        ("ks", {"m": 1, "nu": _KODAIRA_NU, "horizontal_edges": [12]}),
     ])
     def test_data_shape_errors_exit_two(self, tmp_path, capsys, subject, doc):
         g = sk.fixtures.kodaira_type_ii() if subject in ("laplacian", "ks") \

@@ -94,6 +94,10 @@ class TestIntegerFields:
             sio.data_from_json(doc)
 
 
+def theta_locus_from_json(doc):
+    return sio.locus_from_json(sk.fixtures.theta_graph(), doc)
+
+
 class TestStringFields:
     """Vertex ids, edge endpoints, ray attachments and labels, and the
     places a point names are JSON strings: a number or null is
@@ -120,6 +124,25 @@ class TestStringFields:
     def test_point_fields(self, doc, field):
         with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
             sio.point_from_json(doc)
+
+    @pytest.mark.parametrize("read, doc, field", [
+        (sio.min_locus_request_from_json, {"edge": 0}, "min-locus edge"),
+        (sio.min_locus_request_from_json, {"edge": "e0", "tree": ["e1", 2]},
+         "min-locus tree entry"),
+        (sio.bridge_request_from_json, {"chain": ["e0", None]}, "bridge chain entry"),
+        (theta_locus_from_json, {"vertices": [0]}, "locus vertex"),
+        (theta_locus_from_json, {"edges": [1]}, "locus edge"),
+        (theta_locus_from_json, {"segments": [{"edge": 0, "start": "0", "end": "1/2"}]},
+         "locus segment edge"),
+        (sio.function_from_json, [{"ray": 3, "slope": 1}], "function ray label"),
+        (sio.data_from_json, {"m": 1, "nu": {"v1": 1}, "horizontal_edges": [12]},
+         "data horizontal_edges entry"),
+        (sio.blowups_from_json, [{"op": 1, "target": "e0"}], "blow-up op"),
+        (sio.blowups_from_json, [{"op": "node", "target": 0}], "blow-up target"),
+    ])
+    def test_document_fields(self, read, doc, field):
+        with pytest.raises(sk.GraphStructureError, match=f"malformed {field} JSON"):
+            read(doc)
 
 
 class TestOptionalFields:

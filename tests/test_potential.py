@@ -25,6 +25,7 @@ from conftest import (
     random_multigraph,
     random_plfunction,
 )
+from lattice_reducer import reduce_on_lattice
 
 
 def to_networkx(graph):
@@ -548,6 +549,47 @@ class TestReduceDivisor:
     def test_lattice_past_the_cap_rejected(self):
         with pytest.raises(sk.PipelineError, match="would need 24916 segments"):
             sk.reduce_divisor(k4_graph(59, 61, 67, 71), D.at("v1", 1) - D.at("v2", 1), "v0")
+
+
+class TestLatticeOracle:
+    """reduce_divisor against the uniform-lattice reducer it replaced:
+    == reduced divisors and == f, breakpoints in the same order, on
+    inputs where stage 2 fires as well as where it does not."""
+
+    @staticmethod
+    def lattice_rounds(g, Din, q):
+        """Check one input; return the oracle's stage-2 firing count."""
+        reduced, f = sk.reduce_divisor(g, Din, q)
+        want, want_f, rounds = reduce_on_lattice(g, Din, q)
+        assert reduced == want
+        assert list(f.values.items()) == list(want_f.values.items())
+        return rounds
+
+    def test_reduce_divisor_inputs(self, rng):
+        rounds = [self.lattice_rounds(*case) for case in TestReduceDivisor.inputs(rng, 10)]
+        assert sum(r > 0 for r in rounds) >= 10
+
+    @pytest.mark.parametrize("mults", [(3, 5, 7, 11), (5, 7, 11, 13), (7, 11, 13, 17),
+                                       (13, 17, 19, 23)])
+    def test_k4_ladder(self, mults):
+        g = k4_graph(*mults)
+        Din = D({P.at_vertex(f"v{i}"): c for i, c in enumerate((2, -1, 1, -2))})
+        for q in ("v0", P.on_edge("e5", g.edge_length("e5") / 2)):
+            self.lattice_rounds(g, Din, q)
+
+    def test_random_multigraphs(self):
+        # loops, parallel edges, lengths with denominators up to 7, and q
+        # at a vertex and at an edge midpoint
+        rng = random.Random(907)
+        rounds = []
+        for _ in range(24):
+            shape = random_multigraph(rng, max_vertices=4, extra=3, loops=2, lengths=False)
+            g = WeightedDualGraph(vertices=shape.vertices, edges=[
+                (e.a, e.b, F(rng.randint(1, 2), rng.randint(1, 7))) for e in shape.edges])
+            Din = random_degree_zero_divisor(rng, g) + D.at(g.vertex_ids[0], rng.randint(0, 4))
+            for q in (g.vertex_ids[-1], g.midpoint(rng.choice(g.edges).id)):
+                rounds.append(self.lattice_rounds(g, Din, q))
+        assert sum(r > 0 for r in rounds) >= 10
 
 
 class TestMinLocusLemma:
