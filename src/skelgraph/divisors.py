@@ -9,6 +9,7 @@ normalized to int so that coefficient equality is exact across routes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -37,6 +38,15 @@ class GraphDivisor:
             if c != 0:
                 cleaned[p] = cleaned.get(p, 0) + c
         object.__setattr__(self, "_support", {p: c for p, c in cleaned.items() if c != 0})
+
+    @classmethod
+    def _clean(cls, support: Mapping[GraphPoint, Coeff]) -> "GraphDivisor":
+        """A divisor from distinct GraphPoints and int or Fraction
+        coefficients: zeros dropped, integral Fractions made int."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "_support", {p: c.numerator if c.denominator == 1 else c
+                                           for p, c in support.items() if c})
+        return d
 
     def __setattr__(self, *args):
         raise AttributeError("GraphDivisor is immutable")
@@ -88,17 +98,20 @@ class GraphDivisor:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other: "GraphDivisor") -> "GraphDivisor":
+    def _combine(self, other: "GraphDivisor", op) -> "GraphDivisor":
         merged = dict(self._support)
         for p, c in other._support.items():
-            merged[p] = merged.get(p, 0) + c
-        return GraphDivisor(merged)
+            merged[p] = op(merged.get(p, 0), c)
+        return GraphDivisor._clean(merged)
+
+    def __add__(self, other: "GraphDivisor") -> "GraphDivisor":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "GraphDivisor") -> "GraphDivisor":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "GraphDivisor":
-        return GraphDivisor({p: -c for p, c in self._support.items()})
+        return GraphDivisor._clean({p: -c for p, c in self._support.items()})
 
     def __rmul__(self, k: Coeff) -> "GraphDivisor":
         return GraphDivisor({p: k * c for p, c in self._support.items()})
@@ -122,7 +135,7 @@ class GraphDivisor:
 
     def restrict(self, keep) -> "GraphDivisor":
         """Sub-divisor of the points for which ``keep(point)`` is true."""
-        return GraphDivisor({p: c for p, c in self._support.items() if keep(p)})
+        return GraphDivisor._clean({p: c for p, c in self._support.items() if keep(p)})
 
     def vertex_part(self) -> "GraphDivisor":
         return self.restrict(lambda p: p.kind == "vertex")

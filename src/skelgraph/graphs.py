@@ -109,12 +109,13 @@ class GraphPoint:
     point at an exact rational position, or a point on a ray at an
     exact positive distance from the attachment."""
 
-    __slots__ = ("kind", "where", "offset")
+    __slots__ = ("kind", "where", "offset", "_hash")
 
     def __init__(self, kind: str, where: str, offset: Optional[Fraction]):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "where", where)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_hash", hash((kind, where, offset)))
 
     def __setattr__(self, *args):
         raise AttributeError("GraphPoint is immutable")
@@ -137,14 +138,12 @@ class GraphPoint:
     def is_vertex(self) -> bool:
         return self.kind == "vertex"
 
-    def _key(self):
-        return (self.kind, self.where, self.offset)
-
     def __eq__(self, other):
-        return isinstance(other, GraphPoint) and self._key() == other._key()
+        return self is other or (isinstance(other, GraphPoint) and self.kind == other.kind
+                                 and self.where == other.where and self.offset == other.offset)
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def sort_key(self):
         return (self.kind, self.where, self.offset if self.offset is not None else Fraction(0))
@@ -202,7 +201,7 @@ class WeightedDualGraph:
     """
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
-                 "_rays", "_adjacency", "_edge_index", "_ray_index")
+                 "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -265,6 +264,7 @@ class WeightedDualGraph:
         object.__setattr__(self, "_adjacency", {k: tuple(v) for k, v in adjacency.items()})
         object.__setattr__(self, "_edge_index", {e.id: e for e in edge_objs})
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
+        object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
@@ -328,12 +328,16 @@ class WeightedDualGraph:
         return n
 
     def edge_length(self, eid: str) -> Fraction:
-        e = self.edge(eid)
-        if e.length is not None:
-            return e.length
-        n1 = self.vertex(e.a).multiplicity
-        n2 = self.vertex(e.b).multiplicity
-        return formula_length(n1, n2, self.metric)
+        ell = self._lengths.get(eid)
+        if ell is None:
+            e = self.edge(eid)
+            ell = e.length
+            if ell is None:
+                n1 = self.vertex(e.a).multiplicity
+                n2 = self.vertex(e.b).multiplicity
+                ell = formula_length(n1, n2, self.metric)
+            self._lengths[eid] = ell
+        return ell
 
     def loops(self) -> tuple[Edge, ...]:
         return tuple(e for e in self._edges if e.a == e.b)

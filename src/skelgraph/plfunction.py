@@ -22,6 +22,14 @@ from .graphs import (
 )
 
 
+_ZERO = Fraction(0)
+
+
+def _check_normalized(graph: WeightedDualGraph, p: GraphPoint) -> None:
+    if graph.check_point(p) != p:
+        raise InvalidPointError(f"breakpoint {p!r} is not normalized")
+
+
 class PLFunction:
     """Breakpoint values plus per-ray slopes."""
 
@@ -37,13 +45,15 @@ class PLFunction:
         for p, x in vals.items():
             if p.kind == "edge":
                 on_edge.setdefault(p.where, []).append((p.offset, x))
+        for pairs in on_edge.values():
+            pairs.sort(key=lambda t: t[0])
         slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
         for label, s in slopes.items():
             if not isinstance(s, (int, Fraction)) or s.denominator != 1:
                 raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_ray_slopes", {label: int(s) for label, s in slopes.items()})
-        object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)]
+        object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)] by offset
 
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
@@ -71,35 +81,38 @@ class PLFunction:
 
     def validate_on(self, graph: WeightedDualGraph) -> "PLFunction":
         for v in graph.vertex_ids:
-            if GraphPoint.at_vertex(v) not in self._values:
-                raise InvalidPointError(f"no value at vertex {v!r}")
+            self._vertex_value(v)
         for p in self._values:
             if p.kind == "ray":
                 raise InvalidPointError("breakpoints on rays are not supported")
-            q = graph.check_point(p)
-            if q != p:
-                raise InvalidPointError(f"breakpoint {p!r} is not normalized")
+            _check_normalized(graph, p)
         for label in self._ray_slopes:
             graph.ray(label)
         return self
+
+    def _vertex_value(self, v: str) -> Fraction:
+        try:
+            return self._values[GraphPoint.at_vertex(v)]
+        except KeyError:
+            raise InvalidPointError(f"no value at vertex {v!r}") from None
 
     def edge_profile(self, graph: WeightedDualGraph, eid: str):
         """Sorted (position, value) pairs along an edge, endpoints included."""
         e = graph.edge(eid)
         ell = graph.edge_length(eid)
-        pts = [(Fraction(0), self._values[GraphPoint.at_vertex(e.a)]),
-               (ell, self._values[GraphPoint.at_vertex(e.b)]),
-               *self._on_edge.get(eid, ())]
-        pts.sort(key=lambda t: t[0])
-        return pts
+        inner = self._on_edge.get(eid, ())
+        if inner and not (inner[0][0] > 0 and inner[-1][0] < ell):
+            for x in (inner[0][0], inner[-1][0]):
+                _check_normalized(graph, GraphPoint.on_edge(eid, x))
+        return [(_ZERO, self._vertex_value(e.a)), *inner, (ell, self._vertex_value(e.b))]
 
     def evaluate(self, graph: WeightedDualGraph, point: PointLike) -> Fraction:
         p = graph.check_point(as_point(point))
         if p.kind == "vertex":
-            return self._values[p]
+            return self._vertex_value(p.where)
         if p.kind == "ray":
             attach = graph.ray(p.where).attach
-            base = self._values[GraphPoint.at_vertex(attach)]
+            base = self._vertex_value(attach)
             return base + self.ray_slope(p.where) * p.offset
         if p in self._values:
             return self._values[p]

@@ -67,28 +67,27 @@ _MAX_DHAR_ROUNDS = 200000
 
 def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     """Divisor whose degree at each point is the sum of the outgoing
-    slopes of f there; declared ray slopes count at their attachments."""
+    slopes of f there; declared ray slopes count at their attachments.
+
+    One pass per edge over its sorted profile: each slope is computed
+    once, an interior breakpoint gets s_right - s_left, and the two end
+    slopes are summed per vertex."""
     f.validate_on(graph)
-    acc: dict[GraphPoint, Fraction] = defaultdict(Fraction)
+    at_vertex = dict.fromkeys(graph.vertex_ids, 0)
+    support = {}
     for e in graph.edges:
         profile = f.edge_profile(graph, e.id)
-        ell = graph.edge_length(e.id)
-
-        def node(x):
-            if x == 0:
-                return GraphPoint.at_vertex(e.a)
-            if x == ell:
-                return GraphPoint.at_vertex(e.b)
-            return GraphPoint.on_edge(e.id, x)
-
-        for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
-            s = (y1 - y0) / (x1 - x0)
-            acc[node(x0)] += s
-            acc[node(x1)] -= s
+        slopes = [(y1 - y0) / (x1 - x0)
+                  for (x0, y0), (x1, y1) in zip(profile, profile[1:])]
+        at_vertex[e.a] += slopes[0]
+        at_vertex[e.b] -= slopes[-1]
+        for (x, _), left, right in zip(profile[1:-1], slopes, slopes[1:]):
+            if right != left:
+                support[GraphPoint("edge", e.id, x)] = right - left
     for label, s in f.ray_slopes.items():
-        attach = graph.ray(label).attach
-        acc[GraphPoint.at_vertex(attach)] += s
-    return GraphDivisor(acc)
+        at_vertex[graph.ray(label).attach] += s
+    support.update((GraphPoint.at_vertex(v), c) for v, c in at_vertex.items())
+    return GraphDivisor._clean(support)
 
 
 def div(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:

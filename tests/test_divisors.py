@@ -1,5 +1,6 @@
 """GraphDivisor and SubgraphLocus value semantics."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,50 @@ class TestDivisorArithmetic:
     def test_merging_duplicate_points(self):
         d = D([(P.at_vertex("a"), 1), (P.at_vertex("a"), 2)])
         assert d.coeff(P.at_vertex("a")) == 3
+
+    def test_half_plus_half_is_an_int(self):
+        half = D.at("a", F(1, 2))
+        total = half + half
+        assert type(total.coeff("a")) is int
+        assert repr(total) == "GraphDivisor(+1*(a))"
+        assert repr(D.at("a", 2) - D.at("a", F(1, 2)) - half) == "GraphDivisor(+1*(a))"
+
+    def test_difference_with_itself_is_the_falsy_zero(self):
+        d = D({P.at_vertex("a"): F(1, 3), P.on_edge("e0", F(1, 2)): -2})
+        for zero in (d - d, d + (-d), -d + d):
+            assert not zero
+            assert zero == D.zero() and hash(zero) == hash(D.zero())
+            assert repr(zero) == "GraphDivisor(0)"
+
+    def test_negation_keeps_coefficient_types(self):
+        d = -D({P.at_vertex("a"): F(1, 2), P.at_vertex("b"): 3})
+        assert d.items() == ((P.at_vertex("a"), F(-1, 2)), (P.at_vertex("b"), -3))
+        assert [type(c) for _, c in d.items()] == [F, int]
+        assert repr(d) == "GraphDivisor((-1/2)*(a) -3*(b))"
+
+    def test_arithmetic_matches_the_constructor(self):
+        # sums, differences and negations of random divisors equal the
+        # divisor built from the summed coefficients, with equal hash and repr
+        rng = random.Random(5)
+        points = [P.at_vertex("a"), P.at_vertex("b"), P.on_edge("e0", F(1, 3)),
+                  P.on_ray("x", F(2))]
+
+        def coeffs():
+            return {p: rng.choice([0, 1, -2, F(1, 2), F(-3, 2), F(4, 2)])
+                    for p in rng.sample(points, rng.randint(0, 4))}
+
+        for _ in range(300):
+            a, b = coeffs(), coeffs()
+            da, db = D(a), D(b)
+            for got, want in [
+                (da + db, {p: a.get(p, 0) + b.get(p, 0) for p in points}),
+                (da - db, {p: a.get(p, 0) - b.get(p, 0) for p in points}),
+                (-da, {p: -c for p, c in a.items()}),
+                (da.vertex_part(), {p: c for p, c in a.items() if p.kind == "vertex"}),
+            ]:
+                want = D(want)
+                assert got == want and hash(got) == hash(want)
+                assert repr(got) == repr(want)
 
 
 class TestLocus:

@@ -40,6 +40,22 @@ class TestEdgeLength:
         g = two_vertex(1, 1)
         with pytest.raises(sk.UnknownElementError):
             sk.edge_length(g, "e9")
+        for _ in range(2):  # a failed read leaves nothing behind
+            with pytest.raises(sk.UnknownElementError, match="^unknown edge 'nope'$"):
+                g.edge_length("nope")
+        assert g.edge_length("e0") == 1
+
+    def test_lengths_read_before_a_metric_change(self):
+        g = WeightedDualGraph(vertices=[V("a", 2), V("b", 6), V("c", 4)],
+                              edges=[("a", "b"), ("b", "c"), ("a", "a")])
+        model = [F(1, 12), F(1, 24), F(1, 4)]
+        assert [g.edge_length(e.id) for e in g.edges] == model
+        stable = g.replace(metric="stable")
+        assert [stable.edge_length(e.id) for e in stable.edges] == [F(1, 6), F(1, 12), F(1, 2)]
+        back = stable.replace(metric="model")
+        assert [back.edge_length(e.id) for e in back.edges] == model
+        assert [g.edge_length(e.id) for e in g.edges] == model
+        assert g == back
 
     def test_kodaira_ii_lengths(self):
         g = sk.fixtures.kodaira_type_ii()
@@ -351,6 +367,33 @@ class TestRefine:
         pieces = ref.pieces["e2"]
         total = sum(end - start for (_, start, end, _) in pieces)
         assert total == g.edge_length("e2")
+
+
+class TestGraphPointValue:
+    def test_equal_points_hash_equal_whatever_the_route(self):
+        g = sk.fixtures.theta_graph()
+        ref = sk.refine(g, {"e0": [F(1, 3)]})
+        routes = [
+            [P.on_edge("e0", F(1, 3)), P.on_edge("e0", F(2, 6)),
+             P("edge", "e0", F(1, 3)), ref.to_base(ref.to_refined(P.on_edge("e0", F(1, 3))))],
+            [P.at_vertex("u"), sk.as_point("u"), g.check_point(P.on_edge("e0", 0)),
+             P("vertex", "u", None)],
+            [P.on_ray("x", 2), P.on_ray("x", F(4, 2))],
+        ]
+        for same in routes:
+            assert len(set(same)) == 1
+            assert len({hash(p) for p in same}) == 1
+            assert all(p == same[0] and not p != same[0] for p in same)
+        assert P.on_edge("e0", F(1, 3)) != P.on_edge("e1", F(1, 3))
+        assert P.on_edge("e0", F(1, 3)) != P.on_ray("e0", F(1, 3))
+        assert P.at_vertex("u") != "u"
+
+    def test_points_are_immutable(self):
+        p = P.on_edge("e0", F(1, 3))
+        for name in ("kind", "where", "offset", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 0)
+        assert p == P.on_edge("e0", F(1, 3)) and hash(p) == hash(P.on_edge("e0", F(1, 3)))
 
 
 class TestPairModelValidation:

@@ -25,6 +25,7 @@ from conftest import (
     random_multigraph,
     random_plfunction,
 )
+from laplacian_reference import laplacian_by_segments
 from lattice_reducer import reduce_on_lattice
 
 
@@ -111,6 +112,58 @@ class TestLaplacian:
         f = PLFunction({P.at_vertex("a"): 0, P.on_edge("e0", F(1, 2)): F(1, 2)})
         assert sk.laplacian(g, f) == D({P.at_vertex("a"): 2,
                                         P.on_edge("e0", F(1, 2)): -2})
+
+
+class TestLaplacianOracle:
+    """laplacian against the per-segment accumulation it replaced: ==
+    divisors with identical repr, so int and Fraction coefficients match."""
+
+    @staticmethod
+    def graphs(rng, n):
+        """Loop-free graphs with multiplicities in both metrics, plus a
+        loop and a ray; random multigraphs with loops, parallel edges,
+        rays and unit or rational lengths."""
+        from skelgraph.sampling import random_graph
+        for i in range(n):
+            g = random_graph(rng, max_vertices=5, max_multiplicity=5)
+            v = rng.choice(g.vertex_ids)
+            g = g.replace(edges=list(g.edges) + [(v, v)], rays=[sk.Ray(v, "x", 1)])
+            yield g
+            yield g.replace(metric="stable")
+            yield random_multigraph(rng, max_vertices=5, extra=3, loops=2,
+                                    rays=rng.randint(0, 2), lengths=i % 2 == 0)
+
+    @staticmethod
+    def functions(rng, g):
+        """Random rational values (non-integral slopes), then, on graphs
+        with unit lengths, an integer-slope function; breakpoints are
+        inserted in shuffled order and every ray gets a slope."""
+        slopes = {r.label: rng.randint(-3, 3) for r in g.rays}
+        pairs = [(P.at_vertex(v), F(rng.randint(-4, 4), rng.randint(1, 3)))
+                 for v in g.vertex_ids]
+        for e in g.edges:
+            ell = g.edge_length(e.id)
+            pairs += [(P.on_edge(e.id, ell * k / 8), F(rng.randint(-4, 4), rng.randint(1, 3)))
+                      for k in rng.sample(range(1, 8), rng.randint(0, 3))]
+        rng.shuffle(pairs)
+        yield PLFunction(pairs, slopes)
+        if all(g.edge_length(e.id) == 1 for e in g.edges):
+            pairs = list(random_lattice_tropical(rng, g, L=4).values.items())
+            rng.shuffle(pairs)
+            yield PLFunction(pairs, slopes)
+
+    def test_matches_per_segment_accumulation(self):
+        rng = random.Random(1011)
+        seen = set()
+        for g in self.graphs(rng, 40):
+            for f in self.functions(rng, g):
+                got, want = sk.laplacian(g, f), laplacian_by_segments(g, f)
+                assert got == want
+                assert repr(got) == repr(want)
+                seen.update((p.kind, type(c).__name__) for p, c in got.items())
+        # both coefficient types at vertices and at interior kinks
+        assert seen == {("vertex", "int"), ("vertex", "Fraction"),
+                             ("edge", "int"), ("edge", "Fraction")}
 
 
 class TestCanonicalDivisor:
