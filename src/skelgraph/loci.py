@@ -78,6 +78,18 @@ class SubgraphLocus:
         object.__setattr__(self, "_vertices", frozenset(vset))
         object.__setattr__(self, "_segments", canon)
 
+    @classmethod
+    def _canonical(cls, graph: WeightedDualGraph, vertices: frozenset[str],
+                   segments: dict[str, tuple[Segment, ...]]) -> "SubgraphLocus":
+        """A locus from parts already in canonical form: known vertex
+        ids, and per edge its merged, sorted, non-empty Fraction
+        segments, whose vertices at the ends are in ``vertices``."""
+        loc = object.__new__(cls)
+        object.__setattr__(loc, "graph", graph)
+        object.__setattr__(loc, "_vertices", vertices)
+        object.__setattr__(loc, "_segments", segments)
+        return loc
+
     def __setattr__(self, *args):
         raise AttributeError("SubgraphLocus is immutable")
 

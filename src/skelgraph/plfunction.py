@@ -5,6 +5,13 @@ every vertex once validated against a graph) and interpolates linearly
 between consecutive breakpoints along each edge.  On a ray it is the
 value at the attachment plus a single declared integer slope, oriented
 away from the skeleton; rays never carry interior breakpoints.
+
+The readers of a whole graph (``has_integer_slopes``, and the
+Laplacian and the minimum locus in ``potential``) share one walk: the
+function is validated against the graph, then each edge's profile and
+slopes are computed once, and kept on the function for that graph
+object.  Functions and graphs are immutable, so the walk cannot go
+stale; a function that fails validation keeps nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ def _check_normalized(graph: WeightedDualGraph, p: GraphPoint) -> None:
 class PLFunction:
     """Breakpoint values plus per-ray slopes."""
 
-    __slots__ = ("_values", "_ray_slopes", "_on_edge")
+    __slots__ = ("_values", "_ray_slopes", "_on_edge", "_walked")
 
     def __init__(self, values: Mapping[PointLike, Rational],
                  ray_slopes: Mapping[str, int] = ()):
@@ -54,6 +61,7 @@ class PLFunction:
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_ray_slopes", {label: int(s) for label, s in slopes.items()})
         object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)] by offset
+        object.__setattr__(self, "_walked", None)  # (graph, walk) of the last graph walked
 
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
@@ -130,9 +138,30 @@ class PLFunction:
 
     def has_integer_slopes(self, graph: WeightedDualGraph) -> bool:
         """Whether every linear piece has integer slope in the graph's
-        metric."""
-        return all(s.denominator == 1 for e in graph.edges
-                   for s in self.slopes_on_edge(graph, e.id))
+        metric; raises as ``validate_on`` does on a function that does
+        not fit the graph."""
+        return all(s.denominator == 1 for _, _, slopes in self._walk(graph)
+                   for s in slopes)
+
+    def _walk(self, graph: WeightedDualGraph):
+        """``(edge, profile, slopes)`` for every edge of the graph, in
+        edge order, after validating against it; computed once per graph
+        object and kept until the function is walked on another one."""
+        walked = self._walked
+        if walked is not None and walked[0] is graph:
+            return walked[1]
+        self.validate_on(graph)
+        at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
+        walk = []
+        for e in graph.edges:
+            profile = [(_ZERO, at[e.a]), *self._on_edge.get(e.id, ()),
+                       (graph.edge_length(e.id), at[e.b])]
+            slopes = [(y1 - y0) / (x1 - x0)
+                      for (x0, y0), (x1, y1) in zip(profile, profile[1:])]
+            walk.append((e, profile, slopes))
+        walk = tuple(walk)
+        object.__setattr__(self, "_walked", (graph, walk))
+        return walk
 
     def min_over_compact(self) -> Fraction:
         return min(self._values.values())

@@ -13,6 +13,12 @@ length in units of 1/L: least-action borrowing works segment by
 segment, and each Dhar firing moves the unburnt set by the distance to
 the next event, so the work is bounded by events and not by L.
 
+The Laplacian, the integer-slope test and the minimum locus read one
+walk of f per graph (``PLFunction._walk``): f is validated against the
+graph, each edge's profile and slopes are computed once, and f keeps
+them for that graph object.  The lemma checkers read f three times
+(div(f), the "tropical" hypothesis, min_locus(f)) and pay for one walk.
+
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
 A declared ray slope s (oriented away from the skeleton) therefore
@@ -25,7 +31,9 @@ electrical networks"): on the graph refined at the target's support,
 a spanning tree carries slopes fixed by flow conservation up to the
 slopes of the g = b1 chords, and only the g x g system that closes
 the fundamental cycles is solved.  The cost is O(V g + g^3) Fraction
-operations instead of O(V^3); a tree needs no linear algebra.
+operations instead of O(V^3); a tree needs no linear algebra.  Points
+find their cut vertices, and cut vertices their base points, by one
+dict lookup each.
 """
 
 from __future__ import annotations
@@ -69,16 +77,12 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     """Divisor whose degree at each point is the sum of the outgoing
     slopes of f there; declared ray slopes count at their attachments.
 
-    One pass per edge over its sorted profile: each slope is computed
-    once, an interior breakpoint gets s_right - s_left, and the two end
-    slopes are summed per vertex."""
-    f.validate_on(graph)
+    One pass over f's validated walk of the graph: an interior
+    breakpoint gets s_right - s_left, and the two end slopes of each
+    edge are summed per vertex."""
     at_vertex = dict.fromkeys(graph.vertex_ids, 0)
     support = {}
-    for e in graph.edges:
-        profile = f.edge_profile(graph, e.id)
-        slopes = [(y1 - y0) / (x1 - x0)
-                  for (x0, y0), (x1, y1) in zip(profile, profile[1:])]
+    for e, profile, slopes in f._walk(graph):
         at_vertex[e.a] += slopes[0]
         at_vertex[e.b] -= slopes[-1]
         for (x, _), left, right in zip(profile[1:-1], slopes, slopes[1:]):
@@ -181,17 +185,21 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
         cuts[anchor_pt.where].append(anchor_pt.offset)
     ref = refine(graph, cuts)
     rg = ref.graph
+    cut_at = {p: v for v, p in ref.cut_vertex_points.items()}  # base point -> cut vertex
+
+    def vertex_of(p):
+        return p.where if p.kind == "vertex" else cut_at[p]
 
     # t[v]: the sum of the outgoing slopes along bounded edges at v
     t = {v: Fraction(0) for v in rg.vertex_ids}
     for p, c in support:
-        t[ref.to_refined(p).where] += Fraction(c)
+        t[vertex_of(p)] += c
     for label, s in slopes.items():
         t[graph.ray(label).attach] -= s
 
     # BFS spanning tree from the anchor; the other non-loop edges are the
     # chords (a function linear on a loop is constant there)
-    root = ref.to_refined(anchor_pt).where
+    root = vertex_of(anchor_pt)
     parent: dict[str, tuple[str, Fraction]] = {}  # v -> (parent, tree-edge length)
     order = [root]
     tree = set()
@@ -243,8 +251,10 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     values = {}
     for v in rg.vertex_ids:
         c, k = f[v]
-        values[ref.to_base(GraphPoint.at_vertex(v))] = c + sum(
-            (x * yj for x, yj in zip(k, y) if x), Fraction(0))
+        for x, yj in zip(k, y):
+            if x:
+                c += x * yj
+        values[ref.cut_vertex_points.get(v) or GraphPoint.at_vertex(v)] = c
     return PLFunction(values, slopes)
 
 
@@ -254,8 +264,13 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
 def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
     """Closed locus where f attains its global minimum over the compact
     part.  Rays with negative slope push the minimum to infinity and
-    are rejected."""
-    f.validate_on(graph)
+    are rejected.
+
+    Along each edge of f's validated walk, every maximal run of
+    consecutive breakpoints at the minimum is one closed segment, so
+    the segments come out merged and sorted; a one-point run at an end
+    of the edge is just that vertex."""
+    walk = f._walk(graph)
     for label, s in f.ray_slopes.items():
         if s < 0:
             raise MinimumNotAttainedError(
@@ -263,19 +278,22 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
             )
     m = f.min_over_compact()
     values = f.values
-    vertices = [v for v in graph.vertex_ids
-                if values[GraphPoint.at_vertex(v)] == m]
-    segments: dict[str, list] = defaultdict(list)
-    for e in graph.edges:
-        profile = f.edge_profile(graph, e.id)
-        for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
-            if y0 == m and y1 == m:
-                segments[e.id].append((x0, x1))
-            elif y0 == m:
-                segments[e.id].append((x0, x0))
-            elif y1 == m:
-                segments[e.id].append((x1, x1))
-    return SubgraphLocus(graph, vertices=vertices, segments=segments)
+    # a set copied into a frozenset iterates as the public constructor's
+    vertices = frozenset({v for v in graph.vertex_ids
+                          if values[GraphPoint.at_vertex(v)] == m})
+    segments = {}
+    for e, profile, _ in walk:
+        ell = profile[-1][0]
+        segs = []
+        for at_min, run in itertools.groupby(profile, key=lambda t: t[1] == m):
+            if at_min:
+                run = list(run)
+                a, b = run[0][0], run[-1][0]
+                if a != b or 0 < a < ell:
+                    segs.append((a, b))
+        if segs:
+            segments[e.id] = tuple(segs)
+    return SubgraphLocus._canonical(graph, vertices, segments)
 
 
 # -- bridges, trees, cycles -----------------------------------------------------

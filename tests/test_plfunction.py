@@ -56,3 +56,83 @@ class TestProfileErrors:
                         (P.on_edge("e0", F(1, 2)), 2), ("a", 3), (P.on_edge("e0", 1), 4)])
         assert f.edge_profile(g, "e0") == [(0, 3), (F(1, 2), 2), (1, 4), (F(3, 2), 0), (2, 1)]
         assert f.slopes_on_edge(g, "e0") == (-2, 4, -8, 2)
+
+
+class TestUnvalidatedBreakpoints:
+    """A breakpoint on an edge the graph does not have makes every
+    whole-graph reader raise validate_on's error, so such a function
+    cannot pass the lemmas' "tropical" hypothesis."""
+
+    @staticmethod
+    def stray():
+        return PLFunction({"a": 0, "b": 2, P.on_edge("e9", 1): -7, P.on_ray("x", 1): 3})
+
+    @pytest.mark.parametrize("reader", ["has_integer_slopes", "laplacian", "min_locus",
+                                        "validate_on"])
+    def test_reader_raises(self, reader):
+        with pytest.raises(sk.UnknownElementError, match="^unknown edge 'e9'$"):
+            READERS[reader](length_two(), self.stray())
+
+    def test_lemma_checkers_raise(self):
+        g, f = length_two(), self.stray()
+        D = sk.canonical_divisor(g)
+        with pytest.raises(sk.UnknownElementError, match="^unknown edge 'e9'$"):
+            sk.check_min_locus_lemma(g, ["e0"], "e0", D, f)
+        chain = sk.BridgeChain(edges=("e0",), endpoints=("a", "b"))
+        with pytest.raises(sk.UnknownElementError, match="^unknown edge 'e9'$"):
+            sk.check_bridge_lemma(g, chain, ["e0"], 2 * D, f)
+
+
+WALK_READERS = {
+    "laplacian": sk.laplacian,
+    "has_integer_slopes": lambda g, f: f.has_integer_slopes(g),
+    "min_locus": sk.min_locus,
+}
+
+
+class TestWalkPerGraph:
+    """One function read alternately on a graph and on its stable-metric
+    copy answers on each as a fresh copy of it does; a function that
+    does not fit one of them raises there on every read."""
+
+    @staticmethod
+    def model_and_stable():
+        g = WeightedDualGraph(vertices=[V("a", 2), V("b", 2), V("c")],
+                              edges=[("a", "b"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "c")],
+                              rays=[sk.Ray("c", "x", 1)])
+        return g, g.replace(metric="stable")
+
+    @staticmethod
+    def fresh(f):
+        return PLFunction(f.values, f.ray_slopes)
+
+    def assert_reads_like_a_fresh_copy(self, g, f):
+        for read in WALK_READERS.values():
+            got, want = read(g, f), read(g, self.fresh(f))
+            assert got == want
+            assert repr(got) == repr(want)
+
+    def test_alternating_reads(self):
+        g, h = self.model_and_stable()
+        # e0 and e1 have length 1/4 on g and 1/2 on h
+        f = PLFunction({"a": 0, "b": 0, "c": 1, P.on_edge("e0", F(1, 8)): 0,
+                        P.on_edge("e1", F(1, 8)): 1, P.on_edge("e2", F(1, 4)): 1,
+                        P.on_edge("e4", F(1, 2)): 3}, {"x": 1})
+        # every reader answers differently on the two graphs
+        fresh = self.fresh(f)
+        for read in WALK_READERS.values():
+            assert read(g, fresh) != read(h, fresh)
+        for graph in (g, h, g, g, h, h, g):
+            self.assert_reads_like_a_fresh_copy(graph, f)
+
+    @pytest.mark.parametrize("reader", WALK_READERS)
+    def test_failed_validation_is_never_kept(self, reader):
+        g, h = self.model_and_stable()
+        f = PLFunction({"a": 0, "b": 1, "c": 0, P.on_edge("e0", F(3, 8)): 2})
+        for graph in (g, h, g, g, h, g):
+            if graph is g:
+                with pytest.raises(sk.InvalidPointError,
+                                   match=r"^position 3/8 outside \[0, 1/4\] on edge 'e0'$"):
+                    WALK_READERS[reader](g, f)
+            else:
+                self.assert_reads_like_a_fresh_copy(h, f)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import defaultdict
 from fractions import Fraction as F
 from math import lcm
@@ -25,7 +26,7 @@ from conftest import (
     random_multigraph,
     random_plfunction,
 )
-from laplacian_reference import laplacian_by_segments
+from laplacian_reference import laplacian_by_segments, min_locus_by_segments
 from lattice_reducer import reduce_on_lattice
 
 
@@ -427,6 +428,74 @@ class TestMinLocus:
             # nothing outside the locus evaluates to the minimum
             for p in argmin:
                 assert locus.contains(p) == (f.evaluate(g, p) == f.min_over_compact())
+
+
+class TestMinLocusOracle:
+    """min_locus against the per-segment reading it replaced: == loci
+    with identical repr and segment order, on multigraphs with parallel
+    edges, loops and rays, and functions whose values come from a few
+    levels, so that minima tie in every way a locus can be shaped."""
+
+    @staticmethod
+    def cases(rng, n):
+        for i in range(n):
+            g = random_multigraph(rng, max_vertices=4, extra=3, loops=2,
+                                  rays=rng.randint(0, 2), lengths=i % 3 != 0)
+            slopes = {r.label: rng.randint(0, 2) for r in g.rays}
+            if slopes and i % 10 == 0:
+                slopes[g.rays[0].label] = -1
+            base = F(rng.randint(-3, 3), rng.randint(1, 2))
+            levels = [F(0), F(0), F(0), F(1, 2), F(2)]
+            pairs = [(P.at_vertex(v), base + rng.choice(levels)) for v in g.vertex_ids]
+            for e in g.edges:
+                ell = g.edge_length(e.id)
+                pairs += [(P.on_edge(e.id, ell * k / 6), base + rng.choice(levels))
+                          for k in rng.sample(range(1, 6), rng.randint(0, 4))]
+            rng.shuffle(pairs)
+            yield g, PLFunction(pairs, slopes)
+
+    @staticmethod
+    def shapes(g, f, locus):
+        """The kinds of pieces the locus and the case are made of."""
+        ends = [frozenset((e.a, e.b)) for e in g.edges]
+        out = {f"ray-slope-{'0' if s == 0 else '+'}" for s in f.ray_slopes.values()}
+        for eid, segs in locus.segments.items():
+            e, ell = g.edge(eid), g.edge_length(eid)
+            if e.a == e.b:
+                out.add("loop")
+            if ends.count(frozenset((e.a, e.b))) > 1:
+                out.add("parallel")
+            for a, b in segs:
+                if a == b:
+                    out.add("isolated-interior")
+                elif (a, b) == (0, ell):
+                    out.add("whole-edge")
+                elif a == 0 or b == ell:
+                    out.add("plateau-at-vertex")
+                else:
+                    out.add("interior-plateau")
+        return out
+
+    def test_matches_per_segment_reading(self):
+        rng = random.Random(1506)
+        seen, compared, rejected = set(), 0, 0
+        for g, f in self.cases(rng, 150):
+            try:
+                want = min_locus_by_segments(g, f)
+            except sk.MinimumNotAttainedError as exc:
+                with pytest.raises(sk.MinimumNotAttainedError, match=f"^{re.escape(str(exc))}$"):
+                    sk.min_locus(g, f)
+                rejected += 1
+                continue
+            got = sk.min_locus(g, f)
+            assert got == want
+            assert repr(got) == repr(want)
+            assert list(got.segments.items()) == list(want.segments.items())
+            seen |= self.shapes(g, f, got)
+            compared += 1
+        assert compared >= 120 and rejected > 0
+        assert seen == {"ray-slope-0", "ray-slope-+", "loop", "parallel", "isolated-interior",
+                        "whole-edge", "plateau-at-vertex", "interior-plateau"}
 
 
 class TestBridges:
