@@ -6,12 +6,14 @@ between consecutive breakpoints along each edge.  On a ray it is the
 value at the attachment plus a single declared integer slope, oriented
 away from the skeleton; rays never carry interior breakpoints.
 
-The readers of a whole graph (``has_integer_slopes``, and the
-Laplacian and the minimum locus in ``potential``) share one walk: the
-function is validated against the graph, then each edge's profile and
-slopes are computed once, and kept on the function for that graph
-object.  Functions and graphs are immutable, so the walk cannot go
-stale; a function that fails validation keeps nothing.
+Every reader that takes a graph (``evaluate``, ``edge_profile``,
+``slopes_on_edge``, ``has_integer_slopes``, and the Laplacian and the
+minimum locus in ``potential``) reads one walk: the function is
+validated against the graph, then each edge's profile and slopes are
+computed once, and kept on the function for that graph object.
+Functions and graphs are immutable, so the walk cannot go stale; a
+function that fails validation keeps nothing.  ``min_over_compact``
+and ``min_zero_normalized`` take no graph and read the stored values.
 """
 
 from __future__ import annotations
@@ -37,6 +39,16 @@ def _check_normalized(graph: WeightedDualGraph, p: GraphPoint) -> None:
         raise InvalidPointError(f"breakpoint {p!r} is not normalized")
 
 
+def _integral_ray_slopes(ray_slopes: Mapping[str, int]) -> dict[str, int]:
+    """The ray slopes as a dict of ints; raises unless each is an
+    integer (an int or a Fraction with denominator 1)."""
+    slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
+    for label, s in slopes.items():
+        if not isinstance(s, (int, Fraction)) or s.denominator != 1:
+            raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
+    return {label: int(s) for label, s in slopes.items()}
+
+
 class PLFunction:
     """Breakpoint values plus per-ray slopes."""
 
@@ -48,18 +60,26 @@ class PLFunction:
         items = values.items() if hasattr(values, "items") else values
         for p, x in items:
             vals[as_point(p)] = Fraction(x)
+        self._fill(vals, _integral_ray_slopes(ray_slopes))
+
+    @classmethod
+    def _trusted(cls, values: dict[GraphPoint, Fraction],
+                 ray_slopes: dict[str, int]) -> "PLFunction":
+        """A function from GraphPoint keys, Fraction values and int ray
+        slopes, kept as given: no coercion and no slope check."""
+        f = object.__new__(cls)
+        f._fill(values, ray_slopes)
+        return f
+
+    def _fill(self, vals, ray_slopes):
         on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for p, x in vals.items():
             if p.kind == "edge":
                 on_edge.setdefault(p.where, []).append((p.offset, x))
         for pairs in on_edge.values():
             pairs.sort(key=lambda t: t[0])
-        slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
-        for label, s in slopes.items():
-            if not isinstance(s, (int, Fraction)) or s.denominator != 1:
-                raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
         object.__setattr__(self, "_values", vals)
-        object.__setattr__(self, "_ray_slopes", {label: int(s) for label, s in slopes.items()})
+        object.__setattr__(self, "_ray_slopes", ray_slopes)
         object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)] by offset
         object.__setattr__(self, "_walked", None)  # (graph, walk) of the last graph walked
 
@@ -105,65 +125,68 @@ class PLFunction:
             raise InvalidPointError(f"no value at vertex {v!r}") from None
 
     def edge_profile(self, graph: WeightedDualGraph, eid: str):
-        """Sorted (position, value) pairs along an edge, endpoints included."""
-        e = graph.edge(eid)
-        ell = graph.edge_length(eid)
-        inner = self._on_edge.get(eid, ())
-        if inner and not (inner[0][0] > 0 and inner[-1][0] < ell):
-            for x in (inner[0][0], inner[-1][0]):
-                _check_normalized(graph, GraphPoint.on_edge(eid, x))
-        return [(_ZERO, self._vertex_value(e.a)), *inner, (ell, self._vertex_value(e.b))]
+        """Sorted (position, value) pairs along an edge, endpoints
+        included; raises as ``validate_on`` does on a function that does
+        not fit the graph."""
+        graph.edge(eid)
+        return list(self._walk(graph)[eid][1])
 
     def evaluate(self, graph: WeightedDualGraph, point: PointLike) -> Fraction:
+        """The value at a point of the graph; raises as ``validate_on``
+        does on a function that does not fit the graph."""
         p = graph.check_point(as_point(point))
+        walk = self._walk(graph)
         if p.kind == "vertex":
-            return self._vertex_value(p.where)
+            return self._values[p]
         if p.kind == "ray":
             attach = graph.ray(p.where).attach
-            base = self._vertex_value(attach)
+            base = self._values[GraphPoint.at_vertex(attach)]
             return base + self.ray_slope(p.where) * p.offset
         if p in self._values:
             return self._values[p]
-        profile = self.edge_profile(graph, p.where)
+        profile = walk[p.where][1]
         for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
             if x0 <= p.offset <= x1:
                 return y0 + (y1 - y0) * (p.offset - x0) / (x1 - x0)
         raise InvalidPointError(f"cannot evaluate at {p!r}")
 
     def slopes_on_edge(self, graph: WeightedDualGraph, eid: str):
-        """Slopes of the maximal linear pieces along an edge, in order."""
-        profile = self.edge_profile(graph, eid)
-        return tuple((y1 - y0) / (x1 - x0)
-                     for (x0, y0), (x1, y1) in zip(profile, profile[1:]))
+        """Slopes of the maximal linear pieces along an edge, in order;
+        raises as ``validate_on`` does on a function that does not fit
+        the graph."""
+        graph.edge(eid)
+        return tuple(self._walk(graph)[eid][2])
 
     def has_integer_slopes(self, graph: WeightedDualGraph) -> bool:
         """Whether every linear piece has integer slope in the graph's
         metric; raises as ``validate_on`` does on a function that does
         not fit the graph."""
-        return all(s.denominator == 1 for _, _, slopes in self._walk(graph)
+        return all(s.denominator == 1 for _, _, slopes in self._walk(graph).values()
                    for s in slopes)
 
     def _walk(self, graph: WeightedDualGraph):
-        """``(edge, profile, slopes)`` for every edge of the graph, in
-        edge order, after validating against it; computed once per graph
-        object and kept until the function is walked on another one."""
+        """``{edge id: (edge, profile, slopes)}`` for every edge of the
+        graph, in edge order, after validating against it; computed once
+        per graph object and kept until the function is walked on
+        another one."""
         walked = self._walked
         if walked is not None and walked[0] is graph:
             return walked[1]
         self.validate_on(graph)
         at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
-        walk = []
+        walk = {}
         for e in graph.edges:
             profile = [(_ZERO, at[e.a]), *self._on_edge.get(e.id, ()),
                        (graph.edge_length(e.id), at[e.b])]
             slopes = [(y1 - y0) / (x1 - x0)
                       for (x0, y0), (x1, y1) in zip(profile, profile[1:])]
-            walk.append((e, profile, slopes))
-        walk = tuple(walk)
+            walk[e.id] = (e, profile, slopes)
         object.__setattr__(self, "_walked", (graph, walk))
         return walk
 
     def min_over_compact(self) -> Fraction:
+        """The least stored value.  Takes no graph and reads the stored
+        values; validate with ``validate_on`` first."""
         return min(self._values.values())
 
     # -- arithmetic --------------------------------------------------------
@@ -173,6 +196,8 @@ class PLFunction:
         return PLFunction({p: x + c for p, x in self._values.items()}, self._ray_slopes)
 
     def min_zero_normalized(self) -> "PLFunction":
+        """f minus its least stored value.  Takes no graph and reads the
+        stored values; validate with ``validate_on`` first."""
         return self.shift(-self.min_over_compact())
 
     def without_rays(self) -> "PLFunction":

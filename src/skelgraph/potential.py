@@ -30,10 +30,15 @@ view of Baker-Faber, "Metrized graphs, Laplacian operators and
 electrical networks"): on the graph refined at the target's support,
 a spanning tree carries slopes fixed by flow conservation up to the
 slopes of the g = b1 chords, and only the g x g system that closes
-the fundamental cycles is solved.  The cost is O(V g + g^3) Fraction
-operations instead of O(V^3); a tree needs no linear algebra.  Points
-find their cut vertices, and cut vertices their base points, by one
-dict lookup each.
+the fundamental cycles is solved.  The arithmetic is on integers:
+lengths in units of 1/L, slopes in units of 1/D and values in units of
+1/(L D), and the chord system is solved by Bareiss's fraction-free
+elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination"), which divides exactly by
+the previous pivot.  The cost is O(V g + g^3) integer operations
+instead of O(V^3), then one Fraction per value; a tree needs no linear
+algebra.  Points find their cut vertices, and cut vertices their base
+points, by one dict lookup each.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .graphs import (
     refine,
 )
 from .loci import SubgraphLocus
-from .plfunction import PLFunction
+from .plfunction import PLFunction, _integral_ray_slopes
 
 _MAX_LATTICE_NODES = 20000
 _MAX_DHAR_ROUNDS = 200000
@@ -82,7 +87,7 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     edge are summed per vertex."""
     at_vertex = dict.fromkeys(graph.vertex_ids, 0)
     support = {}
-    for e, profile, slopes in f._walk(graph):
+    for e, profile, slopes in f._walk(graph).values():
         at_vertex[e.a] += slopes[0]
         at_vertex[e.b] -= slopes[-1]
         for (x, _), left, right in zip(profile[1:-1], slopes, slopes[1:]):
@@ -117,23 +122,35 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
 # -- exact Poisson solving ----------------------------------------------------
 
 
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fraction, skipping zero entries; raises on a
-    singular system."""
+def _solve_linear(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """Bareiss's fraction-free Gauss-Jordan elimination on an integer
+    system: every step divides exactly by the previous pivot, so all
+    entries stay integers (minors of the augmented matrix).  Returns
+    (x, det) with det the determinant and x[i] / det the i-th unknown;
+    raises on a singular system."""
     n = len(rows)
-    m = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    m = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    prev, sign = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if m[r][col]), None)
         if piv is None:
             raise PipelineError("singular Poisson system; graph disconnected?")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv if x else x for x in m[col]]
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        top = m[col]
+        pv = top[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                fac = m[r][col]
-                m[r] = [x - fac * y if y else x for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+            if r == col:
+                continue
+            row = m[r]
+            fac = row[col]
+            if fac:
+                m[r] = [(pv * x - fac * y) // prev for x, y in zip(row, top)]
+            elif pv != prev:
+                m[r] = [pv * x // prev if x else x for x in row]
+        prev = pv
+    return [sign * m[i][n] for i in range(n)], sign * prev
 
 
 def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
@@ -146,14 +163,18 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     sum of the declared ray slopes, which must be integers.
 
     The graph is refined at the target's interior support and the
-    anchor.  A BFS tree from the anchor is peeled from the leaves, which
-    makes each tree-edge slope affine in the slopes of the g chords;
-    integrating down from the anchor makes each value affine in them
-    too, and each chord then closes one equation of a g x g symmetric
-    positive-definite system.  Cost: O(V g + g^3) exact operations on a
-    refinement with V vertices; none of the linear algebra on a tree.
+    anchor.  Lengths are integers in units of 1/L (L the lcm of the
+    refined edge-length denominators) and slopes in units of 1/D (D the
+    lcm of the target's coefficient denominators), so values are
+    integers in units of 1/(L D).  A BFS tree from the anchor is peeled
+    from the leaves, which makes each tree-edge slope affine in the
+    slopes of the g chords; integrating down from the anchor makes each
+    value affine in them too, and each chord then closes one equation
+    of a g x g integer system, solved by Bareiss elimination.  Cost:
+    O(V g + g^3) integer operations on a refinement with V vertices,
+    then one Fraction per value; none of the linear algebra on a tree.
     """
-    slopes = PLFunction({}, ray_slopes or {}).ray_slopes  # checked integral up front
+    slopes = _integral_ray_slopes(ray_slopes or {})
     for label in slopes:
         graph.ray(label)
     support = []
@@ -170,11 +191,13 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
         anchor = graph.vertex_ids[0]
     anchor_pt = graph.check_point(as_point(anchor))
 
-    total = sum((c for _, c in support), Fraction(0))
-    if total != sum(slopes.values()):
+    D = lcm(*(c.denominator for _, c in support))
+    support = [(p, c.numerator * (D // c.denominator)) for p, c in support]  # units of 1/D
+    total = sum(c for _, c in support)
+    if total != D * sum(slopes.values()):
         raise DegreeMismatchError(
-            f"deg(target) = {total} over the compact part but the ray slopes "
-            f"sum to {sum(slopes.values())}; no solution exists"
+            f"deg(target) = {Fraction(total, D)} over the compact part but the ray "
+            f"slopes sum to {sum(slopes.values())}; no solution exists"
         )
 
     cuts: dict[str, list[Fraction]] = defaultdict(list)
@@ -186,28 +209,32 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     ref = refine(graph, cuts)
     rg = ref.graph
     cut_at = {p: v for v, p in ref.cut_vertex_points.items()}  # base point -> cut vertex
+    lengths = {e.id: rg.edge_length(e.id) for e in rg.edges if e.a != e.b}
+    L = lcm(*(x.denominator for x in lengths.values()))
+    steps = {eid: x.numerator * (L // x.denominator) for eid, x in lengths.items()}
 
     def vertex_of(p):
         return p.where if p.kind == "vertex" else cut_at[p]
 
-    # t[v]: the sum of the outgoing slopes along bounded edges at v
-    t = {v: Fraction(0) for v in rg.vertex_ids}
+    # t[v]: the sum of the outgoing slopes along bounded edges at v, in
+    # units of 1/D
+    t = dict.fromkeys(rg.vertex_ids, 0)
     for p, c in support:
         t[vertex_of(p)] += c
     for label, s in slopes.items():
-        t[graph.ray(label).attach] -= s
+        t[graph.ray(label).attach] -= D * s
 
     # BFS spanning tree from the anchor; the other non-loop edges are the
     # chords (a function linear on a loop is constant there)
     root = vertex_of(anchor_pt)
-    parent: dict[str, tuple[str, Fraction]] = {}  # v -> (parent, tree-edge length)
+    parent: dict[str, tuple[str, int]] = {}  # v -> (parent, tree-edge steps)
     order = [root]
     tree = set()
     for v in order:
         for e in rg.edges_at(v):
             w = e.b if e.a == v else e.a
             if w != root and w not in parent:
-                parent[w] = (v, rg.edge_length(e.id))
+                parent[w] = (v, steps[e.id])
                 tree.add(e.id)
                 order.append(w)
     chords = [e for e in rg.edges if e.a != e.b and e.id not in tree]
@@ -215,9 +242,9 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
 
     # Peel from the leaves: up[v], the outgoing slope at v along the edge
     # to its parent, is t[v] minus v's outgoing chord slopes plus up[w]
-    # of each child w.  It is affine in the chord slopes y: a constant and
-    # integer coefficients.  Chord j runs from a to b with slope y_j, so it
-    # leaves a with slope +y_j and b with slope -y_j.
+    # of each child w.  It is affine in the chord slopes y: a constant in
+    # units of 1/D and integer coefficients.  Chord j runs from a to b
+    # with slope y_j, so it leaves a with slope +y_j and b with slope -y_j.
     up = {v: (t[v], [0] * g) for v in order}
     for j, e in enumerate(chords):
         up[e.a][1][j] -= 1
@@ -228,34 +255,40 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
         up[p] = (pc + c, [x + y for x, y in zip(pk, k)])
 
     # Integrate down from the anchor, where f = 0: f(v) = f(p) - len * up[v].
-    f = {root: (Fraction(0), [0] * g)}
+    # In units of 1/(L D), with Y = D y, f(v) is the constant plus the
+    # integer coefficients dotted with Y.
+    f = {root: (0, [0] * g)}
     for v in order[1:]:
-        p, ell = parent[v]
+        p, n = parent[v]
         (c, k), (fc, fk) = up[v], f[p]
-        f[v] = (fc - ell * c, [x - ell * y if y else x for x, y in zip(fk, k)])
+        f[v] = (fc - n * c, [x - n * y if y else x for x, y in zip(fk, k)])
 
     # Chord j closes a cycle: f(b) - f(a) = len_j * y_j.  Written as
-    # f(a) - f(b) + len_j * y_j = 0 this is the g x g cycle-length system,
-    # symmetric positive definite; a tree has no chords and no system.
-    y: list[Fraction] = []
+    # f(a) - f(b) + len_j * y_j = 0 and scaled by L D, this is the g x g
+    # integer cycle-length system in Y, symmetric positive definite; its
+    # solution is x / det.  A tree has no chords and no system.
+    x: list[int] = []
+    det = 1
     if chords:
         rows, rhs = [], []
         for j, e in enumerate(chords):
             (ac, ak), (bc, bk) = f[e.a], f[e.b]
-            row = [x - z for x, z in zip(ak, bk)]
-            row[j] += rg.edge_length(e.id)
+            row = [u - w for u, w in zip(ak, bk)]
+            row[j] += steps[e.id]
             rows.append(row)
             rhs.append(bc - ac)
-        y = _solve_linear(rows, rhs)
+        x, det = _solve_linear(rows, rhs)
 
+    scale = L * D * det
     values = {}
     for v in rg.vertex_ids:
         c, k = f[v]
-        for x, yj in zip(k, y):
-            if x:
-                c += x * yj
-        values[ref.cut_vertex_points.get(v) or GraphPoint.at_vertex(v)] = c
-    return PLFunction(values, slopes)
+        c *= det
+        for u, xj in zip(k, x):
+            if u:
+                c += u * xj
+        values[ref.cut_vertex_points.get(v) or GraphPoint.at_vertex(v)] = Fraction(c, scale)
+    return PLFunction._trusted(values, slopes)
 
 
 # -- minimum locus -------------------------------------------------------------
@@ -282,7 +315,7 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
     vertices = frozenset({v for v in graph.vertex_ids
                           if values[GraphPoint.at_vertex(v)] == m})
     segments = {}
-    for e, profile, _ in walk:
+    for e, profile, _ in walk.values():
         ell = profile[-1][0]
         segs = []
         for at_min, run in itertools.groupby(profile, key=lambda t: t[1] == m):

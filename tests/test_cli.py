@@ -259,6 +259,29 @@ class TestSolve:
         f = sio.function_from_json(json.loads(out))
         assert sk.laplacian(g, f) == sk.canonical_divisor(g)
 
+    def test_high_genus_rational_target(self, tmp_path, capsys):
+        import random
+        from fractions import Fraction
+        from skelgraph.sampling import random_reduced_graph
+        rng = random.Random(20)
+        g = random_reduced_graph(rng, max_vertices=10, genus=20)
+        assert sk.graph_genus(g) >= 20
+        coeffs = {sk.GraphPoint.at_vertex(v): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                  for v in g.vertex_ids}
+        e = g.edges[-1]
+        coeffs[sk.GraphPoint.on_edge(e.id, g.edge_length(e.id) / 3)] = Fraction(2, 7)
+        coeffs[sk.GraphPoint.at_vertex(g.vertex_ids[0])] -= sum(coeffs.values())
+        target = sk.GraphDivisor(coeffs)
+        assert not target.is_integral()
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        dpath = write_json(tmp_path / "d.json", sio.divisor_to_json(target))
+        code, out, _ = run(capsys, "solve", "--graph", gpath,
+                           "--divisor", dpath, "--anchor", g.vertex_ids[-1])
+        assert code == 0
+        f = sio.function_from_json(json.loads(out))
+        assert sk.laplacian(g, f) == target
+        assert f.evaluate(g, g.vertex_ids[-1]) == 0
+
     def test_degree_mismatch_exits_two(self, tmp_path, capsys):
         g = sk.fixtures.theta_graph()
         gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))

@@ -17,6 +17,7 @@ READERS = {
     "slopes_on_edge": lambda g, f: f.slopes_on_edge(g, "e0"),
     "edge_profile": lambda g, f: f.edge_profile(g, "e0"),
     "evaluate-interior": lambda g, f: f.evaluate(g, P.on_edge("e0", F(1, 2))),
+    "evaluate-vertex": lambda g, f: f.evaluate(g, "a"),
     "validate_on": lambda g, f: f.validate_on(g),
     "laplacian": lambda g, f: sk.laplacian(g, f),
     "min_locus": lambda g, f: sk.min_locus(g, f),
@@ -73,6 +74,17 @@ class TestUnvalidatedBreakpoints:
         with pytest.raises(sk.UnknownElementError, match="^unknown edge 'e9'$"):
             READERS[reader](length_two(), self.stray())
 
+    @pytest.mark.parametrize("reader", ["slopes_on_edge", "edge_profile",
+                                        "evaluate-interior", "evaluate-vertex"])
+    def test_one_edge_reader_raises(self, reader):
+        with pytest.raises(sk.UnknownElementError, match="^unknown edge 'e9'$"):
+            READERS[reader](length_two(), self.stray())
+
+    def test_graphless_readers_read_stored_values(self):
+        f = self.stray()
+        assert f.min_over_compact() == -7
+        assert f.min_zero_normalized().values[P.at_vertex("a")] == 7
+
     def test_lemma_checkers_raise(self):
         g, f = length_two(), self.stray()
         D = sk.canonical_divisor(g)
@@ -87,6 +99,9 @@ WALK_READERS = {
     "laplacian": sk.laplacian,
     "has_integer_slopes": lambda g, f: f.has_integer_slopes(g),
     "min_locus": sk.min_locus,
+    "slopes_on_edge": lambda g, f: f.slopes_on_edge(g, "e1"),
+    "edge_profile": lambda g, f: f.edge_profile(g, "e1"),
+    "evaluate": lambda g, f: f.evaluate(g, P.on_edge("e1", F(3, 16))),
 }
 
 
@@ -124,6 +139,13 @@ class TestWalkPerGraph:
             assert read(g, fresh) != read(h, fresh)
         for graph in (g, h, g, g, h, h, g):
             self.assert_reads_like_a_fresh_copy(graph, f)
+
+    def test_profile_is_a_copy(self):
+        g, _ = self.model_and_stable()
+        f = PLFunction({"a": 0, "b": 2, "c": 1})
+        f.edge_profile(g, "e0").append((F(1), F(9)))
+        assert f.edge_profile(g, "e0") == [(0, 0), (F(1, 4), 2)]
+        assert f.slopes_on_edge(g, "e0") == (8,)
 
     @pytest.mark.parametrize("reader", WALK_READERS)
     def test_failed_validation_is_never_kept(self, reader):

@@ -383,6 +383,100 @@ class TestPoissonOracle:
             sk.solve_poisson(sk.fixtures.theta_graph(), D.zero())
 
 
+    def test_high_genus_reduced_graph(self):
+        from skelgraph.sampling import random_reduced_graph
+        rng = random.Random(40)
+        g = random_reduced_graph(rng, max_vertices=12, genus=40)
+        assert sk.graph_genus(g) >= 40
+        coeffs = {P.at_vertex(v): F(rng.randint(-3, 3), rng.randint(1, 5))
+                  for v in g.vertex_ids}
+        for _ in range(3):
+            e = rng.choice(g.edges)
+            coeffs[P.on_edge(e.id, F(rng.randint(1, 6), 7))] = F(rng.randint(-3, 3), 5)
+        coeffs[P.at_vertex(g.vertex_ids[0])] -= sum(coeffs.values())
+        t, anchor = D(coeffs), P.at_vertex(g.vertex_ids[-1])
+        f = sk.solve_poisson(g, t, anchor=anchor)
+        assert f.values == sympy_poisson(g, t, {}, anchor)
+
+    @staticmethod
+    def coprime_problems():
+        """Lengths 1/101, 1/103, 1/107 and coefficients 1/2, 1/3, 5/7,
+        with a ray, on a theta and on a K4 with a parallel edge."""
+        theta = WeightedDualGraph(
+            vertices=[V("u"), V("v")],
+            edges=[("u", "v", F(1, 101)), ("u", "v", F(1, 103)), ("u", "v", F(1, 107))],
+            rays=[sk.Ray("v", "x", 1)])
+        k4 = WeightedDualGraph(
+            vertices=[V(f"w{i}") for i in range(4)],
+            edges=[(a, b, F(1, [101, 103, 107][i % 3]))
+                   for i, (a, b) in enumerate([*itertools.combinations(
+                       [f"w{i}" for i in range(4)], 2), ("w0", "w1")])],
+            rays=[sk.Ray("w2", "x", 1), sk.Ray("w3", "y", 1)])
+        for g, slopes in ((theta, {"x": 2}), (k4, {"x": -1, "y": 3})):
+            e0, e1 = g.edges[0].id, g.edges[1].id
+            coeffs = {P.at_vertex(g.vertex_ids[0]): F(1, 2),
+                      P.at_vertex(g.vertex_ids[1]): F(1, 3),
+                      P.on_edge(e0, F(1, 202)): F(5, 7)}
+            coeffs[P.on_edge(e1, F(1, 309))] = sum(slopes.values()) - sum(coeffs.values())
+            for anchor in (P.at_vertex(g.vertex_ids[-1]), P.on_edge(e1, F(2, 309))):
+                yield g, D(coeffs), slopes, anchor
+
+    def test_coprime_denominators(self):
+        for g, t, slopes, anchor in self.coprime_problems():
+            assert {F(c).denominator for _, c in t.items()} >= {2, 3, 7}
+            f = sk.solve_poisson(g, t, ray_slopes=slopes, anchor=anchor)
+            assert f.values == sympy_poisson(g, t, slopes, anchor)
+            assert f.ray_slopes == slopes
+            assert sk.laplacian(g, f) == t
+            assert f.evaluate(g, anchor) == 0
+
+
+class TestSolveLinear:
+    """Bareiss elimination against sympy's exact LU solve: x / det is
+    the solution and det the determinant, sign included."""
+
+    @staticmethod
+    def systems(rng):
+        for n in range(1, 13):
+            b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            spd = [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)]
+                   for i in range(n)]
+            yield spd, [rng.randint(-50, 50) for _ in range(n)]
+            # general: pivots can vanish, so rows get swapped
+            rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                    for _ in range(n)]
+            yield rows, [rng.randint(-50, 50) for _ in range(n)]
+
+    def test_matches_sympy(self):
+        import sympy
+        rng = random.Random(1968)
+        solved = negative = zero_pivot = singular = 0
+        for _ in range(3):
+            for rows, rhs in self.systems(rng):
+                m = sympy.Matrix(rows)
+                det = m.det()
+                if det == 0:
+                    with pytest.raises(sk.PipelineError, match="^singular Poisson system"):
+                        sk.potential._solve_linear(rows, rhs)
+                    singular += 1
+                    continue
+                x, d = sk.potential._solve_linear(rows, rhs)
+                assert all(type(v) is int for v in [*x, d])
+                assert d == det
+                expected = m.LUsolve(sympy.Matrix(rhs))
+                assert [F(v, d) for v in x] == [F(int(e.p), int(e.q)) for e in expected]
+                solved += 1
+                negative += d < 0
+                zero_pivot += rows[0][0] == 0
+        assert solved >= 50 and negative >= 5 and zero_pivot >= 5 and singular >= 5
+
+    def test_singular_raises(self):
+        for rows in ([[0]], [[1, 2], [2, 4]], [[2, 1, 1], [1, 3, 2], [3, 4, 3]]):
+            with pytest.raises(sk.PipelineError,
+                               match=r"^singular Poisson system; graph disconnected\?$"):
+                sk.potential._solve_linear(rows, [1] * len(rows))
+
+
 class TestMinLocus:
     def test_constant_whole_graph(self):
         g = sk.fixtures.theta_graph()
