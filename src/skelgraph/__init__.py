@@ -44,7 +44,7 @@ from .models import (
     blow_up_node,
     verify_metric_invariance,
 )
-from .plfunction import PLFunction, align_breakpoints, differ_by_constant
+from .plfunction import PLFunction, differ_by_constant
 from .potential import (
     BridgeChain,
     LemmaReport,

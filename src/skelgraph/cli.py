@@ -17,7 +17,7 @@ import sys
 from typing import Optional
 
 from . import io as sio
-from .errors import SkelgraphError
+from .errors import GraphStructureError, SkelgraphError
 from .fixtures import fixture, fixture_names
 from .potential import bridges, laplacian, maximal_bridge_chains, solve_poisson
 from .skeleton import (
@@ -35,10 +35,14 @@ EXIT_BAD_INPUT = 2
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except ValueError as exc:
+        # not UTF-8, not JSON, or an integer longer than sys.get_int_max_str_digits()
+        raise GraphStructureError(str(exc)) from exc
 
 
 def _emit(doc) -> None:
@@ -205,7 +209,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SkelgraphError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (SkelgraphError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

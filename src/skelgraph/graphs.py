@@ -565,35 +565,24 @@ def resolve_loops(graph: WeightedDualGraph) -> WeightedDualGraph:
     return graph.replace(vertices=vertices, edges=edges)
 
 
-def split_edges(graph: WeightedDualGraph, stops: Mapping[str, list]):
+def split_edges(graph: WeightedDualGraph, stops: Mapping[str, list]) -> WeightedDualGraph:
     """Replace each edge named in ``stops`` in place by the chain of
     explicit-length pieces through its ``(offset, VertexLabel)`` stops,
-    which the caller gives sorted, interior and with fresh ids.
-
-    Returns the new graph and, for every edge of ``graph``, its
-    ``(piece id, start, end, reversed)`` tuples in walk order from
-    endpoint ``a``; ``reversed`` means the piece's own ``a`` is its walk
-    end, as the constructor sorts endpoints.  An unsplit edge is kept as
-    it is, as its own single piece."""
+    which the caller gives sorted, interior and with fresh ids.  An
+    unsplit edge is kept as it is."""
     vertices = list(graph.vertices)
     edges: list = []
-    pieces: dict[str, tuple] = {}
     for e in graph.edges:
-        ell = graph.edge_length(e.id)
         cut = stops.get(e.id, ())
         if not cut:
-            pieces[e.id] = ((f"e{len(edges)}", Fraction(0), ell, False),)
             edges.append(e)
             continue
-        parts = []
         start, a = Fraction(0), e.a
-        for end, b in [*((o, v.id) for o, v in cut), (ell, e.b)]:
-            parts.append((f"e{len(edges)}", start, end, b < a))
+        for end, b in [*((o, v.id) for o, v in cut), (graph.edge_length(e.id), e.b)]:
             edges.append((a, b, end - start))
             start, a = end, b
         vertices.extend(v for _, v in cut)
-        pieces[e.id] = tuple(parts)
-    return graph.replace(vertices=vertices, edges=edges), pieces
+    return graph.replace(vertices=vertices, edges=edges)
 
 
 def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
@@ -609,7 +598,7 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
         )
     if graph.has_vertex(new_label.id):
         raise GraphStructureError(f"vertex id {new_label.id!r} already exists")
-    return split_edges(graph, {eid: [(position, new_label)]})[0]
+    return split_edges(graph, {eid: [(position, new_label)]})
 
 
 # -- refinement: subdividing at many points at once -------------------------
@@ -617,44 +606,11 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
 
 @dataclass(frozen=True)
 class Refinement:
-    """A graph together with the bookkeeping of a simultaneous edge
-    subdivision of a base graph, translating points both ways."""
+    """A graph subdivided at many points at once, with the base point
+    each new vertex stands for; every other vertex keeps its base id."""
 
-    base: WeightedDualGraph
     graph: WeightedDualGraph
-    # base edge id -> ((piece edge id, start, end, reversed), ...) in walk order
-    pieces: Mapping[str, tuple]
     cut_vertex_points: Mapping[str, GraphPoint]  # new vertex id -> base point
-
-    def __post_init__(self):
-        # piece edge id -> (base edge id, start, end, reversed)
-        object.__setattr__(self, "_piece_index", {
-            pid: (eid, start, end, rev)
-            for eid, parts in self.pieces.items() for pid, start, end, rev in parts})
-
-    def to_refined(self, p: PointLike) -> GraphPoint:
-        p = self.base.check_point(as_point(p))
-        if p.kind != "edge":
-            return p
-        for (pid, start, end, rev) in self.pieces[p.where]:
-            if start <= p.offset <= end:
-                off = p.offset - start
-                if rev:
-                    off = (end - start) - off
-                return self.graph.check_point(GraphPoint.on_edge(pid, off))
-        raise InvalidPointError(f"position {p.offset} not covered on {p.where!r}")
-
-    def to_base(self, p: PointLike) -> GraphPoint:
-        p = self.graph.check_point(as_point(p))
-        if p.kind == "vertex":
-            return self.cut_vertex_points.get(p.where, p)
-        if p.kind == "ray":
-            return p
-        if p.where not in self._piece_index:
-            raise InvalidPointError(f"edge {p.where!r} not a refinement piece")
-        base_eid, start, end, rev = self._piece_index[p.where]
-        off = p.offset if not rev else (end - start) - p.offset
-        return self.base.check_point(GraphPoint.on_edge(base_eid, start + off))
 
 
 def refine(graph: WeightedDualGraph, cuts: Mapping[str, Iterable[Rational]]) -> Refinement:
@@ -675,8 +631,6 @@ def refine(graph: WeightedDualGraph, cuts: Mapping[str, Iterable[Rational]]) -> 
         # the stems are distinct and dot-free, so no two fresh ids collide
         stops[eid] = [(o, VertexLabel(graph.fresh_vertex_id(f"{eid}@{o}"), 1, 0))
                       for o in uniq]
-    refined, pieces = split_edges(graph, stops)
     cut_points = {v.id: GraphPoint.on_edge(e.id, o)
                   for e in graph.edges for o, v in stops.get(e.id, ())}
-    return Refinement(base=graph, graph=refined, pieces=pieces,
-                      cut_vertex_points=cut_points)
+    return Refinement(graph=split_edges(graph, stops), cut_vertex_points=cut_points)

@@ -1,13 +1,15 @@
 """JSON serialization for every value type, plus DOT export.
 
 Rationals serialize as canonical "p/q" strings with q > 0 and
-gcd(p, q) = 1; parsing also accepts bare integers.  Graph edges are
-identified positionally: the i-th edge of the JSON list is "e{i}",
-matching construction order, so round trips are bit-exact.
+gcd(p, q) = 1; parsing accepts JSON integers and ``[-]p[/q]`` digit
+strings only (no decimals, exponents, underscores or spaces).  Graph
+edges are identified positionally: the i-th edge of the JSON list is
+"e{i}", matching construction order, so round trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Iterable, Optional
 
@@ -30,17 +32,18 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise InvalidPointError(f"not a rational: {raw!r}")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
-    if isinstance(raw, str):
+    if isinstance(raw, str) and _RATIONAL.fullmatch(raw):
         try:
             return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidPointError(f"not a rational: {raw!r}") from exc
-    raise InvalidPointError(f"not a rational: {raw!r}")
+        except (ValueError, ZeroDivisionError) as exc:  # q = 0, or too many digits
+            raise InvalidPointError(f"not a rational: {raw!r:.80}") from exc
+    raise InvalidPointError(f"not a rational: {raw!r:.80}")
 
 
 def _shaped(doc, kind: type, what: str, *keys: str):

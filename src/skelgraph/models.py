@@ -28,7 +28,7 @@ from .graphs import (
 
 
 def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
-    """Apply ``(op, target, new_id)`` steps to working lists of vertex
+    """Apply ``(op, target)`` steps to working lists of vertex
     labels and ``(a, b, length)`` edges, then construct the graph once.
     Returns the graph and the ids of the new vertices, one per step.
 
@@ -42,7 +42,7 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
     created = []
     vertices = {v.id: v for v in graph.vertices}
     edges = [(e.a, e.b, e.length) for e in graph.edges]
-    for op, target, new_id in steps:
+    for op, target in steps:
         if op == "node":
             i = edge_position(target, len(edges))
             a, b, length = edges[i]
@@ -57,7 +57,7 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
                     f"edge {target!r} carries an explicit length {length} "
                     f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
                 )
-            wid = fresh_id(vertices, new_id or f"{target}*")
+            wid = fresh_id(vertices, f"{target}*")
             vertices[wid] = VertexLabel(wid, n1 + n2, 0)
             # endpoints sorted as the constructor sorts them: a later
             # blow-up of a piece orders its two halves by them
@@ -66,29 +66,27 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
         else:
             if target not in vertices:
                 raise UnknownElementError(f"unknown vertex {target!r}")
-            wid = fresh_id(vertices, new_id or f"{target}'")
+            wid = fresh_id(vertices, f"{target}'")
             vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
             edges.append((min(target, wid), max(target, wid), None))
         created.append(wid)
     return graph.replace(vertices=vertices.values(), edges=edges), created
 
 
-def blow_up_node(graph: WeightedDualGraph, eid: str,
-                 new_id: Optional[str] = None) -> WeightedDualGraph:
+def blow_up_node(graph: WeightedDualGraph, eid: str) -> WeightedDualGraph:
     """Blow up the node corresponding to a compact edge.
 
     Inserts a genus-0 vertex of multiplicity N1+N2; both new edges take
     their lengths from the model formula, so the total length of the
     replaced edge is preserved exactly.
     """
-    return _blow_up(graph, [("node", eid, new_id)])[0]
+    return _blow_up(graph, [("node", eid)])[0]
 
 
-def blow_up_interior_point(graph: WeightedDualGraph, vid: str,
-                           new_id: Optional[str] = None) -> WeightedDualGraph:
+def blow_up_interior_point(graph: WeightedDualGraph, vid: str) -> WeightedDualGraph:
     """Blow up a free point of the component at a vertex: attach a
     genus-0 leaf of the same multiplicity at model distance 1/N^2."""
-    return _blow_up(graph, [("interior", vid, new_id)])[0]
+    return _blow_up(graph, [("interior", vid)])[0]
 
 
 def base_change_subdivide(graph: WeightedDualGraph, n: int,
@@ -114,7 +112,7 @@ def base_change_subdivide(graph: WeightedDualGraph, n: int,
         piece = graph.edge_length(e.id) / n
         stops[e.id] = [(j * piece, VertexLabel(graph.fresh_vertex_id(f"{e.id}s{j}"), 1, 0))
                        for j in range(1, n)]
-    return split_edges(graph, stops)[0]
+    return split_edges(graph, stops)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def apply_blowups(graph: WeightedDualGraph,
     graph left by the steps before it, as if every step were applied
     alone, but the graph is constructed once, at the end.  An empty
     sequence returns the input graph itself."""
-    return _blow_up(graph, ((s.op, s.target, None) for s in steps))[0]
+    return _blow_up(graph, ((s.op, s.target) for s in steps))[0]
 
 
 @dataclass(frozen=True)

@@ -227,15 +227,6 @@ class PLFunction:
         return f"<PLFunction: {n} breakpoints, ray slopes {self._ray_slopes or '{}'}>"
 
 
-def align_breakpoints(graph: WeightedDualGraph, f: PLFunction,
-                      g: PLFunction) -> tuple[PLFunction, PLFunction]:
-    """Re-express both functions over the union of their breakpoints."""
-    points = set(f.values) | set(g.values)
-    fv = {p: f.evaluate(graph, p) for p in points}
-    gv = {p: g.evaluate(graph, p) for p in points}
-    return PLFunction(fv, f.ray_slopes), PLFunction(gv, g.ray_slopes)
-
-
 def differ_by_constant(graph: WeightedDualGraph, f: PLFunction,
                        g: PLFunction) -> bool:
     """True iff f - g is a constant function (ray slopes included)."""

@@ -197,12 +197,11 @@ def ks_skeleton(graph: WeightedDualGraph,
 
 
 def blow_up_node_with_data(graph: WeightedDualGraph,
-                           data: PluricanonicalModelData, eid: str,
-                           new_id: Optional[str] = None):
+                           data: PluricanonicalModelData, eid: str):
     """Node blow-up: the exceptional component has nu' = nu1 + nu2 (the
     log-canonical bundle pulls back with no twist at a node)."""
     e = graph.edge(eid)
-    out, (wid,) = _blow_up(graph, [("node", eid, new_id)])
+    out, (wid,) = _blow_up(graph, [("node", eid)])
     nu = dict(data.nu)
     nu[wid] = data.nu[e.a] + data.nu[e.b]
     return out, PluricanonicalModelData(m=data.m, nu=nu,
@@ -212,12 +211,11 @@ def blow_up_node_with_data(graph: WeightedDualGraph,
 
 def blow_up_interior_with_data(graph: WeightedDualGraph,
                                data: PluricanonicalModelData, vid: str,
-                               toward_ray: Optional[str] = None,
-                               new_id: Optional[str] = None):
+                               toward_ray: Optional[str] = None):
     """Interior-point blow-up: nu' = nu + m, plus the ray coefficient if
     the blown-up point is the specialization of that marked point, in
     which case the ray moves to the new vertex."""
-    out, (wid,) = _blow_up(graph, [("interior", vid, new_id)])
+    out, (wid,) = _blow_up(graph, [("interior", vid)])
     d = 0
     if toward_ray is not None:
         ray = graph.ray(toward_ray)

@@ -74,7 +74,7 @@ def random_lattice_tropical(rng, graph, L=2, bound=3):
     ref = sk.refine(graph, cuts)
     values = {}
     for v in ref.graph.vertex_ids:
-        values[ref.to_base(sk.GraphPoint.at_vertex(v))] = Fraction(
+        values[ref.cut_vertex_points.get(v) or sk.GraphPoint.at_vertex(v)] = Fraction(
             rng.randint(-bound, bound), L)
     return sk.PLFunction(values)
 

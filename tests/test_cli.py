@@ -191,6 +191,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "verify", "essential", "--graph", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("subject, doc", [
         ("min-locus", [1, 2]), ("min-locus", {"edge": "e0", "tree": 5}),
         ("min-locus", {"tree": ["e0"]}), ("bridge", [1, 2]), ("bridge", {"chain": 7}),
@@ -219,6 +226,30 @@ class TestVerifyCommand:
         # a malformed optional field is named in the message
         for field in ("pair_model", "horizontal_edges", "name"):
             assert field in err or field not in doc
+
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_oversized_integer_exits_two(self, tmp_path, capsys, monkeypatch, stdin):
+        # json refuses integers past sys.get_int_max_str_digits() with a ValueError
+        text = '{"vertices": [{"id": "v", "N": %s, "g": 1}], "edges": []}' % ("7" * 5001)
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            path = "-"
+        else:
+            path = tmp_path / "g.json"
+            path.write_text(text)
+        code, out, err = run(capsys, "verify", "essential", "--graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("length", ["1e400000", "0.5", "1_000", " 2 "])
+    def test_undocumented_rational_exits_two(self, tmp_path, capsys, length):
+        doc = sio.graph_to_json(sk.fixtures.theta_graph())
+        doc["edges"][0]["length"] = length
+        code, out, err = run(capsys, "verify", "essential",
+                             "--graph", write_json(tmp_path / "g.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not a rational" in err
 
     def test_missing_data_exits_two(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",

@@ -321,37 +321,28 @@ class TestSubdivide:
 
 
 class TestRefine:
-    def test_round_trip_points(self, rng):
-        g = sk.fixtures.theta_graph()
-        ref = sk.refine(g, {"e0": [F(1, 3), F(2, 3)], "e2": [F(1, 2)]})
-        for p in (P.at_vertex("u"), P.on_edge("e0", F(1, 3)),
-                  P.on_edge("e0", F(1, 2)), P.on_edge("e2", F(3, 4))):
-            q = ref.to_refined(p)
-            assert ref.to_base(q) == g.check_point(p)
-        # every 1/10 grid point of the base edges and of every piece
-        for _ in range(30):
-            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2, rays=1)
+    def test_is_an_isometry(self, rng):
+        # each cut vertex sits where its base point is, base distances and
+        # total length are kept, and rays pass through unchanged
+        for _ in range(40):
+            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2, rays=2)
             cuts = {e.id: [g.edge_length(e.id) * k / 10
-                           for k in rng.sample(range(1, 10), rng.randint(0, 3))]
+                           for k in rng.sample(range(1, 10), rng.randint(1, 3))]
                     for e in g.edges if rng.random() < 0.6}
             ref = sk.refine(g, cuts)
-            for e in g.edges:
-                for k in range(11):
-                    p = P.on_edge(e.id, g.edge_length(e.id) * k / 10)
-                    assert ref.to_base(ref.to_refined(p)) == g.check_point(p)
-            for e in ref.graph.edges:
-                for k in range(11):
-                    q = P.on_edge(e.id, ref.graph.edge_length(e.id) * k / 10)
-                    assert ref.to_refined(ref.to_base(q)) == ref.graph.check_point(q)
-
-    def test_ray_points_pass_through(self):
-        # a ray labelled like a piece (e0) is still a ray, both ways
-        g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b")],
-                              rays=[sk.Ray("a", "x"), sk.Ray("b", "e0")])
-        ref = sk.refine(g, {"e0": [g.edge_length("e0") / 2]})
-        for p in (P.on_ray("x", F(1)), P.on_ray("e0", F(3, 2))):
-            assert ref.to_base(p) == p
-            assert ref.to_refined(ref.to_base(p)) == ref.graph.check_point(p)
+            rg = ref.graph
+            assert set(rg.vertex_ids) == set(g.vertex_ids) | set(ref.cut_vertex_points)
+            assert sorted((p.where, p.offset) for p in ref.cut_vertex_points.values()) == \
+                sorted((eid, F(o)) for eid, offs in cuts.items() for o in set(offs))
+            assert rg.rays == g.rays
+            assert sum(rg.edge_length(e.id) for e in rg.edges) == \
+                sum(g.edge_length(e.id) for e in g.edges)
+            for v in g.vertex_ids:
+                near = sk.vertex_distances(rg, v)
+                for w in g.vertex_ids:
+                    assert near[w] == sk.distance(g, v, w)
+                for c, p in ref.cut_vertex_points.items():
+                    assert near[c] == sk.distance(g, p, v)
 
     def test_single_cut_matches_subdivide(self, rng):
         for _ in range(30):
@@ -361,13 +352,6 @@ class TestRefine:
             assert sk.refine(g, {e.id: [x]}).graph == \
                 sk.subdivide_edge_at(g, e.id, x, V(f"{e.id}@{x}", 1, 0))
 
-    def test_lengths_sum(self):
-        g = sk.fixtures.kodaira_type_ii()
-        ref = sk.refine(g, {"e2": [F(1, 54), F(1, 27)]})
-        pieces = ref.pieces["e2"]
-        total = sum(end - start for (_, start, end, _) in pieces)
-        assert total == g.edge_length("e2")
-
 
 class TestGraphPointValue:
     def test_equal_points_hash_equal_whatever_the_route(self):
@@ -375,7 +359,7 @@ class TestGraphPointValue:
         ref = sk.refine(g, {"e0": [F(1, 3)]})
         routes = [
             [P.on_edge("e0", F(1, 3)), P.on_edge("e0", F(2, 6)),
-             P("edge", "e0", F(1, 3)), ref.to_base(ref.to_refined(P.on_edge("e0", F(1, 3))))],
+             P("edge", "e0", F(1, 3)), ref.cut_vertex_points["e0@1/3"]],
             [P.at_vertex("u"), sk.as_point("u"), g.check_point(P.on_edge("e0", 0)),
              P("vertex", "u", None)],
             [P.on_ray("x", 2), P.on_ray("x", F(4, 2))],

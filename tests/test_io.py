@@ -4,6 +4,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import skelgraph as sk
 from skelgraph import GraphDivisor as D, GraphPoint as P, PLFunction
@@ -25,9 +26,24 @@ class TestRationals:
         with pytest.raises(sk.InvalidPointError):
             sio.parse_rational("x")
 
-    def test_round_trip(self):
-        for x in (F(5, 36), F(-7, 3), F(0), F(12)):
-            assert sio.parse_rational(sio.format_rational(x)) == x
+    @given(x=st.fractions() | st.integers())
+    @example(F(5, 36))
+    @example(F(-7, 3))
+    @example(F(0))
+    @example(F(12))
+    def test_round_trip(self, x):
+        assert sio.parse_rational(sio.format_rational(x)) == x
+
+    @pytest.mark.parametrize("raw", [
+        "0.5", "1e5", "1_000", " 2 ", "2\n", "+2", "1/-2", "1/2/3", "", "/2", "1e400000",
+        "1" * 5001, "\u0661", 0.5, None, True, [1]])
+    def test_only_integers_and_digit_strings(self, raw):
+        with pytest.raises(sk.InvalidPointError):
+            sio.parse_rational(raw)
+
+    def test_unreduced_ray_slope(self):
+        assert sio.ray_slopes_from_json({"x": "4/2"}) == {"x": 2}
+        assert sio.parse_rational("-0") == 0
 
 
 class TestGraphRoundTrip:

@@ -308,6 +308,11 @@ def sympy_poisson(graph, target, ray_slopes, anchor):
     ref = sk.refine(graph, cuts)
     rg = ref.graph
     pos = {v: i for i, v in enumerate(rg.vertex_ids)}
+    cut_at = {p: v for v, p in ref.cut_vertex_points.items()}  # base point -> cut vertex
+
+    def row(p):
+        return pos[p.where if p.kind == "vertex" else cut_at[p]]
+
     n = len(pos)
     lap, rhs = sympy.zeros(n, n), sympy.zeros(n, 1)
     for e in rg.edges:
@@ -320,15 +325,15 @@ def sympy_poisson(graph, target, ray_slopes, anchor):
         lap[j, i] += c
     for p in target.support:
         c = F(target.coeff(p))
-        rhs[pos[ref.to_refined(p).where]] += sympy.Rational(c.numerator, c.denominator)
+        rhs[row(p)] += sympy.Rational(c.numerator, c.denominator)
     for label, s in ray_slopes.items():
         rhs[pos[graph.ray(label).attach]] -= s
-    a = pos[ref.to_refined(anchor).where]
+    a = row(anchor)
     lap[a, :] = sympy.zeros(1, n)
     lap[a, a] = 1
     rhs[a] = 0
     sol = lap.LUsolve(rhs)
-    return {ref.to_base(P.at_vertex(v)): F(int(sol[i].p), int(sol[i].q))
+    return {ref.cut_vertex_points.get(v) or P.at_vertex(v): F(int(sol[i].p), int(sol[i].q))
             for v, i in pos.items()}
 
 
