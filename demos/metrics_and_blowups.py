@@ -15,8 +15,8 @@ from skelgraph import BlowUpStep, VertexLabel as V
 
 g = sk.WeightedDualGraph(vertices=[V("a", 4), V("b", 6)], edges=[("a", "b")])
 print("One edge, multiplicities 4 and 6:")
-print("  model length ", sk.edge_length(g, "e0"))
-print("  stable length", sk.edge_length(g.replace(metric="stable"), "e0"))
+print("  model length ", g.edge_length("e0"))
+print("  stable length", g.replace(metric="stable").edge_length("e0"))
 
 out = sk.blow_up_node(g, "e0")
 mid = next(v for v in out.vertices if v.id not in ("a", "b"))

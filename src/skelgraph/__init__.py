@@ -1,7 +1,7 @@
 """Exact potential theory, weight functions and skeleta on weighted
 dual graphs of degenerating curves over a discretely valued field."""
 
-from .divisors import GraphDivisor, divisor
+from .divisors import GraphDivisor
 from .errors import (
     DegreeMismatchError,
     DivisorMismatchError,
@@ -26,7 +26,6 @@ from .graphs import (
     WeightedDualGraph,
     as_point,
     distance,
-    edge_length,
     curve_genus,
     graph_genus,
     refine,

@@ -19,7 +19,13 @@ from typing import Optional
 from . import io as sio
 from .errors import GraphStructureError, SkelgraphError
 from .fixtures import fixture, fixture_names
-from .potential import bridges, laplacian, maximal_bridge_chains, solve_poisson
+from .potential import (
+    bridges,
+    is_spanning_tree,
+    laplacian,
+    maximal_bridge_chains,
+    solve_poisson,
+)
 from .skeleton import (
     essential_skeleton,
     strip_genus,
@@ -111,6 +117,9 @@ def _verify_min_locus(g, data_doc) -> dict:
     work = strip_genus(g)
     edge, tree = sio.min_locus_request_from_json(data_doc)
     if edge is not None:
+        work.edge(edge)
+        if tree is not None and (edge in tree or not is_spanning_tree(work, tree)):
+            raise GraphStructureError(f"tree {tree} is not a spanning tree avoiding {edge!r}")
         eids = [edge]
     else:
         cut_edges = bridges(work)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from .errors import NonIntegralError
 from .graphs import GraphPoint, PointLike, as_point
@@ -52,10 +52,6 @@ class GraphDivisor:
         raise AttributeError("GraphDivisor is immutable")
 
     @staticmethod
-    def zero() -> "GraphDivisor":
-        return GraphDivisor()
-
-    @staticmethod
     def at(p: PointLike, coeff: Coeff = 1) -> "GraphDivisor":
         return GraphDivisor({as_point(p): coeff})
 
@@ -68,15 +64,6 @@ class GraphDivisor:
 
     def coeff(self, p: PointLike) -> Coeff:
         return self._support.get(as_point(p), 0)
-
-    def __getitem__(self, p: PointLike) -> Coeff:
-        return self.coeff(p)
-
-    def __iter__(self):
-        return iter(self.support)
-
-    def __len__(self):
-        return len(self._support)
 
     def __bool__(self):
         return bool(self._support)
@@ -116,16 +103,10 @@ class GraphDivisor:
     def __rmul__(self, k: Coeff) -> "GraphDivisor":
         return GraphDivisor({p: k * c for p, c in self._support.items()})
 
-    def __mul__(self, k: Coeff) -> "GraphDivisor":
-        return self.__rmul__(k)
-
     def __ge__(self, other: "GraphDivisor") -> bool:
         """Coefficient-wise domination."""
         points = set(self._support) | set(other._support)
         return all(self.coeff(p) >= other.coeff(p) for p in points)
-
-    def __le__(self, other: "GraphDivisor") -> bool:
-        return other.__ge__(self)
 
     def __eq__(self, other):
         return isinstance(other, GraphDivisor) and self._support == other._support
@@ -155,7 +136,3 @@ class GraphDivisor:
             bits.append(f"{c:+}*({tag})" if isinstance(c, int) else f"({c})*({tag})")
         return "GraphDivisor(" + " ".join(bits) + ")"
 
-
-def divisor(entries: Iterable[tuple[PointLike, Coeff]]) -> GraphDivisor:
-    """Build a divisor from (point, coefficient) pairs."""
-    return GraphDivisor(tuple((as_point(p), c) for p, c in entries))

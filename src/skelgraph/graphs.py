@@ -135,9 +135,6 @@ class GraphPoint:
             raise InvalidPointError("ray point distance must be positive")
         return GraphPoint("ray", ray_label, d)
 
-    def is_vertex(self) -> bool:
-        return self.kind == "vertex"
-
     def __eq__(self, other):
         return self is other or (isinstance(other, GraphPoint) and self.kind == other.kind
                                  and self.where == other.where and self.offset == other.offset)
@@ -328,6 +325,8 @@ class WeightedDualGraph:
         return n
 
     def edge_length(self, eid: str) -> Fraction:
+        """Exact length of an edge: its explicit length if it has one,
+        else the formula of the graph's metric."""
         ell = self._lengths.get(eid)
         if ell is None:
             e = self.edge(eid)
@@ -431,12 +430,6 @@ class WeightedDualGraph:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def edge_length(graph: WeightedDualGraph, eid: str) -> Fraction:
-    """Exact length of an edge: its explicit length if it has one, else
-    the formula of the graph's metric."""
-    return graph.edge_length(eid)
 
 
 def graph_genus(graph: WeightedDualGraph) -> int:

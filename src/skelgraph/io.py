@@ -288,12 +288,10 @@ def witness_to_json(bundle) -> dict:
 
 
 def export_dot(graph: WeightedDualGraph,
-               locus: Optional[SubgraphLocus] = None,
-               name: Optional[str] = None) -> str:
+               locus: Optional[SubgraphLocus] = None) -> str:
     """Deterministic DOT: vertices labelled "id (N,g)", edges labelled
     with their exact length; locus members carry a highlight attribute."""
-    title = name or graph.name or "skeleton"
-    lines = [f'graph "{title}" {{']
+    lines = [f'graph "{graph.name or "skeleton"}" {{']
     in_locus_v = locus.vertices if locus is not None else frozenset()
     seg_edges = set(locus.segments) if locus is not None else set()
     whole = locus.whole_edges() if locus is not None else frozenset()

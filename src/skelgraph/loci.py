@@ -115,9 +115,6 @@ class SubgraphLocus:
         whole = self.whole_edges()
         return {eid: segs for eid, segs in self._segments.items() if eid not in whole}
 
-    def is_empty(self) -> bool:
-        return not self._vertices and not self._segments
-
     def contains(self, point: PointLike) -> bool:
         p = self.graph.check_point(as_point(point))
         if p.kind == "vertex":
@@ -128,9 +125,6 @@ class SubgraphLocus:
             if a <= p.offset <= b:
                 return True
         return False
-
-    def __contains__(self, point: PointLike) -> bool:
-        return self.contains(point)
 
     def _key(self):
         return (self._vertices, tuple(sorted(self._segments.items())))

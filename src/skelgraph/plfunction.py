@@ -13,7 +13,7 @@ validated against the graph, then each edge's profile and slopes are
 computed once, and kept on the function for that graph object.
 Functions and graphs are immutable, so the walk cannot go stale; a
 function that fails validation keeps nothing.  ``min_over_compact``
-and ``min_zero_normalized`` take no graph and read the stored values.
+and ``shift`` take no graph and read the stored values.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class PLFunction:
     def ray_slopes(self) -> dict[str, int]:
         return dict(self._ray_slopes)
 
-    def breakpoints(self):
-        return tuple(sorted(self._values, key=GraphPoint.sort_key))
-
-    def ray_slope(self, label: str) -> int:
-        return self._ray_slopes.get(label, 0)
-
     # -- validation and geometry -----------------------------------------
 
     def validate_on(self, graph: WeightedDualGraph) -> "PLFunction":
@@ -141,7 +135,7 @@ class PLFunction:
         if p.kind == "ray":
             attach = graph.ray(p.where).attach
             base = self._values[GraphPoint.at_vertex(attach)]
-            return base + self.ray_slope(p.where) * p.offset
+            return base + self._ray_slopes.get(p.where, 0) * p.offset
         if p in self._values:
             return self._values[p]
         profile = walk[p.where][1]
@@ -195,26 +189,8 @@ class PLFunction:
         c = Fraction(c)
         return PLFunction({p: x + c for p, x in self._values.items()}, self._ray_slopes)
 
-    def min_zero_normalized(self) -> "PLFunction":
-        """f minus its least stored value.  Takes no graph and reads the
-        stored values; validate with ``validate_on`` first."""
-        return self.shift(-self.min_over_compact())
-
     def without_rays(self) -> "PLFunction":
         return PLFunction(self._values, {})
-
-    def __add__(self, other: "PLFunction") -> "PLFunction":
-        if set(self._values) != set(other._values):
-            raise InvalidPointError("breakpoint sets differ; align first")
-        vals = {p: x + other._values[p] for p, x in self._values.items()}
-        slopes = dict(self._ray_slopes)
-        for r, s in other._ray_slopes.items():
-            slopes[r] = slopes.get(r, 0) + s
-        return PLFunction(vals, {r: s for r, s in slopes.items() if s})
-
-    def __neg__(self) -> "PLFunction":
-        return PLFunction({p: -x for p, x in self._values.items()},
-                          {r: -s for r, s in self._ray_slopes.items()})
 
     def __eq__(self, other):
         return (isinstance(other, PLFunction)

@@ -66,13 +66,11 @@ def find_maximal_tails(graph: WeightedDualGraph) -> list[tuple[str, ...]]:
         chain = [v]
         prev_edge = graph.edges_at(v)[0]
         cur = prev_edge.b if prev_edge.a == v else prev_edge.a
-        while val(cur) == 2 and graph.vertex(cur).genus == 0 and cur not in chain:
+        while val(cur) == 2 and graph.vertex(cur).genus == 0:
             chain.append(cur)
             nxt = next(e for e in graph.edges_at(cur) if e.id != prev_edge.id)
             prev_edge = nxt
             cur = nxt.b if nxt.a == cur else nxt.a
-        if cur in chain:
-            continue  # walked around a circle; no valid starting point
         if val(cur) >= 3 or graph.vertex(cur).genus > 0:
             tails.append(tuple([cur] + list(reversed(chain))))
     return tails
@@ -88,8 +86,6 @@ def combinatorial_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
     if not removed:
         return graph
     survivors = [v for v in graph.vertices if v.id not in removed]
-    if not survivors:
-        raise GraphStructureError("contraction would leave nothing")
     for r in graph.rays:
         if r.attach in removed:
             raise GraphStructureError(
@@ -120,19 +116,15 @@ def essential_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
 
     The input is assumed to be the dual graph of the minimal model; a
     warning is emitted when a leaf pattern suggests otherwise.  The
-    total genus must be positive.  When the input is reduced and has no
-    tails, the result is the input itself, which is asserted."""
+    total genus must be positive.  When the input has no tails, the
+    result is the input itself."""
     if curve_genus(graph) < 1:
         raise GraphStructureError(
             "essential skeleton needs a curve of genus >= 1; "
             f"the graph models genus {curve_genus(graph)}"
         )
     _lint_minimality(graph)
-    out = combinatorial_skeleton(graph)
-    if graph.is_reduced() and not find_maximal_tails(graph):
-        if out != graph:
-            raise PipelineError("semistable shortcut violated: no tails but output changed")
-    return out
+    return combinatorial_skeleton(graph)
 
 
 def canonical_form_locus(graph: WeightedDualGraph) -> SubgraphLocus:
@@ -216,13 +208,10 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
         raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
-    bundle = _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
-                      GraphPoint.at_vertex(graph.edge(eid).a),
-                      lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
-                      f"cycle witness failed for {eid!r}")
-    if not bundle.locus.contains(graph.midpoint(eid)):
-        raise PipelineError(f"witness locus does not contain {eid!r}")
-    return bundle
+    return _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
+                    GraphPoint.at_vertex(graph.edge(eid).a),
+                    lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
+                    f"cycle witness failed for {eid!r}")
 
 
 def witness_bridge_chain(graph: WeightedDualGraph,

@@ -239,7 +239,7 @@ def test_criterion_10_stable_metric_gap():
             assert gap == F(gcd(n1, n2), n1 * n2) == F(1, lcm(n1, n2)), (n1, n2)
             g = WeightedDualGraph(vertices=[V("a", n1), V("b", n2)],
                                   edges=[("a", "b")])
-            assert sk.edge_length(g.replace(metric="stable"), "e0") == gap
+            assert g.replace(metric="stable").edge_length("e0") == gap
     # the pruning is exact: cross-check against the full double loop
     for n1 in range(1, 7):
         for n2 in range(1, 7):

@@ -133,6 +133,28 @@ class TestVerifyCommand:
         assert not report["ok"]
         assert "bridge" in report["edges"]["e0"]["error"]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"edge": "e9"}, "unknown edge 'e9'"),
+        ({"edge": "e0", "tree": ["e9"]}, "unknown edge 'e9'"),
+        ({"edge": "e0", "tree": []}, "not a spanning tree avoiding 'e0'"),
+        ({"edge": "e0", "tree": ["e0"]}, "not a spanning tree avoiding 'e0'"),
+        ({"edge": "e0", "tree": ["e1", "e2"]}, "not a spanning tree avoiding 'e0'"),
+    ], ids=["unknown-edge", "unknown-tree-edge", "empty-tree", "tree-holds-edge",
+            "not-a-tree"])
+    def test_min_locus_bad_request_exits_two(self, tmp_path, capsys, doc, message):
+        argv = _document_argv(tmp_path, sk.fixtures.theta_graph(), "min-locus", doc)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_min_locus_given_tree(self, tmp_path, capsys):
+        argv = _document_argv(tmp_path, sk.fixtures.theta_graph(), "min-locus",
+                              {"edge": "e0", "tree": ["e1"]})
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["edges"]["e0"]["witness"]["tree"] == ["e1"]
+
     def test_bridge_dumbbell(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",
                            sio.graph_to_json(sk.fixtures.dumbbell(2)))

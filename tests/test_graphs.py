@@ -21,25 +21,25 @@ def two_vertex(n1, n2, metric=MetricKind.MODEL):
 class TestEdgeLength:
     def test_model_1_6(self):
         g = two_vertex(1, 6)
-        assert sk.edge_length(g, "e0") == F(1, 6)
+        assert g.edge_length("e0") == F(1, 6)
 
     def test_model_3_6(self):
         g = two_vertex(3, 6)
-        assert sk.edge_length(g, "e0") == F(1, 18)
+        assert g.edge_length("e0") == F(1, 18)
 
     def test_stable_2_6(self):
         g = two_vertex(2, 6)
-        assert sk.edge_length(g.replace(metric="stable"), "e0") == F(1, 6)
+        assert g.replace(metric="stable").edge_length("e0") == F(1, 6)
 
     def test_unit_both_metrics(self):
         g = two_vertex(1, 1)
-        assert sk.edge_length(g, "e0") == 1
-        assert sk.edge_length(g.replace(metric="stable"), "e0") == 1
+        assert g.edge_length("e0") == 1
+        assert g.replace(metric="stable").edge_length("e0") == 1
 
     def test_unknown_edge(self):
         g = two_vertex(1, 1)
         with pytest.raises(sk.UnknownElementError):
-            sk.edge_length(g, "e9")
+            g.edge_length("e9")
         for _ in range(2):  # a failed read leaves nothing behind
             with pytest.raises(sk.UnknownElementError, match="^unknown edge 'nope'$"):
                 g.edge_length("nope")
@@ -59,14 +59,14 @@ class TestEdgeLength:
 
     def test_kodaira_ii_lengths(self):
         g = sk.fixtures.kodaira_type_ii()
-        lengths = sorted(sk.edge_length(g, e.id) for e in g.edges)
+        lengths = sorted(g.edge_length(e.id) for e in g.edges)
         assert lengths == [F(1, 18), F(1, 12), F(1, 6)]
 
     @given(n1=st.integers(1, 20), n2=st.integers(1, 20))
     def test_stable_dominates_model(self, n1, n2):
         g = two_vertex(n1, n2)
-        model = sk.edge_length(g, "e0")
-        stable = sk.edge_length(g.replace(metric="stable"), "e0")
+        model = g.edge_length("e0")
+        stable = g.replace(metric="stable").edge_length("e0")
         assert model > 0 and stable > 0
         assert stable >= model
         assert (stable == model) == (gcd(n1, n2) == 1)
@@ -74,7 +74,7 @@ class TestEdgeLength:
     def test_explicit_length_wins(self):
         g = WeightedDualGraph(vertices=[V("a", 2), V("b", 3)],
                               edges=[("a", "b", F(7, 5))])
-        assert sk.edge_length(g, "e0") == F(7, 5)
+        assert g.edge_length("e0") == F(7, 5)
         # an explicit length has no stable counterpart
         with pytest.raises(sk.GraphStructureError):
             g.replace(metric="stable")
@@ -124,6 +124,14 @@ class TestCurveGenus:
         for _ in range(20):
             g = random_reduced_graph(rng, max_genus_label=2)
             assert sk.curve_genus(g) == sk.graph_genus(g)
+
+    def test_loops_with_formula_and_explicit_lengths(self):
+        g = WeightedDualGraph(vertices=[V("a")], edges=[("a", "a"), ("a", "a", F(1, 3))])
+        assert sk.curve_genus(g) == sk.graph_genus(g) == 2
+        out = sk.resolve_loops(g)
+        assert sorted(out.edge_length(e.id) for e in out.edges) == [F(1, 6), F(1, 6),
+                                                                    F(1, 2), F(1, 2)]
+        assert [e.length for e in out.edges] == [None, None, F(1, 6), F(1, 6)]
 
 
 class TestDistance:

@@ -260,3 +260,19 @@ class TestDot:
         assert '"v4" [label="v4 (6,0)", locus="1", style=bold];' in dot
         assert 'locus="1"' not in dot.replace(
             '"v4" [label="v4 (6,0)", locus="1", style=bold];', "")
+
+    def test_rays_and_partial_segment(self):
+        g = sk.WeightedDualGraph(vertices=[sk.VertexLabel("a"), sk.VertexLabel("b")],
+                                 edges=[("a", "b"), ("a", "b")],
+                                 rays=[sk.Ray("b", "x", 2)], name="pair")
+        locus = sk.SubgraphLocus(g, whole_edges=["e0"], segments={"e1": [(0, F(1, 2))]})
+        assert sio.export_dot(g, locus).splitlines() == [
+            'graph "pair" {',
+            '  "a" [label="a (1,0)", locus="1", style=bold];',
+            '  "b" [label="b (1,0)", locus="1", style=bold];',
+            '  "a" -- "b" [label="1/1", locus="1", style=bold];',
+            '  "a" -- "b" [label="1/1", locus="partial"];',
+            '  "x" [label="x (deg 2)", shape=plaintext];',
+            '  "b" -- "x" [style=dashed];',
+            "}",
+        ]

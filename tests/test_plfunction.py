@@ -51,6 +51,12 @@ class TestProfileErrors:
         with pytest.raises(sk.InvalidPointError, match="^no value at vertex 'b'$"):
             PLFunction({"a": 0}, {"x": 1}).evaluate(g, P.on_ray("x", 1))
 
+    def test_evaluate_on_a_ray(self):
+        g = length_two().replace(rays=[sk.Ray("b", "x", 1), sk.Ray("b", "y", 1)])
+        f = PLFunction({"a": 0, "b": 3}, {"x": 2})
+        assert f.evaluate(g, P.on_ray("x", F(5, 2))) == 8
+        assert f.evaluate(g, P.on_ray("y", 7)) == 3  # no declared slope: flat
+
     def test_profile_is_sorted_whatever_the_insertion_order(self):
         g = length_two()
         f = PLFunction([(P.on_edge("e0", F(3, 2)), 0), ("b", 1),
@@ -83,7 +89,7 @@ class TestUnvalidatedBreakpoints:
     def test_graphless_readers_read_stored_values(self):
         f = self.stray()
         assert f.min_over_compact() == -7
-        assert f.min_zero_normalized().values[P.at_vertex("a")] == 7
+        assert f.shift(-f.min_over_compact()).values[P.at_vertex("a")] == 7
 
     def test_lemma_checkers_raise(self):
         g, f = length_two(), self.stray()

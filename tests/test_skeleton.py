@@ -73,6 +73,15 @@ class TestCombinatorialSkeleton:
         removed = {v for t in tails_of_input for v in t[1:]}
         assert set(g.vertex_ids) - removed == set(out.vertex_ids)
 
+    def test_ray_on_a_contracted_vertex_rejected(self):
+        g = WeightedDualGraph(
+            vertices=[V("c1"), V("c2"), V("end")],
+            edges=[("c1", "c2"), ("c1", "c2"), ("c1", "end")],
+            rays=[sk.Ray("end", "x")])
+        with pytest.raises(sk.GraphStructureError,
+                           match="^ray 'x' attaches to the contracted vertex 'end'$"):
+            sk.combinatorial_skeleton(g)
+
 
 class TestEssentialSkeleton:
     def test_kodaira(self):
