@@ -51,6 +51,9 @@ class GraphDivisor:
     def __setattr__(self, *args):
         raise AttributeError("GraphDivisor is immutable")
 
+    def __reduce__(self):
+        return GraphDivisor, (self.items(),)
+
     @staticmethod
     def at(p: PointLike, coeff: Coeff = 1) -> "GraphDivisor":
         return GraphDivisor({as_point(p): coeff})

@@ -18,6 +18,10 @@ other metric.
 
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is fractions.Fraction.
+So a graph keeps what it derives on first read: each edge's length,
+and the ``vertex_distances`` of each source asked for, which
+``distance`` reads for every anchor of its first point.  A new graph,
+``replace``'s included, starts with neither, and callers get copies.
 """
 
 from __future__ import annotations
@@ -120,6 +124,9 @@ class GraphPoint:
     def __setattr__(self, *args):
         raise AttributeError("GraphPoint is immutable")
 
+    def __reduce__(self):
+        return GraphPoint, (self.kind, self.where, self.offset)
+
     @staticmethod
     def at_vertex(vertex_id: str) -> "GraphPoint":
         return GraphPoint("vertex", vertex_id, None)
@@ -198,7 +205,8 @@ class WeightedDualGraph:
     """
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
-                 "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths")
+                 "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
+                 "_distances")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -262,12 +270,17 @@ class WeightedDualGraph:
         object.__setattr__(self, "_edge_index", {e.id: e for e in edge_objs})
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
         object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
+        object.__setattr__(self, "_distances", {})  # source -> vertex_distances, likewise
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
 
     def __setattr__(self, *args):
         raise AttributeError("WeightedDualGraph is immutable")
+
+    def __reduce__(self):
+        return WeightedDualGraph, (self.vertices, self.edges, self.rays, self.metric,
+                                   self.name, self.pair_model)
 
     # -- basic accessors ------------------------------------------------
 
@@ -465,8 +478,13 @@ def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fractio
 
     Every edge length is read once and scaled by the lcm L of the length
     denominators, so Dijkstra runs on integers; each distance d*L is
-    returned as Fraction(d, L), which is still exact."""
+    returned as Fraction(d, L), which is still exact.  The result is
+    kept on the graph for that source, so each source costs one
+    Dijkstra per graph; every call returns a fresh copy."""
     graph.vertex(source)
+    known = graph._distances.get(source)
+    if known is not None:
+        return dict(known)
     lengths = [(e.a, e.b, graph.edge_length(e.id)) for e in graph.edges if e.a != e.b]
     scale = math.lcm(*(ell.denominator for _, _, ell in lengths))
     adjacency = {v: [] for v in graph.vertex_ids}
@@ -486,7 +504,8 @@ def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fractio
             if w not in done and (w not in dist or d + step < dist[w]):
                 dist[w] = d + step
                 heapq.heappush(heap, (d + step, w))
-    return {v: Fraction(d, scale) for v, d in dist.items()}
+    known = graph._distances[source] = {v: Fraction(d, scale) for v, d in dist.items()}
+    return dict(known)
 
 
 def _anchors(graph, p):

@@ -93,6 +93,9 @@ class SubgraphLocus:
     def __setattr__(self, *args):
         raise AttributeError("SubgraphLocus is immutable")
 
+    def __reduce__(self):
+        return SubgraphLocus, (self.graph, self.vertices, (), self.segments)
+
     # -- queries -----------------------------------------------------------
 
     @property

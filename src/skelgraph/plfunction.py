@@ -18,7 +18,9 @@ and ``shift`` take no graph and read the stored values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import InvalidPointError, NonIntegralError
@@ -86,6 +88,9 @@ class PLFunction:
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
 
+    def __reduce__(self):
+        return PLFunction, (self.values, self.ray_slopes)
+
     @staticmethod
     def constant(graph: WeightedDualGraph, value: Rational = 0,
                  ray_slopes: Mapping[str, int] = ()) -> "PLFunction":
@@ -136,13 +141,11 @@ class PLFunction:
             attach = graph.ray(p.where).attach
             base = self._values[GraphPoint.at_vertex(attach)]
             return base + self._ray_slopes.get(p.where, 0) * p.offset
-        if p in self._values:
-            return self._values[p]
         profile = walk[p.where][1]
-        for (x0, y0), (x1, y1) in zip(profile, profile[1:]):
-            if x0 <= p.offset <= x1:
-                return y0 + (y1 - y0) * (p.offset - x0) / (x1 - x0)
-        raise InvalidPointError(f"cannot evaluate at {p!r}")
+        # p is interior, so the piece [x0, x1] with x0 <= p < x1 exists
+        i = bisect_right(profile, p.offset, key=itemgetter(0))
+        (x0, y0), (x1, y1) = profile[i - 1], profile[i]
+        return y0 + (y1 - y0) * (p.offset - x0) / (x1 - x0)
 
     def slopes_on_edge(self, graph: WeightedDualGraph, eid: str):
         """Slopes of the maximal linear pieces along an edge, in order;

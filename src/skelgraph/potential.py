@@ -709,9 +709,9 @@ def maximal_bridge_chains(graph: WeightedDualGraph) -> list[BridgeChain]:
             v = start_v
             prev = seed
             while graph.valency(v, include_rays=False) == 2:
+                # v's other edge is a bridge too, and bridges form a
+                # forest, so the walk only meets unused bridges
                 nxt = next(t for t in graph.edges_at(v) if t.id != prev)
-                if nxt.id not in unused:
-                    break
                 unused.discard(nxt.id)
                 if start_v == e.a:
                     chain.appendleft(nxt.id)

@@ -233,18 +233,19 @@ def witness_bridge_chain(graph: WeightedDualGraph,
         if not chains:
             raise GraphStructureError("graph has no bridges")
         chain = chains[0]
-    elif not any(set(chain.edges) == set(c.edges) for c in chains):
-        raise GraphStructureError(f"{chain} is not a maximal bridge chain here")
+    else:
+        matched = [c for c in chains if set(chain.edges) == set(c.edges)
+                   and set(chain.endpoints) == set(c.endpoints)]
+        if not matched:
+            raise GraphStructureError(f"{chain} is not a maximal bridge chain here")
+        chain = matched[0]
 
+    # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
+    # distinct and of valency >= 3, so D1 is effective
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints
     D1 = K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
-    if not D1.is_effective():
-        raise PipelineError(
-            "K - (v1) - (v2) is not effective; chain endpoints should have "
-            "valency >= 3 in a graph without 1-valent vertices"
-        )
     return _witness(graph, T, None, 2 * K, D1, GraphPoint.at_vertex(v1),
                     lambda D, f: check_bridge_lemma(graph, chain, T, D, f),
                     f"bridge witness failed for {chain.edges}")

@@ -251,6 +251,78 @@ class TestVertexDistancesOracle:
             sk.vertex_distances(g, "zz")
 
 
+class TestVertexDistancesMemo:
+    """Each source's distances are kept on its graph; callers get copies,
+    and a derived graph answers in its own metric."""
+
+    def test_returned_dict_is_a_copy(self):
+        g = sk.fixtures.kodaira_type_ii()
+        expected = networkx_distances(g, "v2")
+        for _ in range(3):  # computed, then read back twice
+            got = sk.vertex_distances(g, "v2")
+            assert got == expected
+            got["v3"] = F(-1)
+            got.pop("v1")
+        assert sk.distance(g, "v2", "v3") == F(5, 36)
+
+    def test_replaced_metric_answers_in_its_own_metric(self):
+        g = WeightedDualGraph(vertices=[V("a", 2), V("b", 4), V("c", 6)],
+                              edges=[("a", "b"), ("b", "c"), ("a", "c")])
+        model = {v: sk.vertex_distances(g, v) for v in g.vertex_ids}
+        assert sk.distance(g, "a", "b") == F(1, 8)
+        stable = g.replace(metric="stable")
+        for v in stable.vertex_ids:
+            assert sk.vertex_distances(stable, v) == networkx_distances(stable, v)
+        assert sk.distance(stable, "a", "b") == F(1, 4)
+        assert {v: sk.vertex_distances(g, v) for v in g.vertex_ids} == model
+
+
+def networkx_point_distances(graph, points):
+    """Oracle: subdivide a networkx copy of the graph at the interior
+    points, then run Dijkstra from each point's node."""
+    import networkx as nx
+    node = {}
+    for p in points:
+        p = graph.check_point(p)
+        node[p] = p.where if p.kind == "vertex" else (p.where, p.offset)
+    G = nx.MultiGraph()
+    G.add_nodes_from(graph.vertex_ids)
+    for e in graph.edges:
+        cuts = sorted({n[1] for n in node.values() if isinstance(n, tuple) and n[0] == e.id})
+        stops = [(F(0), e.a), *((o, (e.id, o)) for o in cuts),
+                 (graph.edge_length(e.id), e.b)]
+        for (x0, u), (x1, w) in zip(stops, stops[1:]):
+            G.add_edge(u, w, length=x1 - x0)
+    reach = {p: nx.single_source_dijkstra_path_length(G, n, weight="length")
+             for p, n in node.items()}
+    return {(p, q): reach[p][node[q]] for p in node for q in node}
+
+
+class TestDistanceOracle:
+    """distance between vertices and interior points, also two on one
+    edge and points on loops, against networkx on the subdivided graph."""
+
+    def check(self, graph, points):
+        for (p, q), d in networkx_point_distances(graph, points).items():
+            assert sk.distance(graph, p, q) == d
+
+    def test_random_multigraphs_with_loops(self, rng):
+        for _ in range(25):
+            g = random_multigraph(rng, max_vertices=6, extra=3, loops=2)
+            points = [P.at_vertex(v) for v in g.vertex_ids]
+            for e in g.edges:
+                ell = g.edge_length(e.id)
+                points += [P.on_edge(e.id, ell * rng.randint(1, 6) / 7)
+                           for _ in range(rng.randint(0, 2))]
+            self.check(g, points)
+
+    def test_points_on_a_loop(self):
+        g = WeightedDualGraph(vertices=[V("a"), V("b")],
+                              edges=[("a", "a", F(1)), ("a", "b", F(1, 3))])
+        self.check(g, [P.at_vertex("b"), P.on_edge("e0", F(1, 8)), P.on_edge("e0", F(7, 8)),
+                       P.on_edge("e0", F(1, 2)), P.on_edge("e1", F(1, 6))])
+
+
 class TestResolveLoops:
     def test_loop_free_unchanged(self):
         g = sk.fixtures.theta_graph()

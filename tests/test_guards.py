@@ -1,6 +1,9 @@
 """Input guards: each bad input raises its typed SkelgraphError with a
-message that names the fault, and the value types refuse assignment."""
+message that names the fault, and the value types refuse assignment
+but copy and pickle through their constructors."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -43,6 +46,12 @@ def _two_rays():
 def _short_chain():
     g = sk.fixtures.dumbbell(2)
     return sk.witness_bridge_chain(g, sk.BridgeChain(edges=("e6",), endpoints=("l0", "m1")))
+
+
+def _chain_wrong_endpoints():
+    g = sk.fixtures.dumbbell(2)
+    return sk.witness_bridge_chain(g, sk.BridgeChain(edges=("e6", "e7"),
+                                                     endpoints=("l0", "zz")))
 
 
 def _breakpoint_on_ray():
@@ -111,6 +120,8 @@ GUARDS = [
         sk.fixtures.theta_graph(), "e0", tree=["e0"]), GSE,
      "the spanning tree must avoid 'e0'"),
     ("witness-chain-not-maximal", _short_chain, GSE, "is not a maximal bridge chain here"),
+    ("witness-chain-wrong-endpoints", _chain_wrong_endpoints, GSE,
+     "is not a maximal bridge chain here"),
     ("weight-function-loops", lambda: sk.weight_function(_pair(loop=True), _data()),
      LoopsPresentError, "weight functions need a loop-free graph"),
     ("ks-skeleton-loops", lambda: sk.ks_skeleton(_pair(loop=True), _data()),
@@ -147,3 +158,40 @@ def test_values_are_immutable(value, attribute):
     with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
         setattr(value, attribute, None)
     assert getattr(value, attribute) is before
+
+
+def _queried_graph():
+    g = sk.fixtures.kodaira_type_ii()
+    f = sk.PLFunction({v: 0 for v in g.vertex_ids})
+    sk.distance(g, sk.GraphPoint.on_edge("e0", F(1, 24)), "v3")
+    f.evaluate(g, g.midpoint("e1"))
+    return g, f
+
+
+@pytest.mark.parametrize("value", [
+    sk.GraphPoint.at_vertex("u"), sk.GraphPoint.on_edge("e0", F(1, 3)),
+    sk.GraphPoint.on_ray("x", 2),
+    _pair(2, loop=True), *_queried_graph(),
+    sk.WeightedDualGraph(vertices=[V("a", 2), V("b", 3)], edges=[("a", "b")],
+                         rays=[sk.Ray("a", "x", 2)], metric="stable", name="pm",
+                         pair_model=True),
+    sk.GraphDivisor({"u": 2, sk.GraphPoint.on_edge("e0", F(1, 3)): F(-1, 2)}),
+    sk.PLFunction({"u": 0, "v": F(1, 2), sk.GraphPoint.on_edge("e0", F(1, 4)): 3}, {"x": 2}),
+    sk.SubgraphLocus(sk.fixtures.theta_graph(), vertices=["u"], whole_edges=["e2"],
+                     segments={"e0": [(F(1, 5), F(1, 4))], "e1": [(0, F(1, 8))]}),
+], ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_values_copy_and_pickle(value, duplicate):
+    """Copies are rebuilt through the constructor: equal, and with no
+    memo carried over."""
+    out = duplicate(value)
+    assert type(out) is type(value) and out == value
+    if isinstance(value, sk.GraphPoint):
+        assert hash(out) == hash(value)
+    if isinstance(value, sk.WeightedDualGraph):
+        assert (out.name, out.pair_model) == (value.name, value.pair_model)
+        assert out._lengths == {} and out._distances == {}
+    if isinstance(value, sk.PLFunction):
+        assert out._walked is None and out.ray_slopes == value.ray_slopes

@@ -1,11 +1,14 @@
-"""PLFunction profile readers on functions that do not fit the graph."""
+"""PLFunction profile readers: evaluation, and functions that do not fit the graph."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import skelgraph as sk
 from skelgraph import GraphPoint as P, PLFunction, VertexLabel as V, WeightedDualGraph
+
+from conftest import random_multigraph, random_plfunction
 
 
 def length_two():
@@ -63,6 +66,27 @@ class TestProfileErrors:
                         (P.on_edge("e0", F(1, 2)), 2), ("a", 3), (P.on_edge("e0", 1), 4)])
         assert f.edge_profile(g, "e0") == [(0, 3), (F(1, 2), 2), (1, 4), (F(3, 2), 0), (2, 1)]
         assert f.slopes_on_edge(g, "e0") == (-2, 4, -8, 2)
+
+
+class TestEvaluate:
+    def test_breakpoints_and_midpoints_interpolate(self):
+        """At every breakpoint the stored value, and at the midpoint of
+        every piece the mean of its two ends, on loops and parallel
+        edges too."""
+        rng = random.Random(1506)
+        for _ in range(30):
+            g = random_multigraph(rng, max_vertices=6, extra=3, loops=2)
+            f = random_plfunction(rng, g, max_cuts=3)
+            values = f.values
+            for e in g.edges:
+                ends = [(F(0), values[P.at_vertex(e.a)]),
+                        (g.edge_length(e.id), values[P.at_vertex(e.b)])]
+                pieces = sorted([*ends, *((p.offset, x) for p, x in values.items()
+                                          if p.kind == "edge" and p.where == e.id)])
+                for x, y in pieces:
+                    assert f.evaluate(g, P.on_edge(e.id, x)) == y
+                for (x0, y0), (x1, y1) in zip(pieces, pieces[1:]):
+                    assert f.evaluate(g, P.on_edge(e.id, (x0 + x1) / 2)) == (y0 + y1) / 2
 
 
 class TestUnvalidatedBreakpoints:

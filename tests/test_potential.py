@@ -914,6 +914,58 @@ class TestBridgeLemma:
 
 
 class TestMaximalBridgeChains:
+    @staticmethod
+    def check_partition(g):
+        """The chains partition the bridges; each runs from its first
+        endpoint to its second through vertices of valency 2 only, and
+        no endpoint has valency 2."""
+        chains = sk.maximal_bridge_chains(g)
+        edges = [eid for c in chains for eid in c.edges]
+        assert len(edges) == len(set(edges)) and set(edges) == sk.bridges(g)
+        for c in chains:
+            walk = [c.endpoints[0]]
+            for eid in c.edges:
+                e = g.edge(eid)
+                assert walk[-1] in (e.a, e.b)
+                walk.append(e.b if e.a == walk[-1] else e.a)
+            assert walk[-1] == c.endpoints[1]
+            assert all(g.valency(v, include_rays=False) == 2 for v in walk[1:-1])
+            assert all(g.valency(v, include_rays=False) != 2 for v in c.endpoints)
+        return chains
+
+    @staticmethod
+    def subdivided(rng, g):
+        """g with a third of its edges cut once, so chains grow longer."""
+        return sk.refine(g, {e.id: [g.edge_length(e.id) / 2] for e in g.edges
+                             if rng.random() < 1 / 3}).graph
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_chains_partition_the_bridges(self, seed):
+        rng = random.Random(seed)
+        g = random_multigraph(rng, max_vertices=7, extra=3, loops=2)
+        self.check_partition(self.subdivided(rng, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_leaf_free_endpoints_have_valency_three(self, seed):
+        from skelgraph.sampling import random_reduced_graph
+        rng = random.Random(seed)
+        g = random_reduced_graph(rng, max_vertices=7, genus=rng.randint(0, 2))
+        leaves = [v for v in g.vertex_ids if g.valency(v, include_rays=False) == 1]
+        # hang a digon on every leaf
+        g = g.replace(vertices=[*g.vertices, *(V(f"{v}'") for v in leaves)],
+                      edges=[*g.edges, *((v, f"{v}'") for v in leaves for _ in range(2))])
+        g = self.subdivided(rng, g)
+        assert g.is_maximally_degenerate()
+        assert all(g.valency(v, include_rays=False) > 1 for v in g.vertex_ids)
+        K = sk.canonical_divisor(g, 1)
+        for c in self.check_partition(g):
+            v1, v2 = c.endpoints
+            assert v1 != v2
+            assert min(g.valency(v, include_rays=False) for v in c.endpoints) >= 3
+            assert (K - D.at(v1) - D.at(v2)).is_effective()
+
     def test_dumbbell_long_chain(self):
         g = sk.fixtures.dumbbell(3)
         chains = sk.maximal_bridge_chains(g)
