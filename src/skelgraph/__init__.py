@@ -21,14 +21,12 @@ from .graphs import (
     GraphPoint,
     MetricKind,
     Ray,
-    Refinement,
     VertexLabel,
     WeightedDualGraph,
     as_point,
     distance,
     curve_genus,
     graph_genus,
-    refine,
     resolve_loops,
     subdivide_edge_at,
     vertex_distances,

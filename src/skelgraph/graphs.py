@@ -613,36 +613,57 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
     return split_edges(graph, {eid: [(position, new_label)]})
 
 
-# -- refinement: subdividing at many points at once -------------------------
+# -- refinement: the integer layout of many cuts at once --------------------
 
 
 @dataclass(frozen=True)
 class Refinement:
-    """A graph subdivided at many points at once, with the base point
-    each new vertex stands for; every other vertex keeps its base id."""
+    """A graph cut at many interior points at once, as an integer layout;
+    no graph is built.
 
-    graph: WeightedDualGraph
-    cut_vertex_points: Mapping[str, GraphPoint]  # new vertex id -> base point
+    ``marks`` are base points: the vertices in vertex order, then the
+    cuts edge by edge in order of position.  ``segments`` are the
+    stretches ``(edge index, mark a, mark b, steps)`` between consecutive
+    stops of each edge, edge by edge and from ``e.a`` on; ``steps`` is
+    the length in units of 1/L, with L the lcm of the edge-length and cut
+    denominators.  A loop without cuts has no segment.  ``inc[x]`` lists
+    the segments at mark x in segment order, so at an interior mark the
+    one towards ``e.a`` comes first."""
+
+    marks: tuple[GraphPoint, ...]
+    segments: tuple[tuple[int, int, int, int], ...]
+    inc: tuple[tuple[int, ...], ...]
+    L: int
 
 
 def refine(graph: WeightedDualGraph, cuts: Mapping[str, Iterable[Rational]]) -> Refinement:
-    """Subdivide several edges at once at the given interior positions.
-
-    The cut at offset o of edge e becomes a vertex of multiplicity 1 and
-    genus 0 named ``"e@o"``, or the first free ``"e@o.i"`` when the graph
-    already has that id; the pieces carry explicit lengths, so those
-    labels never influence the metric.
-    """
-    stops: dict[str, list] = {}
+    """The layout of the graph cut at the given interior positions."""
+    stops = {}
     for eid, offs in cuts.items():
         ell = graph.edge_length(eid)
-        uniq = sorted({Fraction(o) for o in offs})
-        for o in uniq:
+        stops[eid] = sorted({Fraction(o) for o in offs})
+        for o in stops[eid]:
             if not 0 < o < ell:
                 raise InvalidPointError(f"cut {o} not interior to edge {eid!r}")
-        # the stems are distinct and dot-free, so no two fresh ids collide
-        stops[eid] = [(o, VertexLabel(graph.fresh_vertex_id(f"{eid}@{o}"), 1, 0))
-                      for o in uniq]
-    cut_points = {v.id: GraphPoint.on_edge(e.id, o)
-                  for e in graph.edges for o, v in stops.get(e.id, ())}
-    return Refinement(graph=split_edges(graph, stops), cut_vertex_points=cut_points)
+    lengths = [graph.edge_length(e.id) for e in graph.edges]
+    L = math.lcm(*(x.denominator for x in lengths),
+                 *(o.denominator for offs in stops.values() for o in offs))
+    index = {v: i for i, v in enumerate(graph.vertex_ids)}
+    marks = [GraphPoint.at_vertex(v) for v in index]
+    segments: list[tuple[int, int, int, int]] = []
+    inc: list[list[int]] = [[] for _ in marks]
+    for i, (e, ell) in enumerate(zip(graph.edges, lengths)):
+        x, at = index[e.a], 0
+        for o in [*stops.get(e.id, ()), None]:
+            if o is None:
+                y, k = index[e.b], ell.numerator * (L // ell.denominator)
+            else:
+                y, k = len(marks), o.numerator * (L // o.denominator)
+                marks.append(GraphPoint("edge", e.id, o))
+                inc.append([])
+            if x != y:
+                inc[x].append(len(segments))
+                inc[y].append(len(segments))
+                segments.append((i, x, y, k - at))
+            x, at = y, k
+    return Refinement(tuple(marks), tuple(segments), tuple(map(tuple, inc)), L)

@@ -5,13 +5,19 @@ labelled graphs, exact Poisson solving, reduced divisors by borrowing,
 then Dhar burning, bridges, spanning trees and fundamental cycles, and
 the two min-locus lemma checkers used by the witness constructions.
 
+Poisson solving and reduction both run on one integer layout, built by
+``graphs.refine`` at the interior points they are given and described
+on ``Refinement``: the marks (the vertices, then the cuts) joined by
+segments whose lengths are integers in units of 1/L.  Neither builds a
+graph.
+
 Reduced divisors are computed by chip-firing on the metric graph
 itself (Luo, "Rank-determining sets of metric graphs"; Baker-Shokrieh,
 "Chip-firing games, potential theory on graphs, and spanning trees").
-State lives only at marks, joined by chip-free segments of integer
-length in units of 1/L: least-action borrowing works segment by
-segment, and each Dhar firing moves the unburnt set by the distance to
-the next event, so the work is bounded by events and not by L.
+State lives only at marks, joined by chip-free segments: least-action
+borrowing works segment by segment, and each Dhar firing moves the
+unburnt set by the distance to the next event, so the work is bounded
+by events and not by L.
 
 The Laplacian, the integer-slope test and the minimum locus read one
 walk of f per graph (``PLFunction._walk``): f is validated against the
@@ -27,18 +33,17 @@ laplacian(f) over the compact part equals the sum of the ray slopes.
 
 Poisson problems are solved in the cycle space (the electrical-network
 view of Baker-Faber, "Metrized graphs, Laplacian operators and
-electrical networks"): on the graph refined at the target's support,
-a spanning tree carries slopes fixed by flow conservation up to the
-slopes of the g = b1 chords, and only the g x g system that closes
-the fundamental cycles is solved.  The arithmetic is on integers:
-lengths in units of 1/L, slopes in units of 1/D and values in units of
-1/(L D), and the chord system is solved by Bareiss's fraction-free
-elimination (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination"), which divides exactly by
-the previous pivot.  The cost is O(V g + g^3) integer operations
-instead of O(V^3), then one Fraction per value; a tree needs no linear
-algebra.  Points find their cut vertices, and cut vertices their base
-points, by one dict lookup each.
+electrical networks"): on the marks and segments of the target's
+support, a spanning tree carries slopes fixed by flow conservation up
+to the slopes of the g = b1 chords, and only the g x g system that
+closes the fundamental cycles is solved.  The arithmetic is on
+integers: lengths in units of 1/L, slopes in units of 1/D and values
+in units of 1/(L D), and the chord system is solved by Bareiss's
+fraction-free elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination"), which divides
+exactly by the previous pivot.  The cost is O(V g + g^3) integer
+operations instead of O(V^3), then one Fraction per value; a tree
+needs no linear algebra.
 """
 
 from __future__ import annotations
@@ -122,6 +127,15 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
 # -- exact Poisson solving ----------------------------------------------------
 
 
+def _cuts(points: Iterable[GraphPoint]) -> dict[str, list[Fraction]]:
+    """The offsets of the interior edge points among ``points``, by edge."""
+    cuts = defaultdict(list)
+    for p in points:
+        if p.kind == "edge":
+            cuts[p.where].append(p.offset)
+    return cuts
+
+
 def _solve_linear(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     """Bareiss's fraction-free Gauss-Jordan elimination on an integer
     system: every step divides exactly by the previous pivot, so all
@@ -162,17 +176,18 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     Solvability requires deg(target) over the compact part to equal the
     sum of the declared ray slopes, which must be integers.
 
-    The graph is refined at the target's interior support and the
-    anchor.  Lengths are integers in units of 1/L (L the lcm of the
-    refined edge-length denominators) and slopes in units of 1/D (D the
-    lcm of the target's coefficient denominators), so values are
-    integers in units of 1/(L D).  A BFS tree from the anchor is peeled
-    from the leaves, which makes each tree-edge slope affine in the
-    slopes of the g chords; integrating down from the anchor makes each
-    value affine in them too, and each chord then closes one equation
-    of a g x g integer system, solved by Bareiss elimination.  Cost:
-    O(V g + g^3) integer operations on a refinement with V vertices,
-    then one Fraction per value; none of the linear algebra on a tree.
+    The solve runs on the ``refine`` layout at the target's interior
+    support and the anchor: segment lengths are integers in units of
+    1/L and slopes in units of 1/D (D the lcm of the target's
+    coefficient denominators), so values are integers in units of
+    1/(L D).  A BFS tree of segments from the anchor is peeled from the
+    leaves, which makes each tree slope affine in the slopes of the g
+    chords; integrating down from the anchor makes each value affine in
+    them too, and each chord then closes one equation of a g x g
+    integer system, solved by Bareiss elimination.  Cost: O(V g + g^3)
+    integer operations on V marks, then one Fraction per mark; none of
+    the linear algebra on a tree.  The values come out at the marks, in
+    mark order.
     """
     slopes = _integral_ray_slopes(ray_slopes or {})
     for label in slopes:
@@ -186,10 +201,9 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
                 "single declared slope and no interior breakpoints"
             )
         support.append((p, target.coeff(p)))
-
-    if anchor is None:
-        anchor = graph.vertex_ids[0]
-    anchor_pt = graph.check_point(as_point(anchor))
+    anchor_pt = graph.check_point(as_point(graph.vertex_ids[0] if anchor is None else anchor))
+    if anchor_pt.kind == "ray":
+        raise InvalidPointError(f"anchor {anchor_pt!r} is on a ray; it must be on the compact part")
 
     D = lcm(*(c.denominator for _, c in support))
     support = [(p, c.numerator * (D // c.denominator)) for p, c in support]  # units of 1/D
@@ -200,94 +214,83 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
             f"slopes sum to {sum(slopes.values())}; no solution exists"
         )
 
-    cuts: dict[str, list[Fraction]] = defaultdict(list)
-    for p, _ in support:
-        if p.kind == "edge":
-            cuts[p.where].append(p.offset)
-    if anchor_pt.kind == "edge":
-        cuts[anchor_pt.where].append(anchor_pt.offset)
-    ref = refine(graph, cuts)
-    rg = ref.graph
-    cut_at = {p: v for v, p in ref.cut_vertex_points.items()}  # base point -> cut vertex
-    lengths = {e.id: rg.edge_length(e.id) for e in rg.edges if e.a != e.b}
-    L = lcm(*(x.denominator for x in lengths.values()))
-    steps = {eid: x.numerator * (L // x.denominator) for eid, x in lengths.items()}
+    ref = refine(graph, _cuts([p for p, _ in support] + [anchor_pt]))
+    segments, inc = ref.segments, ref.inc
+    mark = {p: x for x, p in enumerate(ref.marks)}
 
-    def vertex_of(p):
-        return p.where if p.kind == "vertex" else cut_at[p]
-
-    # t[v]: the sum of the outgoing slopes along bounded edges at v, in
+    # t[x]: the sum of the outgoing slopes along segments at mark x, in
     # units of 1/D
-    t = dict.fromkeys(rg.vertex_ids, 0)
+    t = [0] * len(mark)
     for p, c in support:
-        t[vertex_of(p)] += c
+        t[mark[p]] += c
     for label, s in slopes.items():
-        t[graph.ray(label).attach] -= D * s
+        t[mark[GraphPoint.at_vertex(graph.ray(label).attach)]] -= D * s
 
-    # BFS spanning tree from the anchor; the other non-loop edges are the
-    # chords (a function linear on a loop is constant there)
-    root = vertex_of(anchor_pt)
-    parent: dict[str, tuple[str, int]] = {}  # v -> (parent, tree-edge steps)
+    # BFS spanning tree from the anchor; the other segments are the chords
+    root = mark[anchor_pt]
+    parent: dict[int, tuple[int, int]] = {}  # x -> (parent, tree-segment steps)
     order = [root]
     tree = set()
-    for v in order:
-        for e in rg.edges_at(v):
-            w = e.b if e.a == v else e.a
+    for x in order:
+        for j in inc[x]:
+            _, a, b, n = segments[j]
+            w = b if a == x else a
             if w != root and w not in parent:
-                parent[w] = (v, steps[e.id])
-                tree.add(e.id)
+                parent[w] = (x, n)
+                tree.add(j)
                 order.append(w)
-    chords = [e for e in rg.edges if e.a != e.b and e.id not in tree]
+    chords = [s for j, s in enumerate(segments) if j not in tree]
     g = len(chords)
 
-    # Peel from the leaves: up[v], the outgoing slope at v along the edge
-    # to its parent, is t[v] minus v's outgoing chord slopes plus up[w]
-    # of each child w.  It is affine in the chord slopes y: a constant in
-    # units of 1/D and integer coefficients.  Chord j runs from a to b
-    # with slope y_j, so it leaves a with slope +y_j and b with slope -y_j.
-    up = {v: (t[v], [0] * g) for v in order}
-    for j, e in enumerate(chords):
-        up[e.a][1][j] -= 1
-        up[e.b][1][j] += 1
-    for v in reversed(order[1:]):
-        p = parent[v][0]
-        (c, k), (pc, pk) = up[v], up[p]
-        up[p] = (pc + c, [x + y for x, y in zip(pk, k)])
+    # Peel from the leaves: up[x], the outgoing slope at x along the
+    # segment to its parent, is t[x] minus x's outgoing chord slopes plus
+    # up[w] of each child w.  It is affine in the chord slopes y: a
+    # constant in units of 1/D and integer coefficients.  Chord j runs
+    # from a to b with slope y_j, so it leaves a with slope +y_j and b
+    # with slope -y_j.
+    up = [(c, [0] * g) for c in t]
+    for j, (_, a, b, _) in enumerate(chords):
+        up[a][1][j] -= 1
+        up[b][1][j] += 1
+    for x in reversed(order[1:]):
+        p = parent[x][0]
+        (c, k), (pc, pk) = up[x], up[p]
+        up[p] = (pc + c, [u + w for u, w in zip(pk, k)])
 
-    # Integrate down from the anchor, where f = 0: f(v) = f(p) - len * up[v].
-    # In units of 1/(L D), with Y = D y, f(v) is the constant plus the
+    # Integrate down from the anchor, where f = 0: f(x) = f(p) - len * up[x].
+    # In units of 1/(L D), with Y = D y, f(x) is the constant plus the
     # integer coefficients dotted with Y.
     f = {root: (0, [0] * g)}
-    for v in order[1:]:
-        p, n = parent[v]
-        (c, k), (fc, fk) = up[v], f[p]
-        f[v] = (fc - n * c, [x - n * y if y else x for x, y in zip(fk, k)])
+    for x in order[1:]:
+        p, n = parent[x]
+        (c, k), (fc, fk) = up[x], f[p]
+        f[x] = (fc - n * c, [u - n * w if w else u for u, w in zip(fk, k)])
 
     # Chord j closes a cycle: f(b) - f(a) = len_j * y_j.  Written as
     # f(a) - f(b) + len_j * y_j = 0 and scaled by L D, this is the g x g
     # integer cycle-length system in Y, symmetric positive definite; its
-    # solution is x / det.  A tree has no chords and no system.
-    x: list[int] = []
+    # solution is sol / det.  A tree has no chords and no system.
+    sol: list[int] = []
     det = 1
     if chords:
         rows, rhs = [], []
-        for j, e in enumerate(chords):
-            (ac, ak), (bc, bk) = f[e.a], f[e.b]
+        for j, (_, a, b, n) in enumerate(chords):
+            (ac, ak), (bc, bk) = f[a], f[b]
             row = [u - w for u, w in zip(ak, bk)]
-            row[j] += steps[e.id]
+            row[j] += n
             rows.append(row)
             rhs.append(bc - ac)
-        x, det = _solve_linear(rows, rhs)
+        sol, det = _solve_linear(rows, rhs)
 
-    scale = L * D * det
+    scale = ref.L * D * det
     values = {}
-    for v in rg.vertex_ids:
-        c, k = f[v]
+    for x, p in enumerate(ref.marks):
+        c, k = f[x]
         c *= det
-        for u, xj in zip(k, x):
+        for u, xj in zip(k, sol):
             if u:
                 c += u * xj
-        values[ref.cut_vertex_points.get(v) or GraphPoint.at_vertex(v)] = Fraction(c, scale)
+        values[p] = Fraction(c, scale)
     return PLFunction._trusted(values, slopes)
 
 
@@ -470,11 +473,9 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     """The q-reduced divisor equivalent to the input, together with the
     tropical rational function f with D' = D + div(f).
 
-    Positions are integers in units of 1/L, L the lcm of the edge,
-    support and q denominators, but state lives only at marks: the
-    vertices, the interior support points, q, and the points where
-    chips land.  A chip-free stretch between consecutive marks of an
-    edge is one segment, on which f is linear with integer slope.
+    The reduction starts on the ``refine`` layout at the interior
+    support and q, and adds a mark wherever a chip lands; a chip-free
+    segment between marks carries f linearly with integer slope.
     Stage 1 borrows mark by mark until no mark off q is in debt; stage 2
     burns from q and fires the unburnt set by the shortest segment out
     of it, one step per event, until the burn consumes everything.
@@ -485,65 +486,28 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     q_pt = graph.check_point(as_point(q))
     support = [(graph.check_point(p), c) for p, c in divisor_in.items()]
 
-    lengths = [graph.edge_length(e.id) for e in graph.edges]
-    dens = [x.denominator for x in lengths]
-    for e, x in zip(graph.edges, lengths):
-        if e.a == e.b:
-            # a loop spans at least two steps, as if split at its midpoint
-            dens.append((x / 2).denominator)
-    for p, _ in support + [(q_pt, 0)]:
-        if p.kind == "edge":
-            dens.append(p.offset.denominator)
-    L = lcm(*dens) if dens else 1
-    steps = [x.numerator * (L // x.denominator) for x in lengths]
-    total = sum(steps)
+    ref = refine(graph, _cuts([p for p, _ in support] + [q_pt]))
+    L = ref.L
+    # The segments as columns: segment j runs along edge E[j] from mark
+    # A[j] to mark B[j], N[j] steps further from e.a.  Mark x holds
+    # chips[x] and the script u[x], and an interior mark sits pos[x]
+    # steps from e.a.  f is constant on a loop without marks, and no
+    # chip ever enters it.
+    E, A, B, N = ([s[k] for s in ref.segments] for k in range(4))
+    total = sum(N)
     if total > _MAX_LATTICE_NODES:
         raise PipelineError(
             f"lattice refinement would need {total} segments (> {_MAX_LATTICE_NODES}); "
             "edge-length denominators are too heterogeneous for chip-firing"
         )
-
-    # marks: the vertices first, then each edge's stops by position.
-    # Mark x holds chips[x] and the script u[x], and an interior mark
-    # sits pos[x] steps from e.a.  Segment j runs along edge E[j] from
-    # mark A[j] to mark B[j], N[j] steps further from e.a.  inc[x] lists
-    # the segments at x; for an interior mark, the one towards e.a comes
-    # first.  A loop without stops is left out: f is constant on it and
-    # no chip ever enters it.
-    index = {v: i for i, v in enumerate(graph.vertex_ids)}
-    chips = [0] * len(index)
-    stops: dict[str, dict[int, int]] = defaultdict(dict)  # edge -> {position: chips}
+    mark = {p: x for x, p in enumerate(ref.marks)}
+    chips = [0] * len(mark)
     for p, c in support:
-        if p.kind == "vertex":
-            chips[index[p.where]] += c
-        else:
-            stops[p.where][int(p.offset * L)] = c
-    if q_pt.kind == "edge":
-        q_stop = (q_pt.where, int(q_pt.offset * L))
-        stops[q_pt.where].setdefault(q_stop[1], 0)
-    else:
-        q_mark = index[q_pt.where]
-    inc: list[list[int]] = [[] for _ in chips]
-    A: list[int] = []
-    B: list[int] = []
-    N: list[int] = []
-    E: list[int] = []
-    pos = [0] * len(chips)
-    for i, e in enumerate(graph.edges):
-        x, at = index[e.a], 0
-        for k, c in sorted(stops[e.id].items()) + [(steps[i], None)]:
-            y = index[e.b] if c is None else len(chips)
-            if c is not None:
-                if q_pt.kind == "edge" and (e.id, k) == q_stop:
-                    q_mark = y
-                chips.append(c)
-                inc.append([])
-                pos.append(k)
-            if x != y:
-                inc[x].append(len(A))
-                inc[y].append(len(A))
-                A.append(x), B.append(y), N.append(k - at), E.append(i)
-            x, at = y, k
+        chips[mark[p]] += c
+    q_mark = mark[q_pt]
+    nv = len(graph.vertex_ids)
+    pos = [int(p.offset * L) if x >= nv else 0 for x, p in enumerate(ref.marks)]
+    inc = [list(js) for js in ref.inc]
     u = [0] * len(chips)
 
     def split(j, k, height):
@@ -647,12 +611,11 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     base_min = min(u)
     held: dict[GraphPoint, int] = {}
     values: dict[GraphPoint, Fraction] = {}
-    for v, x in index.items():
-        p = GraphPoint.at_vertex(v)
+    for x, p in enumerate(ref.marks[:nv]):
         values[p] = Fraction(u[x] - base_min, L)
         if chips[x]:
             held[p] = chips[x]
-    for m in sorted(range(len(index), len(chips)), key=lambda m: (E[inc[m][0]], pos[m])):
+    for m in sorted(range(nv, len(chips)), key=lambda m: (E[inc[m][0]], pos[m])):
         left, right = inc[m]
         kink = (u[m] - u[A[left]]) * N[right] != (u[B[right]] - u[m]) * N[left]
         if chips[m] or kink:
@@ -733,8 +696,6 @@ class LemmaReport:
     failed_hypotheses: tuple[str, ...]
     conclusion_holds: Optional[bool]
     computed_locus: Optional[SubgraphLocus] = None
-    expected_locus: Optional[SubgraphLocus] = None
-    messages: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.ok
@@ -752,7 +713,7 @@ def _witness_hypotheses(graph, D, f, covered):
             yield f"support-on-{other.id}", other.id in hit
 
 
-def _check_lemma(graph, m, D, f, hypotheses, expected, mismatch) -> LemmaReport:
+def _check_lemma(graph, m, D, f, hypotheses, expected) -> LemmaReport:
     """Raise unless div(f) = D - mK; report the failed (name, holds) pairs
     of ``hypotheses(K)``, or else whether min_locus(f) == expected()."""
     K = canonical_divisor(graph, 1)
@@ -761,16 +722,11 @@ def _check_lemma(graph, m, D, f, hypotheses, expected, mismatch) -> LemmaReport:
             f"div(f) != D - {'' if m == 1 else m}K; not a valid lemma witness")
     failed = tuple(name for name, holds in hypotheses(K) if not holds)
     if failed:
-        return LemmaReport(ok=False, failed_hypotheses=failed,
-                           conclusion_holds=None,
-                           messages=("hypotheses failed; conclusion not asserted",))
+        return LemmaReport(ok=False, failed_hypotheses=failed, conclusion_holds=None)
     computed = min_locus(graph, f)
-    expected = expected()
-    holds = computed == expected
-    return LemmaReport(ok=holds, failed_hypotheses=(),
-                       conclusion_holds=holds,
-                       computed_locus=computed, expected_locus=expected,
-                       messages=() if holds else (mismatch,))
+    holds = computed == expected()
+    return LemmaReport(ok=holds, failed_hypotheses=(), conclusion_holds=holds,
+                       computed_locus=computed)
 
 
 def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
@@ -790,8 +746,7 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
         yield from _witness_hypotheses(graph, D, f, tset | {eid})
 
     return _check_lemma(graph, 1, D, f, hypotheses,
-                        lambda: fundamental_cycle(graph, tset, eid),
-                        "min locus differs from Z(T,e)")
+                        lambda: fundamental_cycle(graph, tset, eid))
 
 
 def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
@@ -816,5 +771,4 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
         v1, v2 = chain.endpoints
         yield "dominates-K-minus-endpoints", D >= K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
 
-    return _check_lemma(graph, 2, D, f, hypotheses, lambda: chain.as_locus(graph),
-                        "min locus differs from the chain")
+    return _check_lemma(graph, 2, D, f, hypotheses, lambda: chain.as_locus(graph))

@@ -196,6 +196,14 @@ def ks_skeleton(graph: WeightedDualGraph,
 # exactness of both Laplacian identities is preserved by each move.
 
 
+def _entry(table, key, what):
+    """``table[key]``, or MissingDataError naming what is missing."""
+    try:
+        return table[key]
+    except KeyError:
+        raise MissingDataError(f"no {what} {key!r}") from None
+
+
 def blow_up_node_with_data(graph: WeightedDualGraph,
                            data: PluricanonicalModelData, eid: str):
     """Node blow-up: the exceptional component has nu' = nu1 + nu2 (the
@@ -203,7 +211,8 @@ def blow_up_node_with_data(graph: WeightedDualGraph,
     e = graph.edge(eid)
     out, (wid,) = _blow_up(graph, [("node", eid)])
     nu = dict(data.nu)
-    nu[wid] = data.nu[e.a] + data.nu[e.b]
+    nu[wid] = _entry(data.nu, e.a, "nu entry for vertex") + \
+        _entry(data.nu, e.b, "nu entry for vertex")
     return out, PluricanonicalModelData(m=data.m, nu=nu,
                                         ray_degrees=data.ray_degrees,
                                         horizontal_edges=data.horizontal_edges)
@@ -222,13 +231,13 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
         if ray.attach != vid:
             raise GraphStructureError(
                 f"ray {toward_ray!r} is not attached at {vid!r}")
-        d = data.ray_degrees[toward_ray]
+        d = _entry(data.ray_degrees, toward_ray, "divisor coefficient for ray")
         moved = [r if r.label != toward_ray else
                  Ray(attach=wid, label=r.label, degree=r.degree)
                  for r in out.rays]
         out = out.replace(rays=moved)
     nu = dict(data.nu)
-    nu[wid] = data.nu[vid] + data.m + d
+    nu[wid] = _entry(data.nu, vid, "nu entry for vertex") + data.m + d
     return out, PluricanonicalModelData(m=data.m, nu=nu,
                                         ray_degrees=data.ray_degrees,
                                         horizontal_edges=data.horizontal_edges)

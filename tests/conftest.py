@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import skelgraph as sk
+from refined_graph import refined_graph
 
 
 def brute_bridges(graph):
@@ -71,10 +72,10 @@ def random_lattice_tropical(rng, graph, L=2, bound=3):
         assert steps.denominator == 1, "edge lengths must be multiples of 1/L"
         if steps > 1:
             cuts[e.id] = [Fraction(k, L) for k in range(1, int(steps))]
-    ref = sk.refine(graph, cuts)
+    rg, cut_points = refined_graph(graph, cuts)
     values = {}
-    for v in ref.graph.vertex_ids:
-        values[ref.cut_vertex_points.get(v) or sk.GraphPoint.at_vertex(v)] = Fraction(
+    for v in rg.vertex_ids:
+        values[cut_points.get(v) or sk.GraphPoint.at_vertex(v)] = Fraction(
             rng.randint(-bound, bound), L)
     return sk.PLFunction(values)
 

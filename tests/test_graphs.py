@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import GraphPoint as P, MetricKind, VertexLabel as V, WeightedDualGraph
+from skelgraph.graphs import refine
 
 from conftest import random_blowups, random_multigraph
+from refined_graph import refined_graph
 
 
 def two_vertex(n1, n2, metric=MetricKind.MODEL):
@@ -400,46 +402,116 @@ class TestSubdivide:
                 assert sk.distance(out, v, w) == sk.distance(g, v, w)
 
 
+def random_cuts(rng, g):
+    """One to three cuts at tenths of the length on about 60% of the edges."""
+    return {e.id: [g.edge_length(e.id) * k / 10
+                   for k in rng.sample(range(1, 10), rng.randint(1, 3))]
+            for e in g.edges if rng.random() < 0.6}
+
+
+def subdivide_one_by_one(g, cut_points):
+    """g cut at each (vertex id, base point) by subdivide_edge_at.  Edges
+    go from last to first, so the edges before keep their index, and each
+    edge from e.a on, each cut on the piece between the cut before and
+    e.b.  A piece stored from its far end is split from there, so pieces
+    can come out in another order than from a split in one pass."""
+    index = {e.id: i for i, e in enumerate(g.edges)}
+    rest = {}  # edge -> (index of its uncut rest, the rest's near end, its offset)
+    h = g
+    for vid, p in sorted(cut_points.items(),
+                         key=lambda kv: (-index[kv[1].where], kv[1].offset)):
+        i, near, at = rest.get(p.where, (index[p.where], g.edge(p.where).a, 0))
+        piece = h.edges[i]
+        swapped = piece.a != near
+        o = h.edge_length(piece.id) - (p.offset - at) if swapped else p.offset - at
+        h = sk.subdivide_edge_at(h, piece.id, o, V(vid))
+        rest[p.where] = (i if swapped else i + 1, vid, p.offset)
+    return h
+
+
 class TestRefine:
-    def test_is_an_isometry(self, rng):
-        # each cut vertex sits where its base point is, base distances and
-        # total length are kept, and rays pass through unchanged
+    """The layout ``refine`` returns: marks, segments, inc and L."""
+
+    @staticmethod
+    def cases(rng, n=40):
+        for _ in range(n):
+            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2)
+            cuts = random_cuts(rng, g)
+            yield g, cuts, refine(g, cuts)
+
+    def test_marks_are_vertices_then_cuts_by_edge_and_position(self, rng):
+        for g, cuts, ref in self.cases(rng):
+            index = {e.id: i for i, e in enumerate(g.edges)}
+            cut_points = sorted({P.on_edge(eid, o) for eid, offs in cuts.items() for o in offs},
+                                key=lambda p: (index[p.where], p.offset))
+            assert ref.marks == (*map(P.at_vertex, g.vertex_ids), *cut_points)
+
+    def test_segment_steps(self, rng):
+        # L is the lcm of the edge-length and cut denominators; along each
+        # edge, from e.a to e.b through its cuts, each segment's steps are
+        # L times the gap between its two stops, so they sum to length * L
+        for g, cuts, ref in self.cases(rng):
+            L = ref.L
+            assert L == lcm(*(g.edge_length(e.id).denominator for e in g.edges),
+                            *(F(o).denominator for offs in cuts.values() for o in offs))
+            assert [s[0] for s in ref.segments] == sorted(s[0] for s in ref.segments)
+            for i, e in enumerate(g.edges):
+                segs = [s for s in ref.segments if s[0] == i]
+                ell = g.edge_length(e.id)
+                if e.a == e.b and not cuts.get(e.id):
+                    assert segs == []
+                    continue
+                stops = [P.at_vertex(e.a), *(ref.marks[b] for _, _, b, _ in segs[:-1]),
+                         P.at_vertex(e.b)]
+                assert [ref.marks[a] for _, a, _, _ in segs] == stops[:-1]
+                assert [ref.marks[b] for _, _, b, _ in segs] == stops[1:]
+                at = [F(0), *(p.offset for p in stops[1:-1]), ell]
+                assert all(p.where == e.id for p in stops[1:-1])
+                assert [n for *_, n in segs] == [L * (y - x) for x, y in zip(at, at[1:])]
+                assert sum(n for *_, n in segs) == ell * L
+
+    def test_inc_lists_segments_in_order(self, rng):
+        # an interior mark lists the segment towards e.a first
+        for g, _, ref in self.cases(rng):
+            assert len(ref.inc) == len(ref.marks)
+            for x, js in enumerate(ref.inc):
+                assert list(js) == [j for j, (_, a, b, _) in enumerate(ref.segments)
+                                    if x in (a, b)]
+                if ref.marks[x].kind == "edge":
+                    assert len(js) == 2 and ref.segments[js[0]][2] == x
+
+    def test_helper_matches_repeated_subdivide(self, rng):
+        # the test-only graph built from the marks is the graph cut one
+        # point at a time, and it keeps every distance
         for _ in range(40):
             g = random_multigraph(rng, max_vertices=6, extra=4, loops=2, rays=2)
-            cuts = {e.id: [g.edge_length(e.id) * k / 10
-                           for k in rng.sample(range(1, 10), rng.randint(1, 3))]
-                    for e in g.edges if rng.random() < 0.6}
-            ref = sk.refine(g, cuts)
-            rg = ref.graph
-            assert set(rg.vertex_ids) == set(g.vertex_ids) | set(ref.cut_vertex_points)
-            assert sorted((p.where, p.offset) for p in ref.cut_vertex_points.values()) == \
-                sorted((eid, F(o)) for eid, offs in cuts.items() for o in set(offs))
-            assert rg.rays == g.rays
-            assert sum(rg.edge_length(e.id) for e in rg.edges) == \
-                sum(g.edge_length(e.id) for e in g.edges)
+            rg, cut_points = refined_graph(g, random_cuts(rng, g))
+            h = subdivide_one_by_one(g, cut_points)
+            assert rg.vertices == h.vertices and rg.rays == h.rays == g.rays
+            assert sorted((e.a, e.b, e.length) for e in rg.edges) == \
+                sorted((e.a, e.b, e.length) for e in h.edges)
             for v in g.vertex_ids:
                 near = sk.vertex_distances(rg, v)
                 for w in g.vertex_ids:
                     assert near[w] == sk.distance(g, v, w)
-                for c, p in ref.cut_vertex_points.items():
+                for c, p in cut_points.items():
                     assert near[c] == sk.distance(g, p, v)
 
-    def test_single_cut_matches_subdivide(self, rng):
-        for _ in range(30):
-            g = random_multigraph(rng, max_vertices=6, extra=4, loops=2)
-            e = rng.choice(g.edges)
-            x = g.edge_length(e.id) * rng.randint(1, 9) / 10
-            assert sk.refine(g, {e.id: [x]}).graph == \
-                sk.subdivide_edge_at(g, e.id, x, V(f"{e.id}@{x}", 1, 0))
+    def test_no_cuts_and_unknown_edges(self):
+        g = sk.fixtures.theta_graph()
+        ref = refine(g, {})
+        assert ref.marks == (P.at_vertex("u"), P.at_vertex("v"))
+        assert [s[1:3] for s in ref.segments] == [(0, 1)] * 3
+        with pytest.raises(sk.UnknownElementError):
+            refine(g, {"e9": [F(1, 2)]})
 
 
 class TestGraphPointValue:
     def test_equal_points_hash_equal_whatever_the_route(self):
         g = sk.fixtures.theta_graph()
-        ref = sk.refine(g, {"e0": [F(1, 3)]})
         routes = [
             [P.on_edge("e0", F(1, 3)), P.on_edge("e0", F(2, 6)),
-             P("edge", "e0", F(1, 3)), ref.cut_vertex_points["e0@1/3"]],
+             P("edge", "e0", F(1, 3)), refine(g, {"e0": [F(1, 3)]}).marks[-1]],
             [P.at_vertex("u"), sk.as_point("u"), g.check_point(P.on_edge("e0", 0)),
              P("vertex", "u", None)],
             [P.on_ray("x", 2), P.on_ray("x", F(4, 2))],

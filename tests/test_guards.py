@@ -15,9 +15,10 @@ from skelgraph.errors import (
     GraphStructureError as GSE,
     InvalidPointError as IPE,
     LoopsPresentError,
+    MissingDataError as MDE,
     UnknownElementError as UEE,
 )
-from skelgraph.graphs import VertexLabel as V
+from skelgraph.graphs import VertexLabel as V, refine
 
 
 def _pair(attach_mult=1, loop=False):
@@ -54,6 +55,10 @@ def _chain_wrong_endpoints():
                                                      endpoints=("l0", "zz")))
 
 
+def _short_nu():
+    return sk.PluricanonicalModelData(m=1, nu={"v1": 1})
+
+
 def _breakpoint_on_ray():
     g = _pair()
     f = sk.PLFunction({"u": 0, "v": 0, sk.GraphPoint.on_ray("x", 1): 1})
@@ -82,7 +87,7 @@ GUARDS = [
     ("subdivide-existing-id", lambda: sk.subdivide_edge_at(
         sk.fixtures.path_graph(2), "e0", F(1, 2), V("v1")), GSE,
      "vertex id 'v1' already exists"),
-    ("refine-at-endpoint", lambda: sk.refine(sk.fixtures.path_graph(2), {"e0": [1]}),
+    ("refine-at-endpoint", lambda: refine(sk.fixtures.path_graph(2), {"e0": [1]}),
      IPE, "cut 1 not interior to edge 'e0'"),
     ("distance-distinct-rays", _two_rays, IPE,
      "points on distinct rays have no finite distance"),
@@ -102,6 +107,9 @@ GUARDS = [
     ("spanning-tree-avoid-all", lambda: sk.spanning_tree(
         sk.fixtures.theta_graph(), avoid=["e0", "e1", "e2"]), GSE,
      "no spanning tree avoids the given edges"),
+    ("poisson-ray-anchor", lambda: sk.solve_poisson(
+        _pair(), sk.GraphDivisor({"u": 1, "v": -1}), anchor=sk.GraphPoint.on_ray("x", 1)),
+     IPE, "anchor GraphPoint.on_ray('x', '1') is on a ray; it must be on the compact part"),
     ("reduce-with-rays", lambda: sk.reduce_divisor(_pair(), sk.GraphDivisor(), "u"), GSE,
      "reduce_divisor works on compact graphs"),
     ("tails-loops", lambda: sk.find_maximal_tails(_loop_graph()), GSE,
@@ -128,6 +136,15 @@ GUARDS = [
      LoopsPresentError, "KS skeleton needs a loop-free graph"),
     ("blow-up-toward-far-ray", lambda: sk.blow_up_interior_with_data(
         _pair(), _data(), "v", toward_ray="x"), GSE, "ray 'x' is not attached at 'v'"),
+    ("blow-up-node-missing-nu", lambda: sk.blow_up_node_with_data(
+        sk.fixtures.kodaira_type_ii(), _short_nu(), "e0"), MDE,
+     "no nu entry for vertex 'v4'"),
+    ("blow-up-interior-missing-nu", lambda: sk.blow_up_interior_with_data(
+        sk.fixtures.kodaira_type_ii(), _short_nu(), "v4"), MDE,
+     "no nu entry for vertex 'v4'"),
+    ("blow-up-toward-ray-missing-coefficient", lambda: sk.blow_up_interior_with_data(
+        _pair(), sk.PluricanonicalModelData(m=1, nu={"u": 0, "v": 0}), "u", toward_ray="x"),
+     MDE, "no divisor coefficient for ray 'x'"),
     ("model-data-pair-degree", lambda: _data().validate_on(_pair(attach_mult=2)), GSE,
      "ray 'x': degree 1 != multiplicity of its attachment"),
     ("plfunction-ray-breakpoint", _breakpoint_on_ray, IPE,

@@ -28,6 +28,7 @@ from conftest import (
 )
 from laplacian_reference import laplacian_by_segments, min_locus_by_segments
 from lattice_reducer import reduce_on_lattice
+from refined_graph import refined_graph
 
 
 def to_networkx(graph):
@@ -255,8 +256,9 @@ class TestSolvePoisson:
         assert sk.laplacian(g, f) == t
 
     def test_vertex_named_like_a_cut(self):
-        # refine names the cut at e0's midpoint "e0@1/2"; a base vertex
-        # with that id gets the same solution as under any other name
+        # a refined graph would name the cut at e0's midpoint "e0@1/2";
+        # a base vertex with that id gets the same solution as under any
+        # other name
         def solve(name):
             g = WeightedDualGraph(vertices=[V("a"), V(name)], edges=[("a", name)])
             t = D({P.on_edge("e0", F(1, 2)): 1, P.at_vertex(name): -1})
@@ -266,6 +268,33 @@ class TestSolvePoisson:
         renamed = {P.at_vertex("e0@1/2"): P.at_vertex("b")}
         assert {renamed.get(p, p): x for p, x in solve("e0@1/2").values.items()} \
             == solve("b").values
+
+    def test_one_refine_call_and_no_graph_built(self, monkeypatch):
+        # the Poisson solve and the reduction each run on the integer
+        # layout of one refine call and build no graph
+        from skelgraph import graphs, potential
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        def counted(*args):
+            calls.append(args)
+            return graphs.refine(*args)
+
+        g = sk.fixtures.theta_graph()
+        cut = P.on_edge("e2", F(1, 4))
+        target = D({P.on_edge("e0", F(1, 2)): 2, P.on_edge("e1", F(1, 3)): -1, "v": -1})
+        calls = []
+        monkeypatch.setattr(graphs, "split_edges", no_graph)
+        monkeypatch.setattr(WeightedDualGraph, "__init__", no_graph)
+        monkeypatch.setattr(potential, "refine", counted)
+        f = sk.solve_poisson(g, target, anchor=cut)
+        assert len(calls) == 1
+        reduced, _ = sk.reduce_divisor(g, D({cut: 1, "u": 2}), cut)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert sk.laplacian(g, f) == target and f.evaluate(g, cut) == 0
+        assert reduced.degree == 3 and reduced.is_effective()
 
     def test_ray_supported_target_rejected(self):
         g = WeightedDualGraph(vertices=[V("a")], rays=[sk.Ray("a", "x", 1)])
@@ -305,10 +334,9 @@ def sympy_poisson(graph, target, ray_slopes, anchor):
     for p in [*target.support, anchor]:
         if p.kind == "edge":
             cuts[p.where].append(p.offset)
-    ref = sk.refine(graph, cuts)
-    rg = ref.graph
+    rg, cut_points = refined_graph(graph, cuts)
     pos = {v: i for i, v in enumerate(rg.vertex_ids)}
-    cut_at = {p: v for v, p in ref.cut_vertex_points.items()}  # base point -> cut vertex
+    cut_at = {p: v for v, p in cut_points.items()}  # base point -> cut vertex
 
     def row(p):
         return pos[p.where if p.kind == "vertex" else cut_at[p]]
@@ -333,7 +361,7 @@ def sympy_poisson(graph, target, ray_slopes, anchor):
     lap[a, a] = 1
     rhs[a] = 0
     sol = lap.LUsolve(rhs)
-    return {ref.cut_vertex_points.get(v) or P.at_vertex(v): F(int(sol[i].p), int(sol[i].q))
+    return {cut_points.get(v) or P.at_vertex(v): F(int(sol[i].p), int(sol[i].q))
             for v, i in pos.items()}
 
 
@@ -936,8 +964,8 @@ class TestMaximalBridgeChains:
     @staticmethod
     def subdivided(rng, g):
         """g with a third of its edges cut once, so chains grow longer."""
-        return sk.refine(g, {e.id: [g.edge_length(e.id) / 2] for e in g.edges
-                             if rng.random() < 1 / 3}).graph
+        return refined_graph(g, {e.id: [g.edge_length(e.id) / 2] for e in g.edges
+                                 if rng.random() < 1 / 3})[0]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -1,6 +1,9 @@
 """The runtime is pure stdlib: importing every skelgraph module loads
-nothing from outside the standard library."""
+nothing from outside the standard library.  And every function the
+benchmark's tracer wraps by name exists."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -35,3 +38,17 @@ def test_importing_every_module_loads_only_the_stdlib():
     outside = [m for m in report["loaded"]
                if m not in sys.stdlib_module_names and m not in ("skelgraph", "__main__")]
     assert outside == []
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracing.py wraps skelgraph functions by (module, name); a
+    # rename fails here on every Python the tests run on, not only in the
+    # benchmark's own smoke test
+    path = SRC.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [f"{m}.{f}" for m, f in tracing.TRACED
+               if not callable(getattr(importlib.import_module(f"skelgraph.{m}"), f, None))]
+    assert missing == []
