@@ -12,6 +12,7 @@ from .errors import (
     MinimumNotAttainedError,
     MissingDataError,
     NonIntegralError,
+    NonRationalError,
     PipelineError,
     SkelgraphError,
     UnknownElementError,

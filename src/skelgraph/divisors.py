@@ -14,14 +14,16 @@ from fractions import Fraction
 from typing import Mapping, Tuple, Union
 
 from .errors import NonIntegralError
-from .graphs import GraphPoint, PointLike, as_point
+from .graphs import GraphPoint, PointLike, as_point, as_rational
 
 Coeff = Union[int, Fraction]
 
 
 def _norm(c: Coeff) -> Coeff:
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else c
+    if type(c) is int:
+        return c
+    c = as_rational(c, "divisor coefficient")
+    return c.numerator if c.denominator == 1 else c
 
 
 class GraphDivisor:

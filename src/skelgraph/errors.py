@@ -41,6 +41,10 @@ class NonIntegralError(SkelgraphError):
     """Operation requires an integer-coefficient divisor or integer slopes."""
 
 
+class NonRationalError(SkelgraphError):
+    """A coefficient, value, position or length is not an int or a Fraction."""
+
+
 class DivisorMismatchError(SkelgraphError):
     """A function's divisor does not match the one required by a lemma."""
 

@@ -36,10 +36,19 @@ from typing import Iterable, Mapping, Optional, Union
 from .errors import (
     GraphStructureError,
     InvalidPointError,
+    NonRationalError,
     UnknownElementError,
 )
 
 Rational = Union[Fraction, int]
+
+
+def as_rational(x, what: str) -> Rational:
+    """``x`` itself when it is an int or a Fraction; anything else (a
+    float, a string, a bool) raises NonRationalError naming ``what``."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    raise NonRationalError(f"{what} must be an int or a Fraction, got {x!r:.80}")
 
 
 class MetricKind(Enum):
@@ -133,11 +142,13 @@ class GraphPoint:
 
     @staticmethod
     def on_edge(edge_id: str, position: Rational) -> "GraphPoint":
-        return GraphPoint("edge", edge_id, Fraction(position))
+        if type(position) is not Fraction:
+            position = Fraction(as_rational(position, "edge position"))
+        return GraphPoint("edge", edge_id, position)
 
     @staticmethod
     def on_ray(ray_label: str, distance: Rational) -> "GraphPoint":
-        d = Fraction(distance)
+        d = Fraction(as_rational(distance, "ray distance"))
         if d <= 0:
             raise InvalidPointError("ray point distance must be positive")
         return GraphPoint("ray", ray_label, d)
@@ -230,13 +241,16 @@ class WeightedDualGraph:
                 a, b, length = e.a, e.b, e.length
             else:
                 a, b = e[0], e[1]
-                length = Fraction(e[2]) if len(e) > 2 and e[2] is not None else None
+                length = e[2] if len(e) > 2 else None
             if a not in self_vertices or b not in self_vertices:
                 raise UnknownElementError(f"edge endpoints ({a!r}, {b!r}) not in graph")
             if b < a:
                 a, b = b, a
-            if length is not None and length <= 0:
-                raise GraphStructureError("edge lengths must be positive")
+            if length is not None:
+                if type(length) is not Fraction:
+                    length = Fraction(as_rational(length, "edge length"))
+                if length <= 0:
+                    raise GraphStructureError("edge lengths must be positive")
             edge_objs.append(Edge(f"e{i}", a, b, length))
 
         ray_objs = []
@@ -603,7 +617,7 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
 
     The two pieces carry explicit lengths summing to the original."""
     ell = graph.edge_length(eid)
-    position = Fraction(position)
+    position = Fraction(as_rational(position, "subdivision position"))
     if not 0 < position < ell:
         raise InvalidPointError(
             f"subdivision position {position} not interior to (0, {ell})"

@@ -9,17 +9,21 @@ away from the skeleton; rays never carry interior breakpoints.
 Every reader that takes a graph (``evaluate``, ``edge_profile``,
 ``slopes_on_edge``, ``has_integer_slopes``, and the Laplacian and the
 minimum locus in ``potential``) reads one walk: the function is
-validated against the graph, then each edge's profile and slopes are
-computed once, and kept on the function for that graph object.
-Functions and graphs are immutable, so the walk cannot go stale; a
-function that fails validation keeps nothing.  ``min_over_compact``
-and ``shift`` take no graph and read the stored values.
+validated against the graph, then each edge's profile and the slopes of
+its pieces are computed once, and kept on the function for that graph
+object.  The slopes are unreduced integer pairs, computed from integer
+coordinates without building a Fraction; ``slopes_on_edge`` turns them
+into Fractions on demand.  Functions and graphs are immutable, so the
+walk cannot go stale; a function that fails validation keeps nothing.
+``min_over_compact`` and ``shift`` take no graph and read the stored
+values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Mapping
 
@@ -30,6 +34,7 @@ from .graphs import (
     Rational,
     WeightedDualGraph,
     as_point,
+    as_rational,
 )
 
 
@@ -61,7 +66,10 @@ class PLFunction:
         vals = {}
         items = values.items() if hasattr(values, "items") else values
         for p, x in items:
-            vals[as_point(p)] = Fraction(x)
+            p = as_point(p)
+            if p in vals:
+                raise InvalidPointError(f"breakpoint {p!r} is given two values")
+            vals[p] = x if type(x) is Fraction else Fraction(as_rational(x, "function value"))
         self._fill(vals, _integral_ray_slopes(ray_slopes))
 
     @classmethod
@@ -152,32 +160,45 @@ class PLFunction:
         raises as ``validate_on`` does on a function that does not fit
         the graph."""
         graph.edge(eid)
-        return tuple(self._walk(graph)[eid][2])
+        return tuple(Fraction(n, d) for n, d in self._walk(graph)[eid][2])
 
     def has_integer_slopes(self, graph: WeightedDualGraph) -> bool:
         """Whether every linear piece has integer slope in the graph's
         metric; raises as ``validate_on`` does on a function that does
         not fit the graph."""
-        return all(s.denominator == 1 for _, _, slopes in self._walk(graph).values()
-                   for s in slopes)
+        return all(n % d == 0 for _, _, pieces in self._walk(graph).values()
+                   for n, d in pieces)
 
     def _walk(self, graph: WeightedDualGraph):
-        """``{edge id: (edge, profile, slopes)}`` for every edge of the
+        """``{edge id: (edge, profile, pieces)}`` for every edge of the
         graph, in edge order, after validating against it; computed once
         per graph object and kept until the function is walked on
-        another one."""
+        another one.
+
+        ``profile`` lists the (position, value) pairs along the edge,
+        endpoints included, and ``pieces`` the slope of each linear piece
+        between them as an unreduced integer pair (n, d) with d > 0.
+        Values are scaled to integers by dy, the lcm of all the value
+        denominators, and positions by dx, the lcm of the edge's
+        position denominators; a piece rising by Y over X scaled steps
+        has slope Y dx / (X dy), and no Fraction is built."""
         walked = self._walked
         if walked is not None and walked[0] is graph:
             return walked[1]
         self.validate_on(graph)
+        dy = lcm(*(y.denominator for y in self._values.values()))
         at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
         walk = {}
         for e in graph.edges:
-            profile = [(_ZERO, at[e.a]), *self._on_edge.get(e.id, ()),
-                       (graph.edge_length(e.id), at[e.b])]
-            slopes = [(y1 - y0) / (x1 - x0)
-                      for (x0, y0), (x1, y1) in zip(profile, profile[1:])]
-            walk[e.id] = (e, profile, slopes)
+            inner = self._on_edge.get(e.id, ())
+            ell = graph.edge_length(e.id)
+            profile = [(_ZERO, at[e.a]), *inner, (ell, at[e.b])]
+            dx = lcm(ell.denominator, *(x.denominator for x, _ in inner))
+            scaled = [(x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
+                      for x, y in profile]
+            pieces = [((y1 - y0) * dx, (x1 - x0) * dy)
+                      for (x0, y0), (x1, y1) in zip(scaled, scaled[1:])]
+            walk[e.id] = (e, profile, pieces)
         object.__setattr__(self, "_walked", (graph, walk))
         return walk
 
@@ -189,8 +210,9 @@ class PLFunction:
     # -- arithmetic --------------------------------------------------------
 
     def shift(self, c: Rational) -> "PLFunction":
-        c = Fraction(c)
-        return PLFunction({p: x + c for p, x in self._values.items()}, self._ray_slopes)
+        c = as_rational(c, "shift")
+        return PLFunction._trusted({p: x + c for p, x in self._values.items()},
+                                   self._ray_slopes)
 
     def without_rays(self) -> "PLFunction":
         return PLFunction(self._values, {})

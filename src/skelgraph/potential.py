@@ -21,9 +21,12 @@ by events and not by L.
 
 The Laplacian, the integer-slope test and the minimum locus read one
 walk of f per graph (``PLFunction._walk``): f is validated against the
-graph, each edge's profile and slopes are computed once, and f keeps
-them for that graph object.  The lemma checkers read f three times
-(div(f), the "tropical" hypothesis, min_locus(f)) and pay for one walk.
+graph, each edge's profile and the slopes of its pieces are computed
+once, and f keeps them for that graph object.  The slopes are unreduced
+integer pairs (n, d), so the Laplacian sums and compares them in
+integers and builds a Fraction only for a coefficient that is not an
+integer.  The lemma checkers read f three times (div(f), the "tropical"
+hypothesis, min_locus(f)) and pay for one walk.
 
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
@@ -52,7 +55,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from .divisors import GraphDivisor
@@ -87,21 +90,40 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     """Divisor whose degree at each point is the sum of the outgoing
     slopes of f there; declared ray slopes count at their attachments.
 
-    One pass over f's validated walk of the graph: an interior
-    breakpoint gets s_right - s_left, and the two end slopes of each
-    edge are summed per vertex."""
-    at_vertex = dict.fromkeys(graph.vertex_ids, 0)
+    One pass over f's validated walk of the graph, in integers: with
+    each piece's slope an (n, d) pair, an interior breakpoint is a kink
+    when n_r d_l - n_l d_r is not 0 and gets that over d_l d_r, and the
+    end slopes of each edge and the ray slopes are summed per vertex as
+    one n/d pair, over the lcm of their d.  A coefficient is an int
+    when d divides n and a Fraction otherwise."""
+    ends = {v: [] for v in graph.vertex_ids}
     support = {}
-    for e, profile, slopes in f._walk(graph).values():
-        at_vertex[e.a] += slopes[0]
-        at_vertex[e.b] -= slopes[-1]
-        for (x, _), left, right in zip(profile[1:-1], slopes, slopes[1:]):
-            if right != left:
-                support[GraphPoint("edge", e.id, x)] = right - left
+    for e, profile, pieces in f._walk(graph).values():
+        ends[e.a].append(pieces[0])
+        n, d = pieces[-1]
+        ends[e.b].append((-n, d))
+        for (x, _), (nl, dl), (nr, dr) in zip(profile[1:-1], pieces, pieces[1:]):
+            n = nr * dl - nl * dr
+            if n:
+                support[GraphPoint("edge", e.id, x)] = _quotient(n, dl * dr)
     for label, s in f.ray_slopes.items():
-        at_vertex[graph.ray(label).attach] += s
-    support.update((GraphPoint.at_vertex(v), c) for v, c in at_vertex.items())
+        ends[graph.ray(label).attach].append((s, 1))
+    for v, terms in ends.items():
+        N, D = 0, 1
+        for n, d in terms:
+            if d == D:
+                N += n
+            else:
+                g = gcd(D, d)
+                N, D = N * (d // g) + n * (D // g), D // g * d
+        support[GraphPoint.at_vertex(v)] = _quotient(N, D)
     return GraphDivisor._clean(support)
+
+
+def _quotient(n: int, d: int):
+    """n / d for d > 0: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def div(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
@@ -115,8 +137,8 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
     the valency counting bounded edges and rays alike."""
     if not graph.is_loop_free():
         raise LoopsPresentError("canonical divisor needs a loop-free graph")
-    if m < 1:
-        raise GraphStructureError(f"m must be a positive integer, got {m}")
+    if type(m) is not int or m < 1:
+        raise GraphStructureError(f"m must be a positive integer, got {m!r}")
     coeffs = {}
     for v in graph.vertices:
         val = graph.valency(v.id, include_rays=True)
@@ -625,7 +647,7 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
             if kink:
                 values[p] = Fraction(u[m] - base_min, L)
     reduced = GraphDivisor(held)
-    f = PLFunction(values)
+    f = PLFunction._trusted(values, {})
 
     # certificate: equivalence via the independent laplacian path,
     # effectivity off q, and a clean burn

@@ -46,10 +46,16 @@ class PluricanonicalModelData:
     horizontal_edges: frozenset = frozenset()
 
     def __post_init__(self):
+        if type(self.m) is not int:
+            raise GraphStructureError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphStructureError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "nu", dict(self.nu))
-        object.__setattr__(self, "ray_degrees", dict(self.ray_degrees))
+        for name in ("nu", "ray_degrees"):
+            table = dict(getattr(self, name))
+            for key, x in table.items():
+                if type(x) is not int:
+                    raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
+            object.__setattr__(self, name, table)
         object.__setattr__(self, "horizontal_edges", frozenset(self.horizontal_edges))
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":

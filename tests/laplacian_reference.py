@@ -1,5 +1,5 @@
-"""Differential oracles for ``laplacian`` and ``min_locus``: per-segment
-readings of each edge's profile.
+"""Differential oracles for ``laplacian``, ``min_locus`` and the slopes
+of the walk: per-segment readings of each edge's profile.
 
 These are the versions skelgraph shipped before both moved to one
 validated walk per function and graph.  Each edge's profile is rebuilt
@@ -8,7 +8,8 @@ adds every linear piece's slope at its left end and subtracts it at its
 right end, on GraphPoint keys, through the public ``GraphDivisor``
 constructor; the minimum locus collects, piece by piece, the closed
 segments and points where f is at its minimum and lets the public
-``SubgraphLocus`` constructor merge them.  They share no code with
+``SubgraphLocus`` constructor merge them.  The slopes are the Fraction
+quotients (y1 - y0) / (x1 - x0) of each piece.  They share no code with
 ``PLFunction.edge_profile``, the walk or the divisor and locus fast
 paths, so they live here, for tests only.
 """
@@ -29,6 +30,17 @@ def _profile(graph, values, e):
                  if p.kind == "edge" and p.where == e.id)]
     profile.sort(key=lambda t: t[0])
     return ell, profile
+
+
+def slopes_by_segments(graph, f):
+    f.validate_on(graph)
+    values = f.values
+    slopes = {}
+    for e in graph.edges:
+        _, profile = _profile(graph, values, e)
+        slopes[e.id] = tuple((y1 - y0) / (x1 - x0)
+                             for (x0, y0), (x1, y1) in zip(profile, profile[1:]))
+    return slopes
 
 
 def laplacian_by_segments(graph, f):

@@ -16,6 +16,7 @@ from skelgraph.errors import (
     InvalidPointError as IPE,
     LoopsPresentError,
     MissingDataError as MDE,
+    NonRationalError as NRE,
     UnknownElementError as UEE,
 )
 from skelgraph.graphs import VertexLabel as V, refine
@@ -102,6 +103,40 @@ GUARDS = [
     ("base-change-degree", lambda: sk.base_change_subdivide(sk.fixtures.path_graph(2), 0),
      GSE, "base-change degree must be >= 1, got 0"),
     ("blowup-op", lambda: sk.BlowUpStep("edge", "e0"), GSE, "unknown blow-up op 'edge'"),
+    ("canonical-divisor-m-not-integer", lambda: sk.canonical_divisor(
+        sk.fixtures.triangle_chain(2), 1.5), GSE, "m must be a positive integer, got 1.5"),
+    ("model-data-m-not-integer", lambda: sk.PluricanonicalModelData(m=2.5, nu={"u": 0}),
+     GSE, "m must be an integer, got 2.5"),
+    ("model-data-nu-not-integer", lambda: sk.PluricanonicalModelData(m=1, nu={"u": 0.5}),
+     GSE, "nu['u'] must be an integer, got 0.5"),
+    ("model-data-ray-degree-not-integer", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, ray_degrees={"x": F(1, 2)}), GSE,
+     "ray_degrees['x'] must be an integer, got Fraction(1, 2)"),
+    ("divisor-float-coefficient", lambda: sk.GraphDivisor({"v": 0.1}), NRE,
+     "divisor coefficient must be an int or a Fraction, got 0.1"),
+    ("divisor-string-coefficient", lambda: sk.GraphDivisor({"v": "1/2"}), NRE,
+     "divisor coefficient must be an int or a Fraction, got '1/2'"),
+    ("divisor-bool-coefficient", lambda: sk.GraphDivisor.at("v", True), NRE,
+     "divisor coefficient must be an int or a Fraction, got True"),
+    ("plfunction-float-value", lambda: sk.PLFunction({"v": 0.1}), NRE,
+     "function value must be an int or a Fraction, got 0.1"),
+    ("plfunction-float-shift", lambda: sk.PLFunction({"v": 0}).shift(0.5), NRE,
+     "shift must be an int or a Fraction, got 0.5"),
+    ("plfunction-point-twice", lambda: sk.PLFunction(
+        {"a": 0, sk.GraphPoint.at_vertex("a"): 1}), IPE,
+     "breakpoint GraphPoint.at_vertex('a') is given two values"),
+    ("plfunction-pair-twice", lambda: sk.PLFunction([("a", 0), ("a", 5)]), IPE,
+     "breakpoint GraphPoint.at_vertex('a') is given two values"),
+    ("point-float-edge-position", lambda: sk.GraphPoint.on_edge("e0", 0.25), NRE,
+     "edge position must be an int or a Fraction, got 0.25"),
+    ("point-string-ray-distance", lambda: sk.GraphPoint.on_ray("x", "1"), NRE,
+     "ray distance must be an int or a Fraction, got '1'"),
+    ("graph-float-edge-length", lambda: sk.WeightedDualGraph(
+        vertices=[V("u"), V("v")], edges=[("u", "v", 0.1)]), NRE,
+     "edge length must be an int or a Fraction, got 0.1"),
+    ("subdivide-float-position", lambda: sk.subdivide_edge_at(
+        sk.fixtures.path_graph(2), "e0", 0.5, V("w")), NRE,
+     "subdivision position must be an int or a Fraction, got 0.5"),
     ("canonical-divisor-m", lambda: sk.canonical_divisor(sk.fixtures.theta_graph(), 0),
      GSE, "m must be a positive integer, got 0"),
     ("spanning-tree-avoid-all", lambda: sk.spanning_tree(

@@ -1,5 +1,6 @@
 """Laplacians, Poisson solving, reduced divisors, bridges, lemmas."""
 
+import copy
 import itertools
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
+from skelgraph import plfunction, potential
 from skelgraph import (
     GraphDivisor as D,
     GraphPoint as P,
@@ -26,7 +28,7 @@ from conftest import (
     random_multigraph,
     random_plfunction,
 )
-from laplacian_reference import laplacian_by_segments, min_locus_by_segments
+from laplacian_reference import laplacian_by_segments, min_locus_by_segments, slopes_by_segments
 from lattice_reducer import reduce_on_lattice
 from refined_graph import refined_graph
 
@@ -166,6 +168,95 @@ class TestLaplacianOracle:
         # both coefficient types at vertices and at interior kinks
         assert seen == {("vertex", "int"), ("vertex", "Fraction"),
                              ("edge", "int"), ("edge", "Fraction")}
+
+
+def _primes(count):
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+class TestIntegerWalk:
+    """The walk keeps each slope as an unreduced integer pair (n, d) with
+    d > 0, and every reader agrees with the Fraction quotients."""
+
+    def test_slopes_match_fraction_quotients(self):
+        rng = random.Random(1213)
+        seen = set()
+        for g in TestLaplacianOracle.graphs(rng, 30):
+            for f in TestLaplacianOracle.functions(rng, g):
+                want = slopes_by_segments(g, f)
+                walk = f._walk(g)
+                for e in g.edges:
+                    got = f.slopes_on_edge(g, e.id)
+                    profile = f.edge_profile(g, e.id)
+                    direct = tuple((y1 - y0) / (x1 - x0)
+                                   for (x0, y0), (x1, y1) in zip(profile, profile[1:]))
+                    assert got == want[e.id] == direct
+                    assert all(type(s) is F for s in got)
+                    assert len(walk[e.id][2]) == len(got)
+                    for (n, d), s in zip(walk[e.id][2], got):
+                        assert type(n) is int and type(d) is int and d > 0
+                        assert F(n, d) == s
+                integral = all(s.denominator == 1 for slopes in want.values() for s in slopes)
+                assert f.has_integer_slopes(g) == integral
+                seen.add(integral)
+        assert seen == {True, False}
+
+    def test_star_with_coprime_multiplicities(self):
+        """200 leaves of distinct prime multiplicities, values of mixed
+        denominators and interior breakpoints: the centre sums 200 end
+        slopes whose denominators differ."""
+        rng = random.Random(1217)
+        primes = _primes(200)
+        g = WeightedDualGraph(vertices=[V("c")] + [V(f"l{i:03}", p) for i, p in enumerate(primes)],
+                              edges=[("c", f"l{i:03}") for i in range(200)])
+        values = {P.at_vertex(v): F(rng.randint(-9, 9), rng.randint(1, 12))
+                  for v in g.vertex_ids}
+        for e in g.edges:
+            ell = g.edge_length(e.id)
+            for x in {F(rng.randint(1, m - 1), m) for m in rng.sample(range(2, 13), 2)}:
+                values[P.on_edge(e.id, ell * x)] = F(rng.randint(-9, 9), rng.randint(1, 12))
+        f = PLFunction(values)
+        walk = f._walk(g)
+        assert len({walk[e.id][2][0][1] for e in g.edges}) > 10
+        got, want = sk.laplacian(g, f), laplacian_by_segments(g, f)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert type(got.coeff("c")) is F and got.coeff("c").denominator > 1
+
+    @pytest.mark.parametrize("graph, eid", [
+        (sk.fixtures.theta_graph(), "e1"),
+        (sk.fixtures.triangle_chain(3), "e4"),
+    ], ids=["theta", "triangle-chain-3"])
+    def test_integer_path_builds_no_fraction(self, monkeypatch, graph, eid):
+        """With Fraction construction patched to raise in ``potential`` and
+        ``plfunction``, and Fraction arithmetic patched to raise anywhere,
+        ``laplacian`` and ``has_integer_slopes`` still run on a fresh copy
+        of a witness's function: with integral slopes the path is integer
+        only."""
+        f = sk.witness_cycle(graph, eid).function
+        want = sk.laplacian(graph, f)  # the graph keeps its edge lengths
+        fresh = [copy.copy(f) for _ in range(2)]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a Fraction was built or combined on the integer path")
+        for module in (potential, plfunction):
+            monkeypatch.setattr(module, "Fraction", boom)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                     "__mod__", "__rmod__", "__neg__"):
+            monkeypatch.setattr(F, name, boom)
+        got = sk.laplacian(graph, fresh[0])
+        tropical = fresh[1].has_integer_slopes(graph)
+        monkeypatch.undo()
+        assert tropical and got == want and got.items() == want.items()
+        assert any(p.kind == "edge" for p in got.support)
+        assert all(type(c) is int for _, c in got.items())
 
 
 class TestCanonicalDivisor:
