@@ -635,49 +635,48 @@ class Refinement:
     """A graph cut at many interior points at once, as an integer layout;
     no graph is built.
 
-    ``marks`` are base points: the vertices in vertex order, then the
-    cuts edge by edge in order of position.  ``segments`` are the
-    stretches ``(edge index, mark a, mark b, steps)`` between consecutive
-    stops of each edge, edge by edge and from ``e.a`` on; ``steps`` is
-    the length in units of 1/L, with L the lcm of the edge-length and cut
-    denominators.  A loop without cuts has no segment.  ``inc[x]`` lists
-    the segments at mark x in segment order, so at an interior mark the
-    one towards ``e.a`` comes first."""
+    ``marks`` maps each base point to its index, in mark order: the
+    vertices in vertex order, then the cuts edge by edge in order of
+    position.  ``segments`` are the stretches ``(edge index, mark a, mark
+    b, steps)`` between consecutive stops of each edge, edge by edge and
+    from ``e.a`` on; ``steps`` is the length in units of 1/L, with L the
+    lcm of the edge-length and cut denominators.  A loop without cuts has
+    no segment.  ``inc[x]`` lists the segments at mark x in segment
+    order, so at an interior mark the one towards ``e.a`` comes first."""
 
-    marks: tuple[GraphPoint, ...]
+    marks: dict[GraphPoint, int]
     segments: tuple[tuple[int, int, int, int], ...]
     inc: tuple[tuple[int, ...], ...]
     L: int
 
 
-def refine(graph: WeightedDualGraph, cuts: Mapping[str, Iterable[Rational]]) -> Refinement:
-    """The layout of the graph cut at the given interior positions."""
-    stops = {}
-    for eid, offs in cuts.items():
-        ell = graph.edge_length(eid)
-        stops[eid] = sorted({Fraction(o) for o in offs})
-        for o in stops[eid]:
-            if not 0 < o < ell:
-                raise InvalidPointError(f"cut {o} not interior to edge {eid!r}")
+def refine(graph: WeightedDualGraph, points: Iterable[GraphPoint]) -> Refinement:
+    """The layout of the graph cut at the edge points among ``points``,
+    which ``graph.check_point`` produced, so each lies strictly inside
+    its edge; the vertices are marks anyway."""
+    stops: dict[str, set[GraphPoint]] = {}
+    for p in points:
+        if p.kind == "edge":
+            stops.setdefault(p.where, set()).add(p)
     lengths = [graph.edge_length(e.id) for e in graph.edges]
     L = math.lcm(*(x.denominator for x in lengths),
-                 *(o.denominator for offs in stops.values() for o in offs))
+                 *(p.offset.denominator for cut in stops.values() for p in cut))
     index = {v: i for i, v in enumerate(graph.vertex_ids)}
-    marks = [GraphPoint.at_vertex(v) for v in index]
+    marks = {GraphPoint.at_vertex(v): i for v, i in index.items()}
     segments: list[tuple[int, int, int, int]] = []
     inc: list[list[int]] = [[] for _ in marks]
     for i, (e, ell) in enumerate(zip(graph.edges, lengths)):
         x, at = index[e.a], 0
-        for o in [*stops.get(e.id, ()), None]:
-            if o is None:
+        for p in [*sorted(stops.get(e.id, ()), key=lambda c: c.offset), None]:
+            if p is None:
                 y, k = index[e.b], ell.numerator * (L // ell.denominator)
             else:
-                y, k = len(marks), o.numerator * (L // o.denominator)
-                marks.append(GraphPoint("edge", e.id, o))
+                y, k = len(marks), p.offset.numerator * (L // p.offset.denominator)
+                marks[p] = y
                 inc.append([])
             if x != y:
                 inc[x].append(len(segments))
                 inc[y].append(len(segments))
                 segments.append((i, x, y, k - at))
             x, at = y, k
-    return Refinement(tuple(marks), tuple(segments), tuple(map(tuple, inc)), L)
+    return Refinement(marks, tuple(segments), tuple(map(tuple, inc)), L)

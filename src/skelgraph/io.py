@@ -161,16 +161,19 @@ def function_to_json(f: PLFunction) -> list:
 
 
 def function_from_json(doc: list) -> PLFunction:
-    values = {}
+    values = []
     slopes = {}
     for item in _shaped(doc, list, "function"):
         if "ray" in _shaped(item, dict, "function entry"):
             _shaped(item, dict, "ray slope entry", "slope")
-            slopes[_shaped(item["ray"], str, "function ray label")] = \
-                parse_rational(item["slope"])
+            label = _shaped(item["ray"], str, "function ray label")
+            if label in slopes:
+                raise GraphStructureError(
+                    f"malformed function JSON: ray {label!r} is given two slopes")
+            slopes[label] = parse_rational(item["slope"])
         else:
             _shaped(item, dict, "function value entry", "point", "value")
-            values[point_from_json(item["point"])] = parse_rational(item["value"])
+            values.append((point_from_json(item["point"]), parse_rational(item["value"])))
     return PLFunction(values, slopes)
 
 
@@ -223,20 +226,17 @@ def data_to_json(data: PluricanonicalModelData) -> dict:
 def data_from_json(doc: dict) -> PluricanonicalModelData:
     _shaped(doc, dict, "data", "m", "nu")
     rays = _shaped(doc.get("rays", {}), dict, "data rays")
-    try:
-        return PluricanonicalModelData(
-            m=_integer(doc["m"], "data m"),
-            nu={str(k): _integer(v, "data nu")
-                for k, v in _shaped(doc["nu"], dict, "data nu").items()},
-            ray_degrees={str(k): _integer(_shaped(v, dict, "data ray", "deg_div")["deg_div"],
-                                          "data ray deg_div")
-                         for k, v in rays.items()},
-            horizontal_edges=frozenset(
-                _shaped(e, str, "data horizontal_edges entry") for e in _shaped(
-                    doc.get("horizontal_edges", []), list, "data horizontal_edges")),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise GraphStructureError(f"malformed data JSON: {exc}") from exc
+    return PluricanonicalModelData(
+        m=_integer(doc["m"], "data m"),
+        nu={str(k): _integer(v, "data nu")
+            for k, v in _shaped(doc["nu"], dict, "data nu").items()},
+        ray_degrees={str(k): _integer(_shaped(v, dict, "data ray", "deg_div")["deg_div"],
+                                      "data ray deg_div")
+                     for k, v in rays.items()},
+        horizontal_edges=frozenset(
+            _shaped(e, str, "data horizontal_edges entry") for e in _shaped(
+                doc.get("horizontal_edges", []), list, "data horizontal_edges")),
+    )
 
 
 def min_locus_request_from_json(doc: Optional[dict]) -> tuple[Optional[str],

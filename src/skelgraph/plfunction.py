@@ -48,10 +48,10 @@ def _check_normalized(graph: WeightedDualGraph, p: GraphPoint) -> None:
 
 def _integral_ray_slopes(ray_slopes: Mapping[str, int]) -> dict[str, int]:
     """The ray slopes as a dict of ints; raises unless each is an
-    integer (an int or a Fraction with denominator 1)."""
+    integer (an int that is not a bool, or a Fraction with denominator 1)."""
     slopes = dict(ray_slopes.items() if hasattr(ray_slopes, "items") else ray_slopes)
     for label, s in slopes.items():
-        if not isinstance(s, (int, Fraction)) or s.denominator != 1:
+        if isinstance(s, bool) or not isinstance(s, (int, Fraction)) or s.denominator != 1:
             raise NonIntegralError(f"ray slope for {label!r} must be an integer, got {s!r}")
     return {label: int(s) for label, s in slopes.items()}
 

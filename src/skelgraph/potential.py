@@ -52,7 +52,7 @@ needs no linear algebra.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -149,15 +149,6 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
 # -- exact Poisson solving ----------------------------------------------------
 
 
-def _cuts(points: Iterable[GraphPoint]) -> dict[str, list[Fraction]]:
-    """The offsets of the interior edge points among ``points``, by edge."""
-    cuts = defaultdict(list)
-    for p in points:
-        if p.kind == "edge":
-            cuts[p.where].append(p.offset)
-    return cuts
-
-
 def _solve_linear(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     """Bareiss's fraction-free Gauss-Jordan elimination on an integer
     system: every step divides exactly by the previous pivot, so all
@@ -215,14 +206,14 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
     for label in slopes:
         graph.ray(label)
     support = []
-    for p in target.support:
+    for p, c in target.items():
         p = graph.check_point(p)
         if p.kind == "ray":
             raise InvalidPointError(
                 "targets supported on rays are not solvable: rays carry a "
                 "single declared slope and no interior breakpoints"
             )
-        support.append((p, target.coeff(p)))
+        support.append((p, c))
     anchor_pt = graph.check_point(as_point(graph.vertex_ids[0] if anchor is None else anchor))
     if anchor_pt.kind == "ray":
         raise InvalidPointError(f"anchor {anchor_pt!r} is on a ray; it must be on the compact part")
@@ -236,9 +227,8 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
             f"slopes sum to {sum(slopes.values())}; no solution exists"
         )
 
-    ref = refine(graph, _cuts([p for p, _ in support] + [anchor_pt]))
-    segments, inc = ref.segments, ref.inc
-    mark = {p: x for x, p in enumerate(ref.marks)}
+    ref = refine(graph, [p for p, _ in support] + [anchor_pt])
+    mark, segments, inc = ref.marks, ref.segments, ref.inc
 
     # t[x]: the sum of the outgoing slopes along segments at mark x, in
     # units of 1/D
@@ -306,7 +296,7 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
 
     scale = ref.L * D * det
     values = {}
-    for x, p in enumerate(ref.marks):
+    for p, x in mark.items():
         c, k = f[x]
         c *= det
         for u, xj in zip(k, sol):
@@ -508,8 +498,8 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     q_pt = graph.check_point(as_point(q))
     support = [(graph.check_point(p), c) for p, c in divisor_in.items()]
 
-    ref = refine(graph, _cuts([p for p, _ in support] + [q_pt]))
-    L = ref.L
+    ref = refine(graph, [p for p, _ in support] + [q_pt])
+    mark, L = ref.marks, ref.L
     # The segments as columns: segment j runs along edge E[j] from mark
     # A[j] to mark B[j], N[j] steps further from e.a.  Mark x holds
     # chips[x] and the script u[x], and an interior mark sits pos[x]
@@ -522,13 +512,12 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
             f"lattice refinement would need {total} segments (> {_MAX_LATTICE_NODES}); "
             "edge-length denominators are too heterogeneous for chip-firing"
         )
-    mark = {p: x for x, p in enumerate(ref.marks)}
     chips = [0] * len(mark)
     for p, c in support:
         chips[mark[p]] += c
     q_mark = mark[q_pt]
     nv = len(graph.vertex_ids)
-    pos = [int(p.offset * L) if x >= nv else 0 for x, p in enumerate(ref.marks)]
+    pos = [int(p.offset * L) if x >= nv else 0 for p, x in mark.items()]
     inc = [list(js) for js in ref.inc]
     u = [0] * len(chips)
 
@@ -633,7 +622,7 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     base_min = min(u)
     held: dict[GraphPoint, int] = {}
     values: dict[GraphPoint, Fraction] = {}
-    for x, p in enumerate(ref.marks[:nv]):
+    for p, x in itertools.islice(mark.items(), nv):
         values[p] = Fraction(u[x] - base_min, L)
         if chips[x]:
             held[p] = chips[x]
@@ -649,9 +638,9 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     reduced = GraphDivisor(held)
     f = PLFunction._trusted(values, {})
 
-    # certificate: equivalence via the independent laplacian path,
-    # effectivity off q, and a clean burn
-    if reduced != divisor_in - laplacian(graph, f):
+    # certificate: equivalence to the checked input via the independent
+    # laplacian path, effectivity off q, and a clean burn
+    if reduced != GraphDivisor(support) - laplacian(graph, f):
         raise PipelineError("reduction certificate failed: D' != D + div(f)")
     for p in reduced.support:
         if p != q_pt and reduced.coeff(p) < 0:

@@ -40,6 +40,7 @@ from .potential import (
     canonical_divisor,
     check_bridge_lemma,
     check_min_locus_lemma,
+    is_spanning_tree,
     maximal_bridge_chains,
     reduce_divisor,
     solve_poisson,
@@ -201,13 +202,15 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     """Construct (T, D, f) realizing the fundamental cycle Z(T, e) as a
     minimum locus: D is effective, equivalent to K, and carries a point
     in the interior of every non-tree edge other than e; f solves
-    div(f) = D - K.  Asserts that min_locus(f) = Z(T, e) contains e."""
+    div(f) = D - K.  Asserts min_locus(f) = Z(T, e); a given T must span."""
     _require_maximally_degenerate(graph, "witness_cycle")
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
         raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
+    if tree is not None and not is_spanning_tree(graph, T):
+        raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     return _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
                     GraphPoint.at_vertex(graph.edge(eid).a),
                     lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
@@ -220,7 +223,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
     """Construct (T, D, f) realizing a maximal bridge chain B as a
     minimum locus: D is effective, equivalent to 2K, dominates
     K - (v1) - (v2), and has a point in the interior of every non-tree
-    edge; f solves div(f) = D - 2K.  Asserts min_locus(f) = B."""
+    edge; f solves div(f) = D - 2K.  Asserts min_locus(f) = B; a given T must span."""
     _require_maximally_degenerate(graph, "witness_bridge_chain")
     g = graph_genus(graph)
     if g <= 1:
@@ -243,6 +246,8 @@ def witness_bridge_chain(graph: WeightedDualGraph,
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
+    if tree is not None and not is_spanning_tree(graph, T):
+        raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints
     D1 = K - GraphDivisor.at(v1) - GraphDivisor.at(v2)

@@ -66,12 +66,11 @@ def random_plfunction(rng, graph, max_cuts=2, denom=6, bound=4):
 def random_lattice_tropical(rng, graph, L=2, bound=3):
     """A random tropical (integer-slope) function on the 1/L lattice of
     a graph whose edge lengths are multiples of 1/L."""
-    cuts = {}
+    cuts = []
     for e in graph.edges:
         steps = graph.edge_length(e.id) * L
         assert steps.denominator == 1, "edge lengths must be multiples of 1/L"
-        if steps > 1:
-            cuts[e.id] = [Fraction(k, L) for k in range(1, int(steps))]
+        cuts += [sk.GraphPoint.on_edge(e.id, Fraction(k, L)) for k in range(1, int(steps))]
     rg, cut_points = refined_graph(graph, cuts)
     values = {}
     for v in rg.vertex_ids:

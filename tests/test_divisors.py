@@ -124,6 +124,19 @@ class TestLocus:
         assert a <= u and b <= u
         assert u == SubgraphLocus(g, whole_edges=["e0", "e1"])
 
+    def test_subset_fails_on_a_missing_vertex_or_segment(self):
+        g = sk.fixtures.theta_graph()
+        half = SubgraphLocus(g, segments={"e0": [(F(1, 4), F(1, 2))]})
+        assert not SubgraphLocus(g, vertices=["u"]) <= half
+        assert not half <= SubgraphLocus(g, vertices=["u", "v"])
+        assert not half <= SubgraphLocus(g, segments={"e0": [(F(1, 3), F(3, 4))]})
+        assert half <= SubgraphLocus(g, segments={"e0": [(F(1, 4), F(3, 4))]})
+
+    def test_ray_points_lie_outside(self):
+        g = sk.WeightedDualGraph(vertices=[sk.VertexLabel("u")], rays=[sk.Ray("u", "x")])
+        locus = SubgraphLocus(g, vertices=["u"])
+        assert locus.contains("u") and not locus.contains(P.on_ray("x", 1))
+
     def test_out_of_range_segment_rejected(self):
         g = sk.fixtures.kodaira_type_ii()
         with pytest.raises(sk.InvalidPointError):

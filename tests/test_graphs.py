@@ -404,9 +404,9 @@ class TestSubdivide:
 
 def random_cuts(rng, g):
     """One to three cuts at tenths of the length on about 60% of the edges."""
-    return {e.id: [g.edge_length(e.id) * k / 10
-                   for k in rng.sample(range(1, 10), rng.randint(1, 3))]
-            for e in g.edges if rng.random() < 0.6}
+    return [P.on_edge(e.id, g.edge_length(e.id) * k / 10)
+            for e in g.edges if rng.random() < 0.6
+            for k in rng.sample(range(1, 10), rng.randint(1, 3))]
 
 
 def subdivide_one_by_one(g, cut_points):
@@ -442,29 +442,37 @@ class TestRefine:
     def test_marks_are_vertices_then_cuts_by_edge_and_position(self, rng):
         for g, cuts, ref in self.cases(rng):
             index = {e.id: i for i, e in enumerate(g.edges)}
-            cut_points = sorted({P.on_edge(eid, o) for eid, offs in cuts.items() for o in offs},
-                                key=lambda p: (index[p.where], p.offset))
-            assert ref.marks == (*map(P.at_vertex, g.vertex_ids), *cut_points)
+            cut_points = sorted(set(cuts), key=lambda p: (index[p.where], p.offset))
+            assert list(ref.marks) == [*map(P.at_vertex, g.vertex_ids), *cut_points]
+
+    def test_marks_map_to_their_positions(self, rng):
+        # each mark maps to its index in mark order, and neither repeated
+        # points nor vertex points nor the order given change the layout
+        for g, cuts, ref in self.cases(rng):
+            assert list(ref.marks.values()) == list(range(len(ref.marks)))
+            again = refine(g, [*map(P.at_vertex, g.vertex_ids), *reversed(cuts), *cuts])
+            assert list(again.marks.items()) == list(ref.marks.items())
+            assert (again.segments, again.inc, again.L) == (ref.segments, ref.inc, ref.L)
 
     def test_segment_steps(self, rng):
         # L is the lcm of the edge-length and cut denominators; along each
         # edge, from e.a to e.b through its cuts, each segment's steps are
         # L times the gap between its two stops, so they sum to length * L
         for g, cuts, ref in self.cases(rng):
-            L = ref.L
+            L, marks = ref.L, list(ref.marks)
             assert L == lcm(*(g.edge_length(e.id).denominator for e in g.edges),
-                            *(F(o).denominator for offs in cuts.values() for o in offs))
+                            *(p.offset.denominator for p in cuts))
             assert [s[0] for s in ref.segments] == sorted(s[0] for s in ref.segments)
             for i, e in enumerate(g.edges):
                 segs = [s for s in ref.segments if s[0] == i]
                 ell = g.edge_length(e.id)
-                if e.a == e.b and not cuts.get(e.id):
+                if e.a == e.b and all(p.where != e.id for p in cuts):
                     assert segs == []
                     continue
-                stops = [P.at_vertex(e.a), *(ref.marks[b] for _, _, b, _ in segs[:-1]),
+                stops = [P.at_vertex(e.a), *(marks[b] for _, _, b, _ in segs[:-1]),
                          P.at_vertex(e.b)]
-                assert [ref.marks[a] for _, a, _, _ in segs] == stops[:-1]
-                assert [ref.marks[b] for _, _, b, _ in segs] == stops[1:]
+                assert [marks[a] for _, a, _, _ in segs] == stops[:-1]
+                assert [marks[b] for _, _, b, _ in segs] == stops[1:]
                 at = [F(0), *(p.offset for p in stops[1:-1]), ell]
                 assert all(p.where == e.id for p in stops[1:-1])
                 assert [n for *_, n in segs] == [L * (y - x) for x, y in zip(at, at[1:])]
@@ -474,10 +482,11 @@ class TestRefine:
         # an interior mark lists the segment towards e.a first
         for g, _, ref in self.cases(rng):
             assert len(ref.inc) == len(ref.marks)
-            for x, js in enumerate(ref.inc):
+            for p, x in ref.marks.items():
+                js = ref.inc[x]
                 assert list(js) == [j for j, (_, a, b, _) in enumerate(ref.segments)
                                     if x in (a, b)]
-                if ref.marks[x].kind == "edge":
+                if p.kind == "edge":
                     assert len(js) == 2 and ref.segments[js[0]][2] == x
 
     def test_helper_matches_repeated_subdivide(self, rng):
@@ -497,13 +506,11 @@ class TestRefine:
                 for c, p in cut_points.items():
                     assert near[c] == sk.distance(g, p, v)
 
-    def test_no_cuts_and_unknown_edges(self):
+    def test_no_cuts(self):
         g = sk.fixtures.theta_graph()
-        ref = refine(g, {})
-        assert ref.marks == (P.at_vertex("u"), P.at_vertex("v"))
+        ref = refine(g, [])
+        assert ref.marks == {P.at_vertex("u"): 0, P.at_vertex("v"): 1}
         assert [s[1:3] for s in ref.segments] == [(0, 1)] * 3
-        with pytest.raises(sk.UnknownElementError):
-            refine(g, {"e9": [F(1, 2)]})
 
 
 class TestGraphPointValue:
@@ -511,7 +518,7 @@ class TestGraphPointValue:
         g = sk.fixtures.theta_graph()
         routes = [
             [P.on_edge("e0", F(1, 3)), P.on_edge("e0", F(2, 6)),
-             P("edge", "e0", F(1, 3)), refine(g, {"e0": [F(1, 3)]}).marks[-1]],
+             P("edge", "e0", F(1, 3)), [*refine(g, [P.on_edge("e0", F(2, 6))]).marks][-1]],
             [P.at_vertex("u"), sk.as_point("u"), g.check_point(P.on_edge("e0", 0)),
              P("vertex", "u", None)],
             [P.on_ray("x", 2), P.on_ray("x", F(4, 2))],

@@ -16,10 +16,11 @@ from skelgraph.errors import (
     InvalidPointError as IPE,
     LoopsPresentError,
     MissingDataError as MDE,
+    NonIntegralError,
     NonRationalError as NRE,
     UnknownElementError as UEE,
 )
-from skelgraph.graphs import VertexLabel as V, refine
+from skelgraph.graphs import VertexLabel as V
 
 
 def _pair(attach_mult=1, loop=False):
@@ -60,6 +61,23 @@ def _short_nu():
     return sk.PluricanonicalModelData(m=1, nu={"v1": 1})
 
 
+def _off_graph(point):
+    """The divisor (point) - (v0) on the path v0 -- v1, with point off it."""
+    return sk.fixtures.path_graph(2), sk.GraphDivisor({point: 1, "v0": -1})
+
+
+def _poisson_off_graph(point):
+    return sk.solve_poisson(*_off_graph(point))
+
+
+def _reduce_off_graph(point):
+    return sk.reduce_divisor(*_off_graph(point), "v0")
+
+
+def _function_json(*entries):
+    return sio.function_from_json(list(entries))
+
+
 def _breakpoint_on_ray():
     g = _pair()
     f = sk.PLFunction({"u": 0, "v": 0, sk.GraphPoint.on_ray("x", 1): 1})
@@ -88,8 +106,6 @@ GUARDS = [
     ("subdivide-existing-id", lambda: sk.subdivide_edge_at(
         sk.fixtures.path_graph(2), "e0", F(1, 2), V("v1")), GSE,
      "vertex id 'v1' already exists"),
-    ("refine-at-endpoint", lambda: refine(sk.fixtures.path_graph(2), {"e0": [1]}),
-     IPE, "cut 1 not interior to edge 'e0'"),
     ("distance-distinct-rays", _two_rays, IPE,
      "points on distinct rays have no finite distance"),
     ("fixture-unknown", lambda: sk.fixtures.fixture("nope"), UEE, "unknown fixture 'nope'"),
@@ -145,6 +161,14 @@ GUARDS = [
     ("poisson-ray-anchor", lambda: sk.solve_poisson(
         _pair(), sk.GraphDivisor({"u": 1, "v": -1}), anchor=sk.GraphPoint.on_ray("x", 1)),
      IPE, "anchor GraphPoint.on_ray('x', '1') is on a ray; it must be on the compact part"),
+    ("poisson-unknown-edge", lambda: _poisson_off_graph(sk.GraphPoint.on_edge("e9", F(1, 2))),
+     UEE, "unknown edge 'e9'"),
+    ("reduce-unknown-edge", lambda: _reduce_off_graph(sk.GraphPoint.on_edge("e9", F(1, 2))),
+     UEE, "unknown edge 'e9'"),
+    ("poisson-past-edge-end", lambda: _poisson_off_graph(sk.GraphPoint.on_edge("e0", 5)),
+     IPE, "position 5 outside [0, 1] on edge 'e0'"),
+    ("reduce-past-edge-end", lambda: _reduce_off_graph(sk.GraphPoint.on_edge("e0", 5)),
+     IPE, "position 5 outside [0, 1] on edge 'e0'"),
     ("reduce-with-rays", lambda: sk.reduce_divisor(_pair(), sk.GraphDivisor(), "u"), GSE,
      "reduce_divisor works on compact graphs"),
     ("tails-loops", lambda: sk.find_maximal_tails(_loop_graph()), GSE,
@@ -162,6 +186,14 @@ GUARDS = [
     ("witness-cycle-tree-holds-edge", lambda: sk.witness_cycle(
         sk.fixtures.theta_graph(), "e0", tree=["e0"]), GSE,
      "the spanning tree must avoid 'e0'"),
+    ("witness-cycle-empty-tree", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e0", tree=[]), GSE, "tree [] is not a spanning tree"),
+    ("witness-cycle-tree-not-spanning", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e0", tree=["e1", "e2"]), GSE,
+     "tree ['e1', 'e2'] is not a spanning tree"),
+    ("witness-chain-tree-not-spanning", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(1), tree=["e0", "e1", "e3", "e4"]), GSE,
+     "tree ['e0', 'e1', 'e3', 'e4'] is not a spanning tree"),
     ("witness-chain-not-maximal", _short_chain, GSE, "is not a maximal bridge chain here"),
     ("witness-chain-wrong-endpoints", _chain_wrong_endpoints, GSE,
      "is not a maximal bridge chain here"),
@@ -184,7 +216,15 @@ GUARDS = [
      "ray 'x': degree 1 != multiplicity of its attachment"),
     ("plfunction-ray-breakpoint", _breakpoint_on_ray, IPE,
      "breakpoints on rays are not supported"),
+    ("plfunction-bool-ray-slope", lambda: sk.PLFunction({"a": 0}, {"x": True}),
+     NonIntegralError, "ray slope for 'x' must be an integer, got True"),
     ("io-point-empty", lambda: sio.point_from_json({}), IPE, "malformed point JSON: {}"),
+    ("io-function-point-twice", lambda: _function_json(
+        {"point": {"vertex": "a"}, "value": "0"}, {"point": {"vertex": "a"}, "value": "5"}),
+     IPE, "breakpoint GraphPoint.at_vertex('a') is given two values"),
+    ("io-function-ray-twice", lambda: _function_json(
+        {"point": {"vertex": "a"}, "value": "0"}, {"ray": "x", "slope": 1},
+        {"ray": "x", "slope": 2}), GSE, "malformed function JSON: ray 'x' is given two slopes"),
     ("io-graph-metric", lambda: sio.graph_from_json(
         {"vertices": [{"id": "u"}], "edges": [], "metric": "bogus"}), GSE,
      "malformed graph JSON: 'bogus' is not a valid MetricKind"),

@@ -89,6 +89,16 @@ class TestEvaluate:
                     assert f.evaluate(g, P.on_edge(e.id, (x0 + x1) / 2)) == (y0 + y1) / 2
 
 
+def test_differ_by_constant_compares_ray_slopes():
+    # a zero slope counts as no slope; any other difference on a ray is
+    # not a constant, whatever the values on the compact part
+    g = WeightedDualGraph(vertices=[V("a")], rays=[sk.Ray("a", "x"), sk.Ray("a", "y")])
+    f = PLFunction({"a": 0}, {"x": 1, "y": 0})
+    assert sk.differ_by_constant(g, f, PLFunction({"a": 5}, {"x": 1}))
+    assert not sk.differ_by_constant(g, f, PLFunction({"a": 5}, {"x": 2}))
+    assert not sk.differ_by_constant(g, f, PLFunction({"a": 0}, {"y": 1}))
+
+
 class TestUnvalidatedBreakpoints:
     """A breakpoint on an edge the graph does not have makes every
     whole-graph reader raise validate_on's error, so such a function

@@ -4,7 +4,6 @@ import copy
 import itertools
 import random
 import re
-from collections import defaultdict
 from fractions import Fraction as F
 from math import lcm
 
@@ -296,6 +295,37 @@ class TestCanonicalDivisor:
             assert sk.canonical_divisor(g).degree == 2 * (sk.graph_genus(g) - 1)
 
 
+def long_edge():
+    """a --2-- b: the edge points at 0 and 2 are the vertices a and b."""
+    return WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b", 2)])
+
+
+# (target with endpoint points, its vertex form)
+ENDPOINT_TARGETS = [
+    ({P.on_edge("e0", 0): 1, "b": -1}, {"a": 1, "b": -1}),
+    ({P.on_edge("e0", 0): 1, "a": 2, "b": -3}, {"a": 3, "b": -3}),
+    ({P.on_edge("e0", 2): -3, "b": 1, "a": 2}, {"a": 2, "b": -2}),
+]
+
+
+class TestEndpointPoints:
+    """An edge point at an end of its edge is that vertex, and it adds
+    to any coefficient the vertex itself carries."""
+
+    @pytest.mark.parametrize("given, vertex_form", ENDPOINT_TARGETS)
+    def test_solve_poisson_reads_the_vertex_form(self, given, vertex_form):
+        g = long_edge()
+        f = sk.solve_poisson(g, D(given), anchor="a")
+        assert f == sk.solve_poisson(g, D(vertex_form), anchor="a")
+        assert sk.laplacian(g, f) == D(vertex_form)
+
+    @pytest.mark.parametrize("given, vertex_form", ENDPOINT_TARGETS)
+    def test_reduce_divisor_reads_the_vertex_form(self, given, vertex_form):
+        g = long_edge()
+        for q in ("a", P.on_edge("e0", 2)):
+            assert sk.reduce_divisor(g, D(given), q) == sk.reduce_divisor(g, D(vertex_form), q)
+
+
 class TestSolvePoisson:
     def test_zero_target(self):
         g = sk.fixtures.theta_graph()
@@ -421,11 +451,7 @@ def sympy_poisson(graph, target, ray_slopes, anchor):
     import sympy
 
     anchor = graph.check_point(anchor)
-    cuts = defaultdict(list)
-    for p in [*target.support, anchor]:
-        if p.kind == "edge":
-            cuts[p.where].append(p.offset)
-    rg, cut_points = refined_graph(graph, cuts)
+    rg, cut_points = refined_graph(graph, [*map(graph.check_point, target.support), anchor])
     pos = {v: i for i, v in enumerate(rg.vertex_ids)}
     cut_at = {p: v for v, p in cut_points.items()}  # base point -> cut vertex
 
@@ -1055,8 +1081,8 @@ class TestMaximalBridgeChains:
     @staticmethod
     def subdivided(rng, g):
         """g with a third of its edges cut once, so chains grow longer."""
-        return refined_graph(g, {e.id: [g.edge_length(e.id) / 2] for e in g.edges
-                                 if rng.random() < 1 / 3})[0]
+        return refined_graph(g, [g.midpoint(e.id) for e in g.edges
+                                 if rng.random() < 1 / 3])[0]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
