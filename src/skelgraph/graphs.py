@@ -73,14 +73,14 @@ class VertexLabel:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise GraphStructureError("vertex id must be a non-empty string")
-        if self.multiplicity < 1:
-            raise GraphStructureError(
-                f"vertex {self.id!r}: multiplicity must be >= 1, got {self.multiplicity}"
-            )
-        if self.genus < 0:
-            raise GraphStructureError(
-                f"vertex {self.id!r}: genus must be >= 0, got {self.genus}"
-            )
+        for name, least in (("multiplicity", 1), ("genus", 0)):
+            x = getattr(self, name)
+            if type(x) is not int:
+                raise GraphStructureError(
+                    f"vertex {self.id!r}: {name} must be an integer, got {x!r}")
+            if x < least:
+                raise GraphStructureError(
+                    f"vertex {self.id!r}: {name} must be >= {least}, got {x}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,9 @@ class Ray:
     degree: int = 1
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise GraphStructureError(
+                f"ray {self.label!r}: degree must be an integer, got {self.degree!r}")
         if self.degree < 1:
             raise GraphStructureError(
                 f"ray {self.label!r}: degree must be >= 1, got {self.degree}"

@@ -146,13 +146,7 @@ class SubgraphLocus:
         return True
 
     def union(self, other: "SubgraphLocus") -> "SubgraphLocus":
-        segs: dict[str, list[Segment]] = {}
-        for src in (self._segments, other._segments):
-            for eid, ss in src.items():
-                segs.setdefault(eid, []).extend(ss)
-        return SubgraphLocus(self.graph,
-                             vertices=self._vertices | other._vertices,
-                             segments=segs)
+        return union_loci(self.graph, (self, other))
 
     def __repr__(self):
         vs = ",".join(sorted(self._vertices))
@@ -174,7 +168,11 @@ def vertex_locus(graph: WeightedDualGraph, *vertex_ids: str) -> SubgraphLocus:
 
 
 def union_loci(graph: WeightedDualGraph, loci: Iterable[SubgraphLocus]) -> SubgraphLocus:
-    out = SubgraphLocus(graph)
+    """The union of the loci, canonicalised once from all their parts."""
+    vertices: set[str] = set()
+    segs: dict[str, list[Segment]] = {}
     for loc in loci:
-        out = out.union(loc)
-    return out
+        vertices |= loc._vertices
+        for eid, ss in loc._segments.items():
+            segs.setdefault(eid, []).extend(ss)
+    return SubgraphLocus(graph, vertices=vertices, segments=segs)

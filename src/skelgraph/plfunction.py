@@ -6,17 +6,17 @@ between consecutive breakpoints along each edge.  On a ray it is the
 value at the attachment plus a single declared integer slope, oriented
 away from the skeleton; rays never carry interior breakpoints.
 
-Every reader that takes a graph (``evaluate``, ``edge_profile``,
-``slopes_on_edge``, ``has_integer_slopes``, and the Laplacian and the
-minimum locus in ``potential``) reads one walk: the function is
-validated against the graph, then each edge's profile and the slopes of
-its pieces are computed once, and kept on the function for that graph
-object.  The slopes are unreduced integer pairs, computed from integer
-coordinates without building a Fraction; ``slopes_on_edge`` turns them
-into Fractions on demand.  Functions and graphs are immutable, so the
-walk cannot go stale; a function that fails validation keeps nothing.
-``min_over_compact`` and ``shift`` take no graph and read the stored
-values.
+Every reader that takes a graph (``validate_on``, ``evaluate``,
+``edge_profile``, ``slopes_on_edge``, ``has_integer_slopes``, and the
+Laplacian and the minimum locus in ``potential``) reads one walk, which
+is also the validation: one pass checks the breakpoints against the
+graph and computes each edge's profile and the slopes of its pieces,
+and the function keeps it for that graph object.  The slopes are
+unreduced integer pairs, computed from integer coordinates without
+building a Fraction; ``slopes_on_edge`` turns them into Fractions on
+demand.  Functions and graphs are immutable, so the walk cannot go
+stale; a function that fails validation keeps nothing.
+``min_over_compact`` and ``shift`` take no graph and read the stored values.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ from .graphs import (
 _ZERO = Fraction(0)
 
 
-def _check_normalized(graph: WeightedDualGraph, p: GraphPoint) -> None:
-    if graph.check_point(p) != p:
-        raise InvalidPointError(f"breakpoint {p!r} is not normalized")
-
-
 def _integral_ray_slopes(ray_slopes: Mapping[str, int]) -> dict[str, int]:
     """The ray slopes as a dict of ints; raises unless each is an
     integer (an int that is not a bool, or a Fraction with denominator 1)."""
@@ -59,7 +54,7 @@ def _integral_ray_slopes(ray_slopes: Mapping[str, int]) -> dict[str, int]:
 class PLFunction:
     """Breakpoint values plus per-ray slopes."""
 
-    __slots__ = ("_values", "_ray_slopes", "_on_edge", "_walked")
+    __slots__ = ("_values", "_ray_slopes", "_walked")
 
     def __init__(self, values: Mapping[PointLike, Rational],
                  ray_slopes: Mapping[str, int] = ()):
@@ -82,15 +77,8 @@ class PLFunction:
         return f
 
     def _fill(self, vals, ray_slopes):
-        on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        for p, x in vals.items():
-            if p.kind == "edge":
-                on_edge.setdefault(p.where, []).append((p.offset, x))
-        for pairs in on_edge.values():
-            pairs.sort(key=lambda t: t[0])
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_ray_slopes", ray_slopes)
-        object.__setattr__(self, "_on_edge", on_edge)  # edge id -> [(offset, value)] by offset
         object.__setattr__(self, "_walked", None)  # (graph, walk) of the last graph walked
 
     def __setattr__(self, *args):
@@ -115,21 +103,10 @@ class PLFunction:
     # -- validation and geometry -----------------------------------------
 
     def validate_on(self, graph: WeightedDualGraph) -> "PLFunction":
-        for v in graph.vertex_ids:
-            self._vertex_value(v)
-        for p in self._values:
-            if p.kind == "ray":
-                raise InvalidPointError("breakpoints on rays are not supported")
-            _check_normalized(graph, p)
-        for label in self._ray_slopes:
-            graph.ray(label)
+        """This function, once checked against the graph; the check is
+        the walk that every reader takes (see ``_walk``)."""
+        self._walk(graph)
         return self
-
-    def _vertex_value(self, v: str) -> Fraction:
-        try:
-            return self._values[GraphPoint.at_vertex(v)]
-        except KeyError:
-            raise InvalidPointError(f"no value at vertex {v!r}") from None
 
     def edge_profile(self, graph: WeightedDualGraph, eid: str):
         """Sorted (position, value) pairs along an edge, endpoints
@@ -171,9 +148,13 @@ class PLFunction:
 
     def _walk(self, graph: WeightedDualGraph):
         """``{edge id: (edge, profile, pieces)}`` for every edge of the
-        graph, in edge order, after validating against it; computed once
-        per graph object and kept until the function is walked on
-        another one.
+        graph, in edge order; computed once per graph object and kept
+        until the function is walked on another one.
+
+        The walk is the validation.  It raises on a vertex with no value;
+        on each breakpoint, in stored order, that is on a ray or on an
+        unknown vertex or edge; on an edge whose first or last sorted
+        breakpoint is not in (0, ell); and on a slope for an unknown ray.
 
         ``profile`` lists the (position, value) pairs along the edge,
         endpoints included, and ``pieces`` the slope of each linear piece
@@ -185,13 +166,30 @@ class PLFunction:
         walked = self._walked
         if walked is not None and walked[0] is graph:
             return walked[1]
-        self.validate_on(graph)
+        try:
+            at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
+        except KeyError as missing:
+            raise InvalidPointError(f"no value at vertex {missing.args[0].where!r}") from None
+        on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
+        for p, y in self._values.items():
+            if p.kind == "edge":
+                graph.edge(p.where)
+                on_edge.setdefault(p.where, []).append((p.offset, y))
+            elif p.kind == "vertex":
+                graph.vertex(p.where)
+            else:
+                raise InvalidPointError("breakpoints on rays are not supported")
         dy = lcm(*(y.denominator for y in self._values.values()))
-        at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
         walk = {}
         for e in graph.edges:
-            inner = self._on_edge.get(e.id, ())
+            inner = sorted(on_edge.get(e.id, ()), key=itemgetter(0))
             ell = graph.edge_length(e.id)
+            if inner and not 0 < inner[0][0] <= inner[-1][0] < ell:
+                x = inner[0][0] if inner[0][0] <= 0 else inner[-1][0]
+                if x in (0, ell):
+                    raise InvalidPointError(
+                        f"breakpoint {GraphPoint.on_edge(e.id, x)!r} is not normalized")
+                raise InvalidPointError(f"position {x} outside [0, {ell}] on edge {e.id!r}")
             profile = [(_ZERO, at[e.a]), *inner, (ell, at[e.b])]
             dx = lcm(ell.denominator, *(x.denominator for x, _ in inner))
             scaled = [(x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
@@ -199,6 +197,8 @@ class PLFunction:
             pieces = [((y1 - y0) * dx, (x1 - x0) * dy)
                       for (x0, y0), (x1, y1) in zip(scaled, scaled[1:])]
             walk[e.id] = (e, profile, pieces)
+        for label in self._ray_slopes:
+            graph.ray(label)
         object.__setattr__(self, "_walked", (graph, walk))
         return walk
 

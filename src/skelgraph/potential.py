@@ -20,11 +20,11 @@ unburnt set by the distance to the next event, so the work is bounded
 by events and not by L.
 
 The Laplacian, the integer-slope test and the minimum locus read one
-walk of f per graph (``PLFunction._walk``): f is validated against the
-graph, each edge's profile and the slopes of its pieces are computed
-once, and f keeps them for that graph object.  The slopes are unreduced
-integer pairs (n, d), so the Laplacian sums and compares them in
-integers and builds a Fraction only for a coefficient that is not an
+walk of f per graph (``PLFunction._walk``): one pass validates f
+against the graph and computes each edge's profile and the slopes of
+its pieces, and f keeps them for that graph object.  The slopes are
+unreduced integer pairs (n, d), so the Laplacian sums and compares them
+in integers and builds a Fraction only for a coefficient that is not an
 integer.  The lemma checkers read f three times (div(f), the "tropical"
 hypothesis, min_locus(f)) and pay for one walk.
 
@@ -150,23 +150,21 @@ def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
 
 
 def _solve_linear(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
-    """Bareiss's fraction-free Gauss-Jordan elimination on an integer
-    system: every step divides exactly by the previous pivot, so all
-    entries stay integers (minors of the augmented matrix).  Returns
-    (x, det) with det the determinant and x[i] / det the i-th unknown;
-    raises on a singular system."""
+    """Bareiss's fraction-free Gauss-Jordan elimination on the chord
+    system, the length-weighted Gram matrix of the fundamental cycles:
+    it is symmetric positive definite, so the k-th pivot is its k-th
+    leading principal minor, positive, and no row is swapped.  Every
+    step divides exactly by the previous pivot, so all entries stay
+    integers.  Returns (x, det) with det > 0 the determinant and
+    x[i] / det the i-th unknown; raises on a pivot that is not positive."""
     n = len(rows)
     m = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    prev, sign = 1, 1
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise PipelineError("singular Poisson system; graph disconnected?")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
         top = m[col]
         pv = top[col]
+        if pv <= 0:
+            raise PipelineError(f"Poisson chord system is not positive definite: pivot {pv}")
         for r in range(n):
             if r == col:
                 continue
@@ -177,7 +175,7 @@ def _solve_linear(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int
             elif pv != prev:
                 m[r] = [pv * x // prev if x else x for x in row]
         prev = pv
-    return [sign * m[i][n] for i in range(n)], sign * prev
+    return [m[i][n] for i in range(n)], prev
 
 
 def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import skelgraph as sk
+from conftest import random_multigraph
 from skelgraph import GraphDivisor as D, GraphPoint as P, SubgraphLocus
 
 
@@ -123,6 +124,31 @@ class TestLocus:
         u = a.union(b)
         assert a <= u and b <= u
         assert u == SubgraphLocus(g, whole_edges=["e0", "e1"])
+
+    def test_union_holds_exactly_the_points_of_its_parts(self):
+        def random_locus(g):
+            edges = [e.id for e in g.edges]
+            segments = {}
+            for eid in rng.sample(edges, rng.randint(0, len(edges))):
+                ell = g.edge_length(eid)
+                segments[eid] = [tuple(ell * rng.randint(0, 8) / 8 for _ in range(2))
+                                 for _ in range(rng.randint(1, 2))]
+            return SubgraphLocus(g, vertices=rng.sample(g.vertex_ids, rng.randint(0, 2)),
+                                 whole_edges=rng.sample(edges, rng.randint(0, 1)),
+                                 segments=segments)
+
+        rng = random.Random(1311)
+        for _ in range(60):
+            g = random_multigraph(rng, rays=1)
+            loci = [random_locus(g) for _ in range(rng.randint(0, 4))]
+            union = sk.union_loci(g, loci)
+            points = [P.at_vertex(v) for v in g.vertex_ids] + [P.on_ray("r0", 1)]
+            points += [P.on_edge(e.id, g.edge_length(e.id) * k / 16)
+                       for e in g.edges for k in range(1, 16)]
+            for p in points:
+                assert union.contains(p) == any(loc.contains(p) for loc in loci)
+            if len(loci) == 2:
+                assert loci[0].union(loci[1]) == union
 
     def test_subset_fails_on_a_missing_vertex_or_segment(self):
         g = sk.fixtures.theta_graph()

@@ -89,6 +89,20 @@ GUARDS = [
     ("vertex-multiplicity", lambda: V("u", 0), GSE, "multiplicity must be >= 1, got 0"),
     ("vertex-genus", lambda: V("u", 1, -1), GSE, "genus must be >= 0, got -1"),
     ("ray-degree", lambda: sk.Ray("u", "x", 0), GSE, "degree must be >= 1, got 0"),
+    ("vertex-fractional-genus", lambda: V("u", 1, 0.5), GSE,
+     "vertex 'u': genus must be an integer, got 0.5"),
+    ("vertex-float-multiplicity", lambda: V("u", 2.0), GSE,
+     "vertex 'u': multiplicity must be an integer, got 2.0"),
+    ("vertex-fraction-multiplicity", lambda: V("u", F(2)), GSE,
+     "vertex 'u': multiplicity must be an integer, got Fraction(2, 1)"),
+    ("vertex-string-multiplicity", lambda: V("u", "2"), GSE,
+     "vertex 'u': multiplicity must be an integer, got '2'"),
+    ("ray-string-degree", lambda: sk.Ray("u", "x", "1"), GSE,
+     "ray 'x': degree must be an integer, got '1'"),
+    ("ray-fractional-degree", lambda: sk.Ray("u", "x", 1.5), GSE,
+     "ray 'x': degree must be an integer, got 1.5"),
+    ("ray-bool-degree", lambda: sk.Ray("u", "x", True), GSE,
+     "ray 'x': degree must be an integer, got True"),
     ("ray-point-distance", lambda: sk.GraphPoint.on_ray("x", 0), IPE,
      "ray point distance must be positive"),
     ("graph-duplicate-vertex", lambda: sk.WeightedDualGraph(vertices=[V("u"), V("u")]),

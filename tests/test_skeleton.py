@@ -202,6 +202,49 @@ class TestWitnessCycle:
         with pytest.raises(sk.GraphStructureError):
             sk.witness_cycle(g, bridge)
 
+    def test_given_tree_checks_agree(self, rng, tmp_path, capsys):
+        """The four places that check a given tree (the CLI's request
+        check, witness_cycle's entry check, the lemma's hypotheses and
+        fundamental_cycle) each refuse what networkx says is not a
+        spanning tree avoiding e, and the three that do not build a
+        witness accept what is."""
+        import json
+
+        import networkx as nx
+
+        from skelgraph import io as sio
+        from skelgraph.cli import main
+        from skelgraph.sampling import random_reduced_graph
+        verdicts = set()
+        for _ in range(80):
+            g = random_reduced_graph(rng, max_vertices=5, genus=rng.randint(0, 3))
+            e = rng.choice(g.edges).id
+            S = rng.sample([t.id for t in g.edges], len(g.vertex_ids) - 1)
+            forest = nx.MultiGraph()
+            forest.add_nodes_from(g.vertex_ids)
+            forest.add_edges_from((g.edge(t).a, g.edge(t).b) for t in S)
+            valid = nx.is_tree(forest) and e not in S
+            verdicts.add((valid, e in S))
+
+            gpath, dpath = tmp_path / "g.json", tmp_path / "d.json"
+            gpath.write_text(json.dumps(sio.graph_to_json(g)))
+            dpath.write_text(json.dumps({"edge": e, "tree": S}))
+            code = main(["verify", "min-locus", "--graph", str(gpath), "--data", str(dpath)])
+            capsys.readouterr()
+            K = sk.canonical_divisor(g)
+            report = sk.check_min_locus_lemma(g, S, e, K, sk.PLFunction.constant(g))
+            refused = {"spanning-tree", "edge-outside-tree"} & set(report.failed_hypotheses)
+            if valid:
+                assert code != 2 and not refused
+                assert sk.fundamental_cycle(g, S, e).contains(g.midpoint(e))
+                continue
+            assert code == 2 and refused
+            with pytest.raises(sk.GraphStructureError):
+                sk.witness_cycle(g, e, S)
+            with pytest.raises(sk.GraphStructureError):
+                sk.fundamental_cycle(g, S, e)
+        assert verdicts == {(True, False), (False, False), (False, True)}
+
     def test_brute_force_cross_check(self, rng):
         from skelgraph.sampling import random_reduced_graph
         for _ in range(5):
