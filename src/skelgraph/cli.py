@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -178,7 +179,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing, failed parses included, leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="skelgraph",
         description="Exact computations on weighted dual graphs of curve models.",
@@ -214,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SkelgraphError, OSError) as exc:

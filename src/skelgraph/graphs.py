@@ -18,10 +18,15 @@ other metric.
 
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is fractions.Fraction.
-So a graph keeps what it derives on first read: each edge's length,
-and the ``vertex_distances`` of each source asked for, which
-``distance`` reads for every anchor of its first point.  A new graph,
-``replace``'s included, starts with neither, and callers get copies.
+So a graph keeps what it derives on first read: each edge's length;
+the ``vertex_distances`` of each source asked for, which ``distance``
+reads for every anchor of its first point (callers get copies); one
+``GraphPoint`` per vertex, with which ``refine``, the function walk,
+``laplacian``, ``min_locus`` and ``canonical_divisor`` key their
+vertices, so lookups among their results match by identity; and, in
+``potential``, ``canonical_divisor`` for each m asked for and
+``bridges``, both immutable.  A new graph, ``replace``'s and a copy's
+included, starts with none of them.
 """
 
 from __future__ import annotations
@@ -184,6 +189,17 @@ def as_point(p: PointLike) -> GraphPoint:
     return GraphPoint.at_vertex(p)
 
 
+def _check_raw(p: GraphPoint) -> None:
+    """Raise unless p, not a vertex point, is an edge or ray point whose
+    offset is an int or a Fraction: its builders check both, the raw
+    constructor neither."""
+    if p.kind != "edge" and p.kind != "ray":
+        raise InvalidPointError(f"unknown point kind {p.kind!r:.80}")
+    if type(p.offset) is not Fraction and type(p.offset) is not int:
+        raise InvalidPointError(
+            f"{p.kind} point offset must be an int or a Fraction, got {p.offset!r:.80}")
+
+
 def fresh_id(taken, stem: str) -> str:
     """``stem`` if it is not in ``taken``, else the first free ``stem.i``."""
     if stem not in taken:
@@ -220,7 +236,7 @@ class WeightedDualGraph:
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
                  "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
-                 "_distances")
+                 "_distances", "_points", "_canonical", "_bridges")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -288,6 +304,9 @@ class WeightedDualGraph:
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
         object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
         object.__setattr__(self, "_distances", {})  # source -> vertex_distances, likewise
+        object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
+        object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
+        object.__setattr__(self, "_bridges", None)  # bridges(self), on first call
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
@@ -421,12 +440,24 @@ class WeightedDualGraph:
 
     # -- points ----------------------------------------------------------
 
+    def _vertex_points(self) -> dict[str, GraphPoint]:
+        """Vertex id -> the graph's own point of that vertex, all built on
+        first read.  The readers key their results with these points, so
+        later lookups among them match by identity."""
+        points = self._points
+        if not points:
+            points.update((v, GraphPoint("vertex", v, None)) for v in self._vertices)
+        return points
+
     def check_point(self, p: PointLike) -> GraphPoint:
-        """Validate a point and normalize edge endpoints to vertex points."""
+        """Validate a point and normalize edge endpoints to vertex points.
+        A vertex point comes back as given; a point the raw constructor
+        made is checked for its kind and offset too."""
         p = as_point(p)
         if p.kind == "vertex":
             self.vertex(p.where)
             return p
+        _check_raw(p)
         if p.kind == "edge":
             e = self.edge(p.where)
             ell = self.edge_length(p.where)
@@ -440,6 +471,8 @@ class WeightedDualGraph:
                 return GraphPoint.at_vertex(e.b)
             return p
         self.ray(p.where)
+        if p.offset <= 0:
+            raise InvalidPointError("ray point distance must be positive")
         return p
 
     def midpoint(self, eid: str) -> GraphPoint:
@@ -665,7 +698,7 @@ def refine(graph: WeightedDualGraph, points: Iterable[GraphPoint]) -> Refinement
     L = math.lcm(*(x.denominator for x in lengths),
                  *(p.offset.denominator for cut in stops.values() for p in cut))
     index = {v: i for i, v in enumerate(graph.vertex_ids)}
-    marks = {GraphPoint.at_vertex(v): i for v, i in index.items()}
+    marks = {p: i for i, p in enumerate(graph._vertex_points().values())}
     segments: list[tuple[int, int, int, int]] = []
     inc: list[list[int]] = [[] for _ in marks]
     for i, (e, ell) in enumerate(zip(graph.edges, lengths)):

@@ -33,6 +33,7 @@ from .graphs import (
     PointLike,
     Rational,
     WeightedDualGraph,
+    _check_raw,
     as_point,
     as_rational,
 )
@@ -152,8 +153,9 @@ class PLFunction:
         until the function is walked on another one.
 
         The walk is the validation.  It raises on a vertex with no value;
-        on each breakpoint, in stored order, that is on a ray or on an
-        unknown vertex or edge; on an edge whose first or last sorted
+        on each breakpoint, in stored order, that is on a ray, of an
+        unknown kind, at an edge offset that is not an int or a Fraction,
+        or on an unknown vertex or edge; on an edge whose first or last sorted
         breakpoint is not in (0, ell); and on a slope for an unknown ray.
 
         ``profile`` lists the (position, value) pairs along the edge,
@@ -167,18 +169,19 @@ class PLFunction:
         if walked is not None and walked[0] is graph:
             return walked[1]
         try:
-            at = {v: self._values[GraphPoint.at_vertex(v)] for v in graph.vertex_ids}
+            at = {v: self._values[p] for v, p in graph._vertex_points().items()}
         except KeyError as missing:
             raise InvalidPointError(f"no value at vertex {missing.args[0].where!r}") from None
         on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for p, y in self._values.items():
-            if p.kind == "edge":
-                graph.edge(p.where)
-                on_edge.setdefault(p.where, []).append((p.offset, y))
-            elif p.kind == "vertex":
+            if p.kind == "vertex":
                 graph.vertex(p.where)
-            else:
+                continue
+            if p.kind == "ray":
                 raise InvalidPointError("breakpoints on rays are not supported")
+            _check_raw(p)
+            graph.edge(p.where)
+            on_edge.setdefault(p.where, []).append((p.offset, y))
         dy = lcm(*(y.denominator for y in self._values.values()))
         walk = {}
         for e in graph.edges:

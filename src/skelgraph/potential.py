@@ -96,7 +96,8 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     end slopes of each edge and the ray slopes are summed per vertex as
     one n/d pair, over the lcm of their d.  A coefficient is an int
     when d divides n and a Fraction otherwise."""
-    ends = {v: [] for v in graph.vertex_ids}
+    points = graph._vertex_points()
+    ends = {v: [] for v in points}
     support = {}
     for e, profile, pieces in f._walk(graph).values():
         ends[e.a].append(pieces[0])
@@ -116,7 +117,7 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
             else:
                 g = gcd(D, d)
                 N, D = N * (d // g) + n * (D // g), D // g * d
-        support[GraphPoint.at_vertex(v)] = _quotient(N, D)
+        support[points[v]] = _quotient(N, D)
     return GraphDivisor._clean(support)
 
 
@@ -134,16 +135,22 @@ def div(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
 
 def canonical_divisor(graph: WeightedDualGraph, m: int = 1) -> GraphDivisor:
     """The m-canonical divisor sum_v N(v) (val(v) + 2 g(v) - 2) v, with
-    the valency counting bounded edges and rays alike."""
+    the valency counting bounded edges and rays alike.
+
+    The graph keeps it for each m asked for, so every call after the
+    first returns the same immutable divisor; the graph and m are
+    checked on every call."""
     if not graph.is_loop_free():
         raise LoopsPresentError("canonical divisor needs a loop-free graph")
     if type(m) is not int or m < 1:
         raise GraphStructureError(f"m must be a positive integer, got {m!r}")
-    coeffs = {}
-    for v in graph.vertices:
-        val = graph.valency(v.id, include_rays=True)
-        coeffs[GraphPoint.at_vertex(v.id)] = m * v.multiplicity * (val + 2 * v.genus - 2)
-    return GraphDivisor(coeffs)
+    K = graph._canonical.get(m)
+    if K is None:
+        points = graph._vertex_points()
+        K = graph._canonical[m] = GraphDivisor._clean({
+            points[v.id]: m * v.multiplicity * (graph.valency(v.id) + 2 * v.genus - 2)
+            for v in graph.vertices})
+    return K
 
 
 # -- exact Poisson solving ----------------------------------------------------
@@ -323,10 +330,9 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
                 f"ray {label!r} has negative slope {s}; no minimum is attained"
             )
     m = f.min_over_compact()
-    values = f.values
+    values = f._values
     # a set copied into a frozenset iterates as the public constructor's
-    vertices = frozenset({v for v in graph.vertex_ids
-                          if values[GraphPoint.at_vertex(v)] == m})
+    vertices = frozenset({v for v, p in graph._vertex_points().items() if values[p] == m})
     segments = {}
     for e, profile, _ in walk.values():
         ell = profile[-1][0]
@@ -347,7 +353,10 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
 
 def bridges(graph: WeightedDualGraph) -> frozenset[str]:
     """The cut edges, by iterative low-link traversal.  Loops and
-    parallel edges are never bridges."""
+    parallel edges are never bridges.  The graph keeps the result, so
+    the traversal runs once per graph."""
+    if graph._bridges is not None:
+        return graph._bridges
     start = graph.vertex_ids[0]
     index: dict[str, int] = {start: 0}
     low: dict[str, int] = {start: 0}
@@ -377,7 +386,8 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
                 low[parent] = min(low[parent], low[v])
                 if low[v] > index[parent]:
                     out.add(in_edge.id)
-    return frozenset(out)
+    object.__setattr__(graph, "_bridges", frozenset(out))
+    return graph._bridges
 
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:

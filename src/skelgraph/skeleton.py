@@ -26,7 +26,6 @@ from typing import Iterable, Optional
 from .divisors import GraphDivisor
 from .errors import GraphStructureError, PipelineError, SkelgraphError
 from .graphs import (
-    GraphPoint,
     VertexLabel,
     WeightedDualGraph,
     curve_genus,
@@ -182,7 +181,9 @@ def _require_maximally_degenerate(graph: WeightedDualGraph, what: str) -> None:
 def _witness(graph, T, skip, mK, fixed, q, lemma, what) -> WitnessBundle:
     """The recipe both witnesses run: D = D0 + E, where D0 is ``fixed``
     plus the midpoints of the non-tree edges but ``skip`` and E is the
-    q-reduced form of mK - D0; f solves div(f) = D - mK, checked by lemma."""
+    q-reduced form of mK - D0, at the graph's own point of vertex q; f
+    solves div(f) = D - mK, checked by lemma."""
+    q = graph._vertex_points()[q]
     D0 = GraphDivisor({graph.midpoint(e.id): 1 for e in graph.edges
                        if e.id not in T and e.id != skip}) + fixed
     E, _ = reduce_divisor(graph, mK - D0, q)
@@ -212,7 +213,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     if tree is not None and not is_spanning_tree(graph, T):
         raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     return _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
-                    GraphPoint.at_vertex(graph.edge(eid).a),
+                    graph.edge(eid).a,
                     lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
                     f"cycle witness failed for {eid!r}")
 
@@ -251,7 +252,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints
     D1 = K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
-    return _witness(graph, T, None, 2 * K, D1, GraphPoint.at_vertex(v1),
+    return _witness(graph, T, None, 2 * K, D1, v1,
                     lambda D, f: check_bridge_lemma(graph, chain, T, D, f),
                     f"bridge witness failed for {chain.edges}")
 

@@ -2,14 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import io as sio
-from skelgraph.cli import main
+from skelgraph.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -67,6 +71,30 @@ class TestFixtureCommand:
     def test_unknown_fixture_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["fixture", "nope"])
+
+
+class TestParserReuse:
+    """main parses with one parser per process; a failed parse or a
+    failed command leaves nothing behind for the next call."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_after_exit_two_verify_prints_what_a_fresh_process_prints(self, tmp_path,
+                                                                      capsys):
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(sk.fixtures.dumbbell(1)))
+        argv = ["verify", "bridge", "--graph", gpath]
+        with pytest.raises(SystemExit) as usage:
+            main(["verify", "nope", "--graph", gpath])
+        assert usage.value.code == 2
+        assert run(capsys, "verify", "bridge", "--graph", str(tmp_path / "none.json"))[0] == 2
+        code, out, _ = run(capsys, *argv)
+        src = Path(sk.__file__).resolve().parent.parent
+        fresh = subprocess.run([sys.executable, "-m", "skelgraph.cli", *argv],
+                               env=dict(os.environ, PYTHONPATH=str(src)),
+                               capture_output=True, text=True, timeout=120)
+        assert code == fresh.returncode == 0 and out == fresh.stdout
+        assert json.loads(out)["ok"] is True
 
 
 class TestVerifyCommand:

@@ -84,6 +84,17 @@ def _breakpoint_on_ray():
     return f.validate_on(g)
 
 
+def _raw_distance(graph, kind, where, offset):
+    """The distance from a point made by the raw constructor, which
+    checks nothing, to vertex u."""
+    return sk.distance(graph, sk.GraphPoint(kind, where, offset), "u")
+
+
+def _raw_breakpoint(kind, offset):
+    f = sk.PLFunction({"u": 0, "v": 0, sk.GraphPoint(kind, "e0", offset): 1})
+    return f.validate_on(sk.fixtures.theta_graph())
+
+
 GUARDS = [
     ("vertex-empty-id", lambda: V(""), GSE, "vertex id must be a non-empty string"),
     ("vertex-multiplicity", lambda: V("u", 0), GSE, "multiplicity must be >= 1, got 0"),
@@ -105,6 +116,30 @@ GUARDS = [
      "ray 'x': degree must be an integer, got True"),
     ("ray-point-distance", lambda: sk.GraphPoint.on_ray("x", 0), IPE,
      "ray point distance must be positive"),
+    ("distance-raw-float-edge-offset", lambda: _raw_distance(
+        sk.fixtures.theta_graph(), "edge", "e0", 0.5), IPE,
+     "edge point offset must be an int or a Fraction, got 0.5"),
+    ("distance-raw-bool-edge-offset", lambda: _raw_distance(
+        sk.fixtures.theta_graph(), "edge", "e0", True), IPE,
+     "edge point offset must be an int or a Fraction, got True"),
+    ("distance-raw-unknown-kind", lambda: _raw_distance(
+        sk.fixtures.theta_graph(), "blob", "e0", None), IPE, "unknown point kind 'blob'"),
+    ("distance-raw-float-ray-offset", lambda: _raw_distance(_pair(), "ray", "x", 0.5), IPE,
+     "ray point offset must be an int or a Fraction, got 0.5"),
+    ("distance-raw-ray-not-positive", lambda: _raw_distance(_pair(), "ray", "x", F(-1)),
+     IPE, "ray point distance must be positive"),
+    ("plfunction-raw-float-edge-offset", lambda: _raw_breakpoint("edge", 0.25), IPE,
+     "edge point offset must be an int or a Fraction, got 0.25"),
+    ("plfunction-raw-bool-edge-offset", lambda: _raw_breakpoint("edge", True), IPE,
+     "edge point offset must be an int or a Fraction, got True"),
+    ("plfunction-raw-unknown-kind", lambda: _raw_breakpoint("blob", None), IPE,
+     "unknown point kind 'blob'"),
+    ("poisson-raw-float-edge-offset", lambda: _poisson_off_graph(
+        sk.GraphPoint("edge", "e0", 0.25)), IPE,
+     "edge point offset must be an int or a Fraction, got 0.25"),
+    ("reduce-raw-float-edge-offset", lambda: _reduce_off_graph(
+        sk.GraphPoint("edge", "e0", 0.25)), IPE,
+     "edge point offset must be an int or a Fraction, got 0.25"),
     ("graph-duplicate-vertex", lambda: sk.WeightedDualGraph(vertices=[V("u"), V("u")]),
      GSE, "duplicate vertex id 'u'"),
     ("graph-edge-length", lambda: sk.WeightedDualGraph(

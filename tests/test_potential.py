@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -779,6 +780,97 @@ class TestBridges:
         g = WeightedDualGraph(vertices=[V("a"), V("b")],
                               edges=[("a", "b"), ("a", "b"), ("a", "a")])
         assert sk.bridges(g) == frozenset()
+
+
+def _memo_answers(g, m, f, Din, q):
+    """What every reader of the graph's memos answers on g: K for m, the
+    bridges, laplacian(f), the q-reduced form of mK + Din with its
+    function (on a compact graph) and the Poisson solution of mK + Din
+    less its degree at q, anchored at q; functions as their ordered
+    values."""
+    K = sk.canonical_divisor(g, m)
+    target = m * K + Din - D.at(q, (m * K + Din).degree)
+    out = [K, sk.bridges(g), sk.laplacian(g, f),
+           list(sk.solve_poisson(g, target, anchor=q).values.items())]
+    if not g.rays:
+        reduced, h = sk.reduce_divisor(g, m * K + Din, q)
+        out += [reduced, list(h.values.items())]
+    return out
+
+
+class TestGraphMemos:
+    """A graph keeps its vertex points, K for each m asked for and its
+    bridges.  None of that changes an answer: a cold graph, the same
+    graph warm, and its pickle, deepcopy and replace copies all give
+    == results, and bad input raises on every call."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(4711)
+        out = [sk.resolve_loops(random_multigraph(rng, max_vertices=6)) for _ in range(20)]
+        out += [sk.resolve_loops(random_multigraph(rng, max_vertices=4, rays=2))
+                for _ in range(3)]
+        out += [sk.fixtures.fixture(name) for name in sk.fixtures.fixture_names()]
+        out.append(sk.fixtures.triangle_chain(3, 2))
+        return rng, out
+
+    def test_cold_warm_and_copies_agree(self):
+        import networkx as nx
+        rng, graphs = self.graphs()
+        for g in graphs:
+            f = random_plfunction(rng, g)
+            Din = random_degree_zero_divisor(rng, g)
+            for m in (1, 2, 3):
+                for q in (g.vertex_ids[-1], g.midpoint(rng.choice(g.edges).id)):
+                    cold = pickle.loads(pickle.dumps(g))
+                    want = _memo_answers(cold, m, f, Din, q)
+                    assert _memo_answers(cold, m, f, Din, q) == want  # warm
+                    for copied in (pickle.loads(pickle.dumps(cold)), copy.deepcopy(cold),
+                                   cold.replace()):
+                        assert copied._bridges is None and copied._canonical == {}
+                        assert _memo_answers(copied, m, f, Din, q) == want
+                    assert _memo_answers(g, m, f, Din, q) == want  # warm across m and q
+                    K, cut = sk.canonical_divisor(cold, m), sk.bridges(cold)
+                    assert sk.canonical_divisor(cold, m) is K and sk.bridges(cold) is cut
+                    assert type(K) is D and type(cut) is frozenset
+            ours = {frozenset((g.edge(eid).a, g.edge(eid).b)) for eid in sk.bridges(g)}
+            assert ours == {frozenset(p) for p in nx.bridges(to_networkx(g))}
+
+    def test_vertex_keys_are_the_graph_points(self):
+        g = sk.fixtures.triangle_chain(2)
+        points = g._vertex_points()
+        assert list(points) == list(g.vertex_ids) and g._vertex_points() is points
+        f = sk.witness_cycle(g, "e0").function
+        for divisor in (sk.canonical_divisor(g), sk.laplacian(g, f)):
+            assert all(p is points[p.where] for p in divisor.support if p.kind == "vertex")
+        assert all(p is points[p.where] for p in f.values if p.kind == "vertex")
+
+    def test_replace_with_new_labels_has_its_own_canonical_divisor(self):
+        g = sk.fixtures.triangle_chain(2)
+        K = sk.canonical_divisor(g)
+        labels = [V(v.id, 1 + i % 3, i % 2) for i, v in enumerate(g.vertices)]
+        h = g.replace(vertices=labels)
+        for m in (1, 2, 3):
+            assert sk.canonical_divisor(h, m) == D({
+                v.id: m * v.multiplicity * (h.valency(v.id) + 2 * v.genus - 2)
+                for v in labels})
+        assert sk.canonical_divisor(h) != K and sk.canonical_divisor(g) is K
+
+    @pytest.mark.parametrize("m", [0, -1, 1.0, True, F(1), "1", None])
+    def test_bad_m_raises_on_every_call(self, m):
+        g = sk.fixtures.theta_graph()
+        sk.canonical_divisor(g, 1)  # 1.0, True and F(1) hash as the memo's key 1
+        for _ in range(3):
+            with pytest.raises(sk.GraphStructureError, match="m must be a positive integer"):
+                sk.canonical_divisor(g, m)
+
+    def test_loops_raise_on_every_call(self):
+        g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b"), ("b", "b")])
+        sk.bridges(g)
+        for m in (1, 2, 1, 2):
+            with pytest.raises(sk.LoopsPresentError):
+                sk.canonical_divisor(g, m)
+        assert g._canonical == {}
 
 
 class TestSpanningTrees:
