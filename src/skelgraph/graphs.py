@@ -19,14 +19,18 @@ other metric.
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is fractions.Fraction.
 So a graph keeps what it derives on first read: each edge's length;
-the ``vertex_distances`` of each source asked for, which ``distance``
-reads for every anchor of its first point (callers get copies); one
-``GraphPoint`` per vertex, with which ``refine``, the function walk,
-``laplacian``, ``min_locus`` and ``canonical_divisor`` key their
-vertices, so lookups among their results match by identity; and, in
-``potential``, ``canonical_divisor`` for each m asked for and
-``bridges``, both immutable.  A new graph, ``replace``'s and a copy's
-included, starts with none of them.
+one integer network, the edge lengths as integer steps over the lcm of
+their denominators, on which ``vertex_distances`` runs each source's
+Dijkstra; the ``vertex_distances`` of each source asked for, which
+``distance`` reads for a pair of vertices and for every anchor of its
+first point (callers get copies); one ``GraphPoint`` per vertex, with
+which ``refine``, the function walk, ``laplacian``, ``min_locus``,
+``canonical_divisor`` and, in ``weight``, the weight function and the
+pushforward divisor key their vertices, so lookups among their results
+match by identity; its rays-free copy ``without_rays()``, which shares
+those points; and, in ``potential``, ``canonical_divisor`` for each m
+asked for and ``bridges``, both immutable.  A new graph, ``replace``'s
+and a copy's included, starts with none of them.
 """
 
 from __future__ import annotations
@@ -236,7 +240,8 @@ class WeightedDualGraph:
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
                  "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
-                 "_distances", "_points", "_canonical", "_bridges")
+                 "_distances", "_network", "_points", "_canonical", "_bridges",
+                 "_compact")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -304,9 +309,11 @@ class WeightedDualGraph:
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
         object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
         object.__setattr__(self, "_distances", {})  # source -> vertex_distances, likewise
+        object.__setattr__(self, "_network", None)  # (scale, integer adjacency), on first use
         object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
         object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
         object.__setattr__(self, "_bridges", None)  # bridges(self), on first call
+        object.__setattr__(self, "_compact", None)  # without_rays(), on first call
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
@@ -433,7 +440,17 @@ class WeightedDualGraph:
         return out
 
     def without_rays(self) -> "WeightedDualGraph":
-        return self.replace(rays=(), pair_model=False)
+        """The compact graph: this one without its rays, and not a pair
+        model.  Built on the first call and kept, so every call returns
+        the same graph, whose own memos stay warm.  It shares this
+        graph's vertex points, so lookups across the two match by
+        identity."""
+        compact = self._compact
+        if compact is None:
+            compact = self.replace(rays=(), pair_model=False)
+            object.__setattr__(compact, "_points", self._points)
+            object.__setattr__(self, "_compact", compact)
+        return compact
 
     def fresh_vertex_id(self, stem: str) -> str:
         return fresh_id(self._vertices, stem)
@@ -526,22 +543,29 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:
     """Exact single-source shortest-path distances to all vertices.
 
-    Every edge length is read once and scaled by the lcm L of the length
-    denominators, so Dijkstra runs on integers; each distance d*L is
-    returned as Fraction(d, L), which is still exact.  The result is
-    kept on the graph for that source, so each source costs one
-    Dijkstra per graph; every call returns a fresh copy."""
+    The graph keeps one integer network, built on the first call: every
+    edge length scaled by the lcm L of the length denominators, as an
+    adjacency of integer steps.  Each source then runs only Dijkstra's
+    heap on it, and each distance d*L comes back as Fraction(d, L),
+    which is still exact.  The result is kept on the graph for that
+    source, so each source costs one Dijkstra per graph; every call
+    returns a fresh copy."""
     graph.vertex(source)
     known = graph._distances.get(source)
     if known is not None:
         return dict(known)
-    lengths = [(e.a, e.b, graph.edge_length(e.id)) for e in graph.edges if e.a != e.b]
-    scale = math.lcm(*(ell.denominator for _, _, ell in lengths))
-    adjacency = {v: [] for v in graph.vertex_ids}
-    for a, b, ell in lengths:
-        step = ell.numerator * (scale // ell.denominator)
-        adjacency[a].append((b, step))
-        adjacency[b].append((a, step))
+    network = graph._network
+    if network is None:
+        lengths = [(e.a, e.b, graph.edge_length(e.id)) for e in graph.edges if e.a != e.b]
+        scale = math.lcm(*(ell.denominator for _, _, ell in lengths))
+        adjacency = {v: [] for v in graph.vertex_ids}
+        for a, b, ell in lengths:
+            step = ell.numerator * (scale // ell.denominator)
+            adjacency[a].append((b, step))
+            adjacency[b].append((a, step))
+        network = (scale, adjacency)
+        object.__setattr__(graph, "_network", network)
+    scale, adjacency = network
     dist = {source: 0}
     heap = [(0, source)]
     done = set()
@@ -570,8 +594,9 @@ def _anchors(graph, p):
 def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     """Shortest-path distance between two points, exact.
 
-    Points on rays may only be paired with points on the same ray or
-    with its attachment vertex.
+    Two vertices read the first one's ``vertex_distances``; an edge
+    point goes through both ends of its edge.  Points on rays may only
+    be paired with points on the same ray or with its attachment vertex.
     """
     p = graph.check_point(p)
     q = graph.check_point(q)
@@ -588,6 +613,8 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
 
     if p == q:
         return Fraction(0)
+    if p.kind == "vertex" and q.kind == "vertex":
+        return vertex_distances(graph, p.where)[q.where]
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
         best = abs(p.offset - q.offset)

@@ -133,8 +133,16 @@ def apply_blowups(graph: WeightedDualGraph,
     """Apply a blow-up sequence.  Each step's target is read against the
     graph left by the steps before it, as if every step were applied
     alone, but the graph is constructed once, at the end.  An empty
-    sequence returns the input graph itself."""
-    return _blow_up(graph, ((s.op, s.target) for s in steps))[0]
+    sequence returns the input graph itself.  A step that is not a
+    BlowUpStep raises GraphStructureError naming its position."""
+    return _blow_up(graph, (_instruction(i, s) for i, s in enumerate(steps)))[0]
+
+
+def _instruction(i: int, step) -> tuple[str, str]:
+    """The ``(op, target)`` of step i of a sequence, which must be a BlowUpStep."""
+    if not isinstance(step, BlowUpStep):
+        raise GraphStructureError(f"blow-up step {i} is not a BlowUpStep: {step!r:.80}")
+    return step.op, step.target
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,9 @@ class PLFunction:
                                    self._ray_slopes)
 
     def without_rays(self) -> "PLFunction":
-        return PLFunction(self._values, {})
+        """The same values with no ray slopes; the values were checked
+        when this function was made, so they are shared, not copied."""
+        return PLFunction._trusted(self._values, {})
 
     def __eq__(self, other):
         return (isinstance(other, PLFunction)

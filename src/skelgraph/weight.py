@@ -56,6 +56,10 @@ class PluricanonicalModelData:
                 if type(x) is not int:
                     raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
             object.__setattr__(self, name, table)
+        if isinstance(self.horizontal_edges, str):
+            raise GraphStructureError(
+                f"horizontal_edges must be a collection of edge ids, "
+                f"not the string {self.horizontal_edges!r:.80}")
         object.__setattr__(self, "horizontal_edges", frozenset(self.horizontal_edges))
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
@@ -84,7 +88,8 @@ def weight_function(graph: WeightedDualGraph,
     """Value nu(v)/N(v) at every vertex, affine on compact edges, slope
     N*(m + d) on each ray.  Edges flagged as meeting the horizontal
     part are rejected: the function is only piecewise affine there and
-    the caller must refine the model first."""
+    the caller must refine the model first.  Its vertex keys are the
+    graph's own points, and those of ``graph.without_rays()`` too."""
     if not graph.is_loop_free():
         raise LoopsPresentError("weight functions need a loop-free graph")
     data.validate_on(graph)
@@ -94,27 +99,30 @@ def weight_function(graph: WeightedDualGraph,
             f"edges [{flagged}] meet the horizontal part; the weight function "
             "is not affine there, pass a refined model"
         )
+    points = graph._vertex_points()
     values = {
-        GraphPoint.at_vertex(v.id): Fraction(data.nu[v.id], v.multiplicity)
+        points[v.id]: Fraction(data.nu[v.id], v.multiplicity)
         for v in graph.vertices
     }
     slopes = {
         r.label: graph.vertex(r.attach).multiplicity * (data.m + data.ray_degrees[r.label])
         for r in graph.rays
     }
-    return PLFunction(values, slopes)
+    return PLFunction._trusted(values, slopes)
 
 
 def pushforward_divisor(graph: WeightedDualGraph,
                         data: PluricanonicalModelData) -> GraphDivisor:
     """Pushforward of the marked-point part of the form's divisor to the
-    compact skeleton: each ray contributes deg(x) * d at its attachment."""
+    compact skeleton: each ray contributes deg(x) * d at its attachment,
+    keyed by the graph's own point of that vertex."""
     data.validate_on(graph)
+    points = graph._vertex_points()
     acc: dict[GraphPoint, int] = {}
     for r in graph.rays:
-        p = GraphPoint.at_vertex(r.attach)
+        p = points[r.attach]
         acc[p] = acc.get(p, 0) + r.degree * data.ray_degrees[r.label]
-    return GraphDivisor(acc)
+    return GraphDivisor._clean(acc)
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,9 @@ def verify_laplacian_theorem(graph: WeightedDualGraph,
     """Check both exact identities for the weight function.
 
     On the pair skeleton (rays in the valency and in the Laplacian):
-    Delta(wt) = m * K.  On the compact skeleton: Delta(wt restricted) =
-    m * K_norays - pushforward."""
+    Delta(wt) = m * K.  On the compact skeleton, the graph's kept
+    ``without_rays()`` copy: Delta(wt restricted) = m * K_norays -
+    pushforward, computed there and not derived from the pair identity."""
     wt = weight_function(graph, data)
 
     pair_lap = laplacian(graph, wt)

@@ -1,5 +1,6 @@
 """Graph core: metrics, genus, distances, loops, subdivision."""
 
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -277,6 +278,45 @@ class TestVertexDistancesMemo:
             assert sk.vertex_distances(stable, v) == networkx_distances(stable, v)
         assert sk.distance(stable, "a", "b") == F(1, 4)
         assert {v: sk.vertex_distances(g, v) for v in g.vertex_ids} == model
+
+
+class TestBlownUpDistances:
+    """On random models after 50 blow-ups, drawn as the benchmark draws
+    them, every source's distances match networkx, cold and once other
+    sources have built the graph's integer network, and the distance
+    between two vertices is symmetric and reads vertex_distances."""
+
+    @staticmethod
+    def models(rng):
+        # every edge of these models is a node a blow-up accepts, so
+        # random_blowups draws among all edges, as the benchmark does
+        from skelgraph.sampling import random_graph
+        for n in (3, 6, 9):
+            g = random_graph(rng, max_vertices=n, max_multiplicity=8,
+                             extra_edges=rng.randint(0, 3))
+            yield random_blowups(rng, g, 50)[1]
+
+    def test_every_source_matches_networkx(self, rng):
+        for big in self.models(rng):
+            want = {v: networkx_distances(big, v) for v in big.vertex_ids}
+            for v in big.vertex_ids:
+                cold = pickle.loads(pickle.dumps(big))
+                assert cold._network is None
+                assert sk.vertex_distances(cold, v) == want[v]
+            first, *rest = big.vertex_ids
+            assert sk.vertex_distances(big, first) == want[first]
+            network = big._network
+            for v in rest:
+                assert sk.vertex_distances(big, v) == want[v]
+            assert network is not None and big._network is network
+
+    def test_vertex_pairs_are_symmetric(self, rng):
+        for big in self.models(rng):
+            for v in big.vertex_ids:
+                for w in big.vertex_ids:
+                    d = sk.distance(big, v, w)
+                    assert type(d) is F
+                    assert d == sk.distance(big, w, v) == sk.vertex_distances(big, v)[w]
 
 
 def networkx_point_distances(graph, points):

@@ -74,6 +74,16 @@ def _reduce_off_graph(point):
     return sk.reduce_divisor(*_off_graph(point), "v0")
 
 
+def _blowups(bad_step):
+    """apply_blowups on the theta graph with a good step, then ``bad_step``."""
+    return sk.apply_blowups(sk.fixtures.theta_graph(), [sk.BlowUpStep("node", "e0"), bad_step])
+
+
+def _invariance(bad_step):
+    return sk.verify_metric_invariance(sk.fixtures.theta_graph(),
+                                       [sk.BlowUpStep("node", "e0"), bad_step])
+
+
 def _function_json(*entries):
     return sio.function_from_json(list(entries))
 
@@ -168,12 +178,26 @@ GUARDS = [
     ("base-change-degree", lambda: sk.base_change_subdivide(sk.fixtures.path_graph(2), 0),
      GSE, "base-change degree must be >= 1, got 0"),
     ("blowup-op", lambda: sk.BlowUpStep("edge", "e0"), GSE, "unknown blow-up op 'edge'"),
+    ("blowup-step-tuple", lambda: _blowups(("node", "e0")), GSE,
+     "blow-up step 1 is not a BlowUpStep: ('node', 'e0')"),
+    ("blowup-step-none", lambda: _blowups(None), GSE, "blow-up step 1 is not a BlowUpStep: None"),
+    ("blowup-step-string", lambda: _blowups("e0"), GSE,
+     "blow-up step 1 is not a BlowUpStep: 'e0'"),
+    ("invariance-step-tuple", lambda: _invariance(("node", "e0")), GSE,
+     "blow-up step 1 is not a BlowUpStep: ('node', 'e0')"),
+    ("invariance-step-none", lambda: _invariance(None), GSE,
+     "blow-up step 1 is not a BlowUpStep: None"),
+    ("invariance-step-string", lambda: _invariance("e0"), GSE,
+     "blow-up step 1 is not a BlowUpStep: 'e0'"),
     ("canonical-divisor-m-not-integer", lambda: sk.canonical_divisor(
         sk.fixtures.triangle_chain(2), 1.5), GSE, "m must be a positive integer, got 1.5"),
     ("model-data-m-not-integer", lambda: sk.PluricanonicalModelData(m=2.5, nu={"u": 0}),
      GSE, "m must be an integer, got 2.5"),
     ("model-data-nu-not-integer", lambda: sk.PluricanonicalModelData(m=1, nu={"u": 0.5}),
      GSE, "nu['u'] must be an integer, got 0.5"),
+    ("model-data-horizontal-string", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, horizontal_edges="e0"), GSE,
+     "horizontal_edges must be a collection of edge ids, not the string 'e0'"),
     ("model-data-ray-degree-not-integer", lambda: sk.PluricanonicalModelData(
         m=1, nu={"u": 0}, ray_degrees={"x": F(1, 2)}), GSE,
      "ray_degrees['x'] must be an integer, got Fraction(1, 2)"),

@@ -1,5 +1,7 @@
 """Weight functions, the Laplacian identities, pushforwards, KS skeleta."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -284,3 +286,88 @@ class TestBlowUpDataTransport:
         slope = (wt2.values[P.at_vertex(new)] - wt2.values[P.at_vertex("a")]) \
             / g2.edge_length(eid)
         assert slope == wt.ray_slopes["x"] == 2 * (1 + 3)
+
+
+def _weight_answers(g, data):
+    """What the weight layer answers on g: the weight function, the
+    pushforward, the Laplacian report and the KS skeleton."""
+    return (sk.weight_function(g, data), sk.pushforward_divisor(g, data),
+            sk.verify_laplacian_theorem(g, data), sk.ks_skeleton(g, data))
+
+
+class TestWeightMemos:
+    """A graph keeps its rays-free copy, which shares the graph's vertex
+    points, and the weight layer keys its vertices with those points.
+    None of that changes an answer: a cold graph, the same graph warm,
+    and its pickle, deepcopy and replace copies, which start without a
+    copy or a network, give == results, and bad data raises on every
+    call."""
+
+    @staticmethod
+    def fixtures():
+        from skelgraph.sampling import random_pair_fixture
+        rng = random.Random(2718)
+        return [random_pair_fixture(rng, m) for m in (1, 2, 3) for _ in range(8)]
+
+    @staticmethod
+    def copies(g):
+        return pickle.loads(pickle.dumps(g)), copy.deepcopy(g), g.replace()
+
+    def test_cold_warm_and_copies_agree(self):
+        for g, data in self.fixtures():
+            want = _weight_answers(pickle.loads(pickle.dumps(g)), data)
+            assert want[2].ok, want[2].describe()
+            assert _weight_answers(g, data) == want
+            assert _weight_answers(g, data) == want  # warm
+            for copied in self.copies(g):
+                assert copied._compact is None and copied._network is None
+                assert _weight_answers(copied, data) == want
+
+    def test_one_rays_free_copy_per_graph(self):
+        for g, _ in self.fixtures():
+            compact = g.without_rays()
+            assert g.without_rays() is compact
+            assert compact.rays == () and not compact.pair_model
+            assert compact == g.replace(rays=(), pair_model=False)
+            points = g._vertex_points()
+            assert all(compact._vertex_points()[v] is p for v, p in points.items())
+            for copied in self.copies(g):
+                assert copied._compact is None
+                assert copied.without_rays() is not compact
+                assert copied.without_rays() == compact
+
+    def test_weight_keys_are_the_graph_points(self):
+        for g, data in self.fixtures():
+            points = g._vertex_points()
+            wt = sk.weight_function(g, data)
+            assert list(wt.values) == list(points.values())
+            assert all(p is points[p.where] for p in wt.values)
+            assert all(p is points[p.where] for p in sk.pushforward_divisor(g, data).support)
+            compact = g.without_rays()
+            stripped = wt.without_rays()
+            assert stripped.values == wt.values and stripped.ray_slopes == {}
+            assert all(p is points[p.where]
+                       for p in sk.canonical_divisor(compact, data.m).support)
+            assert all(p is points[p.where] for p in sk.laplacian(compact, stripped).support)
+
+    @pytest.mark.parametrize("bad, error", [
+        (PluricanonicalModelData(m=1, nu={"v1": 1, "v2": 2, "v3": 3}), sk.MissingDataError),
+        (PluricanonicalModelData(m=1, nu={"v1": 1, "v2": 2, "v3": 3, "v4": 5, "zz": 0}),
+         sk.UnknownElementError),
+        (PluricanonicalModelData(m=1, nu={"v1": 1, "v2": 2, "v3": 3, "v4": 5},
+                                 horizontal_edges={"e9"}), sk.UnknownElementError),
+    ])
+    def test_bad_data_raises_on_every_call(self, bad, error):
+        g, data = kodaira()
+        readers = (sk.weight_function, sk.pushforward_divisor,
+                   sk.verify_laplacian_theorem, sk.ks_skeleton)
+        for read in readers:
+            read(g, data)
+        for _ in range(3):
+            for read in readers:
+                with pytest.raises(error):
+                    read(g, bad)
+        flagged = PluricanonicalModelData(m=1, nu=data.nu, horizontal_edges={"e0"})
+        for _ in range(3):
+            with pytest.raises(sk.HorizontalEdgeError):
+                sk.verify_laplacian_theorem(g, flagged)
