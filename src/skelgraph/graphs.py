@@ -22,15 +22,15 @@ So a graph keeps what it derives on first read: each edge's length;
 one integer network, the edge lengths as integer steps over the lcm of
 their denominators, on which ``vertex_distances`` runs each source's
 Dijkstra; the ``vertex_distances`` of each source asked for, which
-``distance`` reads for a pair of vertices and for every anchor of its
-first point (callers get copies); one ``GraphPoint`` per vertex, with
-which ``refine``, the function walk, ``laplacian``, ``min_locus``,
-``canonical_divisor`` and, in ``weight``, the weight function and the
-pushforward divisor key their vertices, so lookups among their results
-match by identity; its rays-free copy ``without_rays()``, which shares
-those points; and, in ``potential``, ``canonical_divisor`` for each m
-asked for and ``bridges``, both immutable.  A new graph, ``replace``'s
-and a copy's included, starts with none of them.
+``distance`` reads in place for a pair of vertices and for every
+anchor of its first point (callers of ``vertex_distances`` get
+copies); one ``GraphPoint`` per vertex, with which ``refine``, the
+function walk, ``laplacian``, ``min_locus``, ``canonical_divisor``
+and, in ``weight``, the weight function and the pushforward divisor
+key their vertices, so lookups among their results match by identity;
+and, in ``potential``, ``canonical_divisor`` for each m asked for and
+``bridges``, both immutable.  A new graph, ``replace``'s and a copy's
+included, starts with none of them.
 """
 
 from __future__ import annotations
@@ -240,8 +240,7 @@ class WeightedDualGraph:
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
                  "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
-                 "_distances", "_network", "_points", "_canonical", "_bridges",
-                 "_compact")
+                 "_distances", "_network", "_points", "_canonical", "_bridges")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -313,7 +312,6 @@ class WeightedDualGraph:
         object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
         object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
         object.__setattr__(self, "_bridges", None)  # bridges(self), on first call
-        object.__setattr__(self, "_compact", None)  # without_rays(), on first call
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
@@ -441,16 +439,11 @@ class WeightedDualGraph:
 
     def without_rays(self) -> "WeightedDualGraph":
         """The compact graph: this one without its rays, and not a pair
-        model.  Built on the first call and kept, so every call returns
-        the same graph, whose own memos stay warm.  It shares this
-        graph's vertex points, so lookups across the two match by
-        identity."""
-        compact = self._compact
-        if compact is None:
-            compact = self.replace(rays=(), pair_model=False)
-            object.__setattr__(compact, "_points", self._points)
-            object.__setattr__(self, "_compact", compact)
-        return compact
+        model.  A graph that is already both is its own compact graph;
+        any other gets a new one, cold, on every call."""
+        if not self._rays and not self.pair_model:
+            return self
+        return self.replace(rays=(), pair_model=False)
 
     def fresh_vertex_id(self, stem: str) -> str:
         return fresh_id(self._vertices, stem)
@@ -582,6 +575,13 @@ def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fractio
     return dict(known)
 
 
+def _kept_distances(graph, source):
+    """The table ``vertex_distances`` keeps for source, read in place;
+    the first read of a source goes through ``vertex_distances``, which
+    fills it.  Callers must not change it."""
+    return graph._distances.get(source) or vertex_distances(graph, source)
+
+
 def _anchors(graph, p):
     """(vertex, cost) pairs from which p is reached along its own edge."""
     if p.kind == "vertex":
@@ -594,8 +594,9 @@ def _anchors(graph, p):
 def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     """Shortest-path distance between two points, exact.
 
-    Two vertices read the first one's ``vertex_distances``; an edge
-    point goes through both ends of its edge.  Points on rays may only
+    Two vertices read the first one's kept ``vertex_distances`` table
+    without copying it; an edge point goes through both ends of its
+    edge, on the kept tables of those ends.  Points on rays may only
     be paired with points on the same ray or with its attachment vertex.
     """
     p = graph.check_point(p)
@@ -614,14 +615,14 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     if p == q:
         return Fraction(0)
     if p.kind == "vertex" and q.kind == "vertex":
-        return vertex_distances(graph, p.where)[q.where]
+        return _kept_distances(graph, p.where)[q.where]
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
         best = abs(p.offset - q.offset)
     dist_from = {}
     for va, ca in _anchors(graph, p):
         if va not in dist_from:
-            dist_from[va] = vertex_distances(graph, va)
+            dist_from[va] = _kept_distances(graph, va)
         for vb, cb in _anchors(graph, q):
             d = ca + dist_from[va][vb] + cb
             if best is None or d < best:

@@ -89,7 +89,7 @@ def weight_function(graph: WeightedDualGraph,
     N*(m + d) on each ray.  Edges flagged as meeting the horizontal
     part are rejected: the function is only piecewise affine there and
     the caller must refine the model first.  Its vertex keys are the
-    graph's own points, and those of ``graph.without_rays()`` too."""
+    graph's own points."""
     if not graph.is_loop_free():
         raise LoopsPresentError("weight functions need a loop-free graph")
     data.validate_on(graph)
@@ -153,9 +153,9 @@ def verify_laplacian_theorem(graph: WeightedDualGraph,
     """Check both exact identities for the weight function.
 
     On the pair skeleton (rays in the valency and in the Laplacian):
-    Delta(wt) = m * K.  On the compact skeleton, the graph's kept
-    ``without_rays()`` copy: Delta(wt restricted) = m * K_norays -
-    pushforward, computed there and not derived from the pair identity."""
+    Delta(wt) = m * K.  On the compact skeleton, ``without_rays()``:
+    Delta(wt restricted) = m * K_norays - pushforward, computed there
+    and not derived from the pair identity."""
     wt = weight_function(graph, data)
 
     pair_lap = laplacian(graph, wt)

