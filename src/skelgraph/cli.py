@@ -22,8 +22,8 @@ from .errors import GraphStructureError, SkelgraphError
 from .fixtures import fixture, fixture_names
 from .potential import (
     bridges,
+    canonical_divisor,
     is_spanning_tree,
-    laplacian,
     maximal_bridge_chains,
     solve_poisson,
 )
@@ -34,7 +34,7 @@ from .skeleton import (
     witness_bridge_chain,
     witness_cycle,
 )
-from .weight import ks_skeleton, verify_laplacian_theorem, weight_function
+from .weight import ks_skeleton, verify_laplacian_theorem
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,8 +77,8 @@ def _cmd_export_dot(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     target = sio.divisor_from_json(_read_json(args.divisor))
-    slopes = sio.ray_slopes_from_json(_read_json(args.ray_slopes) or {}) \
-        if args.ray_slopes else {}
+    doc = _read_json(args.ray_slopes) if args.ray_slopes else None
+    slopes = {} if doc is None else sio.ray_slopes_from_json(doc)
     f = solve_poisson(g, target, ray_slopes=slopes, anchor=args.anchor)
     _emit(sio.function_to_json(f))
     return EXIT_OK
@@ -87,10 +87,11 @@ def _cmd_solve(args) -> int:
 def _verify_laplacian(g, data_doc) -> dict:
     data = sio.data_from_json(data_doc)
     report = verify_laplacian_theorem(g, data)
-    wt = weight_function(g, data)
+    # the report holds Delta(wt) - mK, so Delta(wt) needs no second weight function
+    lap = report.pair_discrepancy + canonical_divisor(g, data.m)
     return {
         "ok": bool(report),
-        "laplacian": sio.divisor_to_json(laplacian(g, wt)),
+        "laplacian": sio.divisor_to_json(lap),
         "detail": report.describe(),
     }
 

@@ -9,6 +9,12 @@ from .graphs import MetricKind, VertexLabel, WeightedDualGraph
 from .weight import PluricanonicalModelData
 
 
+def _size(n, what: str) -> None:
+    """GraphStructureError naming n unless it is an int (a bool is not)."""
+    if type(n) is not int:
+        raise GraphStructureError(f"{what} must be an integer, got {n!r:.80}")
+
+
 def kodaira_type_ii(metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
     """Star of a multiplicity-6 center with rational components of
     multiplicities 1, 2, 3; model edge lengths 1/6, 1/12, 1/18."""
@@ -31,6 +37,7 @@ def kodaira_type_ii_data(m: int = 1) -> PluricanonicalModelData:
 def kodaira_in_star(n: int, metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
     """I_n*: a chain of n+1 multiplicity-2 vertices with two
     multiplicity-1 leaves at each end."""
+    _size(n, "I_n* n")
     if n < 0:
         raise GraphStructureError("I_n* needs n >= 0")
     vertices = [VertexLabel(f"c{i}", 2) for i in range(n + 1)]
@@ -43,6 +50,7 @@ def kodaira_in_star(n: int, metric: MetricKind = MetricKind.MODEL) -> WeightedDu
 
 def cycle_graph(n: int, metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
     """Reduced n-cycle (type I_n for n >= 3; n = 2 is a double edge)."""
+    _size(n, "cycle size n")
     if n < 2:
         raise GraphStructureError("cycle needs n >= 2")
     vertices = [VertexLabel(f"v{i}", 1) for i in range(n)]
@@ -62,6 +70,7 @@ def theta_graph(metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
 
 def dumbbell(k: int = 1, metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
     """Two triangles joined by a path of k bridge edges (genus 2)."""
+    _size(k, "dumbbell bridge length k")
     if k < 1:
         raise GraphStructureError("dumbbell needs a bridge path of length >= 1")
     vertices = [VertexLabel(x, 1) for x in ("l0", "l1", "l2", "r0", "r1", "r2")]
@@ -79,8 +88,12 @@ def triangle_chain(g: int, bridge_len: int = 1,
     """g triangles in a row, consecutive ones joined by bridge paths of
     the given length: a maximally degenerate genus-g graph with g-1
     maximal bridge chains."""
+    _size(g, "triangle chain genus g")
+    _size(bridge_len, "triangle chain bridge length")
     if g < 1:
         raise GraphStructureError("triangle chain needs g >= 1")
+    if bridge_len < 1:
+        raise GraphStructureError(f"triangle chain needs bridge length >= 1, got {bridge_len}")
     vertices = []
     edges = []
     for t in range(g):
@@ -101,6 +114,7 @@ def triangle_chain(g: int, bridge_len: int = 1,
 
 def path_graph(n: int, metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:
     """Reduced path of n vertices."""
+    _size(n, "path size n")
     if n < 1:
         raise GraphStructureError("path needs n >= 1")
     vertices = [VertexLabel(f"v{i}", 1) for i in range(n)]

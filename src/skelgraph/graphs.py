@@ -66,9 +66,16 @@ class MetricKind(Enum):
 
     @classmethod
     def coerce(cls, value) -> "MetricKind":
+        """``value`` itself when it is a MetricKind, else the kind whose
+        value is ``str(value)`` in lower case; GraphStructureError names
+        any other value."""
         if isinstance(value, cls):
             return value
-        return cls(str(value).lower())
+        try:
+            return cls(str(value).lower())
+        except ValueError:
+            known = ", ".join(kind.value for kind in cls)
+            raise GraphStructureError(f"unknown metric {value!r:.80}; known: {known}") from None
 
 
 @dataclass(frozen=True)
@@ -619,12 +626,10 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
         best = abs(p.offset - q.offset)
-    dist_from = {}
     for va, ca in _anchors(graph, p):
-        if va not in dist_from:
-            dist_from[va] = _kept_distances(graph, va)
+        row = _kept_distances(graph, va)
         for vb, cb in _anchors(graph, q):
-            d = ca + dist_from[va][vb] + cb
+            d = ca + row[vb] + cb
             if best is None or d < best:
                 best = d
     return best

@@ -17,6 +17,7 @@ from .divisors import GraphDivisor
 from .errors import GraphStructureError, InvalidPointError
 from .graphs import (
     GraphPoint,
+    MetricKind,
     Ray,
     VertexLabel,
     WeightedDualGraph,
@@ -102,7 +103,8 @@ def graph_from_json(doc: dict) -> WeightedDualGraph:
                 for r in doc.get("rays", ())]
         return WeightedDualGraph(
             vertices=vertices, edges=edges, rays=rays,
-            metric=doc.get("metric", "model"),
+            # the enum's own ValueError, caught below, names a bad metric
+            metric=MetricKind(str(doc.get("metric", "model")).lower()),
             name=_shaped(doc.get("name", ""), str, "graph name"),
             pair_model=_shaped(doc.get("pair_model", False), bool, "graph pair_model"),
         )
@@ -287,20 +289,26 @@ def witness_to_json(bundle) -> dict:
 # -- DOT export --------------------------------------------------------------------
 
 
+def _dot(text: str) -> str:
+    """text as a quoted DOT string, with its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(graph: WeightedDualGraph,
                locus: Optional[SubgraphLocus] = None) -> str:
     """Deterministic DOT: vertices labelled "id (N,g)", edges labelled
-    with their exact length; locus members carry a highlight attribute."""
-    lines = [f'graph "{graph.name or "skeleton"}" {{']
+    with their exact length; locus members carry a highlight attribute.
+    Ids, labels and the name are written as escaped DOT strings."""
+    lines = [f'graph {_dot(graph.name or "skeleton")} {{']
     in_locus_v = locus.vertices if locus is not None else frozenset()
     seg_edges = set(locus.segments) if locus is not None else set()
     whole = locus.whole_edges() if locus is not None else frozenset()
     for v in graph.vertices:
-        attrs = [f'label="{v.id} ({v.multiplicity},{v.genus})"']
+        attrs = [f'label={_dot(f"{v.id} ({v.multiplicity},{v.genus})")}']
         if v.id in in_locus_v:
             attrs.append('locus="1"')
             attrs.append("style=bold")
-        lines.append(f'  "{v.id}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot(v.id)} [{", ".join(attrs)}];')
     for e in graph.edges:
         attrs = [f'label="{format_rational(graph.edge_length(e.id))}"']
         if e.id in whole:
@@ -308,9 +316,10 @@ def export_dot(graph: WeightedDualGraph,
             attrs.append("style=bold")
         elif e.id in seg_edges:
             attrs.append('locus="partial"')
-        lines.append(f'  "{e.a}" -- "{e.b}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot(e.a)} -- {_dot(e.b)} [{", ".join(attrs)}];')
     for r in graph.rays:
-        lines.append(f'  "{r.label}" [label="{r.label} (deg {r.degree})", shape=plaintext];')
-        lines.append(f'  "{r.attach}" -- "{r.label}" [style=dashed];')
+        lines.append(f'  {_dot(r.label)} [label={_dot(f"{r.label} (deg {r.degree})")}, '
+                     'shape=plaintext];')
+        lines.append(f'  {_dot(r.attach)} -- {_dot(r.label)} [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -97,6 +97,8 @@ def base_change_subdivide(graph: WeightedDualGraph, n: int,
     Lengths stay in the original normalization, so the identity on old
     points is an isometry.
     """
+    if type(n) is not int:
+        raise GraphStructureError(f"base-change degree must be an integer, got {n!r:.80}")
     if n < 1:
         raise GraphStructureError(f"base-change degree must be >= 1, got {n}")
     if not graph.is_reduced():

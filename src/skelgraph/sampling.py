@@ -11,6 +11,7 @@ packs at a vertex.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Optional
 
 from .fixtures import cycle_graph, kodaira_type_ii, kodaira_type_ii_data
@@ -128,8 +129,7 @@ def _sprout_ray_pack(rng: random.Random, graph: WeightedDualGraph,
         rays.append(Ray(vid, label, n))
         degrees[label] = c
     out = graph.replace(rays=rays, pair_model=True)
-    return out, PluricanonicalModelData(m=data.m, nu=data.nu, ray_degrees=degrees,
-                                        horizontal_edges=data.horizontal_edges)
+    return out, replace(data, ray_degrees=degrees)
 
 
 def random_pair_fixture(rng: random.Random, m: int, moves: int = 8):

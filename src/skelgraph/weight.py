@@ -6,7 +6,9 @@ model, the coefficient of each marked point in the divisor on the
 curve (per ray), and which edges meet the horizontal part.  The weight
 function takes the value nu(v)/N(v) at each vertex, is affine on every
 compact edge of a pair model, and climbs each ray with slope
-N * (m + d) where d is the ray's divisor coefficient.
+N * (m + d) where d is the ray's divisor coefficient.  The weight
+function and the KS skeleton, with its minimum-locus cross-check, read
+these values and slopes from one reader that validates the data once.
 
 Two exact identities are verified: on the pair skeleton, the Laplacian
 of the weight function equals the m-canonical divisor (rays counted in
@@ -17,7 +19,7 @@ the pushforward of the marked-point divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -83,31 +85,34 @@ class PluricanonicalModelData:
         return self
 
 
+def _weights(graph, data, needs):
+    """The value nu(v)/N(v) at each vertex, keyed by the graph's own
+    point, and the slope N * (m + d) on each ray, read from validated
+    data on a loop-free graph; ``needs`` opens the loop-free message."""
+    if not graph.is_loop_free():
+        raise LoopsPresentError(f"{needs} a loop-free graph")
+    data.validate_on(graph)
+    points = graph._vertex_points()
+    values = {points[v.id]: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
+    slopes = {r.label: graph.vertex(r.attach).multiplicity
+              * (data.m + data.ray_degrees[r.label]) for r in graph.rays}
+    return values, slopes
+
+
 def weight_function(graph: WeightedDualGraph,
                     data: PluricanonicalModelData) -> PLFunction:
     """Value nu(v)/N(v) at every vertex, affine on compact edges, slope
-    N*(m + d) on each ray.  Edges flagged as meeting the horizontal
-    part are rejected: the function is only piecewise affine there and
-    the caller must refine the model first.  Its vertex keys are the
-    graph's own points."""
-    if not graph.is_loop_free():
-        raise LoopsPresentError("weight functions need a loop-free graph")
-    data.validate_on(graph)
+    N*(m + d) on each ray, from the one reading of the data; its vertex
+    keys are the graph's own points.  Edges flagged as meeting the
+    horizontal part are rejected: the function is only piecewise affine
+    there and the caller must refine the model first."""
+    values, slopes = _weights(graph, data, "weight functions need")
     if data.horizontal_edges:
         flagged = ", ".join(sorted(data.horizontal_edges))
         raise HorizontalEdgeError(
             f"edges [{flagged}] meet the horizontal part; the weight function "
             "is not affine there, pass a refined model"
         )
-    points = graph._vertex_points()
-    values = {
-        points[v.id]: Fraction(data.nu[v.id], v.multiplicity)
-        for v in graph.vertices
-    }
-    slopes = {
-        r.label: graph.vertex(r.attach).multiplicity * (data.m + data.ray_degrees[r.label])
-        for r in graph.rays
-    }
     return PLFunction._trusted(values, slopes)
 
 
@@ -180,27 +185,21 @@ def ks_skeleton(graph: WeightedDualGraph,
                 data: PluricanonicalModelData) -> SubgraphLocus:
     """Union of the essential faces: vertices attaining min nu/N, and
     edges whose endpoints both attain it and which do not meet the
-    horizontal part.  Cross-checked against the minimum locus of the
-    weight function whenever the latter is defined."""
-    if not graph.is_loop_free():
-        raise LoopsPresentError("KS skeleton needs a loop-free graph")
-    data.validate_on(graph)
-    ratios = {v.id: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
-    lowest = min(ratios.values())
-    vertices = [v for v, r in ratios.items() if r == lowest]
-    vset = set(vertices)
+    horizontal part.  When no edge is flagged and no ray slope is
+    negative, the same values and slopes, as a function, must have
+    this locus as their minimum locus."""
+    values, slopes = _weights(graph, data, "KS skeleton needs")
+    lowest = min(values.values())
+    vset = {p.where for p, r in values.items() if r == lowest}
     edges = [e.id for e in graph.edges
              if e.a in vset and e.b in vset and e.id not in data.horizontal_edges]
-    locus = SubgraphLocus(graph, vertices=vertices, whole_edges=edges)
+    locus = SubgraphLocus(graph, vertices=vset, whole_edges=edges)
 
-    if not data.horizontal_edges:
-        wt = weight_function(graph, data)
-        if all(s >= 0 for s in wt.ray_slopes.values()):
-            cross = min_locus(graph, wt)
-            if cross != locus:
-                raise PipelineError(
-                    "KS skeleton disagrees with the weight function's minimum locus"
-                )
+    if not data.horizontal_edges and all(s >= 0 for s in slopes.values()):
+        if min_locus(graph, PLFunction._trusted(values, slopes)) != locus:
+            raise PipelineError(
+                "KS skeleton disagrees with the weight function's minimum locus"
+            )
     return locus
 
 
@@ -228,9 +227,7 @@ def blow_up_node_with_data(graph: WeightedDualGraph,
     nu = dict(data.nu)
     nu[wid] = _entry(data.nu, e.a, "nu entry for vertex") + \
         _entry(data.nu, e.b, "nu entry for vertex")
-    return out, PluricanonicalModelData(m=data.m, nu=nu,
-                                        ray_degrees=data.ray_degrees,
-                                        horizontal_edges=data.horizontal_edges)
+    return out, replace(data, nu=nu)
 
 
 def blow_up_interior_with_data(graph: WeightedDualGraph,
@@ -253,6 +250,4 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
         out = out.replace(rays=moved)
     nu = dict(data.nu)
     nu[wid] = _entry(data.nu, vid, "nu entry for vertex") + data.m + d
-    return out, PluricanonicalModelData(m=data.m, nu=nu,
-                                        ray_degrees=data.ray_degrees,
-                                        horizontal_edges=data.horizontal_edges)
+    return out, replace(data, nu=nu)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import skelgraph as sk
 from skelgraph import io as sio
 from skelgraph.cli import build_parser, main
+from skelgraph.sampling import random_pair_fixture
+
+from dot_reader import awkward_graph, dot_strings, parse_dot
 
 
 def run(capsys, *argv):
@@ -326,6 +330,72 @@ class TestExportDot:
                            "--locus", lpath)
         assert code == 0
         assert 'locus="1"' in out
+
+
+class TestVerifyLaplacianReport:
+    """verify laplacian reports Delta(wt) as the report's discrepancy
+    plus mK, validating the model data only inside the theorem check."""
+
+    @staticmethod
+    def reported(tmp_path, capsys, g, data):
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        dpath = write_json(tmp_path / "d.json", sio.data_to_json(data))
+        code, out, _ = run(capsys, "verify", "laplacian", "--graph", gpath, "--data", dpath)
+        return code, json.loads(out)["laplacian"]
+
+    def test_failing_data_reports_the_weight_laplacian(self, tmp_path, capsys):
+        g = sk.fixtures.kodaira_type_ii()
+        bad = sk.PluricanonicalModelData(m=1, nu={"v1": 0, "v2": 2, "v3": 3, "v4": 5})
+        code, lap = self.reported(tmp_path, capsys, g, bad)
+        assert code == 1
+        assert lap == sio.divisor_to_json(sk.laplacian(g, sk.weight_function(g, bad)))
+
+    def test_pair_fixtures_report_the_weight_laplacian(self, tmp_path, capsys):
+        rng = random.Random(31)
+        for m in (1, 2, 3):
+            for _ in range(4):
+                g, data = random_pair_fixture(rng, m)
+                code, lap = self.reported(tmp_path, capsys, g, data)
+                assert code == 0
+                assert lap == sio.divisor_to_json(sk.laplacian(g, sk.weight_function(g, data)))
+
+    def test_data_is_validated_twice(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = sk.PluricanonicalModelData.validate_on
+        monkeypatch.setattr(sk.PluricanonicalModelData, "validate_on",
+                            lambda self, graph: seen.append(graph) or real(self, graph))
+        code, _ = self.reported(tmp_path, capsys, sk.fixtures.kodaira_type_ii(),
+                                sk.fixtures.kodaira_type_ii_data())
+        assert code == 0 and len(seen) == 2
+
+
+class TestExportDotEscaping:
+    def test_quoted_ids_round_trip(self, tmp_path, capsys):
+        g = awkward_graph()
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        code, out, _ = run(capsys, "export-dot", "--graph", gpath)
+        assert code == 0
+        assert parse_dot(out) == dot_strings(g)
+
+
+class TestSolveRaySlopesFile:
+    """Only null and an object are ray-slope documents; null means none."""
+
+    @pytest.mark.parametrize("doc, code", [
+        ([], 2), (0, 2), (False, 2), ("", 2), ([1], 2), (None, 0), ({}, 0),
+    ], ids=["list", "zero", "false", "empty-string", "list-of-int", "null", "object"])
+    def test_exit_code(self, tmp_path, capsys, doc, code):
+        g = sk.fixtures.theta_graph()
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        dpath = write_json(tmp_path / "d.json",
+                           sio.divisor_to_json(sk.GraphDivisor({"u": 1, "v": -1})))
+        spath = write_json(tmp_path / "s.json", doc)
+        got, out, err = run(capsys, "solve", "--graph", gpath, "--divisor", dpath,
+                            "--anchor", "u", "--ray-slopes", spath)
+        assert got == code, err
+        if code == 2:
+            assert (out, err) == ("", f"error: malformed ray slopes JSON: expected a dict, "
+                                      f"got {doc!r}\n")
 
 
 class TestSolve:

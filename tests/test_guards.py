@@ -301,6 +301,37 @@ GUARDS = [
     ("io-graph-metric", lambda: sio.graph_from_json(
         {"vertices": [{"id": "u"}], "edges": [], "metric": "bogus"}), GSE,
      "malformed graph JSON: 'bogus' is not a valid MetricKind"),
+    ("graph-unknown-metric", lambda: sk.WeightedDualGraph(vertices=[V("u")], metric="foo"),
+     GSE, "unknown metric 'foo'; known: model, stable"),
+    ("graph-replace-unknown-metric", lambda: sk.fixtures.theta_graph().replace(metric="foo"),
+     GSE, "unknown metric 'foo'; known: model, stable"),
+    ("fixture-unknown-metric", lambda: sk.fixtures.fixture("theta", metric="foo"), GSE,
+     "unknown metric 'foo'; known: model, stable"),
+    ("base-change-float-degree", lambda: sk.base_change_subdivide(
+        sk.fixtures.path_graph(2), 2.0), GSE, "base-change degree must be an integer, got 2.0"),
+    ("base-change-string-degree", lambda: sk.base_change_subdivide(
+        sk.fixtures.path_graph(2), "2"), GSE, "base-change degree must be an integer, got '2'"),
+    ("base-change-bool-degree", lambda: sk.base_change_subdivide(
+        sk.fixtures.path_graph(2), True), GSE,
+     "base-change degree must be an integer, got True"),
+    ("fixture-cycle-float", lambda: sk.fixtures.cycle_graph(3.0), GSE,
+     "cycle size n must be an integer, got 3.0"),
+    ("fixture-cycle-string", lambda: sk.fixtures.fixture("cycle", n="3"), GSE,
+     "cycle size n must be an integer, got '3'"),
+    ("fixture-triangle-chain-float", lambda: sk.fixtures.triangle_chain(2.0), GSE,
+     "triangle chain genus g must be an integer, got 2.0"),
+    ("fixture-triangle-chain-float-bridge", lambda: sk.fixtures.triangle_chain(2, 1.5), GSE,
+     "triangle chain bridge length must be an integer, got 1.5"),
+    ("fixture-triangle-chain-zero-bridge", lambda: sk.fixtures.triangle_chain(2, 0), GSE,
+     "triangle chain needs bridge length >= 1, got 0"),
+    ("fixture-dumbbell-float", lambda: sk.fixtures.dumbbell(1.5), GSE,
+     "dumbbell bridge length k must be an integer, got 1.5"),
+    ("fixture-path-float", lambda: sk.fixtures.path_graph(2.0), GSE,
+     "path size n must be an integer, got 2.0"),
+    ("fixture-path-bool", lambda: sk.fixtures.path_graph(True), GSE,
+     "path size n must be an integer, got True"),
+    ("fixture-in-star-float", lambda: sk.fixtures.kodaira_in_star(1.0), GSE,
+     "I_n* n must be an integer, got 1.0"),
 ]
 
 

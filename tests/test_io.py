@@ -10,6 +10,8 @@ import skelgraph as sk
 from skelgraph import GraphDivisor as D, GraphPoint as P, PLFunction
 from skelgraph import io as sio
 
+from dot_reader import awkward_graph, dot_strings, parse_dot
+
 
 class TestRationals:
     def test_canonical_form(self):
@@ -276,3 +278,10 @@ class TestDot:
             '  "b" -- "x" [style=dashed];',
             "}",
         ]
+
+
+class TestDotEscaping:
+    def test_quotes_and_backslashes_are_escaped(self):
+        g = awkward_graph()
+        for locus in (None, sk.vertex_locus(g, 'a"x')):
+            assert parse_dot(sio.export_dot(g, locus)) == dot_strings(g)

@@ -361,3 +361,32 @@ class TestWeightMemos:
         for _ in range(3):
             with pytest.raises(sk.HorizontalEdgeError):
                 sk.verify_laplacian_theorem(g, flagged)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The graphs PluricanonicalModelData.validate_on is called on."""
+    seen = []
+    real = PluricanonicalModelData.validate_on
+
+    def counted(self, graph):
+        seen.append(graph)
+        return real(self, graph)
+
+    monkeypatch.setattr(PluricanonicalModelData, "validate_on", counted)
+    return seen
+
+
+class TestOneReading:
+    """Each reader validates the model data once; the Laplacian check
+    reads it twice, through the weight function and the pushforward."""
+
+    @pytest.mark.parametrize("read, count", [
+        (sk.weight_function, 1), (sk.pushforward_divisor, 1), (sk.ks_skeleton, 1),
+        (sk.verify_laplacian_theorem, 2),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_validations_per_call(self, validations, read, count):
+        for g, data in TestWeightMemos.fixtures()[:6]:
+            validations.clear()
+            read(g, data)
+            assert validations == [g] * count
