@@ -169,10 +169,15 @@ _VERIFY = {
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    data_doc = _read_json(args.data) if args.data else None
-    needs_data = {"laplacian", "ks"}
-    if args.subject in needs_data and data_doc is None:
-        raise SkelgraphError(f"verify {args.subject} requires --data")
+    needs_data = args.subject in ("laplacian", "ks")
+    if args.data is None:
+        if needs_data:
+            raise SkelgraphError(f"verify {args.subject} requires --data")
+        data_doc = None
+    else:
+        data_doc = _read_json(args.data)
+        if needs_data and data_doc is None:
+            raise GraphStructureError(f"verify {args.subject}: the --data document is null")
     report = _VERIFY[args.subject](g, data_doc)
     report["subject"] = args.subject
     report["graph"] = g.name or args.graph

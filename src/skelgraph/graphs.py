@@ -17,18 +17,20 @@ while an edge has an explicit length: that has no counterpart in the
 other metric.
 
 Everything is immutable after construction; operations are pure
-functions returning new graphs.  All arithmetic is fractions.Fraction.
-So a graph keeps what it derives on first read: each edge's length;
-one integer network, the edge lengths as integer steps over the lcm of
-their denominators, on which ``vertex_distances`` runs each source's
-Dijkstra; the ``vertex_distances`` of each source asked for, which
-``distance`` reads in place for a pair of vertices and for every
-anchor of its first point (callers of ``vertex_distances`` get
-copies); one ``GraphPoint`` per vertex, with which ``refine``, the
-function walk, ``laplacian``, ``min_locus``, ``canonical_divisor``
-and, in ``weight``, the weight function and the pushforward divisor
-key their vertices, so lookups among their results match by identity;
-and, in ``potential``, ``canonical_divisor`` for each m asked for and
+functions returning new graphs.  All arithmetic is exact: Fractions,
+or integers counting a known unit.  So a graph keeps what it derives
+on first read: each edge's length; one integer network, the edge
+lengths as integer steps over the lcm of their denominators, read off
+each edge's numerator and denominator (a formula edge's denominator
+comes from the helper behind ``formula_length``); for each source that
+``vertex_distances`` or ``distance`` reads, its Dijkstra row of
+integer steps, from which ``vertex_distances`` builds a fresh
+``Fraction`` per vertex and ``distance`` one ``Fraction`` per answer;
+one ``GraphPoint`` per vertex, with which ``refine``, the function
+walk, ``laplacian``, ``min_locus``, ``canonical_divisor`` and, in
+``weight``, the weight function and the pushforward divisor key their
+vertices, so lookups among their results match by identity; and, in
+``potential``, ``canonical_divisor`` for each m asked for and
 ``bridges``, both immutable.  A new graph, ``replace``'s and a copy's
 included, starts with none of them.
 """
@@ -231,10 +233,16 @@ def edge_position(eid, count: int) -> int:
     raise UnknownElementError(f"unknown edge {eid!r}")
 
 
+def _formula_denominator(n1: int, n2: int, metric: MetricKind) -> int:
+    """d in the formula length 1/d of an edge between multiplicities n1
+    and n2: n1*n2 in the model metric, lcm(n1, n2) in the stable one."""
+    return n1 * n2 if metric is MetricKind.MODEL else math.lcm(n1, n2)
+
+
 def formula_length(n1: int, n2: int, metric: MetricKind) -> Fraction:
-    if metric is MetricKind.MODEL:
-        return Fraction(1, n1 * n2)
-    return Fraction(1, math.lcm(n1, n2))
+    """The metric's length of an edge between multiplicities n1 and n2:
+    1/(n1*n2) in the model metric, 1/lcm(n1, n2) in the stable one."""
+    return Fraction(1, _formula_denominator(n1, n2, metric))
 
 
 class WeightedDualGraph:
@@ -314,7 +322,7 @@ class WeightedDualGraph:
         object.__setattr__(self, "_edge_index", {e.id: e for e in edge_objs})
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
         object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
-        object.__setattr__(self, "_distances", {})  # source -> vertex_distances, likewise
+        object.__setattr__(self, "_distances", {})  # source -> integer Dijkstra row, likewise
         object.__setattr__(self, "_network", None)  # (scale, integer adjacency), on first use
         object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
         object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
@@ -540,53 +548,65 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
     return 1 + total / 2
 
 
+def _row(graph: WeightedDualGraph, source: str):
+    """(scale, row): row maps every vertex to its distance from source
+    in steps of 1/scale, kept on the graph for that source; callers must
+    not change it.  The graph's integer network, built on first use and
+    kept too, has scale the lcm of the edge-length denominators and an
+    edge of length n/d as n*(scale//d) steps, read off each edge's
+    integers, so no length becomes a Fraction here."""
+    network = graph._network
+    if network is None:
+        ends = []
+        for e in graph._edges:
+            if e.a == e.b:
+                continue
+            if e.length is None:
+                n, d = 1, _formula_denominator(graph._vertices[e.a].multiplicity,
+                                               graph._vertices[e.b].multiplicity, graph.metric)
+            else:
+                n, d = e.length.numerator, e.length.denominator
+            ends.append((e.a, e.b, n, d))
+        scale = math.lcm(*(d for _, _, _, d in ends))
+        adjacency = {v: [] for v in graph._vertices}
+        for a, b, n, d in ends:
+            step = n * (scale // d)
+            adjacency[a].append((b, step))
+            adjacency[b].append((a, step))
+        network = (scale, adjacency)
+        object.__setattr__(graph, "_network", network)
+    scale, adjacency = network
+    dist = graph._distances.get(source)
+    if dist is None:
+        dist = {source: 0}
+        heap = [(0, source)]
+        done = set()
+        while heap:
+            d, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done.add(v)
+            for w, step in adjacency[v]:
+                if w not in done and (w not in dist or d + step < dist[w]):
+                    dist[w] = d + step
+                    heapq.heappush(heap, (d + step, w))
+        graph._distances[source] = dist
+    return scale, dist
+
+
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:
     """Exact single-source shortest-path distances to all vertices.
 
     The graph keeps one integer network, built on the first call: every
     edge length scaled by the lcm L of the length denominators, as an
     adjacency of integer steps.  Each source then runs only Dijkstra's
-    heap on it, and each distance d*L comes back as Fraction(d, L),
-    which is still exact.  The result is kept on the graph for that
-    source, so each source costs one Dijkstra per graph; every call
-    returns a fresh copy."""
+    heap on it, and the graph keeps the source's row of integer steps,
+    so each source costs one Dijkstra per graph.  Every call returns a
+    fresh dict in which each distance d*L is Fraction(d, L), still
+    exact."""
     graph.vertex(source)
-    known = graph._distances.get(source)
-    if known is not None:
-        return dict(known)
-    network = graph._network
-    if network is None:
-        lengths = [(e.a, e.b, graph.edge_length(e.id)) for e in graph.edges if e.a != e.b]
-        scale = math.lcm(*(ell.denominator for _, _, ell in lengths))
-        adjacency = {v: [] for v in graph.vertex_ids}
-        for a, b, ell in lengths:
-            step = ell.numerator * (scale // ell.denominator)
-            adjacency[a].append((b, step))
-            adjacency[b].append((a, step))
-        network = (scale, adjacency)
-        object.__setattr__(graph, "_network", network)
-    scale, adjacency = network
-    dist = {source: 0}
-    heap = [(0, source)]
-    done = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for w, step in adjacency[v]:
-            if w not in done and (w not in dist or d + step < dist[w]):
-                dist[w] = d + step
-                heapq.heappush(heap, (d + step, w))
-    known = graph._distances[source] = {v: Fraction(d, scale) for v, d in dist.items()}
-    return dict(known)
-
-
-def _kept_distances(graph, source):
-    """The table ``vertex_distances`` keeps for source, read in place;
-    the first read of a source goes through ``vertex_distances``, which
-    fills it.  Callers must not change it."""
-    return graph._distances.get(source) or vertex_distances(graph, source)
+    scale, row = _row(graph, source)
+    return {v: Fraction(d, scale) for v, d in row.items()}
 
 
 def _anchors(graph, p):
@@ -601,10 +621,11 @@ def _anchors(graph, p):
 def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     """Shortest-path distance between two points, exact.
 
-    Two vertices read the first one's kept ``vertex_distances`` table
-    without copying it; an edge point goes through both ends of its
-    edge, on the kept tables of those ends.  Points on rays may only
-    be paired with points on the same ray or with its attachment vertex.
+    Two vertices read the first one's kept row of integer steps (see
+    ``vertex_distances``) and build one Fraction, the answer; an edge
+    point goes through both ends of its edge, on the kept rows of those
+    ends, one Fraction per pair of anchors.  Points on rays may only be
+    paired with points on the same ray or with its attachment vertex.
     """
     p = graph.check_point(p)
     q = graph.check_point(q)
@@ -622,14 +643,15 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     if p == q:
         return Fraction(0)
     if p.kind == "vertex" and q.kind == "vertex":
-        return _kept_distances(graph, p.where)[q.where]
+        scale, row = _row(graph, p.where)
+        return Fraction(row[q.where], scale)
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
         best = abs(p.offset - q.offset)
     for va, ca in _anchors(graph, p):
-        row = _kept_distances(graph, va)
+        scale, row = _row(graph, va)
         for vb, cb in _anchors(graph, q):
-            d = ca + row[vb] + cb
+            d = ca + Fraction(row[vb], scale) + cb
             if best is None or d < best:
                 best = d
     return best

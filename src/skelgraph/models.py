@@ -24,6 +24,7 @@ from .graphs import (
     formula_length,
     fresh_id,
     split_edges,
+    vertex_distances,
 )
 
 
@@ -51,12 +52,13 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             if graph.metric is not MetricKind.MODEL:
                 raise GraphStructureError("node blow-ups are defined in the model metric")
             n1, n2 = vertices[a].multiplicity, vertices[b].multiplicity
-            expected = formula_length(n1, n2, MetricKind.MODEL)
-            if length is not None and length != expected:
-                raise GraphStructureError(
-                    f"edge {target!r} carries an explicit length {length} "
-                    f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
-                )
+            if length is not None:
+                expected = formula_length(n1, n2, MetricKind.MODEL)
+                if length != expected:
+                    raise GraphStructureError(
+                        f"edge {target!r} carries an explicit length {length} "
+                        f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
+                    )
             wid = fresh_id(vertices, f"{target}*")
             vertices[wid] = VertexLabel(wid, n1 + n2, 0)
             # endpoints sorted as the constructor sorts them: a later
@@ -160,20 +162,25 @@ class InvarianceReport:
 def verify_metric_invariance(graph: WeightedDualGraph,
                              steps: Sequence[BlowUpStep]) -> InvarianceReport:
     """Apply a blow-up sequence and check that all pairwise model
-    distances among the original vertices are unchanged, exactly."""
-    originals = graph.vertex_ids
-    before = {}
-    for i, v in enumerate(originals):
-        for w in originals[i + 1:]:
-            before[(v, w)] = distance(graph, v, w)
+    distances among the original vertices are unchanged, exactly.
+
+    The blow-ups come first, so a bad step raises before any distance
+    is read.  Then, for each original vertex v but the last, the
+    original graph's ``vertex_distances`` row from v (original vertices
+    only) gives each d(v, w) with w after v, and the blown-up graph is
+    asked ``distance`` for those pairs alone, in the same order."""
     try:
         transformed = apply_blowups(graph, steps)
     except UnknownElementError as exc:
         raise GraphStructureError(f"invalid instruction in sequence: {exc}") from exc
+    originals = graph.vertex_ids
+    n = len(originals)
     bad = []
-    for (v, w), d0 in before.items():
-        d1 = distance(transformed, v, w)
-        if d1 != d0:
-            bad.append(f"d({v},{w}): {d0} -> {d1}")
-    return InvarianceReport(ok=not bad, checked_pairs=len(before),
+    for i, v in enumerate(originals[:-1]):
+        row = vertex_distances(graph, v)
+        for w in originals[i + 1:]:
+            d0, d1 = row[w], distance(transformed, v, w)
+            if d1 != d0:
+                bad.append(f"d({v},{w}): {d0} -> {d1}")
+    return InvarianceReport(ok=not bad, checked_pairs=n * (n - 1) // 2,
                             discrepancies=tuple(bad))

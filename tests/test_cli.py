@@ -311,6 +311,29 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "laplacian", "--graph", gpath)
         assert code == 2
 
+    @pytest.mark.parametrize("subject", ["laplacian", "ks"])
+    def test_omitted_data_is_named(self, tmp_path, capsys, subject):
+        gpath = write_json(tmp_path / "g.json",
+                           sio.graph_to_json(sk.fixtures.kodaira_type_ii()))
+        code, out, err = run(capsys, "verify", subject, "--graph", gpath)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {subject} requires --data\n"
+
+    @pytest.mark.parametrize("subject", ["laplacian", "ks"])
+    def test_null_data_document_exits_two(self, tmp_path, capsys, subject):
+        argv = _document_argv(tmp_path, sk.fixtures.kodaira_type_ii(), subject, None)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {subject}: the --data document is null\n"
+
+    @pytest.mark.parametrize("subject", ["min-locus", "bridge"])
+    def test_null_request_is_no_request(self, tmp_path, capsys, subject):
+        g = sk.fixtures.dumbbell(1)
+        code, out, _ = run(capsys, *_document_argv(tmp_path, g, subject, None))
+        assert code == 0
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        assert run(capsys, "verify", subject, "--graph", gpath) == (code, out, "")
+
 
 class TestExportDot:
     def test_star_with_lengths(self, tmp_path, capsys):

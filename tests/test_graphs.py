@@ -1,5 +1,7 @@
 """Graph core: metrics, genus, distances, loops, subdivision."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -213,6 +215,24 @@ def networkx_distances(graph, source):
     return nx.single_source_dijkstra_path_length(G, source, weight="length")
 
 
+def mixed_length_graphs(rng):
+    """Graphs whose edges mix explicit and formula lengths: model graphs
+    split by subdivide_edge_at and then blown up, whose pieces keep
+    explicit lengths while the blow-ups add formula edges, and
+    stable-metric graphs with every other edge given an explicit length."""
+    from skelgraph.sampling import random_graph
+    for n in (3, 5, 7):
+        g = random_graph(rng, max_vertices=n, max_multiplicity=8, extra_edges=2)
+        e = rng.choice(g.edges)
+        ell = g.edge_length(e.id)
+        split = sk.subdivide_edge_at(g, e.id, ell * rng.randint(1, 4) / 5, V("s", 5))
+        yield random_blowups(rng, split, 30)[1]
+        stable = g.replace(metric="stable")
+        yield stable.replace(edges=[
+            (e.a, e.b, F(rng.randint(1, 9), rng.choice((5, 7, 12))) if i % 2 else None)
+            for i, e in enumerate(stable.edges)])
+
+
 def benchmark_blown_up_models(rng):
     """Random models after 50 blow-ups, drawn as the benchmark draws
     them.  Every edge of these models is a node a blow-up accepts, so
@@ -230,7 +250,9 @@ class TestVertexDistancesOracle:
 
     def check(self, graph):
         for v in graph.vertex_ids:
-            assert sk.vertex_distances(graph, v) == networkx_distances(graph, v)
+            got = sk.vertex_distances(graph, v)
+            assert got == networkx_distances(graph, v)
+            assert all(type(d) is F for d in got.values())
 
     def test_multigraphs_with_loops(self, rng):
         for _ in range(30):
@@ -260,6 +282,17 @@ class TestVertexDistancesOracle:
         # the first source builds the graph's integer network, the rest reuse it
         for big in benchmark_blown_up_models(rng):
             self.check(big)
+
+    def test_mixed_explicit_and_formula_lengths(self, rng):
+        for g in mixed_length_graphs(rng):
+            assert {e.length is None for e in g.edges} == {True, False}
+            cold = pickle.loads(pickle.dumps(g))
+            self.check(cold)
+            self.check(cold)  # warm: the kept integer rows
+            for v in cold.vertex_ids:
+                for w in cold.vertex_ids:
+                    d = sk.distance(cold, v, w)
+                    assert type(d) is F and d == networkx_distances(g, v)[w]
 
     def test_unknown_source(self):
         g = sk.fixtures.theta_graph()
@@ -333,7 +366,8 @@ class TestDistanceOracle:
 
     def check(self, graph, points):
         for (p, q), d in networkx_point_distances(graph, points).items():
-            assert sk.distance(graph, p, q) == d
+            got = sk.distance(graph, p, q)
+            assert got == d and type(got) is F
 
     def test_random_multigraphs_with_loops(self, rng):
         for _ in range(25):
@@ -344,6 +378,27 @@ class TestDistanceOracle:
                 points += [P.on_edge(e.id, ell * rng.randint(1, 6) / 7)
                            for _ in range(rng.randint(0, 2))]
             self.check(g, points)
+
+    def test_mixed_explicit_and_formula_lengths_cold_and_warm(self, rng):
+        for g in mixed_length_graphs(rng):
+            points = [P.at_vertex(v) for v in g.vertex_ids]
+            for e in rng.sample(g.edges, min(4, len(g.edges))):
+                ell = g.edge_length(e.id)
+                points += [P.on_edge(e.id, ell * k / 7) for k in rng.sample(range(1, 7), 2)]
+            cold = pickle.loads(pickle.dumps(g))
+            assert cold._distances == {} and cold._network is None
+            self.check(cold, points)
+            self.check(cold, points)  # warm
+
+    def test_copies_start_cold(self, rng):
+        for g in mixed_length_graphs(rng):
+            for v in g.vertex_ids:
+                sk.vertex_distances(g, v)
+            assert g._network is not None and len(g._distances) == len(g.vertex_ids)
+            for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), g.replace()):
+                assert copied._distances == {} and copied._network is None
+                assert sk.vertex_distances(copied, g.vertex_ids[0]) == \
+                    sk.vertex_distances(g, g.vertex_ids[0])
 
     def test_points_on_a_loop(self):
         g = WeightedDualGraph(vertices=[V("a"), V("b")],

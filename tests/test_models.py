@@ -219,3 +219,20 @@ class TestVerifyMetricInvariance:
         g = sk.fixtures.cycle_graph(3)
         with pytest.raises(sk.GraphStructureError):
             sk.verify_metric_invariance(g, [BlowUpStep("node", "e99")])
+
+    def test_moved_distances_are_reported_in_pair_order(self, monkeypatch):
+        # a "blow-up" that doubles the edge v3-v4 moves every distance to v3
+        g = sk.fixtures.kodaira_type_ii()
+
+        def stretched(graph, steps):
+            return graph.replace(edges=[(e.a, e.b, 2 * graph.edge_length(e.id)
+                                         if e.id == "e2" else e.length)
+                                        for e in graph.edges])
+
+        monkeypatch.setattr("skelgraph.models.apply_blowups", stretched)
+        report = sk.verify_metric_invariance(g, [BlowUpStep("interior", "v1")])
+        assert report.ok is False and not report
+        assert report.checked_pairs == 4 * 3 // 2
+        assert report.discrepancies == ("d(v1,v3): 2/9 -> 5/18",
+                                        "d(v2,v3): 5/36 -> 7/36",
+                                        "d(v3,v4): 1/18 -> 1/9")
