@@ -53,8 +53,8 @@ def _read_json(path: str):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Write the document as indented JSON and a newline, in one write."""
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_graph(path: str):
@@ -69,7 +69,7 @@ def _cmd_fixture(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
-    locus = sio.locus_from_json(g, _read_json(args.locus)) if args.locus else None
+    locus = None if args.locus is None else sio.locus_from_json(g, _read_json(args.locus))
     sys.stdout.write(sio.export_dot(g, locus))
     return EXIT_OK
 
@@ -77,7 +77,7 @@ def _cmd_export_dot(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     target = sio.divisor_from_json(_read_json(args.divisor))
-    doc = _read_json(args.ray_slopes) if args.ray_slopes else None
+    doc = None if args.ray_slopes is None else _read_json(args.ray_slopes)
     slopes = {} if doc is None else sio.ray_slopes_from_json(doc)
     f = solve_poisson(g, target, ray_slopes=slopes, anchor=args.anchor)
     _emit(sio.function_to_json(f))

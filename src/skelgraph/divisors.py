@@ -106,7 +106,8 @@ class GraphDivisor:
         return GraphDivisor._clean({p: -c for p, c in self._support.items()})
 
     def __rmul__(self, k: Coeff) -> "GraphDivisor":
-        return GraphDivisor({p: k * c for p, c in self._support.items()})
+        k = as_rational(k, "divisor multiplier")
+        return GraphDivisor._clean({p: k * c for p, c in self._support.items()})
 
     def __ge__(self, other: "GraphDivisor") -> bool:
         """Coefficient-wise domination."""

@@ -27,12 +27,14 @@ comes from the helper behind ``formula_length``); for each source that
 integer steps, from which ``vertex_distances`` builds a fresh
 ``Fraction`` per vertex and ``distance`` one ``Fraction`` per answer;
 one ``GraphPoint`` per vertex, with which ``refine``, the function
-walk, ``laplacian``, ``min_locus``, ``canonical_divisor`` and, in
-``weight``, the weight function and the pushforward divisor key their
-vertices, so lookups among their results match by identity; and, in
-``potential``, ``canonical_divisor`` for each m asked for and
-``bridges``, both immutable.  A new graph, ``replace``'s and a copy's
-included, starts with none of them.
+walk, ``laplacian``, ``min_locus``, ``canonical_divisor``,
+``check_point`` (for an edge end) and, in ``weight``, the weight
+function and the pushforward divisor key their vertices; one midpoint
+per edge that ``midpoint`` is asked for, with which the witnesses key
+the points they put on edges, so lookups among all these results match
+by identity; and, in ``potential``, ``canonical_divisor`` for each m
+asked for and ``bridges``, both immutable.  A new graph, ``replace``'s
+and a copy's included, starts with none of them.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .errors import (
 )
 
 Rational = Union[Fraction, int]
+
+_ZERO = Fraction(0)  # shared by every reader that needs a zero position
 
 
 def as_rational(x, what: str) -> Rational:
@@ -182,7 +186,7 @@ class GraphPoint:
         return self._hash
 
     def sort_key(self):
-        return (self.kind, self.where, self.offset if self.offset is not None else Fraction(0))
+        return (self.kind, self.where, self.offset if self.offset is not None else _ZERO)
 
     def __repr__(self):
         if self.kind == "vertex":
@@ -255,7 +259,8 @@ class WeightedDualGraph:
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
                  "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
-                 "_distances", "_network", "_points", "_canonical", "_bridges")
+                 "_distances", "_network", "_points", "_midpoints", "_canonical",
+                 "_bridges")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -325,6 +330,7 @@ class WeightedDualGraph:
         object.__setattr__(self, "_distances", {})  # source -> integer Dijkstra row, likewise
         object.__setattr__(self, "_network", None)  # (scale, integer adjacency), on first use
         object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
+        object.__setattr__(self, "_midpoints", {})  # edge id -> its one midpoint, on first read
         object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
         object.__setattr__(self, "_bridges", None)  # bridges(self), on first call
 
@@ -475,9 +481,10 @@ class WeightedDualGraph:
         return points
 
     def check_point(self, p: PointLike) -> GraphPoint:
-        """Validate a point and normalize edge endpoints to vertex points.
-        A vertex point comes back as given; a point the raw constructor
-        made is checked for its kind and offset too."""
+        """Validate a point and normalize edge endpoints to the graph's own
+        vertex points.  A vertex point and any other edge or ray point
+        come back as given; a point the raw constructor made is checked
+        for its kind and offset too."""
         p = as_point(p)
         if p.kind == "vertex":
             self.vertex(p.where)
@@ -491,9 +498,9 @@ class WeightedDualGraph:
                     f"position {p.offset} outside [0, {ell}] on edge {p.where!r}"
                 )
             if p.offset == 0:
-                return GraphPoint.at_vertex(e.a)
+                return self._vertex_points()[e.a]
             if p.offset == ell:
-                return GraphPoint.at_vertex(e.b)
+                return self._vertex_points()[e.b]
             return p
         self.ray(p.where)
         if p.offset <= 0:
@@ -501,7 +508,12 @@ class WeightedDualGraph:
         return p
 
     def midpoint(self, eid: str) -> GraphPoint:
-        return GraphPoint.on_edge(eid, self.edge_length(eid) / 2)
+        """The point halfway along an edge: the same object on every call,
+        built on the first one and kept by the graph."""
+        p = self._midpoints.get(eid)
+        if p is None:
+            p = self._midpoints[eid] = GraphPoint("edge", eid, self.edge_length(eid) / 2)
+        return p
 
     # -- equality ---------------------------------------------------------
 
@@ -633,11 +645,11 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
         if p.kind == "ray" and q.kind == "ray":
             if p.where != q.where:
                 raise InvalidPointError("points on distinct rays have no finite distance")
-            return abs(p.offset - q.offset)
+            return Fraction(abs(p.offset - q.offset))
         ray_pt, other = (p, q) if p.kind == "ray" else (q, p)
         attach = graph.ray(ray_pt.where).attach
         if other.kind == "vertex" and other.where == attach:
-            return ray_pt.offset
+            return Fraction(ray_pt.offset)
         raise InvalidPointError("ray point paired with a point off the ray's closure")
 
     if p == q:
@@ -647,7 +659,7 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
         return Fraction(row[q.where], scale)
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
-        best = abs(p.offset - q.offset)
+        best = Fraction(abs(p.offset - q.offset))
     for va, ca in _anchors(graph, p):
         scale, row = _row(graph, va)
         for vb, cb in _anchors(graph, q):

@@ -10,12 +10,13 @@ Every reader that takes a graph (``validate_on``, ``evaluate``,
 ``edge_profile``, ``slopes_on_edge``, ``has_integer_slopes``, and the
 Laplacian and the minimum locus in ``potential``) reads one walk, which
 is also the validation: one pass checks the breakpoints against the
-graph and computes each edge's profile and the slopes of its pieces,
-and the function keeps it for that graph object.  The slopes are
-unreduced integer pairs, computed from integer coordinates without
-building a Fraction; ``slopes_on_edge`` turns them into Fractions on
-demand.  Functions and graphs are immutable, so the walk cannot go
-stale; a function that fails validation keeps nothing.
+graph and computes each edge's profile, the slopes of its pieces, its
+values scaled to integers and the function's own points of its
+interior breakpoints, and the function keeps it for that graph object.
+The slopes are unreduced integer pairs, computed from integer
+coordinates without building a Fraction; ``slopes_on_edge`` turns them
+into Fractions on demand.  Functions and graphs are immutable, so the
+walk cannot go stale; a function that fails validation keeps nothing.
 ``min_over_compact`` and ``shift`` take no graph and read the stored values.
 """
 
@@ -33,13 +34,11 @@ from .graphs import (
     PointLike,
     Rational,
     WeightedDualGraph,
+    _ZERO,
     _check_raw,
     as_point,
     as_rational,
 )
-
-
-_ZERO = Fraction(0)
 
 
 def _integral_ray_slopes(ray_slopes: Mapping[str, int]) -> dict[str, int]:
@@ -80,7 +79,7 @@ class PLFunction:
     def _fill(self, vals, ray_slopes):
         object.__setattr__(self, "_values", vals)
         object.__setattr__(self, "_ray_slopes", ray_slopes)
-        object.__setattr__(self, "_walked", None)  # (graph, walk) of the last graph walked
+        object.__setattr__(self, "_walked", None)  # (graph, walk, dy) of the last graph walked
 
     def __setattr__(self, *args):
         raise AttributeError("PLFunction is immutable")
@@ -144,13 +143,13 @@ class PLFunction:
         """Whether every linear piece has integer slope in the graph's
         metric; raises as ``validate_on`` does on a function that does
         not fit the graph."""
-        return all(n % d == 0 for _, _, pieces in self._walk(graph).values()
-                   for n, d in pieces)
+        return all(n % d == 0 for entry in self._walk(graph).values()
+                   for n, d in entry[2])
 
     def _walk(self, graph: WeightedDualGraph):
-        """``{edge id: (edge, profile, pieces)}`` for every edge of the
-        graph, in edge order; computed once per graph object and kept
-        until the function is walked on another one.
+        """``{edge id: (edge, profile, pieces, keys, ys)}`` for every edge
+        of the graph, in edge order; computed once per graph object and
+        kept, with dy below, until the function is walked on another one.
 
         The walk is the validation.  It raises on a vertex with no value;
         on each breakpoint, in stored order, that is on a ray, of an
@@ -164,7 +163,11 @@ class PLFunction:
         Values are scaled to integers by dy, the lcm of all the value
         denominators, and positions by dx, the lcm of the edge's
         position denominators; a piece rising by Y over X scaled steps
-        has slope Y dx / (X dy), and no Fraction is built."""
+        has slope Y dx / (X dy), and no Fraction is built.  ``ys`` are
+        the profile's values so scaled, and ``keys`` the function's own
+        points of the interior breakpoints, in profile order: empty on
+        an edge without any, whose walk reads the scaled values at its
+        ends and sorts and scales nothing else."""
         walked = self._walked
         if walked is not None and walked[0] is graph:
             return walked[1]
@@ -172,7 +175,7 @@ class PLFunction:
             at = {v: self._values[p] for v, p in graph._vertex_points().items()}
         except KeyError as missing:
             raise InvalidPointError(f"no value at vertex {missing.args[0].where!r}") from None
-        on_edge: dict[str, list[tuple[Fraction, Fraction]]] = {}
+        on_edge: dict[str, list[tuple[Fraction, Fraction, GraphPoint]]] = {}
         for p, y in self._values.items():
             if p.kind == "vertex":
                 graph.vertex(p.where)
@@ -181,28 +184,37 @@ class PLFunction:
                 raise InvalidPointError("breakpoints on rays are not supported")
             _check_raw(p)
             graph.edge(p.where)
-            on_edge.setdefault(p.where, []).append((p.offset, y))
+            on_edge.setdefault(p.where, []).append((p.offset, y, p))
         dy = lcm(*(y.denominator for y in self._values.values()))
+        scaled = {v: y.numerator * (dy // y.denominator) for v, y in at.items()}
         walk = {}
         for e in graph.edges:
-            inner = sorted(on_edge.get(e.id, ()), key=itemgetter(0))
             ell = graph.edge_length(e.id)
-            if inner and not 0 < inner[0][0] <= inner[-1][0] < ell:
+            inner = on_edge.get(e.id)
+            ya, yb = scaled[e.a], scaled[e.b]
+            if inner is None:
+                walk[e.id] = (e, [(_ZERO, at[e.a]), (ell, at[e.b])],
+                              [((yb - ya) * ell.denominator, ell.numerator * dy)], (), (ya, yb))
+                continue
+            inner.sort(key=itemgetter(0))
+            if not 0 < inner[0][0] <= inner[-1][0] < ell:
                 x = inner[0][0] if inner[0][0] <= 0 else inner[-1][0]
                 if x in (0, ell):
                     raise InvalidPointError(
                         f"breakpoint {GraphPoint.on_edge(e.id, x)!r} is not normalized")
                 raise InvalidPointError(f"position {x} outside [0, {ell}] on edge {e.id!r}")
-            profile = [(_ZERO, at[e.a]), *inner, (ell, at[e.b])]
-            dx = lcm(ell.denominator, *(x.denominator for x, _ in inner))
-            scaled = [(x.numerator * (dx // x.denominator), y.numerator * (dy // y.denominator))
-                      for x, y in profile]
+            offsets, values, keys = zip(*inner)
+            dx = lcm(ell.denominator, *[x.denominator for x in offsets])
+            xs = [0, *[x.numerator * (dx // x.denominator) for x in offsets],
+                  ell.numerator * (dx // ell.denominator)]
+            ys = [ya, *[y.numerator * (dy // y.denominator) for y in values], yb]
             pieces = [((y1 - y0) * dx, (x1 - x0) * dy)
-                      for (x0, y0), (x1, y1) in zip(scaled, scaled[1:])]
-            walk[e.id] = (e, profile, pieces)
+                      for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+            walk[e.id] = (e, [(_ZERO, at[e.a]), *zip(offsets, values), (ell, at[e.b])],
+                          pieces, keys, ys)
         for label in self._ray_slopes:
             graph.ray(label)
-        object.__setattr__(self, "_walked", (graph, walk))
+        object.__setattr__(self, "_walked", (graph, walk, dy))
         return walk
 
     def min_over_compact(self) -> Fraction:

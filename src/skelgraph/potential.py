@@ -21,12 +21,21 @@ by events and not by L.
 
 The Laplacian, the integer-slope test and the minimum locus read one
 walk of f per graph (``PLFunction._walk``): one pass validates f
-against the graph and computes each edge's profile and the slopes of
-its pieces, and f keeps them for that graph object.  The slopes are
-unreduced integer pairs (n, d), so the Laplacian sums and compares them
-in integers and builds a Fraction only for a coefficient that is not an
-integer.  The lemma checkers read f three times (div(f), the "tropical"
-hypothesis, min_locus(f)) and pay for one walk.
+against the graph and computes each edge's profile, the slopes of its
+pieces, its values scaled to integers and f's own points of its
+interior breakpoints, and f keeps them for that graph object.  The
+slopes are unreduced integer pairs (n, d), so the Laplacian sums and
+compares them in integers and builds a Fraction only for a coefficient
+that is not an integer; it keys each kink with f's breakpoint, and the
+minimum locus finds its runs on the integer values.  The lemma checkers
+read f three times (div(f), the "tropical" hypothesis, min_locus(f))
+and pay for one walk.
+
+Points are shared, not rebuilt: the witnesses put the graph's kept
+midpoints into D, ``reduce_divisor`` keys its output at an input point
+with that point, ``solve_poisson`` keys its values with the checked
+target points, and ``laplacian`` keys kinks with f's breakpoints, so
+the divisors and functions these pass each other match by identity.
 
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
@@ -73,6 +82,7 @@ from .graphs import (
     PointLike,
     Rational,
     WeightedDualGraph,
+    _ZERO,
     as_point,
     refine,
 )
@@ -95,18 +105,20 @@ def laplacian(graph: WeightedDualGraph, f: PLFunction) -> GraphDivisor:
     when n_r d_l - n_l d_r is not 0 and gets that over d_l d_r, and the
     end slopes of each edge and the ray slopes are summed per vertex as
     one n/d pair, over the lcm of their d.  A coefficient is an int
-    when d divides n and a Fraction otherwise."""
+    when d divides n and a Fraction otherwise.  A kink is keyed with
+    f's own breakpoint and a vertex with the graph's own point, so the
+    result shares its keys with f and with the graph's other readers."""
     points = graph._vertex_points()
     ends = {v: [] for v in points}
     support = {}
-    for e, profile, pieces in f._walk(graph).values():
+    for e, _, pieces, keys, _ in f._walk(graph).values():
         ends[e.a].append(pieces[0])
         n, d = pieces[-1]
         ends[e.b].append((-n, d))
-        for (x, _), (nl, dl), (nr, dr) in zip(profile[1:-1], pieces, pieces[1:]):
+        for p, (nl, dl), (nr, dr) in zip(keys, pieces, pieces[1:]):
             n = nr * dl - nl * dr
             if n:
-                support[GraphPoint("edge", e.id, x)] = _quotient(n, dl * dr)
+                support[p] = _quotient(n, dl * dr)
     for label, s in f.ray_slopes.items():
         ends[graph.ray(label).attach].append((s, 1))
     for v, terms in ends.items():
@@ -322,27 +334,32 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
     Along each edge of f's validated walk, every maximal run of
     consecutive breakpoints at the minimum is one closed segment, so
     the segments come out merged and sorted; a one-point run at an end
-    of the edge is just that vertex."""
+    of the edge is just that vertex.  The runs are found on the walk's
+    integer values, against the minimum scaled the same way."""
     walk = f._walk(graph)
+    dy = f._walked[2]
     for label, s in f.ray_slopes.items():
         if s < 0:
             raise MinimumNotAttainedError(
                 f"ray {label!r} has negative slope {s}; no minimum is attained"
             )
     m = f.min_over_compact()
+    low = m.numerator * (dy // m.denominator)
     values = f._values
     # a set copied into a frozenset iterates as the public constructor's
     vertices = frozenset({v for v, p in graph._vertex_points().items() if values[p] == m})
     segments = {}
-    for e, profile, _ in walk.values():
-        ell = profile[-1][0]
+    for e, profile, _, _, ys in walk.values():
+        if low not in ys:
+            continue
+        last = len(ys) - 1
         segs = []
-        for at_min, run in itertools.groupby(profile, key=lambda t: t[1] == m):
-            if at_min:
-                run = list(run)
-                a, b = run[0][0], run[-1][0]
-                if a != b or 0 < a < ell:
-                    segs.append((a, b))
+        i = 0
+        for at_min, run in itertools.groupby(ys, low.__eq__):
+            k = len(list(run))
+            if at_min and (k > 1 or 0 < i < last):
+                segs.append((profile[i][0], profile[i + k - 1][0]))
+            i += k
         if segs:
             segments[e.id] = tuple(segs)
     return SubgraphLocus._canonical(graph, vertices, segments)
@@ -448,7 +465,9 @@ def all_spanning_trees(graph: WeightedDualGraph) -> list[frozenset[str]]:
 def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
                       eid: str) -> SubgraphLocus:
     """Z(tree, e): the unique cycle in tree + e, as a closed locus of
-    whole edges and their vertices."""
+    whole edges and their vertices.  It is built in canonical form, each
+    edge as the one segment from 0 to its kept length, in path order
+    and then e, as the public constructor would order it."""
     tset = set(tree)
     e = graph.edge(eid)
     if eid in tset:
@@ -456,7 +475,8 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
     if not is_spanning_tree(graph, tset):
         raise GraphStructureError("given edge set is not a spanning tree")
     if e.a == e.b:
-        return SubgraphLocus(graph, vertices=[e.a], whole_edges=[eid])
+        return SubgraphLocus._canonical(graph, frozenset((e.a,)),
+                                        {eid: ((_ZERO, graph.edge_length(eid)),)})
     # path from e.a to e.b inside the tree
     prev: dict[str, tuple[str, str]] = {}
     seen = {e.a}
@@ -481,8 +501,10 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
         path_edges.append(teid)
         path_vertices.append(u)
         v = u
-    return SubgraphLocus(graph, vertices=path_vertices,
-                         whole_edges=path_edges + [eid])
+    path_edges.append(eid)
+    # a set copied into a frozenset iterates as the public constructor's
+    return SubgraphLocus._canonical(graph, frozenset(set(path_vertices)),
+                                    {t: ((_ZERO, graph.edge_length(t)),) for t in path_edges})
 
 
 # -- reduced divisors -----------------------------------------------------------
@@ -499,6 +521,9 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     Stage 1 borrows mark by mark until no mark off q is in debt; stage 2
     burns from q and fires the unburnt set by the shortest segment out
     of it, one step per event, until the burn consumes everything.
+    Both results key a vertex with the graph's own point, a point of
+    the input with that (checked) point, and only a point the reduction
+    adds with a new one.
     """
     if graph.rays:
         raise GraphStructureError("reduce_divisor works on compact graphs; drop rays")
@@ -626,7 +651,9 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
 
     # read-off in units of 1/L: chips and values at the vertices, then
     # edge by edge each interior mark holding chips or where the slopes
-    # on its two sides differ
+    # on its two sides differ, keyed with the input's own point where
+    # there is one
+    keys = list(mark)
     base_min = min(u)
     held: dict[GraphPoint, int] = {}
     values: dict[GraphPoint, Fraction] = {}
@@ -638,7 +665,8 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
         left, right = inc[m]
         kink = (u[m] - u[A[left]]) * N[right] != (u[B[right]] - u[m]) * N[left]
         if chips[m] or kink:
-            p = GraphPoint.on_edge(graph.edges[E[left]].id, Fraction(pos[m], L))
+            p = keys[m] if m < len(keys) else GraphPoint(
+                "edge", graph.edges[E[left]].id, Fraction(pos[m], L))
             if chips[m]:
                 held[p] = chips[m]
             if kink:
@@ -650,8 +678,8 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     # laplacian path, effectivity off q, and a clean burn
     if reduced != GraphDivisor(support) - laplacian(graph, f):
         raise PipelineError("reduction certificate failed: D' != D + div(f)")
-    for p in reduced.support:
-        if p != q_pt and reduced.coeff(p) < 0:
+    for p, c in reduced._support.items():
+        if c < 0 and p != q_pt:
             raise PipelineError("reduction certificate failed: not effective off q")
     return reduced, f
 
@@ -725,7 +753,7 @@ def _witness_hypotheses(graph, D, f, covered):
     interior of every edge outside ``covered``."""
     yield "effective", D.is_effective()
     yield "tropical", f.has_integer_slopes(graph)
-    hit = {p.where for p in D.support
+    hit = {p.where for p in D._support
            if p.kind == "edge" and 0 < p.offset < graph.edge_length(p.where)}
     for other in graph.edges:
         if other.id not in covered:

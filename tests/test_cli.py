@@ -421,6 +421,43 @@ class TestSolveRaySlopesFile:
                                       f"got {doc!r}\n")
 
 
+class TestEmptyFileOption:
+    """An empty value of an optional file option is a file name, as for
+    any other value: nothing opens as "", so each command exits 2."""
+
+    @pytest.mark.parametrize("option", ["export-dot --locus", "solve --ray-slopes",
+                                        "verify --data"])
+    def test_empty_name_exits_two(self, tmp_path, capsys, option):
+        g = sk.fixtures.theta_graph()
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        dpath = write_json(tmp_path / "d.json",
+                           sio.divisor_to_json(sk.GraphDivisor({"u": 1, "v": -1})))
+        argv = {
+            "export-dot --locus": ["export-dot", "--graph", gpath, "--locus", ""],
+            "solve --ray-slopes": ["solve", "--graph", gpath, "--divisor", dpath,
+                                   "--anchor", "u", "--ray-slopes", ""],
+            "verify --data": ["verify", "min-locus", "--graph", gpath, "--data", ""],
+        }[option]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert run(capsys, *argv[:-2])[0] == 0  # the option left out is no request
+
+
+class TestEmitFormat:
+    """A JSON report is json.dumps(doc, indent=2) and one newline."""
+
+    @pytest.mark.parametrize("command", ["fixture", "verify-min-locus"])
+    def test_stdout_is_indented_json(self, tmp_path, capsys, command):
+        gpath = write_json(tmp_path / "g.json",
+                           sio.graph_to_json(sk.fixtures.triangle_chain(3)))
+        argv = (["fixture", "kodaira-II"] if command == "fixture"
+                else ["verify", "min-locus", "--graph", gpath])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestSolve:
     def test_kodaira_poisson(self, tmp_path, capsys):
         g = sk.fixtures.kodaira_type_ii()

@@ -182,6 +182,21 @@ class TestDistance:
         with pytest.raises(sk.InvalidPointError):
             sk.distance(g, p, "b")
 
+    @pytest.mark.parametrize("p, q, want", [
+        (P("ray", "r", 2), P("ray", "r", 5), 3),
+        (P("ray", "r", 2), "a", 2),
+        ("a", P("ray", "r", 2), 2),
+        (P("edge", "e0", 2), P("edge", "e0", 5), 3),
+        (P("edge", "e0", 2), P.on_edge("e0", F(5)), 3),
+    ], ids=["ray-ray", "ray-vertex", "vertex-ray", "edge-edge", "raw-and-built"])
+    def test_raw_int_offsets_give_a_fraction(self, p, q, want):
+        """The raw constructor keeps an int offset, and every branch of
+        distance still answers with a Fraction."""
+        g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b", 10)],
+                              rays=[sk.Ray("a", "r", 1)])
+        got = sk.distance(g, p, q)
+        assert got == want and type(got) is F
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_metric_axioms(self, seed):

@@ -207,6 +207,10 @@ GUARDS = [
      "divisor coefficient must be an int or a Fraction, got '1/2'"),
     ("divisor-bool-coefficient", lambda: sk.GraphDivisor.at("v", True), NRE,
      "divisor coefficient must be an int or a Fraction, got True"),
+    ("divisor-float-multiplier", lambda: 0.5 * sk.GraphDivisor({"v": 2}), NRE,
+     "divisor multiplier must be an int or a Fraction, got 0.5"),
+    ("divisor-bool-multiplier-of-zero", lambda: True * sk.GraphDivisor(), NRE,
+     "divisor multiplier must be an int or a Fraction, got True"),
     ("plfunction-float-value", lambda: sk.PLFunction({"v": 0.1}), NRE,
      "function value must be an int or a Fraction, got 0.1"),
     ("plfunction-float-shift", lambda: sk.PLFunction({"v": 0}).shift(0.5), NRE,

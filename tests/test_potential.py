@@ -873,6 +873,183 @@ class TestGraphMemos:
         assert g._canonical == {}
 
 
+def _key_of(keys, p):
+    """The key object among ``keys`` that is == p."""
+    return next(k for k in keys if k == p)
+
+
+def _reduced(g):
+    """g without its rays and with every vertex made multiplicity 1 and
+    genus 0."""
+    return g.replace(vertices=[V(v.id) for v in g.vertices], rays=(), pair_model=False)
+
+
+class TestKeptEdgePoints:
+    """A graph keeps one midpoint per edge, as it keeps one point per
+    vertex, and the readers on the witness path pass each other their
+    own key objects: witness divisors and functions key the non-tree
+    midpoints with the graph's midpoints, laplacian keys a kink with f's
+    breakpoint, reduce_divisor keys its output at an input point with
+    that point, and min_locus and fundamental_cycle read the same loci
+    as their Fraction-comparing and public-constructor references."""
+
+    @staticmethod
+    def graphs():
+        return TestGraphMemos.graphs()[1]
+
+    def test_midpoint_is_kept_and_copies_start_without(self):
+        for g in self.graphs():
+            mids = [g.midpoint(e.id) for e in g.edges]
+            assert all(g.midpoint(e.id) is p for e, p in zip(g.edges, mids))
+            for e, p in zip(g.edges, mids):
+                assert p == P.on_edge(e.id, g.edge_length(e.id) / 2) and type(p.offset) is F
+            for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), g.replace()):
+                assert copied._midpoints == {}
+                assert [copied.midpoint(e.id) for e in g.edges] == mids
+                assert all(copied.midpoint(e.id) is not p for e, p in zip(g.edges, mids))
+            with pytest.raises(sk.UnknownElementError):
+                g.midpoint("e999")
+
+    def test_edge_ends_check_to_the_graph_vertex_points(self):
+        for g in self.graphs():
+            points = g._vertex_points()
+            for e in g.edges:
+                assert g.check_point(P.on_edge(e.id, 0)) is points[e.a]
+                assert g.check_point(P.on_edge(e.id, g.edge_length(e.id))) is points[e.b]
+                mid = g.midpoint(e.id)
+                assert g.check_point(mid) is mid
+
+    def test_witness_keys_are_the_graph_midpoints(self):
+        checked = 0
+        for g in map(_reduced, self.graphs()):
+            if not g.is_maximally_degenerate():
+                continue
+            cut = sk.bridges(g)
+            for eid in [e.id for e in g.edges if e.id not in cut][:3]:
+                bundle = sk.witness_cycle(g, eid)
+                D, f = bundle.divisor, bundle.function
+                for e in g.edges:
+                    if e.id in bundle.tree or e.id == eid:
+                        continue
+                    mid = g.midpoint(e.id)
+                    assert _key_of(D._support, mid) is mid
+                    assert _key_of(f._values, mid) is mid
+                    checked += 1
+        assert checked > 40
+
+    def test_laplacian_keys_kinks_with_the_function_breakpoints(self):
+        rng = random.Random(2411)
+        kinks = 0
+        for g in self.graphs():
+            f = random_plfunction(rng, g)
+            for p in sk.laplacian(g, f).support:
+                if p.kind == "edge":
+                    assert _key_of(f._values, p) is p
+                    kinks += 1
+        assert kinks > 40
+
+    def test_reduce_divisor_keys_input_points_with_themselves(self):
+        rng = random.Random(2412)
+        reused = 0
+        for g in self.graphs():
+            if g.rays:
+                continue
+            Din = sk.canonical_divisor(g, 2) + random_degree_zero_divisor(rng, g)
+            for q in (g.vertex_ids[0], g.midpoint(g.edges[-1].id)):
+                before = Din.items()
+                reduced, h = sk.reduce_divisor(g, Din, q)
+                assert Din.items() == before
+                inputs = [p for p in Din._support if p.kind == "edge"]
+                for keys in (reduced._support, h._values):
+                    for p in keys:
+                        if p in inputs:
+                            assert _key_of(inputs, p) is p
+                            reused += 1
+        assert reused > 10
+
+    @staticmethod
+    def min_locus_cases():
+        """Hand-made shapes: a plateau at the minimum over a whole edge
+        with interior breakpoints, touching both of its ends; a plateau
+        from one end; a one-vertex graph with and without a loop; and a
+        minimum tied between a vertex and an interior point."""
+        loop = WeightedDualGraph(vertices=[V("a")], edges=[("a", "a", 2)])
+        bare = WeightedDualGraph(vertices=[V("a")])
+        path = WeightedDualGraph(vertices=[V("a"), V("b"), V("c")],
+                                 edges=[("a", "b", 3), ("b", "c", 3)])
+        E = P.on_edge
+        return [
+            (path, {"a": 0, "b": 0, "c": 1, E("e0", 1): 0, E("e0", 2): 0}),
+            (path, {"a": 0, "b": 1, "c": 1, E("e0", 1): 0, E("e0", 2): F(1, 2)}),
+            (path, {"a": 1, "b": 0, "c": 1, E("e0", 1): 0, E("e1", 2): 0}),
+            (loop, {"a": 0, E("e0", 1): 0}),
+            (loop, {"a": 1, E("e0", F(1, 2)): F(1, 3), E("e0", F(3, 2)): F(1, 3)}),
+            (bare, {"a": F(-7, 3)}),
+        ]
+
+    def test_min_locus_matches_the_reference_on_hand_made_shapes(self):
+        for g, values in self.min_locus_cases():
+            f = PLFunction(values)
+            got, want = sk.min_locus(g, f), min_locus_by_segments(g, f)
+            assert got == want and repr(got) == repr(want)
+            assert list(got.segments.items()) == list(want.segments.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), shape=st.sampled_from(["bare", "loop", "multigraph"]),
+           levels=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=3))
+    def test_min_locus_matches_the_reference(self, seed, shape, levels):
+        rng = random.Random(seed)
+        if shape == "multigraph":
+            g = random_multigraph(rng, max_vertices=4, extra=3, loops=2)
+        else:
+            g = WeightedDualGraph(vertices=[V("a")],
+                                  edges=[("a", "a", F(rng.randint(1, 5), rng.randint(1, 3)))]
+                                  if shape == "loop" else [])
+        values = {P.at_vertex(v): rng.choice(levels) for v in g.vertex_ids}
+        for e in g.edges:
+            ell = g.edge_length(e.id)
+            for k in rng.sample(range(1, 6), rng.randint(0, 5)):
+                values[P.on_edge(e.id, ell * k / 6)] = rng.choice(levels)
+        f = PLFunction(values)
+        got, want = sk.min_locus(g, f), min_locus_by_segments(g, f)
+        assert got == want and repr(got) == repr(want)
+        assert list(got.segments.items()) == list(want.segments.items())
+
+    @staticmethod
+    def tree_path(g, tree, e):
+        """Z(tree, e) from the public constructor: the tree path from e.b
+        to e.a, by networkx, its edges in that order and then e."""
+        import networkx as nx
+        T = nx.Graph()
+        T.add_nodes_from(g.vertex_ids)
+        T.add_edges_from((g.edge(t).a, g.edge(t).b, {"id": t}) for t in tree)
+        nodes = nx.shortest_path(T, e.b, e.a)
+        edges = [T.edges[u, w]["id"] for u, w in zip(nodes, nodes[1:])]
+        return sk.SubgraphLocus(g, vertices=nodes, whole_edges=edges + [e.id])
+
+    def test_fundamental_cycle_is_the_public_constructor_locus(self):
+        rng = random.Random(2413)
+        graphs = [sk.resolve_loops(g) for g in self.graphs()]
+        compared = 0
+        for g in graphs:
+            trees = [sk.spanning_tree(g)] + [sk.spanning_tree(g, avoid=[rng.choice(g.edges).id])
+                                             for _ in range(2) if len(sk.bridges(g)) == 0]
+            for T in trees:
+                for e in g.edges:
+                    if e.id in T:
+                        continue
+                    got, want = sk.fundamental_cycle(g, T, e.id), self.tree_path(g, T, e)
+                    assert got == want and repr(got) == repr(want)
+                    assert list(got.segments.items()) == list(want.segments.items())
+                    assert list(got.vertices) == list(want.vertices)
+                    compared += 1
+        loop = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b"), ("b", "b", 3)])
+        got = sk.fundamental_cycle(loop, ["e0"], "e1")
+        want = sk.SubgraphLocus(loop, vertices=["b"], whole_edges=["e1"])
+        assert got == want and list(got.segments.items()) == list(want.segments.items())
+        assert compared > 60
+
+
 class TestSpanningTrees:
     def test_triangle_cycle_is_whole(self):
         g = sk.fixtures.cycle_graph(3)
