@@ -145,11 +145,30 @@ class Edge:
 class GraphPoint:
     """A point of the metric realization: a vertex, an interior edge
     point at an exact rational position, or a point on a ray at an
-    exact positive distance from the attachment."""
+    exact positive distance from the attachment.
+
+    The constructor checks every rule that does not need the graph: the
+    kind is ``vertex``, ``edge`` or ``ray``; a vertex point has offset
+    None; an edge or ray offset is an int or a Fraction and is kept as a
+    Fraction; a ray offset is positive.  It raises InvalidPointError
+    otherwise, so the readers only check a point against the graph."""
 
     __slots__ = ("kind", "where", "offset", "_hash")
 
-    def __init__(self, kind: str, where: str, offset: Optional[Fraction]):
+    def __init__(self, kind: str, where: str, offset: Optional[Rational]):
+        if kind == "vertex":
+            if offset is not None:
+                raise InvalidPointError(f"vertex point offset must be None, got {offset!r:.80}")
+        elif kind == "edge" or kind == "ray":
+            if type(offset) is not Fraction:
+                if type(offset) is not int and not isinstance(offset, Fraction):
+                    raise InvalidPointError(
+                        f"{kind} point offset must be an int or a Fraction, got {offset!r:.80}")
+                offset = Fraction(offset)
+            if kind == "ray" and offset <= 0:
+                raise InvalidPointError("ray point distance must be positive")
+        else:
+            raise InvalidPointError(f"unknown point kind {kind!r:.80}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "where", where)
         object.__setattr__(self, "offset", offset)
@@ -167,16 +186,11 @@ class GraphPoint:
 
     @staticmethod
     def on_edge(edge_id: str, position: Rational) -> "GraphPoint":
-        if type(position) is not Fraction:
-            position = Fraction(as_rational(position, "edge position"))
-        return GraphPoint("edge", edge_id, position)
+        return GraphPoint("edge", edge_id, as_rational(position, "edge position"))
 
     @staticmethod
     def on_ray(ray_label: str, distance: Rational) -> "GraphPoint":
-        d = Fraction(as_rational(distance, "ray distance"))
-        if d <= 0:
-            raise InvalidPointError("ray point distance must be positive")
-        return GraphPoint("ray", ray_label, d)
+        return GraphPoint("ray", ray_label, as_rational(distance, "ray distance"))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, GraphPoint) and self.kind == other.kind
@@ -204,17 +218,6 @@ def as_point(p: PointLike) -> GraphPoint:
     if isinstance(p, GraphPoint):
         return p
     return GraphPoint.at_vertex(p)
-
-
-def _check_raw(p: GraphPoint) -> None:
-    """Raise unless p, not a vertex point, is an edge or ray point whose
-    offset is an int or a Fraction: its builders check both, the raw
-    constructor neither."""
-    if p.kind != "edge" and p.kind != "ray":
-        raise InvalidPointError(f"unknown point kind {p.kind!r:.80}")
-    if type(p.offset) is not Fraction and type(p.offset) is not int:
-        raise InvalidPointError(
-            f"{p.kind} point offset must be an int or a Fraction, got {p.offset!r:.80}")
 
 
 def fresh_id(taken, stem: str) -> str:
@@ -481,15 +484,16 @@ class WeightedDualGraph:
         return points
 
     def check_point(self, p: PointLike) -> GraphPoint:
-        """Validate a point and normalize edge endpoints to the graph's own
-        vertex points.  A vertex point and any other edge or ray point
-        come back as given; a point the raw constructor made is checked
-        for its kind and offset too."""
+        """Check a point against the graph and normalize edge endpoints to
+        the graph's own vertex points.  A vertex id becomes its vertex
+        point; a vertex point and any other edge or ray point come back
+        as given.  The point's own rules were checked when it was made,
+        so only its vertex, edge or ray and an edge offset's bounds are
+        checked here."""
         p = as_point(p)
         if p.kind == "vertex":
             self.vertex(p.where)
             return p
-        _check_raw(p)
         if p.kind == "edge":
             e = self.edge(p.where)
             ell = self.edge_length(p.where)
@@ -503,8 +507,6 @@ class WeightedDualGraph:
                 return self._vertex_points()[e.b]
             return p
         self.ray(p.where)
-        if p.offset <= 0:
-            raise InvalidPointError("ray point distance must be positive")
         return p
 
     def midpoint(self, eid: str) -> GraphPoint:
@@ -637,7 +639,9 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
     ``vertex_distances``) and build one Fraction, the answer; an edge
     point goes through both ends of its edge, on the kept rows of those
     ends, one Fraction per pair of anchors.  Points on rays may only be
-    paired with points on the same ray or with its attachment vertex.
+    paired with points on the same ray or with its attachment vertex;
+    those answers are computed from the offsets, which every point
+    keeps as Fractions.
     """
     p = graph.check_point(p)
     q = graph.check_point(q)
@@ -645,11 +649,11 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
         if p.kind == "ray" and q.kind == "ray":
             if p.where != q.where:
                 raise InvalidPointError("points on distinct rays have no finite distance")
-            return Fraction(abs(p.offset - q.offset))
+            return abs(p.offset - q.offset)
         ray_pt, other = (p, q) if p.kind == "ray" else (q, p)
         attach = graph.ray(ray_pt.where).attach
         if other.kind == "vertex" and other.where == attach:
-            return Fraction(ray_pt.offset)
+            return ray_pt.offset
         raise InvalidPointError("ray point paired with a point off the ray's closure")
 
     if p == q:
@@ -659,7 +663,7 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
         return Fraction(row[q.where], scale)
     best = None
     if p.kind == "edge" and q.kind == "edge" and p.where == q.where:
-        best = Fraction(abs(p.offset - q.offset))
+        best = abs(p.offset - q.offset)
     for va, ca in _anchors(graph, p):
         scale, row = _row(graph, va)
         for vb, cb in _anchors(graph, q):

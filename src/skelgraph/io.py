@@ -17,7 +17,6 @@ from .divisors import GraphDivisor
 from .errors import GraphStructureError, InvalidPointError
 from .graphs import (
     GraphPoint,
-    MetricKind,
     Ray,
     VertexLabel,
     WeightedDualGraph,
@@ -103,8 +102,7 @@ def graph_from_json(doc: dict) -> WeightedDualGraph:
                 for r in doc.get("rays", ())]
         return WeightedDualGraph(
             vertices=vertices, edges=edges, rays=rays,
-            # the enum's own ValueError, caught below, names a bad metric
-            metric=MetricKind(str(doc.get("metric", "model")).lower()),
+            metric=doc.get("metric", "model"),
             name=_shaped(doc.get("name", ""), str, "graph name"),
             pair_model=_shaped(doc.get("pair_model", False), bool, "graph pair_model"),
         )

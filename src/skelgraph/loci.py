@@ -13,13 +13,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
 from .errors import InvalidPointError
-from .graphs import PointLike, WeightedDualGraph, as_point
+from .graphs import PointLike, WeightedDualGraph, as_rational
 
 Segment = Tuple[Fraction, Fraction]
 
 
 def _merge(segments: Iterable[Segment]) -> tuple[Segment, ...]:
-    segs = sorted((Fraction(a), Fraction(b)) for a, b in segments)
+    segs = sorted(segments)
     out: list[Segment] = []
     for a, b in segs:
         if out and a <= out[-1][1]:
@@ -48,7 +48,8 @@ class SubgraphLocus:
         seg_items = segments.items() if hasattr(segments, "items") else segments
         for eid, segs in seg_items:
             for a, b in segs:
-                a, b = Fraction(a), Fraction(b)
+                a = Fraction(as_rational(a, "locus segment endpoint"))
+                b = Fraction(as_rational(b, "locus segment endpoint"))
                 if a > b:
                     a, b = b, a
                 ell = graph.edge_length(eid)
@@ -119,7 +120,7 @@ class SubgraphLocus:
         return {eid: segs for eid, segs in self._segments.items() if eid not in whole}
 
     def contains(self, point: PointLike) -> bool:
-        p = self.graph.check_point(as_point(point))
+        p = self.graph.check_point(point)
         if p.kind == "vertex":
             return p.where in self._vertices
         if p.kind == "ray":

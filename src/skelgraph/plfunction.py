@@ -35,7 +35,6 @@ from .graphs import (
     Rational,
     WeightedDualGraph,
     _ZERO,
-    _check_raw,
     as_point,
     as_rational,
 )
@@ -118,7 +117,7 @@ class PLFunction:
     def evaluate(self, graph: WeightedDualGraph, point: PointLike) -> Fraction:
         """The value at a point of the graph; raises as ``validate_on``
         does on a function that does not fit the graph."""
-        p = graph.check_point(as_point(point))
+        p = graph.check_point(point)
         walk = self._walk(graph)
         if p.kind == "vertex":
             return self._values[p]
@@ -152,10 +151,10 @@ class PLFunction:
         kept, with dy below, until the function is walked on another one.
 
         The walk is the validation.  It raises on a vertex with no value;
-        on each breakpoint, in stored order, that is on a ray, of an
-        unknown kind, at an edge offset that is not an int or a Fraction,
-        or on an unknown vertex or edge; on an edge whose first or last sorted
+        on each breakpoint, in stored order, that is on a ray or on an
+        unknown vertex or edge; on an edge whose first or last sorted
         breakpoint is not in (0, ell); and on a slope for an unknown ray.
+        A point's kind and offset were checked when it was made.
 
         ``profile`` lists the (position, value) pairs along the edge,
         endpoints included, and ``pieces`` the slope of each linear piece
@@ -182,7 +181,6 @@ class PLFunction:
                 continue
             if p.kind == "ray":
                 raise InvalidPointError("breakpoints on rays are not supported")
-            _check_raw(p)
             graph.edge(p.where)
             on_edge.setdefault(p.where, []).append((p.offset, y, p))
         dy = lcm(*(y.denominator for y in self._values.values()))

@@ -83,7 +83,6 @@ from .graphs import (
     Rational,
     WeightedDualGraph,
     _ZERO,
-    as_point,
     refine,
 )
 from .loci import SubgraphLocus
@@ -231,7 +230,7 @@ def solve_poisson(graph: WeightedDualGraph, target: GraphDivisor,
                 "single declared slope and no interior breakpoints"
             )
         support.append((p, c))
-    anchor_pt = graph.check_point(as_point(graph.vertex_ids[0] if anchor is None else anchor))
+    anchor_pt = graph.check_point(graph.vertex_ids[0] if anchor is None else anchor)
     if anchor_pt.kind == "ray":
         raise InvalidPointError(f"anchor {anchor_pt!r} is on a ray; it must be on the compact part")
 
@@ -528,7 +527,7 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     if graph.rays:
         raise GraphStructureError("reduce_divisor works on compact graphs; drop rays")
     divisor_in.require_integral("divisor to reduce")
-    q_pt = graph.check_point(as_point(q))
+    q_pt = graph.check_point(q)
     support = [(graph.check_point(p), c) for p, c in divisor_in.items()]
 
     ref = refine(graph, [p for p, _ in support] + [q_pt])

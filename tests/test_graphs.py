@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
-from skelgraph import GraphPoint as P, MetricKind, VertexLabel as V, WeightedDualGraph
+from skelgraph import GraphPoint as P, MetricKind, PLFunction, VertexLabel as V, WeightedDualGraph
 from skelgraph.graphs import refine
 
 from conftest import random_blowups, random_multigraph
@@ -190,8 +190,8 @@ class TestDistance:
         (P("edge", "e0", 2), P.on_edge("e0", F(5)), 3),
     ], ids=["ray-ray", "ray-vertex", "vertex-ray", "edge-edge", "raw-and-built"])
     def test_raw_int_offsets_give_a_fraction(self, p, q, want):
-        """The raw constructor keeps an int offset, and every branch of
-        distance still answers with a Fraction."""
+        """The raw constructor turns an int offset into a Fraction, so
+        every branch of distance answers with a Fraction."""
         g = WeightedDualGraph(vertices=[V("a"), V("b")], edges=[("a", "b", 10)],
                               rays=[sk.Ray("a", "r", 1)])
         got = sk.distance(g, p, q)
@@ -634,6 +634,52 @@ class TestGraphPointValue:
             with pytest.raises(AttributeError):
                 setattr(p, name, 0)
         assert p == P.on_edge("e0", F(1, 3)) and hash(p) == hash(P.on_edge("e0", F(1, 3)))
+
+
+_KINDS = st.sampled_from(["vertex", "edge", "ray", "blob", "Vertex", ""])
+_WHERE = st.one_of(st.sampled_from(["u", "v", "e0", "e2", "e3", "x", "y"]),
+                   st.text(max_size=3))
+_OFFSETS = st.one_of(st.none(), st.integers(-2, 3), st.booleans(),
+                     st.fractions(-1, 2, max_denominator=6),
+                     st.floats(allow_nan=False), st.text(max_size=2))
+
+
+def _returns_or_raises_typed(call):
+    """Run call; a SkelgraphError is an answer too, any other error is not."""
+    try:
+        call()
+    except sk.SkelgraphError:
+        pass
+
+
+class TestRawConstructorRule:
+    """The raw constructor checks every rule of a point that does not
+    need the graph, so a point it accepts is one the builders make, and
+    every reader answers it or raises a typed error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=_KINDS, where=_WHERE, offset=_OFFSETS)
+    def test_raw_triple_is_refused_or_a_built_point(self, kind, where, offset):
+        try:
+            p = P(kind, where, offset)
+        except sk.InvalidPointError:
+            return
+        built = {"vertex": lambda: P.at_vertex(where),
+                 "edge": lambda: P.on_edge(where, offset),
+                 "ray": lambda: P.on_ray(where, offset)}[kind]()
+        assert p == built and hash(p) == hash(built)
+        assert type(p.offset) is (type(None) if kind == "vertex" else F)
+
+        compact = sk.fixtures.theta_graph()
+        for g in (compact, compact.replace(rays=[sk.Ray("u", "x")])):
+            others = {v: 0 for v in g.vertex_ids if P.at_vertex(v) != p}
+            _returns_or_raises_typed(lambda: g.check_point(p))
+            _returns_or_raises_typed(lambda: sk.distance(g, p, "u"))
+            _returns_or_raises_typed(lambda: PLFunction({**others, p: 1}).validate_on(g))
+            _returns_or_raises_typed(lambda: sk.solve_poisson(g, sk.GraphDivisor({p: 1, "u": -1})))
+            _returns_or_raises_typed(lambda: sk.reduce_divisor(g, sk.GraphDivisor({p: 1}), "u"))
+            _returns_or_raises_typed(lambda: PLFunction.constant(g, 0).evaluate(g, p))
+            _returns_or_raises_typed(lambda: sk.full_locus(g).contains(p))
 
 
 class TestPairModelValidation:

@@ -95,8 +95,8 @@ def _breakpoint_on_ray():
 
 
 def _raw_distance(graph, kind, where, offset):
-    """The distance from a point made by the raw constructor, which
-    checks nothing, to vertex u."""
+    """The distance from a point made by the raw constructor to vertex
+    u; a point that breaks a rule of its own raises at construction."""
     return sk.distance(graph, sk.GraphPoint(kind, where, offset), "u")
 
 
@@ -150,6 +150,25 @@ GUARDS = [
     ("reduce-raw-float-edge-offset", lambda: _reduce_off_graph(
         sk.GraphPoint("edge", "e0", 0.25)), IPE,
      "edge point offset must be an int or a Fraction, got 0.25"),
+    ("point-raw-vertex-int-offset", lambda: sk.GraphPoint("vertex", "u", 5), IPE,
+     "vertex point offset must be None, got 5"),
+    ("point-raw-vertex-fraction-offset", lambda: sk.GraphPoint("vertex", "u", F(1, 2)), IPE,
+     "vertex point offset must be None, got Fraction(1, 2)"),
+    ("point-raw-edge-none-offset", lambda: sk.GraphPoint("edge", "e0", None), IPE,
+     "edge point offset must be an int or a Fraction, got None"),
+    ("point-raw-ray-zero-offset", lambda: sk.GraphPoint("ray", "x", 0), IPE,
+     "ray point distance must be positive"),
+    ("point-raw-ray-negative-offset", lambda: sk.GraphPoint("ray", "x", -1), IPE,
+     "ray point distance must be positive"),
+    ("locus-float-endpoint", lambda: sk.SubgraphLocus(
+        sk.fixtures.path_graph(2), segments={"e0": [(0.1, 0.2)]}), NRE,
+     "locus segment endpoint must be an int or a Fraction, got 0.1"),
+    ("locus-string-endpoint", lambda: sk.SubgraphLocus(
+        sk.fixtures.path_graph(2), segments={"e0": [("1/3", "1/2")]}), NRE,
+     "locus segment endpoint must be an int or a Fraction, got '1/3'"),
+    ("locus-bool-endpoint", lambda: sk.SubgraphLocus(
+        sk.fixtures.path_graph(2), segments={"e0": [(True, 0)]}), NRE,
+     "locus segment endpoint must be an int or a Fraction, got True"),
     ("graph-duplicate-vertex", lambda: sk.WeightedDualGraph(vertices=[V("u"), V("u")]),
      GSE, "duplicate vertex id 'u'"),
     ("graph-edge-length", lambda: sk.WeightedDualGraph(
@@ -304,7 +323,7 @@ GUARDS = [
         {"ray": "x", "slope": 2}), GSE, "malformed function JSON: ray 'x' is given two slopes"),
     ("io-graph-metric", lambda: sio.graph_from_json(
         {"vertices": [{"id": "u"}], "edges": [], "metric": "bogus"}), GSE,
-     "malformed graph JSON: 'bogus' is not a valid MetricKind"),
+     "unknown metric 'bogus'; known: model, stable"),
     ("graph-unknown-metric", lambda: sk.WeightedDualGraph(vertices=[V("u")], metric="foo"),
      GSE, "unknown metric 'foo'; known: model, stable"),
     ("graph-replace-unknown-metric", lambda: sk.fixtures.theta_graph().replace(metric="foo"),

@@ -647,6 +647,15 @@ class TestMinLocus:
         wt = sk.weight_function(g, sk.fixtures.kodaira_type_ii_data())
         assert sk.min_locus(g, wt) == sk.vertex_locus(g, "v4")
 
+    def test_raw_vertex_point_with_an_offset_never_reaches_it(self):
+        """A raw vertex point with an offset is refused where it is
+        made, so it cannot hide the value at u from the minimum; the
+        function without it has minimum locus {u}."""
+        g = sk.fixtures.theta_graph()
+        with pytest.raises(sk.InvalidPointError, match="vertex point offset must be None, got 5"):
+            PLFunction({P("vertex", "u", 5): -5, "u": 0, "v": 1})
+        assert sk.min_locus(g, PLFunction({"u": 0, "v": 1})) == sk.vertex_locus(g, "u")
+
     def test_negative_ray_slope_rejected(self):
         g = WeightedDualGraph(vertices=[V("a")], rays=[sk.Ray("a", "x", 1)])
         f = PLFunction({P.at_vertex("a"): 0}, {"x": -1})

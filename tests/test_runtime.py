@@ -1,7 +1,9 @@
 """The runtime is pure stdlib: importing every skelgraph module loads
-nothing from outside the standard library.  And every function the
-benchmark's tracer wraps by name exists."""
+nothing from outside the standard library.  Every function the
+benchmark's tracer wraps by name exists, and no module imports a name
+it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -52,3 +54,26 @@ def test_every_traced_function_exists():
     missing = [f"{m}.{f}" for m, f in tracing.TRACED
                if not callable(getattr(importlib.import_module(f"skelgraph.{m}"), f, None))]
     assert missing == []
+
+
+def _unused_imports(path):
+    """(name, line) of each name the module imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports names only to export them
+    modules = sorted((SRC / "skelgraph").glob("*.py"))
+    assert len(modules) > 1
+    unused = {path.name: _unused_imports(path) for path in modules if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
