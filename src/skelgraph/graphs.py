@@ -34,7 +34,10 @@ per edge that ``midpoint`` is asked for, with which the witnesses key
 the points they put on edges, so lookups among all these results match
 by identity; and, in ``potential``, ``canonical_divisor`` for each m
 asked for and ``bridges``, both immutable.  A new graph, ``replace``'s
-and a copy's included, starts with none of them.
+and a copy's included, starts with none of them.  The derived views
+``without_rays()`` and ``strip_genus`` are not new graphs: each shares
+its parent's edges, vertex points and every kept value whose inputs it
+leaves unchanged (see ``WeightedDualGraph._derive``).
 """
 
 from __future__ import annotations
@@ -119,6 +122,12 @@ class Ray:
     degree: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise GraphStructureError(
+                f"ray label must be a non-empty string, got {self.label!r:.80}")
+        if not isinstance(self.attach, str) or not self.attach:
+            raise GraphStructureError(
+                f"ray {self.label!r}: attach must be a non-empty string, got {self.attach!r:.80}")
         if type(self.degree) is not int:
             raise GraphStructureError(
                 f"ray {self.label!r}: degree must be an integer, got {self.degree!r}")
@@ -148,10 +157,11 @@ class GraphPoint:
     exact positive distance from the attachment.
 
     The constructor checks every rule that does not need the graph: the
-    kind is ``vertex``, ``edge`` or ``ray``; a vertex point has offset
-    None; an edge or ray offset is an int or a Fraction and is kept as a
-    Fraction; a ray offset is positive.  It raises InvalidPointError
-    otherwise, so the readers only check a point against the graph."""
+    kind is ``vertex``, ``edge`` or ``ray``; ``where`` is a string id; a
+    vertex point has offset None; an edge or ray offset is an int or a
+    Fraction and is kept as a Fraction; a ray offset is positive.  It
+    raises InvalidPointError otherwise, so the readers only check a
+    point against the graph."""
 
     __slots__ = ("kind", "where", "offset", "_hash")
 
@@ -169,6 +179,8 @@ class GraphPoint:
                 raise InvalidPointError("ray point distance must be positive")
         else:
             raise InvalidPointError(f"unknown point kind {kind!r:.80}")
+        if not isinstance(where, str):
+            raise InvalidPointError(f"{kind} point location must be a string id, got {where!r:.80}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "where", where)
         object.__setattr__(self, "offset", offset)
@@ -271,14 +283,16 @@ class WeightedDualGraph:
                  metric: MetricKind = MetricKind.MODEL,
                  name: str = "",
                  pair_model: bool = False):
-        vlist = sorted(vertices, key=lambda v: v.id)
-        if not vlist:
-            raise GraphStructureError("graph needs at least one vertex")
-        self_vertices = {}
-        for v in vlist:
-            if v.id in self_vertices:
+        given = {}
+        for v in vertices:
+            if not isinstance(v, VertexLabel):
+                raise GraphStructureError(f"vertex must be a VertexLabel, got {v!r:.80}")
+            if v.id in given:
                 raise GraphStructureError(f"duplicate vertex id {v.id!r}")
-            self_vertices[v.id] = v
+            given[v.id] = v
+        if not given:
+            raise GraphStructureError("graph needs at least one vertex")
+        self_vertices = {vid: given[vid] for vid in sorted(given)}
 
         metric = MetricKind.coerce(metric)
         edge_objs = []
@@ -286,9 +300,19 @@ class WeightedDualGraph:
             if isinstance(e, Edge):
                 a, b, length = e.a, e.b, e.length
             else:
-                a, b = e[0], e[1]
-                length = e[2] if len(e) > 2 else None
-            if a not in self_vertices or b not in self_vertices:
+                size = len(e) if isinstance(e, (tuple, list)) else 0
+                if size == 2:
+                    (a, b), length = e, None
+                elif size == 3:
+                    a, b, length = e
+                else:
+                    raise GraphStructureError(f"edge {i} must be an Edge or an (a, b) or "
+                                              f"(a, b, length) tuple, got {e!r:.80}")
+            try:
+                known = a in self_vertices and b in self_vertices
+            except TypeError:  # an unhashable endpoint
+                known = False
+            if not known:
                 raise UnknownElementError(f"edge endpoints ({a!r}, {b!r}) not in graph")
             if b < a:
                 a, b = b, a
@@ -302,6 +326,8 @@ class WeightedDualGraph:
         ray_objs = []
         seen_labels = set()
         for r in rays:
+            if not isinstance(r, Ray):
+                raise GraphStructureError(f"ray must be a Ray, got {r!r:.80}")
             if r.attach not in self_vertices:
                 raise UnknownElementError(f"ray {r.label!r} attaches to unknown vertex {r.attach!r}")
             if r.label in seen_labels:
@@ -313,6 +339,11 @@ class WeightedDualGraph:
                     f"{self_vertices[r.attach].multiplicity} of {r.attach!r}"
                 )
             ray_objs.append(r)
+
+        if not isinstance(name, str):
+            raise GraphStructureError(f"graph name must be a string, got {name!r:.80}")
+        if type(pair_model) is not bool:
+            raise GraphStructureError(f"pair_model must be a bool, got {pair_model!r:.80}")
 
         adjacency = {vid: [] for vid in self_vertices}
         for e in edge_objs:
@@ -329,13 +360,22 @@ class WeightedDualGraph:
         object.__setattr__(self, "_adjacency", {k: tuple(v) for k, v in adjacency.items()})
         object.__setattr__(self, "_edge_index", {e.id: e for e in edge_objs})
         object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
-        object.__setattr__(self, "_lengths", {})  # edge id -> length, filled on first read
-        object.__setattr__(self, "_distances", {})  # source -> integer Dijkstra row, likewise
-        object.__setattr__(self, "_network", None)  # (scale, integer adjacency), on first use
-        object.__setattr__(self, "_points", {})  # vertex id -> its one GraphPoint, all at once
-        object.__setattr__(self, "_midpoints", {})  # edge id -> its one midpoint, on first read
-        object.__setattr__(self, "_canonical", {})  # m -> canonical_divisor(self, m)
-        object.__setattr__(self, "_bridges", None)  # bridges(self), on first call
+        # kept values, each filled on first use and named with the inputs
+        # it reads; a derived view (see _derive) shares those it leaves unchanged
+        # edge id -> length: edges, multiplicities, metric
+        object.__setattr__(self, "_lengths", {})
+        # source -> integer Dijkstra row: edges, multiplicities, metric
+        object.__setattr__(self, "_distances", {})
+        # (scale, integer adjacency): edges, multiplicities, metric
+        object.__setattr__(self, "_network", None)
+        # vertex id -> its one GraphPoint, all at once: vertex ids
+        object.__setattr__(self, "_points", {})
+        # edge id -> its one midpoint: edges, multiplicities, metric
+        object.__setattr__(self, "_midpoints", {})
+        # m -> canonical_divisor(self, m): edges, rays, multiplicities, genera
+        object.__setattr__(self, "_canonical", {})
+        # bridges(self): vertex ids, edges
+        object.__setattr__(self, "_bridges", None)
 
         if not self._is_connected():
             raise GraphStructureError("graph must be connected")
@@ -464,10 +504,42 @@ class WeightedDualGraph:
     def without_rays(self) -> "WeightedDualGraph":
         """The compact graph: this one without its rays, and not a pair
         model.  A graph that is already both is its own compact graph;
-        any other gets a new one, cold, on every call."""
+        any other gets a new derived view (see ``_derive``) on every
+        call, which shares this graph's edges and kept values."""
         if not self._rays and not self.pair_model:
             return self
-        return self.replace(rays=(), pair_model=False)
+        return self._derive(self._vertices, (), False)
+
+    def _derive(self, vertices: dict[str, VertexLabel], rays: tuple[Ray, ...],
+                pair_model: bool) -> "WeightedDualGraph":
+        """A view of this graph with ``vertices`` (id -> label, the same
+        ids in the same order with the same multiplicities; the genera
+        may differ), ``rays`` (this graph's own, or none) and
+        ``pair_model`` (this graph's own flag, or False) swapped in.
+
+        It keeps this graph's metric, name and edges, so every rule the
+        constructor checks already holds: the ids are sorted, distinct
+        and non-empty, each edge joins two of them with a positive
+        length, the edges connect them, each ray attaches to one of them
+        under a distinct label, and a pair model's ray degrees still
+        equal the unchanged multiplicities.  So nothing is checked again.
+        The view shares the edges, the adjacency and the edge index, and
+        each kept value whose inputs it leaves unchanged: the lengths,
+        the integer network and rows and the midpoints (edges,
+        multiplicities, metric) and the vertex points and the bridges
+        (ids, edges).  Its canonical divisors start empty: K counts rays
+        and reads the genera."""
+        out = object.__new__(WeightedDualGraph)
+        put = object.__setattr__
+        for slot in ("name", "metric", "_edges", "_adjacency", "_edge_index", "_lengths",
+                     "_distances", "_network", "_points", "_midpoints", "_bridges"):
+            put(out, slot, getattr(self, slot))
+        put(out, "pair_model", pair_model)
+        put(out, "_vertices", vertices)
+        put(out, "_rays", rays)
+        put(out, "_ray_index", self._ray_index if rays else {})
+        put(out, "_canonical", {})
+        return out
 
     def fresh_vertex_id(self, stem: str) -> str:
         return fresh_id(self._vertices, stem)

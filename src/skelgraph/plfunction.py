@@ -12,7 +12,9 @@ Laplacian and the minimum locus in ``potential``) reads one walk, which
 is also the validation: one pass checks the breakpoints against the
 graph and computes each edge's profile, the slopes of its pieces, its
 values scaled to integers and the function's own points of its
-interior breakpoints, and the function keeps it for that graph object.
+interior breakpoints, and the function keeps it for that graph object
+and reads it on the graph's derived views too (``without_rays()`` and
+``strip_genus``), which have the same vertex points, edges and lengths.
 The slopes are unreduced integer pairs, computed from integer
 coordinates without building a Fraction; ``slopes_on_edge`` turns them
 into Fractions on demand.  Functions and graphs are immutable, so the
@@ -148,7 +150,8 @@ class PLFunction:
     def _walk(self, graph: WeightedDualGraph):
         """``{edge id: (edge, profile, pieces, keys, ys)}`` for every edge
         of the graph, in edge order; computed once per graph object and
-        kept, with dy below, until the function is walked on another one.
+        kept, with dy below, until the function is walked on a graph
+        that is neither that one nor derived from the same one.
 
         The walk is the validation.  It raises on a vertex with no value;
         on each breakpoint, in stored order, that is on a ray or on an
@@ -168,7 +171,12 @@ class PLFunction:
         an edge without any, whose walk reads the scaled values at its
         ends and sorts and scales nothing else."""
         walked = self._walked
-        if walked is not None and walked[0] is graph:
+        if walked is not None and walked[0]._lengths is graph._lengths:
+            # the walked graph, or a graph derived from the same one: the
+            # same vertex points, edges and lengths, so the same walk; only
+            # the ray slopes are checked against this graph's own rays
+            for label in self._ray_slopes:
+                graph.ray(label)
             return walked[1]
         try:
             at = {v: self._values[p] for v, p in graph._vertex_points().items()}
@@ -229,8 +237,11 @@ class PLFunction:
 
     def without_rays(self) -> "PLFunction":
         """The same values with no ray slopes; the values were checked
-        when this function was made, so they are shared, not copied."""
-        return PLFunction._trusted(self._values, {})
+        when this function was made, so they are shared, not copied,
+        and so is the kept walk, which dropping slopes leaves valid."""
+        f = PLFunction._trusted(self._values, {})
+        object.__setattr__(f, "_walked", self._walked)
+        return f
 
     def __eq__(self, other):
         return (isinstance(other, PLFunction)

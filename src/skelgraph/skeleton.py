@@ -154,9 +154,12 @@ def canonical_form_locus(graph: WeightedDualGraph) -> SubgraphLocus:
 
 def strip_genus(graph: WeightedDualGraph) -> WeightedDualGraph:
     """Forget the vertex genera (for running the genus-free witness
-    machinery on the underlying metric graph)."""
-    return graph.replace(vertices=[VertexLabel(v.id, v.multiplicity, 0)
-                                   for v in graph.vertices])
+    machinery on the underlying metric graph): a new derived view of the
+    graph on every call, which shares its edges, rays and kept values
+    (see ``WeightedDualGraph._derive``)."""
+    return graph._derive({v: VertexLabel(v, x.multiplicity, 0)
+                          for v, x in graph._vertices.items()},
+                         graph.rays, graph.pair_model)
 
 
 # -- witnesses -------------------------------------------------------------------

@@ -637,8 +637,12 @@ class TestGraphPointValue:
 
 
 _KINDS = st.sampled_from(["vertex", "edge", "ray", "blob", "Vertex", ""])
+# the strings, then ids that are not strings, which the constructor refuses
 _WHERE = st.one_of(st.sampled_from(["u", "v", "e0", "e2", "e3", "x", "y"]),
-                   st.text(max_size=3))
+                   st.text(max_size=3), st.none(), st.integers(-1, 7),
+                   st.fractions(0, 2, max_denominator=3),
+                   st.lists(st.text(max_size=1), max_size=2),
+                   st.tuples(st.sampled_from(["u", "e0"])))
 _OFFSETS = st.one_of(st.none(), st.integers(-2, 3), st.booleans(),
                      st.fractions(-1, 2, max_denominator=6),
                      st.floats(allow_nan=False), st.text(max_size=2))
@@ -669,6 +673,7 @@ class TestRawConstructorRule:
                  "ray": lambda: P.on_ray(where, offset)}[kind]()
         assert p == built and hash(p) == hash(built)
         assert type(p.offset) is (type(None) if kind == "vertex" else F)
+        assert isinstance(p.where, str)
 
         compact = sk.fixtures.theta_graph()
         for g in (compact, compact.replace(rays=[sk.Ray("u", "x")])):

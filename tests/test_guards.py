@@ -355,6 +355,33 @@ GUARDS = [
      "path size n must be an integer, got True"),
     ("fixture-in-star-float", lambda: sk.fixtures.kodaira_in_star(1.0), GSE,
      "I_n* n must be an integer, got 1.0"),
+    ("poisson-raw-int-vertex-id", lambda: sk.solve_poisson(
+        sk.fixtures.theta_graph(), sk.GraphDivisor({sk.GraphPoint("vertex", 5, None): 1,
+                                                    "u": -1})), IPE,
+     "vertex point location must be a string id, got 5"),
+    ("point-raw-list-vertex-id", lambda: sk.GraphPoint("vertex", [1], None), IPE,
+     "vertex point location must be a string id, got [1]"),
+    ("divisor-raw-int-edge-id", lambda: sk.GraphDivisor({sk.GraphPoint("edge", 7, 1): 1}), IPE,
+     "edge point location must be a string id, got 7"),
+    ("point-int-ray-label", lambda: sk.GraphPoint.on_ray(3, 1), IPE,
+     "ray point location must be a string id, got 3"),
+    ("graph-string-vertices", lambda: sk.WeightedDualGraph(["u", "v"], [("u", "v")]), GSE,
+     "vertex must be a VertexLabel, got 'u'"),
+    ("graph-one-item-edge", lambda: sk.WeightedDualGraph([V("u"), V("v")], [("u",)]), GSE,
+     "edge 0 must be an Edge or an (a, b) or (a, b, length) tuple, got ('u',)"),
+    ("graph-int-edge", lambda: sk.WeightedDualGraph([V("u"), V("v")], [("u", "v"), 5]), GSE,
+     "edge 1 must be an Edge or an (a, b) or (a, b, length) tuple, got 5"),
+    ("graph-tuple-ray", lambda: sk.WeightedDualGraph([V("u")], rays=[("u", "x")]), GSE,
+     "ray must be a Ray, got ('u', 'x')"),
+    ("graph-int-name", lambda: sk.WeightedDualGraph([V("u")], name=5), GSE,
+     "graph name must be a string, got 5"),
+    ("graph-string-pair-model", lambda: sk.WeightedDualGraph([V("u")], pair_model="no"), GSE,
+     "pair_model must be a bool, got 'no'"),
+    ("ray-int-label", lambda: sk.Ray("u", 5), GSE, "ray label must be a non-empty string, got 5"),
+    ("ray-empty-label", lambda: sk.Ray("u", ""), GSE,
+     "ray label must be a non-empty string, got ''"),
+    ("ray-int-attach", lambda: sk.Ray(5, "x"), GSE,
+     "ray 'x': attach must be a non-empty string, got 5"),
 ]
 
 

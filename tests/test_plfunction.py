@@ -198,3 +198,35 @@ class TestWalkPerGraph:
                     WALK_READERS[reader](g, f)
             else:
                 self.assert_reads_like_a_fresh_copy(h, f)
+
+
+class TestWalkOnDerivedViews:
+    """A derived view has its parent's vertex points, edges and lengths,
+    so a function walked on one reads the same walk on the others, and
+    ``without_rays()`` keeps the walk; only the ray slopes are checked
+    against the view's own rays."""
+
+    def test_views_read_like_fresh_copies(self):
+        g, _ = TestWalkPerGraph.model_and_stable()
+        g = g.replace(vertices=[V("a", 2, 1), V("b", 2), V("c")])
+        f = PLFunction({"a": 0, "b": 0, "c": 1, P.on_edge("e0", F(1, 8)): 0,
+                        P.on_edge("e2", F(1, 4)): 1}, {"x": 1})
+        stripped = f.without_rays()
+        f.validate_on(g)
+        assert f.without_rays()._walked is f._walked
+        compact, flat = g.without_rays(), sk.strip_genus(g)
+        for graph, fn in ((compact, stripped), (flat, f), (g, stripped), (flat, stripped),
+                          (g, f)):
+            TestWalkPerGraph().assert_reads_like_a_fresh_copy(graph, fn)
+
+    @pytest.mark.parametrize("reader", WALK_READERS)
+    def test_slope_on_a_dropped_ray_raises_on_every_read(self, reader):
+        g, _ = TestWalkPerGraph.model_and_stable()
+        f = PLFunction({"a": 0, "b": 0, "c": 1}, {"x": 1})
+        compact = g.without_rays()
+        for graph in (g, compact, g, compact, compact):
+            if graph is compact:
+                with pytest.raises(sk.UnknownElementError, match="^unknown ray 'x'$"):
+                    WALK_READERS[reader](compact, f)
+            else:
+                TestWalkPerGraph().assert_reads_like_a_fresh_copy(g, f)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import plfunction, potential
+from skelgraph.graphs import refine
 from skelgraph import (
     GraphDivisor as D,
     GraphPoint as P,
@@ -880,6 +881,101 @@ class TestGraphMemos:
             with pytest.raises(sk.LoopsPresentError):
                 sk.canonical_divisor(g, m)
         assert g._canonical == {}
+
+
+def _view_answers(g, f, points):
+    """What the graph layer and K answer on g: its edge lengths, every
+    vertex's distances, the distances among ``points``, the midpoints,
+    the bridges, K for m = 1, 2, 3, laplacian(f) and the layout of g
+    cut at ``points``."""
+    cut = refine(g, [g.check_point(p) for p in points])
+    return [[g.edge_length(e.id) for e in g.edges],
+            [sk.vertex_distances(g, v) for v in g.vertex_ids],
+            [sk.distance(g, p, q) for p in points for q in points],
+            [g.midpoint(e.id) for e in g.edges], sk.bridges(g),
+            [sk.canonical_divisor(g, m) for m in (1, 2, 3)], sk.laplacian(g, f),
+            (cut.marks, cut.segments, cut.inc, cut.L)]
+
+
+class TestDerivedViews:
+    """``without_rays()`` and ``strip_genus`` derive views that share
+    their parent's edges, vertex points and the kept values whose inputs
+    they leave unchanged.  Each view is == the graph the constructor
+    builds from the same parts and answers as it does, cold and warm;
+    the parent answers as before once its views have filled the shared
+    values; and each view has its own K."""
+
+    @staticmethod
+    def graphs():
+        from skelgraph.sampling import random_pair_fixture
+        rng = random.Random(1506)
+        out = [random_pair_fixture(rng, m)[0] for m in (1, 2, 3) for _ in range(4)]
+        for genus, bridge in ((1, 1), (2, 1), (3, 2)):
+            chain = sk.fixtures.triangle_chain(genus, bridge)
+            chain = chain.replace(vertices=[V(v.id, 1, i % 3)
+                                            for i, v in enumerate(chain.vertices)])
+            out += [chain, chain.replace(rays=[sk.Ray(chain.vertex_ids[0], "x")])]
+        return rng, out
+
+    @staticmethod
+    def views(g):
+        """(view, the same graph built cold) for both derived views of g."""
+        compact = WeightedDualGraph(g.vertices, g.edges, (), g.metric, g.name, False)
+        flat = WeightedDualGraph([V(v.id, v.multiplicity, 0) for v in g.vertices], g.edges,
+                                 g.rays, g.metric, g.name, g.pair_model)
+        return (g.without_rays(), compact), (sk.strip_genus(g), flat)
+
+    def test_views_answer_as_cold_graphs(self):
+        rng, graphs = self.graphs()
+        for g in graphs:
+            f = random_plfunction(rng, g)
+            points = [*map(P.at_vertex, g.vertex_ids), g.midpoint(g.edges[0].id),
+                      P.on_edge(g.edges[-1].id, g.edge_length(g.edges[-1].id) / 3)]
+            before = _view_answers(pickle.loads(pickle.dumps(g)), f, points)
+            f.validate_on(g)  # the views read the parent's walk
+            for view, cold in self.views(g):
+                assert view == cold and (view.name, view.pair_model) == (cold.name, cold.pair_model)
+                want = _view_answers(cold, f, points)
+                assert _view_answers(view, f, points) == want
+                assert _view_answers(view, f, points) == want  # warm
+            assert _view_answers(g, f, points) == before
+
+    def test_views_answer_the_memo_readers_as_cold_graphs(self):
+        rng, graphs = self.graphs()
+        for g in graphs:
+            f = random_plfunction(rng, g)
+            for view, cold in self.views(g):
+                Din = random_degree_zero_divisor(rng, cold)
+                for m, q in ((1, g.vertex_ids[-1]), (2, g.midpoint(g.edges[0].id))):
+                    want = _memo_answers(cold, m, f, Din, q)
+                    assert _memo_answers(view, m, f, Din, q) == want
+
+    def test_views_share_the_parent_points(self):
+        _, graphs = self.graphs()
+        for g in graphs:
+            sk.canonical_divisor(g, 1)
+            compact, flat = g.without_rays(), sk.strip_genus(g)
+            for view in (compact, flat):
+                assert view is g or view._canonical == {}
+                assert all(view._vertex_points()[v] is p for v, p in g._vertex_points().items())
+                assert all(view.midpoint(e.id) is g.midpoint(e.id) for e in g.edges)
+            assert compact.without_rays() is compact
+            assert sk.strip_genus(g) is not flat
+            if g.rays or g.pair_model:
+                assert g.without_rays() is not compact
+
+    def test_views_have_their_own_canonical_divisor(self):
+        _, graphs = self.graphs()
+        for g in graphs:
+            compact, flat = g.without_rays(), sk.strip_genus(g)
+            for m in (1, 2, 3):
+                K = sk.canonical_divisor(g, m)
+                Kc, Kf = sk.canonical_divisor(compact, m), sk.canonical_divisor(flat, m)
+                for v in g.vertices:
+                    rays = len(g.rays_at(v.id))
+                    assert Kc.coeff(v.id) == K.coeff(v.id) - m * v.multiplicity * rays
+                    assert (Kc.coeff(v.id) != K.coeff(v.id)) == (rays > 0)
+                    assert Kf.coeff(v.id) == K.coeff(v.id) - 2 * m * v.multiplicity * v.genus
 
 
 def _key_of(keys, p):

@@ -1,0 +1,95 @@
+"""The replay harness in tools/replay.py: calls recorded here replay on
+this tree with the same outcomes, and a changed answer is named."""
+
+import importlib.util
+import io
+import pickle
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import skelgraph as sk
+from skelgraph import potential
+
+ROOT = Path(__file__).resolve().parent.parent
+FUNCTIONS = ["verify_laplacian_theorem", "ks_skeleton", "laplacian", "canonical_divisor",
+             "pushforward_divisor", "strip_genus", "witness_cycle", "verify_canonical_locus"]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("replay_tool", ROOT / "tools" / "replay.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+replay = _tool()
+
+
+def _drive():
+    """A few pair fixtures, a genus-labelled triangle chain and a call
+    that raises: every recorded function is reached."""
+    from skelgraph.sampling import random_pair_fixture
+    rng = random.Random(26)
+    for m in (1, 2, 3):
+        g, data = random_pair_fixture(rng, m)
+        sk.verify_laplacian_theorem(g, data)
+        sk.ks_skeleton(g, data)
+    chain = sk.fixtures.triangle_chain(2)
+    chain = chain.replace(vertices=[sk.VertexLabel(v.id, 1, i % 2)
+                                    for i, v in enumerate(chain.vertices)])
+    sk.verify_canonical_locus(chain)
+    with pytest.raises(sk.GraphStructureError):
+        sk.canonical_divisor(chain, 0)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return replay.record_calls(FUNCTIONS, _drive)
+
+
+def test_record_and_replay_on_this_tree_agree(recorded, tmp_path):
+    calls = recorded["calls"]
+    assert {name for _, name, _ in calls} == set(FUNCTIONS)
+    assert recorded["seen"] >= len(calls) and not any(recorded["dropped"].values())
+    replay._write(tmp_path / "calls", {"functions": FUNCTIONS, "source": "test", **recorded})
+    for side in ("a", "b"):
+        assert replay.main(["replay", "--calls", str(tmp_path / "calls"), "--tree", str(ROOT),
+                            "--out", str(tmp_path / side)]) == 0
+    a, b = replay._read(tmp_path / "a"), replay._read(tmp_path / "b")
+    assert len(a["outcomes"]) == len(calls)
+    assert all(cold == warm for cold, warm in a["outcomes"])
+    kinds = [cold[0] for cold, _ in a["outcomes"]]
+    assert "raise" in kinds and kinds.count("return") == len(calls) - 1
+    out = io.StringIO()
+    assert replay.compare(a, b, out) == 0
+    assert out.getvalue() == f"all {len(calls)} calls agree, cold and warm\n"
+
+
+def test_compare_names_a_changed_call(recorded, monkeypatch):
+    calls = recorded["calls"]
+    before = {"digest": replay._digest(calls), "names": [c[:2] for c in calls],
+              "outcomes": replay.run_calls(calls)}
+    real = potential.canonical_divisor
+
+    def shifted(graph, m=1):
+        return real(graph, m) + sk.GraphDivisor.at(graph.vertex_ids[0])
+
+    monkeypatch.setattr(potential, "canonical_divisor", shifted)
+    after = dict(before, outcomes=replay.run_calls(calls))
+    first = next(i for i, (_, name, _) in enumerate(calls) if name == "canonical_divisor")
+    out = io.StringIO()
+    assert replay.compare(before, after, out) == 1
+    assert f"the first is call {first}: skelgraph.potential.canonical_divisor" in out.getvalue()
+
+
+def test_fingerprint_sees_order_types_and_errors():
+    fp = replay.fingerprint
+    assert fp({"a": 1, "b": 2}) != fp({"b": 2, "a": 1})
+    assert fp(1) != fp(Fraction(1)) and fp((1,)) != fp([1])
+    assert fp(sk.GraphDivisor({"u": 1, "v": -1})) == fp(pickle.loads(pickle.dumps(
+        sk.GraphDivisor({"u": 1, "v": -1}))))
+    assert replay.outcome(sk.canonical_divisor, (sk.fixtures.theta_graph(), 0), {}) == \
+        ("raise", ("skelgraph.errors.GraphStructureError", "m must be a positive integer, got 0"))

@@ -1,7 +1,7 @@
 """The runtime is pure stdlib: importing every skelgraph module loads
 nothing from outside the standard library.  Every function the
-benchmark's tracer wraps by name exists, and no module imports a name
-it never uses."""
+benchmark's tracer wraps by name exists, and no module, in the package
+or in ``tools/``, imports a name it never uses."""
 
 import ast
 import importlib
@@ -73,7 +73,8 @@ def _unused_imports(path):
 
 def test_no_module_imports_a_name_it_never_uses():
     # the package's __init__ imports names only to export them
-    modules = sorted((SRC / "skelgraph").glob("*.py"))
-    assert len(modules) > 1
+    tools = SRC.parent / "tools"
+    modules = sorted((SRC / "skelgraph").glob("*.py")) + sorted(tools.glob("*.py"))
+    assert len(modules) > 1 and tools / "replay.py" in modules
     unused = {path.name: _unused_imports(path) for path in modules if path.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
