@@ -54,7 +54,7 @@ class GraphDivisor:
         raise AttributeError("GraphDivisor is immutable")
 
     def __reduce__(self):
-        return GraphDivisor, (self.items(),)
+        return GraphDivisor, (dict(self._support),)
 
     @staticmethod
     def at(p: PointLike, coeff: Coeff = 1) -> "GraphDivisor":

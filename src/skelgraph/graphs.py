@@ -620,9 +620,8 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
     the fiber squaring to zero, E_i^2 = -(1/N_i) sum of the neighbour
     multiplicities over the nodes on E_i.  Agrees with graph_genus on
     reduced graphs; integral whenever the labels come from an actual
-    model.  Loops are resolved first."""
-    if not graph.is_loop_free():
-        return curve_genus(resolve_loops(graph))
+    model.  A loop meets its vertex twice, as its resolution by
+    ``resolve_loops`` would, and both give the same genus."""
     crossing = {v: Fraction(0) for v in graph.vertex_ids}
     for e in graph.edges:
         crossing[e.a] += graph.vertex(e.b).multiplicity
@@ -728,8 +727,6 @@ def distance(graph: WeightedDualGraph, p: PointLike, q: PointLike) -> Fraction:
             return ray_pt.offset
         raise InvalidPointError("ray point paired with a point off the ray's closure")
 
-    if p == q:
-        return Fraction(0)
     if p.kind == "vertex" and q.kind == "vertex":
         scale, row = _row(graph, p.where)
         return Fraction(row[q.where], scale)

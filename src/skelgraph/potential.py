@@ -385,8 +385,6 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
         for e in it:
             if in_edge is not None and e.id == in_edge.id:
                 continue
-            if e.a == e.b:
-                continue
             w = e.b if e.a == v else e.a
             if w not in index:
                 index[w] = low[w] = counter
@@ -407,10 +405,8 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
 
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
-    ids = set(edge_ids)
-    for eid in ids:
-        graph.edge(eid)
-    if len(ids) != len(graph.vertex_ids) - 1:
+    edges = [graph.edge(eid) for eid in set(edge_ids)]
+    if len(edges) != len(graph.vertex_ids) - 1:
         return False
     parent = {v: v for v in graph.vertex_ids}
 
@@ -420,8 +416,7 @@ def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
             x = parent[x]
         return x
 
-    for eid in ids:
-        e = graph.edge(eid)
+    for e in edges:
         ra, rb = find(e.a), find(e.b)
         if ra == rb:
             return False
@@ -432,15 +427,16 @@ def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
 def spanning_tree(graph: WeightedDualGraph,
                   avoid: Iterable[str] = ()) -> frozenset[str]:
     """A deterministic spanning tree (DFS from the smallest vertex,
-    edges in id order), optionally avoiding the given edge ids."""
-    avoid = set(avoid)
+    edges in id order), optionally avoiding the given edge ids, each of
+    which must name an edge."""
+    avoid = {graph.edge(eid).id for eid in avoid}
     tree: set[str] = set()
     seen = {graph.vertex_ids[0]}
     stack = [graph.vertex_ids[0]]
     while stack:
         v = stack.pop()
         for e in sorted(graph.edges_at(v), key=lambda e: e.id):
-            if e.id in avoid or e.a == e.b:
+            if e.id in avoid:
                 continue
             w = e.b if e.a == v else e.a
             if w not in seen:
@@ -473,10 +469,7 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
         raise GraphStructureError(f"edge {eid!r} lies in the tree")
     if not is_spanning_tree(graph, tset):
         raise GraphStructureError("given edge set is not a spanning tree")
-    if e.a == e.b:
-        return SubgraphLocus._canonical(graph, frozenset((e.a,)),
-                                        {eid: ((_ZERO, graph.edge_length(eid)),)})
-    # path from e.a to e.b inside the tree
+    # path from e.a to e.b inside the tree (none for a loop)
     prev: dict[str, tuple[str, str]] = {}
     seen = {e.a}
     queue = deque([e.a])

@@ -137,12 +137,38 @@ class TestCurveGenus:
                                                                     F(1, 2), F(1, 2)]
         assert [e.length for e in out.edges] == [None, None, F(1, 6), F(1, 6)]
 
+    def test_loops_count_as_their_resolution(self, monkeypatch):
+        """A loop meets its vertex twice, so curve_genus answers on a loopy
+        graph what it answers on its resolution, and builds no graph."""
+        rng = random.Random(1506)
+        graphs = [random_multigraph(rng, max_vertices=5, loops=3, rays=rng.randint(0, 2))
+                  for _ in range(40)]
+        graphs = [g.replace(vertices=[V(v.id, rng.randint(1, 4), rng.randint(0, 2))
+                                      for v in g.vertices]) for g in graphs]
+        want = [sk.curve_genus(sk.resolve_loops(g)) for g in graphs]
+        assert sum(not g.is_loop_free() for g in graphs) > 20
+        assert any(g.rays for g in graphs) and any(not g.rays for g in graphs)
+
+        def no_graph(graph):
+            raise AssertionError("curve_genus built a graph")
+
+        monkeypatch.setattr(sk.graphs, "resolve_loops", no_graph)
+        assert [sk.curve_genus(g) for g in graphs] == want
+
 
 class TestDistance:
     def test_same_point(self):
         g = sk.fixtures.kodaira_type_ii()
         p = P.on_edge("e0", F(1, 12))
         assert sk.distance(g, p, p) == 0
+        rng = random.Random(2015)
+        for _ in range(10):
+            g = random_multigraph(rng, max_vertices=5, loops=2)
+            points = [P.at_vertex(v) for v in g.vertex_ids]
+            points += [P.on_edge(e.id, g.edge_length(e.id) * F(1, 3)) for e in g.edges]
+            for p in points:
+                d = sk.distance(g, p, p)
+                assert type(d) is F and d == 0
 
     def test_kodaira_ii_v2_v3(self):
         g = sk.fixtures.kodaira_type_ii()

@@ -254,6 +254,11 @@ GUARDS = [
     ("spanning-tree-avoid-all", lambda: sk.spanning_tree(
         sk.fixtures.theta_graph(), avoid=["e0", "e1", "e2"]), GSE,
      "no spanning tree avoids the given edges"),
+    ("spanning-tree-avoid-unknown", lambda: sk.spanning_tree(
+        sk.fixtures.theta_graph(), avoid=["e1", "e99"]), UEE, "unknown edge 'e99'"),
+    # a bare string is iterated by character, and 'e' names no edge
+    ("spanning-tree-avoid-string", lambda: sk.spanning_tree(
+        sk.fixtures.theta_graph(), avoid="e0"), UEE, "unknown edge 'e'"),
     ("poisson-ray-anchor", lambda: sk.solve_poisson(
         _pair(), sk.GraphDivisor({"u": 1, "v": -1}), anchor=sk.GraphPoint.on_ray("x", 1)),
      IPE, "anchor GraphPoint.on_ray('x', '1') is on a ray; it must be on the compact part"),
@@ -279,6 +284,8 @@ GUARDS = [
     ("witness-cycle-not-reduced", lambda: sk.witness_cycle(
         sk.fixtures.kodaira_type_ii(), "e0"), GSE,
      "witness_cycle needs a maximally degenerate graph"),
+    ("witness-cycle-unknown-edge", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e99"), UEE, "unknown edge 'e99'"),
     ("witness-cycle-tree-holds-edge", lambda: sk.witness_cycle(
         sk.fixtures.theta_graph(), "e0", tree=["e0"]), GSE,
      "the spanning tree must avoid 'e0'"),
@@ -430,10 +437,13 @@ def _queried_graph():
                                        lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])
 def test_values_copy_and_pickle(value, duplicate):
-    """Copies are rebuilt through the constructor: equal, and with no
-    memo carried over."""
+    """Copies are rebuilt through the constructor: equal, with a
+    divisor's or function's points in the original's order (here not
+    sorted), and with no memo carried over."""
     out = duplicate(value)
     assert type(out) is type(value) and out == value
+    if isinstance(value, sk.GraphDivisor):
+        assert list(out._support) == list(value._support)
     if isinstance(value, sk.GraphPoint):
         assert hash(out) == hash(value)
     if isinstance(value, sk.WeightedDualGraph):
@@ -441,3 +451,4 @@ def test_values_copy_and_pickle(value, duplicate):
         assert out._lengths == {} and out._distances == {}
     if isinstance(value, sk.PLFunction):
         assert out._walked is None and out.ray_slopes == value.ray_slopes
+        assert list(out._values) == list(value._values)

@@ -1194,6 +1194,37 @@ class TestSpanningTrees:
             assert len(sk.all_spanning_trees(g)) == \
                 round(nx.number_of_spanning_trees(to_networkx(g)))
 
+    def test_loops_never_in_a_tree(self):
+        """On loopy multigraphs, against networkx: spanning_tree spans and
+        holds no loop, also when it avoids an edge, and is_spanning_tree
+        rejects every edge set that holds a loop."""
+        import networkx as nx
+        rng = random.Random(1263)
+        loopy = 0
+        for _ in range(30):
+            g = random_multigraph(rng, max_vertices=6, loops=3, lengths=False)
+            loops = {e.id for e in g.edges if e.a == e.b}
+            loopy += bool(loops)
+            cut = sk.bridges(g)
+            trees = [sk.spanning_tree(g)] + [sk.spanning_tree(g, avoid=[e.id])
+                                             for e in g.edges if e.id not in cut]
+            for T in trees:
+                assert not T & loops
+                assert nx.is_tree(to_networkx(g).edge_subgraph(
+                    [(g.edge(t).a, g.edge(t).b, t) for t in T]))
+            size = len(g.vertex_ids) - 1
+            for _ in range(20):
+                S = rng.sample([e.id for e in g.edges], size)
+                H = nx.MultiGraph()
+                H.add_nodes_from(g.vertex_ids)
+                H.add_edges_from((g.edge(t).a, g.edge(t).b) for t in S)
+                assert sk.is_spanning_tree(g, S) == nx.is_tree(H)
+                if set(S) & loops:
+                    assert not sk.is_spanning_tree(g, S)
+            for loop in loops:
+                assert not sk.is_spanning_tree(g, [*sorted(trees[0])[1:], loop])
+        assert loopy > 20
+
     def test_all_spanning_trees_theta(self):
         g = sk.fixtures.theta_graph()
         assert sorted(sk.all_spanning_trees(g)) == \

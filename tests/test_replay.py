@@ -91,5 +91,28 @@ def test_fingerprint_sees_order_types_and_errors():
     assert fp(1) != fp(Fraction(1)) and fp((1,)) != fp([1])
     assert fp(sk.GraphDivisor({"u": 1, "v": -1})) == fp(pickle.loads(pickle.dumps(
         sk.GraphDivisor({"u": 1, "v": -1}))))
+    assert fp(sk.GraphDivisor({"u": 1, "v": -1})) != fp(sk.GraphDivisor({"v": -1, "u": 1}))
     assert replay.outcome(sk.canonical_divisor, (sk.fixtures.theta_graph(), 0), {}) == \
         ("raise", ("skelgraph.errors.GraphStructureError", "m must be a positive integer, got 0"))
+
+
+@pytest.mark.parametrize("value", [
+    sk.GraphPoint.on_edge("e0", Fraction(1, 3)),
+    sk.GraphDivisor({"v": 1, sk.GraphPoint.on_edge("e0", Fraction(1, 3)): 2, "u": -1}),
+    sk.PLFunction({"v": 0, "u": Fraction(1, 2), sk.GraphPoint.on_edge("e0", 1): 3}, {"x": 2}),
+    sk.SubgraphLocus(sk.fixtures.theta_graph(), vertices=["u"],
+                     segments={"e1": [(0, Fraction(1, 8))], "e0": [(Fraction(1, 5), Fraction(1, 2))]}),
+    sk.WeightedDualGraph(vertices=[sk.VertexLabel("b", 3), sk.VertexLabel("a", 2)],
+                         edges=[("b", "a"), ("a", "a", 2)], rays=[sk.Ray("a", "x", 2)],
+                         metric="stable", name="pm"),
+], ids=lambda x: type(x).__name__)
+def test_fingerprint_is_the_reduce_state(value):
+    """A value's fingerprint is the state it pickles with: a pickled and
+    loaded copy has the live value's fingerprint, dict order included,
+    and values a graph keeps do not count."""
+    fp = replay.fingerprint(value)
+    assert fp == replay.fingerprint(pickle.loads(pickle.dumps(value)))
+    if isinstance(value, sk.WeightedDualGraph):
+        sk.distance(value, "a", "b")
+        sk.bridges(value)
+        assert replay.fingerprint(value) == fp

@@ -30,7 +30,10 @@ fingerprints differ and exits 1, or exits 0 when every call agrees.
 
 ``fingerprint`` alone defines equality: each value with its type, dict
 entries in insertion order with each key's ``repr``, sets in iteration
-order, and for an error, raised or returned, its type and message.
+order, for an error, raised or returned, its type and message, and for a
+skelgraph value its ``__reduce__`` state, the arguments its constructor
+is rebuilt from on ``pickle`` and ``deepcopy``, so kept values are left
+out.
 
 Standard library only; ``record`` needs pytest for ``tier1``.
 """
@@ -56,15 +59,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the state that defines each skelgraph value; kept values are left out
-_STATE = {
-    "GraphPoint": ("kind", "where", "offset"),
-    "GraphDivisor": ("_support",),
-    "PLFunction": ("_values", "_ray_slopes"),
-    "SubgraphLocus": ("graph", "_vertices", "_segments"),
-    "WeightedDualGraph": ("name", "metric", "pair_model", "_vertices", "_edges", "_rays"),
-}
-
 
 def fingerprint(x):
     """A nested tuple of strings that is equal for two values exactly
@@ -84,8 +78,8 @@ def fingerprint(x):
         return (name, repr(x.value))
     if isinstance(x, Exception):
         return (name, str(x))
-    if t.__module__.startswith("skelgraph.") and t.__name__ in _STATE:
-        return (name, tuple(fingerprint(getattr(x, a)) for a in _STATE[t.__name__]))
+    if t.__module__.startswith("skelgraph.") and t.__reduce__ is not object.__reduce__:
+        return (name, fingerprint(x.__reduce__()[1]))
     if dataclasses.is_dataclass(x):
         return (name, tuple(fingerprint(getattr(x, f.name)) for f in dataclasses.fields(x)))
     raise TypeError(f"no fingerprint for a {name}")
