@@ -368,44 +368,24 @@ def min_locus(graph: WeightedDualGraph, f: PLFunction) -> SubgraphLocus:
 
 
 def bridges(graph: WeightedDualGraph) -> frozenset[str]:
-    """The cut edges, by iterative low-link traversal.  Loops and
-    parallel edges are never bridges.  The graph keeps the result, so
-    the traversal runs once per graph."""
+    """The cut edges: the edges of ``spanning_tree(graph)`` on no
+    fundamental cycle, as those cycles span the cycle space (a loop's
+    tree path is empty, a parallel edge's is its twin, so neither is a
+    bridge).  The graph keeps the result, so it is found once."""
     if graph._bridges is not None:
         return graph._bridges
-    start = graph.vertex_ids[0]
-    index: dict[str, int] = {start: 0}
-    low: dict[str, int] = {start: 0}
-    counter = 1
-    out: set[str] = set()
-    stack: list = [(start, None, iter(graph.edges_at(start)))]
-    while stack:
-        v, in_edge, it = stack[-1]
-        pushed = False
-        for e in it:
-            if in_edge is not None and e.id == in_edge.id:
-                continue
-            w = e.b if e.a == v else e.a
-            if w not in index:
-                index[w] = low[w] = counter
-                counter += 1
-                stack.append((w, e, iter(graph.edges_at(w))))
-                pushed = True
-                break
-            low[v] = min(low[v], index[w])
-        if not pushed:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > index[parent]:
-                    out.add(in_edge.id)
-    object.__setattr__(graph, "_bridges", frozenset(out))
+    tree = spanning_tree(graph)
+    cut = set(tree)
+    for e in graph.edges:
+        if e.id not in tree:
+            cut.difference_update(_tree_path(graph, tree, e.a, e.b)[1])
+    object.__setattr__(graph, "_bridges", frozenset(cut))
     return graph._bridges
 
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
-    edges = [graph.edge(eid) for eid in set(edge_ids)]
+    """Repeated ids count once; the first unknown id, in the order given, raises."""
+    edges = [graph.edge(eid) for eid in dict.fromkeys(edge_ids)]
     if len(edges) != len(graph.vertex_ids) - 1:
         return False
     parent = {v: v for v in graph.vertex_ids}
@@ -457,28 +437,18 @@ def all_spanning_trees(graph: WeightedDualGraph) -> list[frozenset[str]]:
             if is_spanning_tree(graph, c)]
 
 
-def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
-                      eid: str) -> SubgraphLocus:
-    """Z(tree, e): the unique cycle in tree + e, as a closed locus of
-    whole edges and their vertices.  It is built in canonical form, each
-    edge as the one segment from 0 to its kept length, in path order
-    and then e, as the public constructor would order it."""
-    tset = set(tree)
-    e = graph.edge(eid)
-    if eid in tset:
-        raise GraphStructureError(f"edge {eid!r} lies in the tree")
-    if not is_spanning_tree(graph, tset):
-        raise GraphStructureError("given edge set is not a spanning tree")
-    # path from e.a to e.b inside the tree (none for a loop)
+def _tree_path(graph, tree, a, b):
+    """The vertices and the edges of the path from b to a along the edge
+    ids in ``tree``, in that order, by BFS from a (for a = b, just [a])."""
     prev: dict[str, tuple[str, str]] = {}
-    seen = {e.a}
-    queue = deque([e.a])
+    seen = {a}
+    queue = deque([a])
     while queue:
         v = queue.popleft()
-        if v == e.b:
+        if v == b:
             break
         for t in graph.edges_at(v):
-            if t.id not in tset:
+            if t.id not in tree:
                 continue
             w = t.b if t.a == v else t.a
             if w not in seen:
@@ -486,13 +456,30 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
                 prev[w] = (v, t.id)
                 queue.append(w)
     path_edges = []
-    path_vertices = [e.b]
-    v = e.b
-    while v != e.a:
+    path_vertices = [b]
+    v = b
+    while v != a:
         u, teid = prev[v]
         path_edges.append(teid)
         path_vertices.append(u)
         v = u
+    return path_vertices, path_edges
+
+
+def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
+                      eid: str) -> SubgraphLocus:
+    """Z(tree, e): the unique cycle in tree + e, as a closed locus of
+    whole edges and their vertices; the tree is checked in the order
+    given.  It is built in canonical form, each edge as the one segment
+    from 0 to its kept length, along ``_tree_path`` and then e, as the
+    public constructor would order it."""
+    tset = dict.fromkeys(tree)  # a set in the given order
+    e = graph.edge(eid)
+    if eid in tset:
+        raise GraphStructureError(f"edge {eid!r} lies in the tree")
+    if not is_spanning_tree(graph, tset):
+        raise GraphStructureError("given edge set is not a spanning tree")
+    path_vertices, path_edges = _tree_path(graph, tset, e.a, e.b)
     path_edges.append(eid)
     # a set copied into a frozenset iterates as the public constructor's
     return SubgraphLocus._canonical(graph, frozenset(set(path_vertices)),
@@ -776,13 +763,13 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
     requirement, raised on violation), and D's support meets the
     relative interior of every non-tree edge other than e.  Conclusion:
     the minimum locus of f is the fundamental cycle Z(tree, e)."""
-    tset = set(tree)
+    tset = dict.fromkeys(tree)  # a set in the given order
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()
         yield "spanning-tree", is_spanning_tree(graph, tset)
         yield "edge-outside-tree", eid not in tset
-        yield from _witness_hypotheses(graph, D, f, tset | {eid})
+        yield from _witness_hypotheses(graph, D, f, {*tset, eid})
 
     return _check_lemma(graph, 1, D, f, hypotheses,
                         lambda: fundamental_cycle(graph, tset, eid))
@@ -796,7 +783,7 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
     to 2K via f (exact, raised on violation), D's support meets the
     interior of every non-tree edge, and D >= K - (v1) - (v2).
     Conclusion: the minimum locus of f is the chain."""
-    tset = set(tree)
+    tset = dict.fromkeys(tree)  # a set in the given order
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()

@@ -206,14 +206,17 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     """Construct (T, D, f) realizing the fundamental cycle Z(T, e) as a
     minimum locus: D is effective, equivalent to K, and carries a point
     in the interior of every non-tree edge other than e; f solves
-    div(f) = D - K.  Asserts min_locus(f) = Z(T, e); a given T must span."""
+    div(f) = D - K.  Asserts min_locus(f) = Z(T, e); a given T must
+    span, and is checked in the order given."""
     _require_maximally_degenerate(graph, "witness_cycle")
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
+    if tree is not None and iter(tree) is tree:  # an iterator, read once
+        tree = tuple(tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
         raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
-    if tree is not None and not is_spanning_tree(graph, T):
+    if tree is not None and not is_spanning_tree(graph, tree):
         raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     return _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
                     graph.edge(eid).a,
@@ -227,7 +230,8 @@ def witness_bridge_chain(graph: WeightedDualGraph,
     """Construct (T, D, f) realizing a maximal bridge chain B as a
     minimum locus: D is effective, equivalent to 2K, dominates
     K - (v1) - (v2), and has a point in the interior of every non-tree
-    edge; f solves div(f) = D - 2K.  Asserts min_locus(f) = B; a given T must span."""
+    edge; f solves div(f) = D - 2K.  Asserts min_locus(f) = B; a given
+    T must span, and is checked in the order given."""
     _require_maximally_degenerate(graph, "witness_bridge_chain")
     g = graph_genus(graph)
     if g <= 1:
@@ -249,8 +253,10 @@ def witness_bridge_chain(graph: WeightedDualGraph,
 
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective
+    if tree is not None and iter(tree) is tree:  # an iterator, read once
+        tree = tuple(tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
-    if tree is not None and not is_spanning_tree(graph, T):
+    if tree is not None and not is_spanning_tree(graph, tree):
         raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints

@@ -65,6 +65,9 @@ class PluricanonicalModelData:
         object.__setattr__(self, "horizontal_edges", frozenset(self.horizontal_edges))
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
+        """The data, checked against the graph.  The horizontal edges are
+        checked in sorted order (by ``str``, so mixed ids still reach
+        ``graph.edge``), as the frozenset keeps no given order."""
         for v in graph.vertex_ids:
             if v not in self.nu:
                 raise MissingDataError(f"no nu entry for vertex {v!r}")
@@ -80,7 +83,7 @@ class PluricanonicalModelData:
                 )
         for label in self.ray_degrees:
             graph.ray(label)
-        for eid in self.horizontal_edges:
+        for eid in sorted(self.horizontal_edges, key=str):
             graph.edge(eid)
         return self
 

@@ -629,3 +629,75 @@ class TestDocumentFuzz:
                               locus if subject == "export-dot" else model_data)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# Graph documents near the shape graph_from_json reads: vertices u, v, w
+# and up to four edges of small lengths, so each verify runs fast; junk
+# comes from _doc_json, whose keys include vertices, edges and rays.
+_end = st.sampled_from(["u", "v", "w"])
+
+
+def _edge_doc(a, b):
+    return st.fixed_dictionaries({"a": a, "b": b},
+                                 optional={"length": st.sampled_from(["1", "1/2", "2", 1])})
+
+
+_well_formed_graph = st.fixed_dictionaries(
+    {"vertices": st.tuples(*(st.fixed_dictionaries(
+        {"id": st.just(v)}, optional={"N": st.integers(1, 3), "g": st.integers(0, 1)})
+        for v in "uvw")).map(list),
+     # the path u - v - w keeps the graph connected
+     "edges": st.tuples(_edge_doc(st.just("u"), st.just("v")),
+                        _edge_doc(st.just("v"), st.just("w")),
+                        st.lists(_edge_doc(_end, _end), max_size=2)).map(
+                            lambda t: [t[0], t[1], *t[2]])},
+    optional={"rays": st.lists(st.fixed_dictionaries(
+                  {"attach": _end, "label": st.sampled_from(["x", "y"])},
+                  optional={"degree": st.integers(1, 2)}),
+                  max_size=2, unique_by=lambda r: r["label"]),
+              "metric": st.sampled_from(["model", "stable"]),
+              "name": st.just("g"),
+              "pair_model": st.booleans()})
+
+
+@st.composite
+def _graph_docs(draw):
+    """A quarter JSON junk, a quarter well formed but for one field or
+    entry, at any depth, replaced by junk, and half well formed."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(_doc_json)
+    doc = node = draw(_well_formed_graph)
+    if kind == 1:
+        while True:
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            if not (isinstance(node[key], (dict, list)) and node[key]
+                    and draw(st.booleans())):
+                break
+            node = node[key]
+        node[key] = draw(_doc_json)
+    return doc
+
+
+_MALFORMED_GRAPHS = [{}, [], {"vertices": [5]}]
+
+
+class TestGraphDocumentFuzz:
+    # verify essential warns on a leaf that looks contractible, and exits 0
+    @pytest.mark.filterwarnings("ignore:leaf .* looks like a contractible:UserWarning")
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(subject=st.sampled_from(["essential", "nonbridge", "min-locus", "bridge"]),
+           graph=_graph_docs())
+    @example(subject="essential", graph={})
+    @example(subject="nonbridge", graph=[])
+    @example(subject="min-locus", graph={"vertices": [5]})
+    def test_exit_code_contract(self, tmp_path, subject, graph):
+        argv = ["verify", subject, "--graph", write_json(tmp_path / "g.json", graph)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if graph in _MALFORMED_GRAPHS:
+            assert code == 2 and "malformed graph JSON" in err.getvalue()

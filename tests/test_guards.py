@@ -3,9 +3,15 @@ message that names the fault, and the value types refuse assignment
 but copy and pickle through their constructors."""
 
 import copy
+import dataclasses
+import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -389,6 +395,10 @@ GUARDS = [
      "ray label must be a non-empty string, got ''"),
     ("ray-int-attach", lambda: sk.Ray(5, "x"), GSE,
      "ray 'x': attach must be a non-empty string, got 5"),
+    ("graph-unhashable-endpoint", lambda: sk.WeightedDualGraph([V("u")], [(["u"], "u")]),
+     UEE, "edge endpoints (['u'], 'u') not in graph"),
+    ("data-mixed-horizontal-edges", lambda: dataclasses.replace(
+        _data(), horizontal_edges=["zz", 1]).validate_on(_pair()), UEE, "unknown edge 1"),
 ]
 
 
@@ -398,6 +408,65 @@ def test_guard_raises_typed_error(build, error, message):
     with pytest.raises(error, match=re.escape(message)) as raised:
         build()
     assert type(raised.value) is error
+
+
+# Each call names the unknown tree ids zz, yy, xx (horizontal edges for
+# validate_on); the argv is a verify min-locus request with the same tree.
+_UNKNOWN_IDS = """
+import dataclasses, io, sys
+from contextlib import redirect_stderr
+import skelgraph as sk
+from skelgraph.cli import main
+
+ids = ["zz", "yy", "xx"]
+theta, dumbbell = sk.fixtures.theta_graph(), sk.fixtures.dumbbell(1)
+cycle, bridge = sk.witness_cycle(theta, "e0"), sk.witness_bridge_chain(dumbbell)
+chain = sk.maximal_bridge_chains(dumbbell)[0]
+data = dataclasses.replace(sk.fixtures.kodaira_type_ii_data(), horizontal_edges=ids)
+calls = [
+    lambda: sk.witness_cycle(theta, "e0", tree=ids),
+    lambda: sk.witness_bridge_chain(dumbbell, tree=iter(ids)),
+    lambda: sk.fundamental_cycle(theta, iter(ids), "e0"),
+    lambda: sk.check_min_locus_lemma(theta, iter(ids), "e0", cycle.divisor, cycle.function),
+    lambda: sk.check_bridge_lemma(dumbbell, chain, ids, bridge.divisor, bridge.function),
+    lambda: data.validate_on(sk.fixtures.kodaira_type_ii()),
+]
+for call in calls:
+    try:
+        call()
+    except sk.SkelgraphError as exc:
+        print(type(exc).__name__, exc)
+err = io.StringIO()
+with redirect_stderr(err):
+    print("exit", main(sys.argv[1:]))
+print(err.getvalue(), end="")
+"""
+
+
+def test_unknown_ids_named_in_the_callers_order(tmp_path):
+    """A tree is checked in the order given, and horizontal edges in
+    sorted order, so the same unknown id is named under every hash seed."""
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(sio.graph_to_json(sk.fixtures.theta_graph())))
+    dpath = tmp_path / "d.json"
+    dpath.write_text(json.dumps({"edge": "e0", "tree": ["zz", "yy", "xx"]}))
+    src = Path(sk.__file__).resolve().parent.parent
+    outs = set()
+    for seed in "1234":
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNKNOWN_IDS,
+             "verify", "min-locus", "--graph", str(gpath), "--data", str(dpath)],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    assert outs.pop().splitlines() == [
+        *["UnknownElementError unknown edge 'zz'"] * 5,
+        "UnknownElementError unknown edge 'xx'",
+        "exit 2",
+        "error: unknown edge 'zz'",
+    ]
 
 
 @pytest.mark.parametrize("value, attribute", [

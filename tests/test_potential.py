@@ -1331,6 +1331,19 @@ class TestReduceDivisor:
         with pytest.raises(sk.PipelineError, match="would need 24916 segments"):
             sk.reduce_divisor(k4_graph(59, 61, 67, 71), D.at("v1", 1) - D.at("v2", 1), "v0")
 
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(potential, "_MAX_DHAR_ROUNDS", 0)
+        with pytest.raises(sk.PipelineError, match="^Dhar reduction did not terminate$"):
+            sk.reduce_divisor(sk.fixtures.theta_graph(), D.at("v", 3), "u")
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        """The certificate reads div(f) from ``laplacian``; a wrong one
+        is caught, since 3(v) is not u-reduced on theta."""
+        monkeypatch.setattr(potential, "laplacian", lambda graph, f: D())
+        with pytest.raises(sk.PipelineError,
+                           match=re.escape("reduction certificate failed: D' != D + div(f)")):
+            sk.reduce_divisor(sk.fixtures.theta_graph(), D.at("v", 3), "u")
+
 
 class TestLatticeOracle:
     """reduce_divisor against the uniform-lattice reducer it replaced:

@@ -1,5 +1,6 @@
 """Tails, skeleta, canonical-form locus, witness constructions."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -336,6 +337,22 @@ class TestWitnessRecipe:
                 assert b.divisor == D0 + D1 + E
                 assert b.function == sk.solve_poisson(g, 2 * K - b.divisor, anchor=v1)
                 assert b.locus == chain.as_locus(g)
+
+    def test_ineffective_reduction_raises(self, monkeypatch):
+        monkeypatch.setattr(sk.skeleton, "reduce_divisor",
+                            lambda graph, divisor, q: (D({q: -1}), None))
+        with pytest.raises(sk.PipelineError, match=re.escape(
+                "no effective representative: reduced divisor is GraphDivisor(-1*(u))")):
+            sk.witness_cycle(sk.fixtures.theta_graph(), "e0")
+
+    def test_failed_lemma_raises(self, monkeypatch):
+        report = sk.LemmaReport(ok=False, failed_hypotheses=("effective",),
+                                conclusion_holds=None)
+        monkeypatch.setattr(sk.skeleton, "check_min_locus_lemma", lambda *args: report)
+        with pytest.raises(sk.PipelineError, match=re.escape(
+                "cycle witness failed for 'e0': hypotheses ('effective',), "
+                "conclusion None")):
+            sk.witness_cycle(sk.fixtures.theta_graph(), "e0")
 
 
 class TestWitnessUnionMatchesLocus:

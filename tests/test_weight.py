@@ -215,6 +215,15 @@ class TestKSSkeleton:
             locus = sk.min_locus(g, wt)
             assert not locus.partial_segments()
 
+    def test_disagreeing_min_locus_raises(self, monkeypatch):
+        """The KS skeleton is checked against the weight function's
+        minimum locus, here replaced by an empty one."""
+        monkeypatch.setattr(sk.weight, "min_locus", lambda graph, f: sk.SubgraphLocus(graph))
+        with pytest.raises(sk.PipelineError,
+                           match="^KS skeleton disagrees with the weight function's "
+                                 "minimum locus$"):
+            sk.ks_skeleton(*kodaira())
+
 
 class TestBlowUpDataTransport:
     def test_node_blowup_restricts(self):
