@@ -33,11 +33,11 @@ function and the pushforward divisor key their vertices; one midpoint
 per edge that ``midpoint`` is asked for, with which the witnesses key
 the points they put on edges, so lookups among all these results match
 by identity; and, in ``potential``, ``canonical_divisor`` for each m
-asked for and ``bridges``, both immutable.  A new graph, ``replace``'s
-and a copy's included, starts with none of them.  The derived views
-``without_rays()`` and ``strip_genus`` are not new graphs: each shares
-its parent's edges, vertex points and every kept value whose inputs it
-leaves unchanged (see ``WeightedDualGraph._derive``).
+asked for and ``bridges``, both immutable.  A new graph, ``replace``'s,
+a copy's and a blow-up's included, starts with none of them.  The
+derived views ``without_rays()`` and ``strip_genus`` are not new graphs:
+each shares its parent's edges, vertex points and every kept value
+whose inputs it leaves unchanged (see ``WeightedDualGraph._derive``).
 """
 
 from __future__ import annotations
@@ -345,8 +345,27 @@ class WeightedDualGraph:
         if type(pair_model) is not bool:
             raise GraphStructureError(f"pair_model must be a bool, got {pair_model!r:.80}")
 
-        adjacency = {vid: [] for vid in self_vertices}
-        for e in edge_objs:
+        self._assemble(self_vertices, tuple(edge_objs), tuple(ray_objs), metric, name,
+                       pair_model)
+        if not self._is_connected():
+            raise GraphStructureError("graph must be connected")
+
+    def _assemble(self, vertices: dict[str, VertexLabel], edges: tuple[Edge, ...],
+                  rays: tuple[Ray, ...], metric: MetricKind, name: str,
+                  pair_model: bool) -> None:
+        """Set every slot from parts that already meet each rule the
+        constructor checks: ``vertices`` maps each id to its label in
+        sorted id order; ``edges`` are the Edges ``e0, e1, ...`` in order,
+        each joining two of those ids with ``a <= b`` and a positive
+        length or None, and together they connect the vertices; ``rays``
+        attach to known vertices under distinct labels, with a pair
+        model's degrees equal to the multiplicities.  Nothing is checked
+        here: the constructor checks the parts before and connectivity
+        after, and ``models._blow_up``, which assembles its graph from a
+        checked parent, gives its reasons instead.  Every kept value
+        starts empty."""
+        adjacency = {vid: [] for vid in vertices}
+        for e in edges:
             adjacency[e.a].append(e.id)
             if e.b != e.a:
                 adjacency[e.b].append(e.id)
@@ -354,12 +373,12 @@ class WeightedDualGraph:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "pair_model", pair_model)
-        object.__setattr__(self, "_vertices", self_vertices)
-        object.__setattr__(self, "_edges", tuple(edge_objs))
-        object.__setattr__(self, "_rays", tuple(ray_objs))
+        object.__setattr__(self, "_vertices", vertices)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_rays", rays)
         object.__setattr__(self, "_adjacency", {k: tuple(v) for k, v in adjacency.items()})
-        object.__setattr__(self, "_edge_index", {e.id: e for e in edge_objs})
-        object.__setattr__(self, "_ray_index", {r.label: r for r in ray_objs})
+        object.__setattr__(self, "_edge_index", {e.id: e for e in edges})
+        object.__setattr__(self, "_ray_index", {r.label: r for r in rays})
         # kept values, each filled on first use and named with the inputs
         # it reads; a derived view (see _derive) shares those it leaves unchanged
         # edge id -> length: edges, multiplicities, metric
@@ -376,9 +395,6 @@ class WeightedDualGraph:
         object.__setattr__(self, "_canonical", {})
         # bridges(self): vertex ids, edges
         object.__setattr__(self, "_bridges", None)
-
-        if not self._is_connected():
-            raise GraphStructureError("graph must be connected")
 
     def __setattr__(self, *args):
         raise AttributeError("WeightedDualGraph is immutable")

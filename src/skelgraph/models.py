@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import GraphStructureError, LoopsPresentError, UnknownElementError
 from .graphs import (
+    Edge,
     MetricKind,
     VertexLabel,
     WeightedDualGraph,
@@ -29,24 +30,38 @@ from .graphs import (
 
 
 def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
-    """Apply ``(op, target)`` steps to working lists of vertex
-    labels and ``(a, b, length)`` edges, then construct the graph once.
-    Returns the graph and the ids of the new vertices, one per step.
+    """Apply ``(op, target)`` steps to working lists of vertex labels and
+    ``(a, b, length, kept)`` edges, then assemble the graph once from
+    the checked parent.  Returns the graph and the ids of the new
+    vertices, one per step.
 
     Each target is read against the evolving graph: a node blow-up
     replaces edge e{i} by two edges at positions i and i+1, so later
     edge ids shift by one, exactly as if the graph were rebuilt after
-    every step.  No steps returns the input graph itself."""
+    every step.  No steps returns the input graph itself.
+
+    The result is assembled without the constructor's checks
+    (``WeightedDualGraph._assemble``), since every rule they check
+    still holds: ``fresh_id`` makes each new id distinct; each new edge
+    joins two known ids, sorted, and takes the formula length; a node
+    blow-up replaces an edge by a path through the new vertex and an
+    interior blow-up hangs a leaf, so the graph stays connected; the
+    rays and the multiplicities they attach to are unchanged, so a pair
+    model's ray degrees still hold.  The checks of this function stay:
+    the target, loops, the metric and explicit lengths.  The parent's
+    Edge (``kept``) is reused at each position whose endpoints and
+    length did not change; a new or shifted position gets a new Edge.
+    Nothing the parent keeps is shared, since edge ids shift."""
     steps = list(steps)
     if not steps:
         return graph, []
     created = []
-    vertices = {v.id: v for v in graph.vertices}
-    edges = [(e.a, e.b, e.length) for e in graph.edges]
+    vertices = dict(graph._vertices)
+    edges = [(e.a, e.b, e.length, e) for e in graph.edges]
     for op, target in steps:
         if op == "node":
             i = edge_position(target, len(edges))
-            a, b, length = edges[i]
+            a, b, length, _ = edges[i]
             if a == b:
                 raise LoopsPresentError(f"edge {target!r} is a loop; resolve_loops first")
             if graph.metric is not MetricKind.MODEL:
@@ -63,16 +78,23 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             vertices[wid] = VertexLabel(wid, n1 + n2, 0)
             # endpoints sorted as the constructor sorts them: a later
             # blow-up of a piece orders its two halves by them
-            edges[i:i + 1] = [(min(a, wid), max(a, wid), None),
-                              (min(wid, b), max(wid, b), None)]
+            edges[i:i + 1] = [(min(a, wid), max(a, wid), None, None),
+                              (min(wid, b), max(wid, b), None, None)]
         else:
             if target not in vertices:
                 raise UnknownElementError(f"unknown vertex {target!r}")
             wid = fresh_id(vertices, f"{target}'")
             vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
-            edges.append((min(target, wid), max(target, wid), None))
+            edges.append((min(target, wid), max(target, wid), None, None))
         created.append(wid)
-    return graph.replace(vertices=vertices.values(), edges=edges), created
+    assembled = []
+    for i, (a, b, length, kept) in enumerate(edges):
+        eid = f"e{i}"
+        assembled.append(kept if kept is not None and kept.id == eid else Edge(eid, a, b, length))
+    out = object.__new__(WeightedDualGraph)
+    out._assemble({vid: vertices[vid] for vid in sorted(vertices)}, tuple(assembled),
+                  graph.rays, graph.metric, graph.name, graph.pair_model)
+    return out, created
 
 
 def blow_up_node(graph: WeightedDualGraph, eid: str) -> WeightedDualGraph:
@@ -122,7 +144,10 @@ def base_change_subdivide(graph: WeightedDualGraph, n: int,
 @dataclass(frozen=True)
 class BlowUpStep:
     """One instruction of a blow-up sequence: op is 'node' (target an
-    edge id) or 'interior' (target a vertex id)."""
+    edge id) or 'interior' (target a vertex id).  Any other op, or a
+    target that is not a non-empty string, raises GraphStructureError
+    naming the value, so a bad step fails when it is made, not when it
+    is applied."""
 
     op: str
     target: str
@@ -130,15 +155,19 @@ class BlowUpStep:
     def __post_init__(self):
         if self.op not in ("node", "interior"):
             raise GraphStructureError(f"unknown blow-up op {self.op!r}")
+        if not isinstance(self.target, str) or not self.target:
+            raise GraphStructureError(
+                f"blow-up target must be a non-empty string, got {self.target!r:.80}")
 
 
 def apply_blowups(graph: WeightedDualGraph,
                   steps: Iterable[BlowUpStep]) -> WeightedDualGraph:
     """Apply a blow-up sequence.  Each step's target is read against the
     graph left by the steps before it, as if every step were applied
-    alone, but the graph is constructed once, at the end.  An empty
-    sequence returns the input graph itself.  A step that is not a
-    BlowUpStep raises GraphStructureError naming its position."""
+    alone, but the graph is built once, at the end, from the checked
+    input graph and without a second validation (see ``_blow_up``).  An
+    empty sequence returns the input graph itself.  A step that is not
+    a BlowUpStep raises GraphStructureError naming its position."""
     return _blow_up(graph, (_instruction(i, s) for i, s in enumerate(steps)))[0]
 
 

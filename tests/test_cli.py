@@ -135,6 +135,28 @@ class TestVerifyCommand:
         skel = json.loads(out)["essential_skeleton"]
         assert [v["id"] for v in skel["vertices"]] == ["v4"]
 
+    def test_essential_reports_warnings_under_any_filter(self, tmp_path, capsys):
+        # on the path u-v-w with w of genus 1, leaf u's neighbour has its
+        # multiplicity, so the minimality lint warns; under -W error the
+        # warning goes into the report, and the exit code stays 0
+        g = sk.WeightedDualGraph([sk.VertexLabel("u"), sk.VertexLabel("v"),
+                                  sk.VertexLabel("w", 1, 1)], [("u", "v"), ("v", "w")])
+        gpath = write_json(tmp_path / "g.json", sio.graph_to_json(g))
+        src = Path(sk.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "skelgraph.cli",
+             "verify", "essential", "--graph", gpath],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["warnings"] == [
+            "leaf 'u' looks like a contractible exceptional component; "
+            "is this really the minimal model?"]
+        assert run(capsys, "verify", "essential", "--graph", gpath) == (0, proc.stdout, "")
+        quiet = write_json(tmp_path / "k.json", sio.graph_to_json(sk.fixtures.kodaira_type_ii()))
+        code, out, _ = run(capsys, "verify", "essential", "--graph", quiet)
+        assert (code, json.loads(out)["warnings"]) == (0, [])
+
     def test_ks_kodaira(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",
                            sio.graph_to_json(sk.fixtures.kodaira_type_ii()))

@@ -203,6 +203,12 @@ GUARDS = [
     ("base-change-degree", lambda: sk.base_change_subdivide(sk.fixtures.path_graph(2), 0),
      GSE, "base-change degree must be >= 1, got 0"),
     ("blowup-op", lambda: sk.BlowUpStep("edge", "e0"), GSE, "unknown blow-up op 'edge'"),
+    ("blowup-target-list", lambda: sk.BlowUpStep("interior", ["a"]), GSE,
+     "blow-up target must be a non-empty string, got ['a']"),
+    ("blowup-target-int", lambda: sk.BlowUpStep("node", 5), GSE,
+     "blow-up target must be a non-empty string, got 5"),
+    ("blowup-target-empty", lambda: sk.BlowUpStep("node", ""), GSE,
+     "blow-up target must be a non-empty string, got ''"),
     ("blowup-step-tuple", lambda: _blowups(("node", "e0")), GSE,
      "blow-up step 1 is not a BlowUpStep: ('node', 'e0')"),
     ("blowup-step-none", lambda: _blowups(None), GSE, "blow-up step 1 is not a BlowUpStep: None"),

@@ -236,3 +236,58 @@ class TestVerifyMetricInvariance:
         assert report.discrepancies == ("d(v1,v3): 2/9 -> 5/18",
                                         "d(v2,v3): 5/36 -> 7/36",
                                         "d(v3,v4): 1/18 -> 1/9")
+
+
+# the slots a graph is built with, and the values it keeps on first read
+BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_adjacency",
+         "_edge_index", "_ray_index")
+KEPT = ("_lengths", "_distances", "_network", "_points", "_midpoints", "_canonical",
+        "_bridges")
+
+
+def answers(g):
+    """Every kept value of g, read through the public readers: edge
+    lengths, the distance rows from each vertex, midpoints, K for
+    m = 1 and 2, and the bridges."""
+    return ([g.edge_length(e.id) for e in g.edges],
+            [list(sk.vertex_distances(g, v).items()) for v in g.vertex_ids],
+            [g.midpoint(e.id) for e in g.edges],
+            [sk.canonical_divisor(g, m) for m in (1, 2)],
+            sk.bridges(g))
+
+
+class TestBlowUpAssembly:
+    """A blow-up assembles its graph from the checked parent: it must be
+    the graph the public constructor builds from the same parts, slot by
+    slot, and share nothing the parent keeps."""
+
+    def assert_assembled(self, parent, seq):
+        before = answers(parent)  # warms every kept value of the parent
+        out = sk.apply_blowups(parent, seq)
+        for slot in KEPT:
+            assert getattr(out, slot) in ({}, None), slot
+        cold = WeightedDualGraph(*out.__reduce__()[1])
+        for slot in BUILT:
+            mine, theirs = getattr(out, slot), getattr(cold, slot)
+            if isinstance(mine, dict):  # dict order is vertex and edge order
+                mine, theirs = list(mine.items()), list(theirs.items())
+            assert mine == theirs, slot
+        assert answers(out) == answers(cold)
+        assert answers(parent) == before
+
+    def test_random_graphs(self, rng):
+        from skelgraph.sampling import random_graph
+        for _ in range(8):
+            g = random_graph(rng, max_vertices=8, max_multiplicity=8, extra_edges=3)
+            seq, _ = random_blowups(rng, g, 30)
+            for k in (1, 5, 30):
+                self.assert_assembled(g, seq[:k])
+
+    def test_random_pair_fixtures(self, rng):
+        from skelgraph.sampling import random_pair_fixture
+        for m in (1, 2, 3):
+            pg, _ = random_pair_fixture(rng, m)
+            assert pg.pair_model and pg.rays
+            seq, _ = random_blowups(rng, pg, 30)
+            for k in (1, 5, 30):
+                self.assert_assembled(pg, seq[:k])
