@@ -34,10 +34,12 @@ per edge that ``midpoint`` is asked for, with which the witnesses key
 the points they put on edges, so lookups among all these results match
 by identity; and, in ``potential``, ``canonical_divisor`` for each m
 asked for and ``bridges``, both immutable.  A new graph, ``replace``'s,
-a copy's and a blow-up's included, starts with none of them.  The
-derived views ``without_rays()`` and ``strip_genus`` are not new graphs:
-each shares its parent's edges, vertex points and every kept value
-whose inputs it leaves unchanged (see ``WeightedDualGraph._derive``).
+a copy's, a blow-up's and a series reduction's included, starts with
+none of them, and ``_series_reduction`` keeps nothing on its input: it
+reads the edge steps afresh.  The derived views ``without_rays()`` and
+``strip_genus`` are not new graphs: each shares its parent's edges,
+vertex points and every kept value whose inputs it leaves unchanged
+(see ``WeightedDualGraph._derive``).
 """
 
 from __future__ import annotations
@@ -649,29 +651,36 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
     return 1 + total / 2
 
 
+def _steps(graph: WeightedDualGraph) -> tuple[int, list[tuple[str, str, int]]]:
+    """(scale, ends): scale is the lcm of the edge-length denominators,
+    and ends lists every edge but a loop as ``(a, b, steps)``, an edge of
+    length n/d taking n*(scale//d) steps of 1/scale.  Each length is read
+    off the edge's integers (a formula edge's from its denominator), so
+    no length becomes a Fraction here.  A fresh list on every call."""
+    ends = []
+    for e in graph._edges:
+        if e.a == e.b:
+            continue
+        if e.length is None:
+            n, d = 1, _formula_denominator(graph._vertices[e.a].multiplicity,
+                                           graph._vertices[e.b].multiplicity, graph.metric)
+        else:
+            n, d = e.length.numerator, e.length.denominator
+        ends.append((e.a, e.b, n, d))
+    scale = math.lcm(*(d for _, _, _, d in ends))
+    return scale, [(a, b, n * (scale // d)) for a, b, n, d in ends]
+
+
 def _row(graph: WeightedDualGraph, source: str):
     """(scale, row): row maps every vertex to its distance from source
     in steps of 1/scale, kept on the graph for that source; callers must
-    not change it.  The graph's integer network, built on first use and
-    kept too, has scale the lcm of the edge-length denominators and an
-    edge of length n/d as n*(scale//d) steps, read off each edge's
-    integers, so no length becomes a Fraction here."""
+    not change it.  The graph's integer network, built from ``_steps`` on
+    first use and kept too, is the adjacency of those steps."""
     network = graph._network
     if network is None:
-        ends = []
-        for e in graph._edges:
-            if e.a == e.b:
-                continue
-            if e.length is None:
-                n, d = 1, _formula_denominator(graph._vertices[e.a].multiplicity,
-                                               graph._vertices[e.b].multiplicity, graph.metric)
-            else:
-                n, d = e.length.numerator, e.length.denominator
-            ends.append((e.a, e.b, n, d))
-        scale = math.lcm(*(d for _, _, _, d in ends))
+        scale, ends = _steps(graph)
         adjacency = {v: [] for v in graph._vertices}
-        for a, b, n, d in ends:
-            step = n * (scale // d)
+        for a, b, step in ends:
             adjacency[a].append((b, step))
             adjacency[b].append((a, step))
         network = (scale, adjacency)
@@ -693,6 +702,57 @@ def _row(graph: WeightedDualGraph, source: str):
                     heapq.heappush(heap, (d + step, w))
         graph._distances[source] = dist
     return scale, dist
+
+
+def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> WeightedDualGraph:
+    """A graph with exactly the distances among the ``keep`` vertices
+    (at least one vertex of ``graph``) that ``graph`` has, and no vertex
+    off ``keep`` with fewer than three neighbours.
+
+    It works on a fresh copy of the integer steps (see ``_steps``):
+    loops are dropped and parallel edges merged into the shortest one.
+    Then each vertex off ``keep`` with at most two neighbours goes, and
+    each neighbour that falls to two or fewer is visited in turn.  A
+    leaf is deleted: every edge is positive, so a shortest path between
+    two other vertices never enters a leaf.  A vertex with two
+    neighbours a and b is spliced into one edge a-b of the summed steps,
+    the shorter one if a-b is already an edge: a path through it that is
+    not one of its ends crosses from a to b, at exactly that cost.  So
+    neither step moves a distance among the vertices left, a hanging
+    tree is pruned to its root, and a chain is smoothed to one edge.
+
+    The result is built by the public constructor from the input's
+    labels of the vertices left, one edge per neighbour pair with its
+    explicit length, and the input's metric; it has no rays.  Nothing is
+    kept on, or read from the kept values of, the input graph."""
+    scale, ends = _steps(graph)
+    nbrs: dict[str, dict[str, int]] = {v: {} for v in graph._vertices}
+    for a, b, step in ends:
+        if nbrs[a].get(b, step) >= step:
+            nbrs[a][b] = nbrs[b][a] = step
+    keep = set(keep)
+    stack = [v for v, ws in nbrs.items() if len(ws) <= 2 and v not in keep]
+    while stack:
+        v = stack.pop()
+        ws = nbrs.pop(v, None)
+        if ws is None:  # already gone: pushed twice
+            continue
+        for w in ws:
+            del nbrs[w][v]
+        if len(ws) == 2:  # splice a-v-b into a-b
+            (a, ka), (b, kb) = ws.items()
+            k = ka + kb
+            if nbrs[a].get(b, k) >= k:
+                nbrs[a][b] = nbrs[b][a] = k
+        for w in ws:
+            if len(nbrs[w]) <= 2 and w not in keep:
+                stack.append(w)
+    labels = graph._vertices
+    return WeightedDualGraph(
+        [labels[v] for v in nbrs],
+        [(v, w, Fraction(step, scale)) for v, ws in nbrs.items() for w, step in ws.items()
+         if v < w],
+        metric=graph.metric)
 
 
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:

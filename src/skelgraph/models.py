@@ -20,6 +20,7 @@ from .graphs import (
     MetricKind,
     VertexLabel,
     WeightedDualGraph,
+    _series_reduction,
     distance,
     edge_position,
     formula_length,
@@ -81,7 +82,7 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             edges[i:i + 1] = [(min(a, wid), max(a, wid), None, None),
                               (min(wid, b), max(wid, b), None, None)]
         else:
-            if target not in vertices:
+            if not isinstance(target, str) or target not in vertices:
                 raise UnknownElementError(f"unknown vertex {target!r}")
             wid = fresh_id(vertices, f"{target}'")
             vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
@@ -194,21 +195,28 @@ def verify_metric_invariance(graph: WeightedDualGraph,
     distances among the original vertices are unchanged, exactly.
 
     The blow-ups come first, so a bad step raises before any distance
-    is read.  Then, for each original vertex v but the last, the
-    original graph's ``vertex_distances`` row from v (original vertices
-    only) gives each d(v, w) with w after v, and the blown-up graph is
-    asked ``distance`` for those pairs alone, in the same order."""
+    is read.  The blown-up graph is then read through its series
+    reduction (``graphs._series_reduction``) keeping the original
+    vertices: the exceptional chains a node blow-up lays along an edge
+    are smoothed back to one edge and the trees that interior blow-ups
+    hang are pruned, and neither moves a distance among the kept
+    vertices.  For each original vertex v but the last, the original
+    graph's ``vertex_distances`` row from v gives each d(v, w) with w
+    after v, and the reduced graph is asked ``distance`` for those pairs
+    alone, in the same order, through its own vertex points."""
     try:
         transformed = apply_blowups(graph, steps)
     except UnknownElementError as exc:
         raise GraphStructureError(f"invalid instruction in sequence: {exc}") from exc
     originals = graph.vertex_ids
+    reduced = _series_reduction(transformed, originals)
+    at = reduced._vertex_points()
     n = len(originals)
     bad = []
     for i, v in enumerate(originals[:-1]):
         row = vertex_distances(graph, v)
         for w in originals[i + 1:]:
-            d0, d1 = row[w], distance(transformed, v, w)
+            d0, d1 = row[w], distance(reduced, at[v], at[w])
             if d1 != d0:
                 bad.append(f"d({v},{w}): {d0} -> {d1}")
     return InvarianceReport(ok=not bad, checked_pairs=n * (n - 1) // 2,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import GraphPoint as P, MetricKind, PLFunction, VertexLabel as V, WeightedDualGraph
-from skelgraph.graphs import refine
+from skelgraph.graphs import _series_reduction, refine
 
 from conftest import random_blowups, random_multigraph
 from refined_graph import refined_graph
@@ -378,6 +378,85 @@ class TestBlownUpDistances:
                     d = sk.distance(big, v, w)
                     assert type(d) is F
                     assert d == sk.distance(big, w, v) == sk.vertex_distances(big, v)[w]
+
+
+class TestSeriesReduction:
+    """_series_reduction keeps every distance among the kept vertices,
+    against the graph itself and networkx, leaves no other vertex with
+    fewer than three neighbours, and keeps nothing on its input."""
+
+    KEPT = ("_lengths", "_distances", "_network", "_points", "_midpoints", "_canonical",
+            "_bridges")
+
+    @staticmethod
+    def answers(graph):
+        """Every kept value, read through the public readers; K needs a
+        loop-free graph, so a graph with loops is read without it."""
+        from test_models import answers
+        if graph.is_loop_free():
+            return answers(graph)
+        return ([graph.edge_length(e.id) for e in graph.edges],
+                [list(sk.vertex_distances(graph, v).items()) for v in graph.vertex_ids],
+                [graph.midpoint(e.id) for e in graph.edges], sk.bridges(graph))
+
+    def check(self, graph, keep):
+        cold = pickle.loads(pickle.dumps(graph))
+        reduced = _series_reduction(cold, keep)
+        assert all(getattr(cold, slot) in ({}, None) for slot in self.KEPT)
+        before = self.answers(graph)  # warms every kept value of graph
+        kept = {slot: copy.deepcopy(getattr(graph, slot)) for slot in self.KEPT}
+        assert _series_reduction(graph, keep) == reduced
+        assert {slot: getattr(graph, slot) for slot in self.KEPT} == kept
+        assert self.answers(graph) == before
+
+        assert set(keep) <= set(reduced.vertex_ids) and reduced.metric is graph.metric
+        for v in keep:
+            oracle = networkx_distances(graph, v)
+            for w in keep:
+                assert sk.distance(reduced, v, w) == sk.distance(graph, v, w) == oracle[w]
+        pairs = [frozenset((e.a, e.b)) for e in reduced.edges]
+        assert all(len(p) == 2 for p in pairs) and len(set(pairs)) == len(pairs)
+        for v in set(reduced.vertex_ids) - set(keep):
+            assert len(reduced.edges_at(v)) >= 3, v
+
+    def keeps(self, rng, graph):
+        ids = graph.vertex_ids
+        yield [rng.choice(ids)]
+        yield ids
+        for _ in range(3):
+            yield rng.sample(ids, rng.randint(1, len(ids)))
+
+    def graphs(self, rng):
+        from skelgraph.sampling import random_graph, random_pair_fixture
+        for _ in range(8):
+            g = random_graph(rng, max_vertices=7, max_multiplicity=8, extra_edges=3)
+            yield g
+            yield g.replace(metric="stable")
+            yield random_blowups(rng, g, rng.choice((5, 30)))[1]
+            yield random_multigraph(rng, max_vertices=7, extra=4, loops=3)
+            yield random_pair_fixture(rng, rng.randint(1, 3))[0]
+        yield from mixed_length_graphs(rng)
+
+    def test_kept_distances_against_the_graph_and_networkx(self, rng):
+        for g in self.graphs(rng):
+            for keep in self.keeps(rng, g):
+                self.check(g, keep)
+
+    def test_blown_up_model_reduces_to_the_original(self, rng):
+        # node blow-ups subdivide edges and interior ones hang trees, so
+        # keeping the original vertices gives back the original graph,
+        # each parallel class merged into its shortest edge
+        from skelgraph.sampling import random_graph
+
+        def shape(g):
+            return {(e.a, e.b, g.edge_length(e.id)) for e in g.edges}
+
+        for _ in range(5):
+            g = random_graph(rng, max_vertices=6, max_multiplicity=6, extra_edges=2)
+            big = random_blowups(rng, g, 30)[1]
+            reduced = _series_reduction(big, g.vertex_ids)
+            assert reduced.vertices == g.vertices
+            assert shape(reduced) == shape(_series_reduction(g, g.vertex_ids))
 
 
 def networkx_point_distances(graph, points):

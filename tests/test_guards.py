@@ -209,6 +209,13 @@ GUARDS = [
      "blow-up target must be a non-empty string, got 5"),
     ("blowup-target-empty", lambda: sk.BlowUpStep("node", ""), GSE,
      "blow-up target must be a non-empty string, got ''"),
+    ("blow-up-interior-target-list", lambda: sk.blow_up_interior_point(
+        sk.fixtures.kodaira_type_ii(), ["a"]), UEE, "unknown vertex ['a']"),
+    ("blow-up-interior-with-data-target-list", lambda: sk.blow_up_interior_with_data(
+        sk.fixtures.kodaira_type_ii(), sk.fixtures.kodaira_type_ii_data(), ["v1"]), UEE,
+     "unknown vertex ['v1']"),
+    ("blow-up-node-target-list", lambda: sk.blow_up_node(sk.fixtures.kodaira_type_ii(), ["e0"]),
+     UEE, "unknown edge ['e0']"),
     ("blowup-step-tuple", lambda: _blowups(("node", "e0")), GSE,
      "blow-up step 1 is not a BlowUpStep: ('node', 'e0')"),
     ("blowup-step-none", lambda: _blowups(None), GSE, "blow-up step 1 is not a BlowUpStep: None"),

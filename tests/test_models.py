@@ -237,6 +237,81 @@ class TestVerifyMetricInvariance:
                                         "d(v2,v3): 5/36 -> 7/36",
                                         "d(v3,v4): 1/18 -> 1/9")
 
+    # kodaira-II is the star v4 (N 6) with leaves v1, v2, v3 (N 1, 2, 3)
+    # at 1/6, 1/12, 1/18.  Each case below applies the true blow-ups and
+    # changes one thing in the result, which the check reads through its
+    # series reduction.
+
+    @staticmethod
+    def check_changed(monkeypatch, steps, change):
+        real = sk.models.apply_blowups
+
+        def changed(graph, seq):
+            return change(real(graph, seq))
+
+        monkeypatch.setattr("skelgraph.models.apply_blowups", changed)
+        return sk.verify_metric_invariance(sk.fixtures.kodaira_type_ii(), steps)
+
+    @staticmethod
+    def stretch(ends, factor):
+        """The graph with the edge joining ``ends`` made ``factor`` times longer."""
+        def change(g):
+            assert sum({e.a, e.b} == set(ends) for e in g.edges) == 1, ends
+            return g.replace(edges=[(e.a, e.b, factor * g.edge_length(e.id)
+                                     if {e.a, e.b} == set(ends) else e.length)
+                                    for e in g.edges])
+        return change
+
+    def test_lengthened_piece_of_a_subdivided_edge_is_reported(self, monkeypatch):
+        # e2 = v3-v4 becomes v3 -1/27- e2* -1/54- v4, and e2* hangs a leaf;
+        # the piece at v3 doubled moves d(v3, v4) from 1/18 to 5/54
+        steps = [BlowUpStep("node", "e2"), BlowUpStep("interior", "e2*")]
+        report = self.check_changed(monkeypatch, steps, self.stretch(("v3", "e2*"), 2))
+        assert not report and report.checked_pairs == 6
+        assert report.discrepancies == ("d(v1,v3): 2/9 -> 7/27",
+                                        "d(v2,v3): 5/36 -> 19/108",
+                                        "d(v3,v4): 1/18 -> 5/54")
+
+    def test_lengthened_edge_of_a_hanging_tree_is_not_reported(self, monkeypatch):
+        steps = [BlowUpStep("interior", "v1"), BlowUpStep("interior", "v1'"),
+                 BlowUpStep("node", "e0"), BlowUpStep("interior", "e0*")]
+        for ends in (("v1", "v1'"), ("v1'", "v1''"), ("e0*", "e0*'")):
+            report = self.check_changed(monkeypatch, steps, self.stretch(ends, 5))
+            assert report.ok and report.checked_pairs == 6 and report.discrepancies == ()
+
+    def test_shortcut_between_original_vertices_is_reported(self, monkeypatch):
+        def shortcut(g):
+            return g.replace(edges=[*g.edges, ("v1", "v2", F(1, 100))])
+
+        report = self.check_changed(monkeypatch, [BlowUpStep("node", "e0")], shortcut)
+        assert not report
+        assert report.discrepancies == ("d(v1,v2): 1/4 -> 1/100",
+                                        "d(v1,v3): 2/9 -> 67/450",
+                                        "d(v1,v4): 1/6 -> 7/75")
+
+    def test_reader_call_counts(self, monkeypatch, rng):
+        from skelgraph.sampling import random_graph
+        calls = {"distance": [], "vertex_distances": []}
+        for name in calls:
+            real = getattr(sk.models, name)
+
+            def counted(graph, *args, _real=real, _name=name):
+                calls[_name].append(graph)
+                return _real(graph, *args)
+
+            monkeypatch.setattr(f"skelgraph.models.{name}", counted)
+        for _ in range(5):
+            g = random_graph(rng, max_vertices=7, max_multiplicity=6)
+            seq, _ = random_blowups(rng, g, 20)
+            for seen in calls.values():
+                seen.clear()
+            assert sk.verify_metric_invariance(g, seq).ok
+            n = len(g.vertex_ids)
+            assert len(calls["distance"]) == n * (n - 1) // 2
+            assert calls["vertex_distances"] == [g] * (n - 1)
+            # distance reads the reduced graph: the original vertices, not the blown-up ones
+            assert all(h.vertex_ids == g.vertex_ids for h in calls["distance"])
+
 
 # the slots a graph is built with, and the values it keeps on first read
 BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_adjacency",
