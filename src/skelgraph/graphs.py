@@ -426,23 +426,23 @@ class WeightedDualGraph:
     def vertex(self, vid: str) -> VertexLabel:
         try:
             return self._vertices[vid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownElementError(f"unknown vertex {vid!r}") from None
 
     def edge(self, eid: str) -> Edge:
         try:
             return self._edge_index[eid]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownElementError(f"unknown edge {eid!r}") from None
 
     def ray(self, label: str) -> Ray:
         try:
             return self._ray_index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownElementError(f"unknown ray {label!r}") from None
 
     def has_vertex(self, vid: str) -> bool:
-        return vid in self._vertices
+        return isinstance(vid, str) and vid in self._vertices
 
     def edges_at(self, vid: str) -> tuple[Edge, ...]:
         self.vertex(vid)
@@ -463,7 +463,10 @@ class WeightedDualGraph:
     def edge_length(self, eid: str) -> Fraction:
         """Exact length of an edge: its explicit length if it has one,
         else the formula of the graph's metric."""
-        ell = self._lengths.get(eid)
+        try:
+            ell = self._lengths.get(eid)
+        except TypeError:  # an unhashable id, which self.edge names
+            ell = None
         if ell is None:
             e = self.edge(eid)
             ell = e.length
@@ -649,6 +652,23 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
         self_int = -crossing[v.id] / v.multiplicity
         total += v.multiplicity * (2 * v.genus - 2 - self_int)
     return 1 + total / 2
+
+
+def _bivalent_run(graph: WeightedDualGraph, v: str, e: Edge, through):
+    """Cross the edge ``e`` from its end ``v``, then pass each vertex w with
+    two edge ends (rays ignored, a loop counting twice) and ``through(w)``
+    by its other edge.  Return the vertices passed, the edge ids taken from
+    ``e.id`` on, and the stop vertex.  ``e`` is on no cycle of 2-valent
+    vertices: a walk from a leaf cannot return, and one from a bridge meets
+    only bridges (a 2-valent vertex's other edge), which form a forest."""
+    passed, taken = [], [e.id]
+    w = e.b if e.a == v else e.a
+    while graph.valency(w, include_rays=False) == 2 and through(w):
+        passed.append(w)
+        e = next(t for t in graph.edges_at(w) if t.id != e.id)
+        taken.append(e.id)
+        w = e.b if e.a == w else e.a
+    return passed, taken, w
 
 
 def _steps(graph: WeightedDualGraph) -> tuple[int, list[tuple[str, str, int]]]:
@@ -874,6 +894,8 @@ def subdivide_edge_at(graph: WeightedDualGraph, eid: str, position: Rational,
         raise InvalidPointError(
             f"subdivision position {position} not interior to (0, {ell})"
         )
+    if not isinstance(new_label, VertexLabel):
+        raise GraphStructureError(f"new vertex must be a VertexLabel, got {new_label!r:.80}")
     if graph.has_vertex(new_label.id):
         raise GraphStructureError(f"vertex id {new_label.id!r} already exists")
     return split_edges(graph, {eid: [(position, new_label)]})

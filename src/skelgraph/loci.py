@@ -44,7 +44,8 @@ class SubgraphLocus:
             vset.add(v)
         per_edge: dict[str, list[Segment]] = {}
         for eid in whole_edges:
-            per_edge.setdefault(eid, []).append((Fraction(0), graph.edge_length(eid)))
+            whole = (Fraction(0), graph.edge_length(eid))  # names a bad id before hashing it
+            per_edge.setdefault(eid, []).append(whole)
         seg_items = segments.items() if hasattr(segments, "items") else segments
         for eid, segs in seg_items:
             for a, b in segs:

@@ -126,9 +126,12 @@ def base_change_subdivide(graph: WeightedDualGraph, n: int,
         raise GraphStructureError(f"base-change degree must be an integer, got {n!r:.80}")
     if n < 1:
         raise GraphStructureError(f"base-change degree must be >= 1, got {n}")
+    if residue_char is not None and (type(residue_char) is not int or residue_char < 0):
+        raise GraphStructureError(
+            f"residue characteristic must be None or an integer >= 0, got {residue_char!r:.80}")
     if not graph.is_reduced():
         raise GraphStructureError("base_change_subdivide requires a reduced graph")
-    if residue_char is not None and residue_char > 0 and math.gcd(n, residue_char) != 1:
+    if residue_char and math.gcd(n, residue_char) != 1:
         raise GraphStructureError(
             f"degree {n} is not coprime to the residue characteristic {residue_char}"
         )

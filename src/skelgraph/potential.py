@@ -83,6 +83,7 @@ from .graphs import (
     Rational,
     WeightedDualGraph,
     _ZERO,
+    _bivalent_run,
     refine,
 )
 from .loci import SubgraphLocus
@@ -385,7 +386,7 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
     """Repeated ids count once; the first unknown id, in the order given, raises."""
-    edges = [graph.edge(eid) for eid in dict.fromkeys(edge_ids)]
+    edges = list({eid: graph.edge(eid) for eid in edge_ids}.values())
     if len(edges) != len(graph.vertex_ids) - 1:
         return False
     parent = {v: v for v in graph.vertex_ids}
@@ -683,33 +684,19 @@ class BridgeChain:
 
 def maximal_bridge_chains(graph: WeightedDualGraph) -> list[BridgeChain]:
     """Decompose the bridge set into maximal chains: consecutive bridges
-    share a vertex of valency two."""
-    br = bridges(graph)
-    unused = set(br)
+    share a vertex of valency two.  Each is walked both ways from its least
+    bridge e, and runs from ``endpoints[0]``, on the side of ``e.a``."""
+    unused = set(bridges(graph))
     chains = []
-    for seed in sorted(br):
+    for seed in sorted(unused):
         if seed not in unused:
             continue
-        unused.discard(seed)
         e = graph.edge(seed)
-        chain = deque([seed])
-        ends = []
-        for start_v in (e.a, e.b):
-            v = start_v
-            prev = seed
-            while graph.valency(v, include_rays=False) == 2:
-                # v's other edge is a bridge too, and bridges form a
-                # forest, so the walk only meets unused bridges
-                nxt = next(t for t in graph.edges_at(v) if t.id != prev)
-                unused.discard(nxt.id)
-                if start_v == e.a:
-                    chain.appendleft(nxt.id)
-                else:
-                    chain.append(nxt.id)
-                v = nxt.b if nxt.a == v else nxt.a
-                prev = nxt.id
-            ends.append(v)
-        chains.append(BridgeChain(edges=tuple(chain), endpoints=(ends[0], ends[1])))
+        _, back, back_end = _bivalent_run(graph, e.b, e, lambda w: True)
+        _, ahead, ahead_end = _bivalent_run(graph, e.a, e, lambda w: True)
+        unused.difference_update(back, ahead)
+        chains.append(BridgeChain(edges=(*reversed(back), *ahead[1:]),
+                                  endpoints=(back_end, ahead_end)))
     return chains
 
 

@@ -1,10 +1,13 @@
 """Tails, combinatorial and essential skeleta, the canonical-form
 locus, and the potential-theoretic witness constructions.
 
-A tail is a chain of genus-0 vertices ending in a 1-valent one; a
-maximal tail starts at a vertex of valency at least 3 or of positive
-genus.  The combinatorial skeleton contracts every maximal tail to its
-starting point, exactly once.  For the minimal model of a curve of
+A tail is a chain of genus-0 vertices, 2-valent but for its 1-valent
+end (rays ignored); a maximal tail starts at a vertex of valency at
+least 3 or of positive genus.  ``find_maximal_tails`` walks each from
+its leaf with ``graphs._bivalent_run``, the walk that
+``potential.maximal_bridge_chains`` runs along bridges.  The
+combinatorial skeleton contracts every maximal tail to its starting
+point, exactly once.  For the minimal model of a curve of
 positive total genus this computes the essential skeleton.
 
 The witness constructions realize, by exact chip-firing and Poisson
@@ -28,6 +31,7 @@ from .errors import GraphStructureError, PipelineError, SkelgraphError
 from .graphs import (
     VertexLabel,
     WeightedDualGraph,
+    _bivalent_run,
     curve_genus,
     graph_genus,
 )
@@ -51,28 +55,18 @@ from .potential import (
 
 
 def find_maximal_tails(graph: WeightedDualGraph) -> list[tuple[str, ...]]:
-    """All maximal tails, each reported starting-point first.  Rays are
-    ignored for valency; the graph must be loop-free."""
+    """All maximal tails, in their leaves' order, each reported from its
+    starting point.  Rays are ignored for valency; the graph must be loop-free."""
     if not graph.is_loop_free():
         raise GraphStructureError("tails are defined on loop-free graphs")
 
-    def val(v):
-        return graph.valency(v, include_rays=False)
-
     tails = []
     for v in graph.vertex_ids:
-        if val(v) != 1 or graph.vertex(v).genus != 0:
-            continue
-        chain = [v]
-        prev_edge = graph.edges_at(v)[0]
-        cur = prev_edge.b if prev_edge.a == v else prev_edge.a
-        while val(cur) == 2 and graph.vertex(cur).genus == 0:
-            chain.append(cur)
-            nxt = next(e for e in graph.edges_at(cur) if e.id != prev_edge.id)
-            prev_edge = nxt
-            cur = nxt.b if nxt.a == cur else nxt.a
-        if val(cur) >= 3 or graph.vertex(cur).genus > 0:
-            tails.append(tuple([cur] + list(reversed(chain))))
+        if graph.valency(v, include_rays=False) == 1 and graph.vertex(v).genus == 0:
+            passed, _, end = _bivalent_run(graph, v, graph.edges_at(v)[0],
+                                           lambda w: graph.vertex(w).genus == 0)
+            if graph.valency(end, include_rays=False) >= 3 or graph.vertex(end).genus > 0:
+                tails.append((end, *reversed(passed), v))
     return tails
 
 
@@ -209,6 +203,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     div(f) = D - K.  Asserts min_locus(f) = Z(T, e); a given T must
     span, and is checked in the order given."""
     _require_maximally_degenerate(graph, "witness_cycle")
+    graph.edge(eid)
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
     if tree is not None and iter(tree) is tree:  # an iterator, read once

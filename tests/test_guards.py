@@ -412,6 +412,41 @@ GUARDS = [
      UEE, "edge endpoints (['u'], 'u') not in graph"),
     ("data-mixed-horizontal-edges", lambda: dataclasses.replace(
         _data(), horizontal_edges=["zz", 1]).validate_on(_pair()), UEE, "unknown edge 1"),
+    ("graph-vertex-unhashable-id", lambda: sk.fixtures.theta_graph().vertex(["u"]), UEE,
+     "unknown vertex ['u']"),
+    ("graph-edge-unhashable-id", lambda: sk.fixtures.theta_graph().edge(["e0"]), UEE,
+     "unknown edge ['e0']"),
+    ("graph-ray-unhashable-label", lambda: sk.fixtures.theta_graph().ray(["r"]), UEE,
+     "unknown ray ['r']"),
+    ("graph-edge-length-unhashable-id", lambda: sk.fixtures.theta_graph().edge_length(["e0"]),
+     UEE, "unknown edge ['e0']"),
+    ("graph-valency-unhashable-id", lambda: sk.fixtures.theta_graph().valency(["u"]), UEE,
+     "unknown vertex ['u']"),
+    ("vertex-distances-unhashable-source", lambda: sk.vertex_distances(
+        sk.fixtures.theta_graph(), ["u"]), UEE, "unknown vertex ['u']"),
+    ("spanning-tree-unhashable-id", lambda: sk.is_spanning_tree(
+        sk.fixtures.theta_graph(), [["e0"]]), UEE, "unknown edge ['e0']"),
+    ("fundamental-cycle-unhashable-edge", lambda: sk.fundamental_cycle(
+        sk.fixtures.theta_graph(), ["e1"], ["e0"]), UEE, "unknown edge ['e0']"),
+    ("locus-unhashable-whole-edge", lambda: sk.SubgraphLocus(
+        sk.fixtures.theta_graph(), whole_edges=[["e0"]]), UEE, "unknown edge ['e0']"),
+    ("blow-up-node-unhashable-edge", lambda: sk.blow_up_node_with_data(
+        sk.fixtures.kodaira_type_ii(), sk.fixtures.kodaira_type_ii_data(), ["e0"]), UEE,
+     "unknown edge ['e0']"),
+    ("witness-cycle-unhashable-edge", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), ["e0"]), UEE, "unknown edge ['e0']"),
+    ("base-change-string-residue-char", lambda: sk.base_change_subdivide(
+        sk.fixtures.theta_graph(), 2, residue_char="3"), GSE,
+     "residue characteristic must be None or an integer >= 0, got '3'"),
+    ("base-change-float-residue-char", lambda: sk.base_change_subdivide(
+        sk.fixtures.theta_graph(), 2, residue_char=2.0), GSE,
+     "residue characteristic must be None or an integer >= 0, got 2.0"),
+    ("base-change-negative-residue-char", lambda: sk.base_change_subdivide(
+        sk.fixtures.theta_graph(), 3, residue_char=-3), GSE,
+     "residue characteristic must be None or an integer >= 0, got -3"),
+    ("subdivide-string-label", lambda: sk.subdivide_edge_at(
+        sk.fixtures.theta_graph(), "e0", F(1, 2), "w"), GSE,
+     "new vertex must be a VertexLabel, got 'w'"),
 ]
 
 
@@ -421,6 +456,10 @@ def test_guard_raises_typed_error(build, error, message):
     with pytest.raises(error, match=re.escape(message)) as raised:
         build()
     assert type(raised.value) is error
+
+
+def test_has_vertex_answers_false_on_an_unhashable_id():
+    assert sk.fixtures.theta_graph().has_vertex(["u"]) is False
 
 
 # Each call names the unknown tree ids zz, yy, xx (horizontal edges for

@@ -1540,6 +1540,16 @@ class TestMaximalBridgeChains:
         assert len(chains[0].edges) == 3
         assert set(chains[0].endpoints) == {"l0", "r0"}
 
+    def test_chain_orientation(self):
+        """Each chain grows from its least bridge e, and runs from the
+        end on the side of e.a to the end on the side of e.b."""
+        chains = sk.maximal_bridge_chains(sk.fixtures.triangle_chain(3, bridge_len=3))
+        assert [(c.edges, c.endpoints) for c in chains] == [
+            (("e9", "e10", "e11"), ("t0v1", "t1v0")),
+            (("e14", "e13", "e12"), ("t2v0", "t1v1"))]
+        chains = sk.maximal_bridge_chains(sk.fixtures.dumbbell(3))
+        assert [(c.edges, c.endpoints) for c in chains] == [(("e6", "e7", "e8"), ("l0", "r0"))]
+
     def test_triangle_chain_two_chains(self):
         g = sk.fixtures.triangle_chain(3, bridge_len=2)
         chains = sk.maximal_bridge_chains(g)

@@ -1,9 +1,11 @@
 """Tails, skeleta, canonical-form locus, witness constructions."""
 
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import (
@@ -11,7 +13,7 @@ from skelgraph import (
     VertexLabel as V,
     WeightedDualGraph,
 )
-from conftest import brute_bridges, brute_min_points
+from conftest import brute_bridges, brute_min_points, random_blowups, random_multigraph
 
 
 class TestMaximalTails:
@@ -41,6 +43,61 @@ class TestMaximalTails:
             edges=[("a", "hub"), ("b", "hub"), ("c", "hub"), ("c", "c2")])
         tails = sorted(sk.find_maximal_tails(g))
         assert ("hub", "c", "c2") in tails
+
+    @staticmethod
+    def random_loop_free(rng):
+        """A random loop-free graph: genus labels and extra edges, or
+        parallel edges and rays; half of them blown up a few times."""
+        from skelgraph.sampling import random_graph
+        if rng.random() < 0.5:
+            g = random_graph(rng, max_vertices=8, max_multiplicity=3, max_genus=1,
+                             extra_edges=rng.randint(0, 2))
+        else:
+            g = random_multigraph(rng, max_vertices=6, extra=2, loops=0,
+                                  rays=rng.randint(0, 2), lengths=False)
+            while not g.is_loop_free():  # an extra edge may join a vertex to itself
+                g = random_multigraph(rng, max_vertices=6, extra=2, loops=0,
+                                      rays=rng.randint(0, 2), lengths=False)
+        if rng.random() < 0.5:
+            g = random_blowups(rng, g, steps=rng.randint(1, 6))[1]
+        return g
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_tails_are_the_maximal_runs_from_the_leaves(self, seed):
+        g = self.random_loop_free(random.Random(seed))
+
+        def val(v):
+            return g.valency(v, include_rays=False)
+
+        def rational(v):
+            return g.vertex(v).genus == 0
+
+        tails = sk.find_maximal_tails(g)
+        for s, *inner, leaf in tails:
+            walk = [s, *inner, leaf]
+            for x, y in zip(walk, walk[1:]):
+                assert any({e.a, e.b} == {x, y} for e in g.edges_at(x))
+            assert val(leaf) == 1 and rational(leaf)
+            assert all(val(v) == 2 and rational(v) for v in inner)
+            assert val(s) >= 3 or not rational(s)
+        removed = [v for t in tails for v in t[1:]]
+        starts = {t[0] for t in tails}
+        assert len(removed) == len(set(removed)) and not starts & set(removed)
+        leaves = [t[-1] for t in tails]
+        genus0_path = all(rational(v) and val(v) <= 2 for v in g.vertex_ids)
+        wanted = [] if genus0_path else [v for v in g.vertex_ids if val(v) == 1 and rational(v)]
+        assert leaves == wanted
+
+        if any(r.attach in removed for r in g.rays):
+            with pytest.raises(sk.GraphStructureError, match="attaches to the contracted"):
+                sk.combinatorial_skeleton(g)
+            return
+        skeleton = sk.combinatorial_skeleton(g)
+        assert skeleton.vertices == tuple(v for v in g.vertices if v.id not in removed)
+        assert [(e.a, e.b, e.length) for e in skeleton.edges] == [
+            (e.a, e.b, e.length) for e in g.edges if e.a not in removed and e.b not in removed]
+        assert skeleton.rays == g.rays
 
 
 class TestCombinatorialSkeleton:
