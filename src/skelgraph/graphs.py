@@ -449,6 +449,7 @@ class WeightedDualGraph:
         return tuple(self._edge_index[eid] for eid in self._adjacency[vid])
 
     def rays_at(self, vid: str) -> tuple[Ray, ...]:
+        self.vertex(vid)
         return tuple(r for r in self._rays if r.attach == vid)
 
     def valency(self, vid: str, include_rays: bool = True) -> int:
@@ -491,18 +492,8 @@ class WeightedDualGraph:
             and self.is_loop_free()
 
     def _is_connected(self) -> bool:
-        ids = list(self._vertices)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            v = stack.pop()
-            for eid in self._adjacency[v]:
-                e = self._edge_index[eid]
-                w = e.b if e.a == v else e.a
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(ids)
+        return len(_search(self, next(iter(self._vertices)), self._edge_index)) \
+            == len(self._vertices)
 
     # -- construction helpers -------------------------------------------
 
@@ -563,6 +554,8 @@ class WeightedDualGraph:
         return out
 
     def fresh_vertex_id(self, stem: str) -> str:
+        if not isinstance(stem, str) or not stem:
+            raise GraphStructureError(f"vertex id must be a non-empty string, got {stem!r:.80}")
         return fresh_id(self._vertices, stem)
 
     # -- points ----------------------------------------------------------
@@ -605,7 +598,10 @@ class WeightedDualGraph:
     def midpoint(self, eid: str) -> GraphPoint:
         """The point halfway along an edge: the same object on every call,
         built on the first one and kept by the graph."""
-        p = self._midpoints.get(eid)
+        try:
+            p = self._midpoints.get(eid)
+        except TypeError:  # an unhashable id, which self.edge_length names
+            p = None
         if p is None:
             p = self._midpoints[eid] = GraphPoint("edge", eid, self.edge_length(eid) / 2)
         return p
@@ -652,6 +648,27 @@ def curve_genus(graph: WeightedDualGraph) -> Fraction:
         self_int = -crossing[v.id] / v.multiplicity
         total += v.multiplicity * (2 * v.genus - 2 - self_int)
     return 1 + total / 2
+
+
+def _search(graph: WeightedDualGraph, root: str, usable) -> dict:
+    """``{w: (v, edge id)}`` for each vertex w reached from ``root`` along
+    the edges whose ids are in ``usable`` (any container), with v the
+    vertex w was first reached from, and ``root`` mapped to None.  The
+    search is depth first, marks a vertex when it pushes it and takes
+    each vertex's edges in id-string order (``e10`` before ``e2``)."""
+    via = {root: None}
+    stack = [root]
+    index = graph._edge_index
+    while stack:
+        v = stack.pop()
+        for eid in sorted(graph._adjacency[v]):
+            if eid in usable:
+                e = index[eid]
+                w = e.b if e.a == v else e.a
+                if w not in via:
+                    via[w] = (v, eid)
+                    stack.append(w)
+    return via
 
 
 def _bivalent_run(graph: WeightedDualGraph, v: str, e: Edge, through):

@@ -4,6 +4,10 @@ Laplacians of piecewise-linear functions, canonical divisors of
 labelled graphs, exact Poisson solving, reduced divisors by borrowing,
 then Dhar burning, bridges, spanning trees and fundamental cycles, and
 the two min-locus lemma checkers used by the witness constructions.
+The spanning tree, the tree check and the tree paths behind bridges and
+fundamental cycles are all read off one depth-first search,
+``graphs._search``, the one the graph constructor checks connectivity
+with.
 
 Poisson solving and reduction both run on one integer layout, built by
 ``graphs.refine`` at the interior points they are given and described
@@ -61,7 +65,6 @@ needs no linear algebra.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,6 +79,7 @@ from .errors import (
     LoopsPresentError,
     MinimumNotAttainedError,
     PipelineError,
+    UnknownElementError,
 )
 from .graphs import (
     GraphPoint,
@@ -84,6 +88,7 @@ from .graphs import (
     WeightedDualGraph,
     _ZERO,
     _bivalent_run,
+    _search,
     refine,
 )
 from .loci import SubgraphLocus
@@ -385,48 +390,28 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
 
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
-    """Repeated ids count once; the first unknown id, in the order given, raises."""
-    edges = list({eid: graph.edge(eid) for eid in edge_ids}.values())
-    if len(edges) != len(graph.vertex_ids) - 1:
-        return False
-    parent = {v: v for v in graph.vertex_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    """V - 1 edges that reach every vertex (a loop or a cycle among them
+    leaves one unreached).  Repeated ids count once; the first unknown
+    id, in the order given, raises."""
+    edges = {eid: graph.edge(eid) for eid in edge_ids}
+    ids = graph.vertex_ids
+    return len(edges) == len(ids) - 1 and len(_search(graph, ids[0], edges)) == len(ids)
 
 
 def spanning_tree(graph: WeightedDualGraph,
                   avoid: Iterable[str] = ()) -> frozenset[str]:
-    """A deterministic spanning tree (DFS from the smallest vertex,
-    edges in id order), optionally avoiding the given edge ids, each of
-    which must name an edge."""
+    """A deterministic spanning tree: the edges by which a depth-first
+    search from the smallest vertex, taking each vertex's edges in
+    id-string order, first reaches each other vertex.  It uses no edge
+    of ``avoid``, each of which must name an edge."""
     avoid = {graph.edge(eid).id for eid in avoid}
-    tree: set[str] = set()
-    seen = {graph.vertex_ids[0]}
-    stack = [graph.vertex_ids[0]]
-    while stack:
-        v = stack.pop()
-        for e in sorted(graph.edges_at(v), key=lambda e: e.id):
-            if e.id in avoid:
-                continue
-            w = e.b if e.a == v else e.a
-            if w not in seen:
-                seen.add(w)
-                tree.add(e.id)
-                stack.append(w)
-    if len(seen) != len(graph.vertex_ids):
+    ids = graph.vertex_ids
+    via = _search(graph, ids[0], graph._edge_index.keys() - avoid)
+    if len(via) != len(ids):
         raise GraphStructureError("no spanning tree avoids the given edges")
-    return frozenset(tree)
+    # built as a set and copied: a frozenset made straight from the
+    # generator can iterate in another order
+    return frozenset({step[1] for step in via.values() if step})
 
 
 def all_spanning_trees(graph: WeightedDualGraph) -> list[frozenset[str]]:
@@ -440,30 +425,14 @@ def all_spanning_trees(graph: WeightedDualGraph) -> list[frozenset[str]]:
 
 def _tree_path(graph, tree, a, b):
     """The vertices and the edges of the path from b to a along the edge
-    ids in ``tree``, in that order, by BFS from a (for a = b, just [a])."""
-    prev: dict[str, tuple[str, str]] = {}
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        v = queue.popleft()
-        if v == b:
-            break
-        for t in graph.edges_at(v):
-            if t.id not in tree:
-                continue
-            w = t.b if t.a == v else t.a
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (v, t.id)
-                queue.append(w)
-    path_edges = []
-    path_vertices = [b]
-    v = b
-    while v != a:
-        u, teid = prev[v]
+    ids in ``tree``, in that order: the path a search from a reached b
+    by, the only one in a tree (for a = b, just [a])."""
+    via = _search(graph, a, tree)
+    path_vertices, path_edges = [b], []
+    while b != a:
+        b, teid = via[b]
         path_edges.append(teid)
-        path_vertices.append(u)
-        v = u
+        path_vertices.append(b)
     return path_vertices, path_edges
 
 
@@ -700,6 +669,20 @@ def maximal_bridge_chains(graph: WeightedDualGraph) -> list[BridgeChain]:
     return chains
 
 
+def _maximal_chain(graph: WeightedDualGraph, chain: BridgeChain) -> Optional[BridgeChain]:
+    """The maximal bridge chain of the graph with ``chain``'s edges and
+    endpoints, each in any order, or None if there is none."""
+    if not isinstance(chain, BridgeChain):
+        raise GraphStructureError(f"chain must be a BridgeChain, got {chain!r:.80}")
+    for kind, ids in (("edge", chain.edges), ("vertex", chain.endpoints)):
+        for x in ids:
+            if not isinstance(x, str):
+                raise UnknownElementError(f"unknown {kind} {x!r:.80}")
+    edges, endpoints = set(chain.edges), set(chain.endpoints)
+    return next((c for c in maximal_bridge_chains(graph)
+                 if edges == set(c.edges) and endpoints == set(c.endpoints)), None)
+
+
 # -- lemma checkers ---------------------------------------------------------------
 
 
@@ -776,9 +759,7 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
         yield "loop-free", graph.is_loop_free()
         yield "no-1-valent", not any(graph.valency(v, include_rays=False) == 1
                                      for v in graph.vertex_ids)
-        yield "maximal-bridge-chain", any(
-            set(chain.edges) == set(c.edges) and set(chain.endpoints) == set(c.endpoints)
-            for c in maximal_bridge_chains(graph))
+        yield "maximal-bridge-chain", _maximal_chain(graph, chain) is not None
         yield "spanning-tree", is_spanning_tree(graph, tset)
         yield from _witness_hypotheses(graph, D, f, tset)
         v1, v2 = chain.endpoints

@@ -39,6 +39,7 @@ from .loci import SubgraphLocus, union_loci, vertex_locus
 from .plfunction import PLFunction
 from .potential import (
     BridgeChain,
+    _maximal_chain,
     bridges,
     canonical_divisor,
     check_bridge_lemma,
@@ -234,17 +235,16 @@ def witness_bridge_chain(graph: WeightedDualGraph,
             f"genus {g}: a genus-one skeleton is a cycle and has no bridges")
     if any(graph.valency(v, include_rays=False) == 1 for v in graph.vertex_ids):
         raise GraphStructureError("witness_bridge_chain needs no 1-valent vertices")
-    chains = maximal_bridge_chains(graph)
     if chain is None:
+        chains = maximal_bridge_chains(graph)
         if not chains:
             raise GraphStructureError("graph has no bridges")
         chain = chains[0]
     else:
-        matched = [c for c in chains if set(chain.edges) == set(c.edges)
-                   and set(chain.endpoints) == set(c.endpoints)]
-        if not matched:
+        matched = _maximal_chain(graph, chain)
+        if matched is None:
             raise GraphStructureError(f"{chain} is not a maximal bridge chain here")
-        chain = matched[0]
+        chain = matched
 
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective

@@ -114,6 +114,30 @@ class TestGraphGenus:
         with pytest.raises(sk.GraphStructureError):
             WeightedDualGraph(vertices=[V("a"), V("b")])
 
+    def test_connectivity_verdict_matches_networkx(self):
+        """The constructor accepts exactly the edge lists that networkx
+        calls connected, on random edge lists with loops and parallel
+        edges, many of them disconnected."""
+        import networkx as nx
+        rng = random.Random(41)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            vs = [f"v{i}" for i in range(rng.randint(1, 12))]
+            pairs = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 14))]
+            pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2)) if pairs]
+            H = nx.MultiGraph()
+            H.add_nodes_from(vs)
+            H.add_edges_from(pairs)
+            try:
+                WeightedDualGraph([V(v) for v in vs], pairs)
+                connected = True
+            except sk.GraphStructureError as exc:
+                assert str(exc) == "graph must be connected"
+                connected = False
+            assert connected == nx.is_connected(H)
+            verdicts[connected] += 1
+        assert min(verdicts.values()) > 50
+
 
 class TestCurveGenus:
     def test_kodaira_ii_models_elliptic(self):

@@ -63,6 +63,13 @@ def _chain_wrong_endpoints():
                                                      endpoints=("l0", "zz")))
 
 
+def _bridge_lemma(chain):
+    """check_bridge_lemma on dumbbell(2) with a valid witness's T, D and f."""
+    g = sk.fixtures.dumbbell(2)
+    w = sk.witness_bridge_chain(g)
+    return sk.check_bridge_lemma(g, chain, w.tree, w.divisor, w.function)
+
+
 def _short_nu():
     return sk.PluricanonicalModelData(m=1, nu={"v1": 1})
 
@@ -447,6 +454,30 @@ GUARDS = [
     ("subdivide-string-label", lambda: sk.subdivide_edge_at(
         sk.fixtures.theta_graph(), "e0", F(1, 2), "w"), GSE,
      "new vertex must be a VertexLabel, got 'w'"),
+    ("graph-midpoint-unhashable-id", lambda: sk.fixtures.theta_graph().midpoint(["e0"]), UEE,
+     "unknown edge ['e0']"),
+    ("graph-rays-at-unknown-id", lambda: sk.fixtures.theta_graph().rays_at("zz"), UEE,
+     "unknown vertex 'zz'"),
+    ("graph-rays-at-unhashable-id", lambda: sk.fixtures.theta_graph().rays_at(["u"]), UEE,
+     "unknown vertex ['u']"),
+    ("fresh-vertex-id-list-stem", lambda: sk.fixtures.theta_graph().fresh_vertex_id(["u"]),
+     GSE, "vertex id must be a non-empty string, got ['u']"),
+    ("fresh-vertex-id-int-stem", lambda: sk.fixtures.theta_graph().fresh_vertex_id(3), GSE,
+     "vertex id must be a non-empty string, got 3"),
+    ("fresh-vertex-id-empty-stem", lambda: sk.fixtures.theta_graph().fresh_vertex_id(""), GSE,
+     "vertex id must be a non-empty string, got ''"),
+    ("bridge-witness-unhashable-edge", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(2), sk.BridgeChain(edges=(["e6"],), endpoints=("l0", "r0"))),
+     UEE, "unknown edge ['e6']"),
+    ("bridge-witness-unhashable-endpoint", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(2), sk.BridgeChain(edges=("e6", "e7"), endpoints=("l0", ["r0"]))),
+     UEE, "unknown vertex ['r0']"),
+    ("bridge-witness-string-chain", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(2), "e6"), GSE, "chain must be a BridgeChain, got 'e6'"),
+    ("bridge-lemma-unhashable-edge", lambda: _bridge_lemma(
+        sk.BridgeChain(edges=(["e6"],), endpoints=("l0", "r0"))), UEE, "unknown edge ['e6']"),
+    ("bridge-lemma-string-chain", lambda: _bridge_lemma("e6"), GSE,
+     "chain must be a BridgeChain, got 'e6'"),
 ]
 
 

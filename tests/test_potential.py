@@ -1225,6 +1225,39 @@ class TestSpanningTrees:
                 assert not sk.is_spanning_tree(g, [*sorted(trees[0])[1:], loop])
         assert loopy > 20
 
+    def test_spanning_tree_is_the_reference_search(self):
+        """spanning_tree, with and without avoid, is the tree of a plain
+        depth-first search from the first vertex that takes each vertex's
+        edges by id string (e10 before e2) and marks a vertex on push,
+        down to its iteration order; on graphs with at least 11 edges,
+        where id-string order differs from construction order."""
+        from skelgraph.sampling import random_reduced_graph
+
+        def reference(g, avoid=()):
+            start = g.vertex_ids[0]
+            seen, stack, tree = {start}, [start], set()
+            while stack:
+                v = stack.pop()
+                for e in sorted(g.edges_at(v), key=lambda e: e.id):
+                    w = e.b if e.a == v else e.a
+                    if e.id not in avoid and w not in seen:
+                        seen.add(w)
+                        tree.add(e.id)
+                        stack.append(w)
+            return frozenset(tree)
+
+        rng = random.Random(1)
+        drawn = 0
+        while drawn < 40:
+            g = random_reduced_graph(rng, 10, genus=rng.randint(2, 6))
+            if len(g.edges) < 11:
+                continue
+            drawn += 1
+            cut = sk.bridges(g)
+            for avoid in [(), *([e.id] for e in g.edges if e.id not in cut)]:
+                T, R = sk.spanning_tree(g, avoid=avoid), reference(g, avoid)
+                assert T == R and list(T) == list(R)
+
     def test_all_spanning_trees_theta(self):
         g = sk.fixtures.theta_graph()
         assert sorted(sk.all_spanning_trees(g)) == \
