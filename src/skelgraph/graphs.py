@@ -632,22 +632,15 @@ def graph_genus(graph: WeightedDualGraph) -> int:
 
 
 def curve_genus(graph: WeightedDualGraph) -> Fraction:
-    """Genus of the curve the graph models, from adjunction on the
-    special fiber: the self-intersection of each component is pinned by
-    the fiber squaring to zero, E_i^2 = -(1/N_i) sum of the neighbour
-    multiplicities over the nodes on E_i.  Agrees with graph_genus on
-    reduced graphs; integral whenever the labels come from an actual
-    model.  A loop meets its vertex twice, as its resolution by
-    ``resolve_loops`` would, and both give the same genus."""
-    crossing = {v: Fraction(0) for v in graph.vertex_ids}
-    for e in graph.edges:
-        crossing[e.a] += graph.vertex(e.b).multiplicity
-        crossing[e.b] += graph.vertex(e.a).multiplicity
-    total = Fraction(0)
-    for v in graph.vertices:
-        self_int = -crossing[v.id] / v.multiplicity
-        total += v.multiplicity * (2 * v.genus - 2 - self_int)
-    return 1 + total / 2
+    """Genus of the curve the graph models, by adjunction on the special
+    fiber: 2g - 2 = sum_v N_v (val_v + 2 g_v - 2), the sum of
+    ``canonical_divisor``'s coefficients with the rays left out.  Agrees
+    with graph_genus on reduced graphs; integral whenever the labels come
+    from an actual model.  A loop meets its vertex twice, as its
+    resolution by ``resolve_loops`` would, and both give the same genus."""
+    total = sum(v.multiplicity * (graph.valency(v.id, include_rays=False) + 2 * v.genus - 2)
+                for v in graph.vertices)
+    return 1 + Fraction(total, 2)
 
 
 def _search(graph: WeightedDualGraph, root: str, usable) -> dict:

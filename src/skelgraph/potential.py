@@ -638,10 +638,24 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
 
 @dataclass(frozen=True)
 class BridgeChain:
-    """A maximal chain of bridge edges, with its two endpoint vertices."""
+    """A maximal chain of bridge edges, with its two endpoint vertices:
+    a tuple or list of string ids each, of exactly two for the endpoints,
+    checked on construction and kept as given."""
 
     edges: tuple[str, ...]
     endpoints: tuple[str, str]
+
+    def __post_init__(self):
+        if not isinstance(self.edges, (tuple, list)):
+            raise GraphStructureError(
+                f"chain edges must be a tuple or list of edge ids, got {self.edges!r:.80}")
+        if not isinstance(self.endpoints, (tuple, list)) or len(self.endpoints) != 2:
+            raise GraphStructureError("chain endpoints must be a tuple or list of two "
+                                      f"vertex ids, got {self.endpoints!r:.80}")
+        for kind, ids in (("edge", self.edges), ("vertex", self.endpoints)):
+            for x in ids:
+                if not isinstance(x, str):
+                    raise UnknownElementError(f"unknown {kind} {x!r:.80}")
 
     def as_locus(self, graph: WeightedDualGraph) -> SubgraphLocus:
         verts = set(self.endpoints)
@@ -674,10 +688,6 @@ def _maximal_chain(graph: WeightedDualGraph, chain: BridgeChain) -> Optional[Bri
     endpoints, each in any order, or None if there is none."""
     if not isinstance(chain, BridgeChain):
         raise GraphStructureError(f"chain must be a BridgeChain, got {chain!r:.80}")
-    for kind, ids in (("edge", chain.edges), ("vertex", chain.endpoints)):
-        for x in ids:
-            if not isinstance(x, str):
-                raise UnknownElementError(f"unknown {kind} {x!r:.80}")
     edges, endpoints = set(chain.edges), set(chain.endpoints)
     return next((c for c in maximal_bridge_chains(graph)
                  if edges == set(c.edges) and endpoints == set(c.endpoints)), None)

@@ -7,8 +7,10 @@ least 3 or of positive genus.  ``find_maximal_tails`` walks each from
 its leaf with ``graphs._bivalent_run``, the walk that
 ``potential.maximal_bridge_chains`` runs along bridges.  The
 combinatorial skeleton contracts every maximal tail to its starting
-point, exactly once.  For the minimal model of a curve of
-positive total genus this computes the essential skeleton.
+point, exactly once.  For the minimal model of a curve of positive
+genus this computes the essential skeleton; at such a genus every
+genus-0 leaf ends a maximal tail, so the minimality lint and the
+canonical-form locus read their leaves off ``find_maximal_tails``.
 
 The witness constructions realize, by exact chip-firing and Poisson
 solving, the effective divisors whose associated tropical functions
@@ -91,16 +93,14 @@ def combinatorial_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
 
 def _lint_minimality(graph: WeightedDualGraph) -> None:
     """Warn on genus-0 leaves that look like contractible exceptional
-    components: a leaf whose single neighbour has the same multiplicity
-    has self-intersection -1, so the model is presumably not minimal."""
-    for v in graph.vertices:
-        if v.genus != 0 or graph.valency(v.id, include_rays=False) != 1:
-            continue
-        e = graph.edges_at(v.id)[0]
-        other = e.b if e.a == v.id else e.a
-        if graph.vertex(other).multiplicity == v.multiplicity:
+    components (a leaf whose single neighbour has the same multiplicity
+    has self-intersection -1).  At curve genus >= 1 each genus-0 leaf
+    ends a maximal tail; else the graph would be a genus-0 path, of
+    curve genus 1 - (N_first + N_last)/2 <= 0."""
+    for *_, other, leaf in find_maximal_tails(graph):
+        if graph.vertex(other).multiplicity == graph.vertex(leaf).multiplicity:
             warnings.warn(
-                f"leaf {v.id!r} looks like a contractible exceptional "
+                f"leaf {leaf!r} looks like a contractible exceptional "
                 "component; is this really the minimal model?",
                 stacklevel=3,
             )
@@ -113,10 +113,11 @@ def essential_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
     warning is emitted when a leaf pattern suggests otherwise.  The
     total genus must be positive.  When the input has no tails, the
     result is the input itself."""
-    if curve_genus(graph) < 1:
+    genus = curve_genus(graph)
+    if genus < 1:
         raise GraphStructureError(
             "essential skeleton needs a curve of genus >= 1; "
-            f"the graph models genus {curve_genus(graph)}"
+            f"the graph models genus {genus}"
         )
     _lint_minimality(graph)
     return combinatorial_skeleton(graph)
@@ -124,19 +125,21 @@ def essential_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
 
 def canonical_form_locus(graph: WeightedDualGraph) -> SubgraphLocus:
     """Union of all closed non-bridge edges and all positive-genus
-    vertices of a reduced, loop-free, minimal-semistable-shaped graph."""
+    vertices of a reduced, loop-free, minimal-semistable-shaped graph.
+    A genus-0 leaf is refused; each ends a maximal tail, as curve genus
+    = graph genus >= 1 here (see ``_lint_minimality``)."""
     if not graph.is_reduced():
         raise GraphStructureError("canonical-form locus is defined for reduced graphs")
     if not graph.is_loop_free():
         raise GraphStructureError("canonical-form locus needs a loop-free graph")
     if graph_genus(graph) < 1:
         raise GraphStructureError("canonical-form locus needs total genus >= 1")
-    for v in graph.vertices:
-        if v.genus == 0 and graph.valency(v.id, include_rays=False) == 1:
-            raise GraphStructureError(
-                f"1-valent genus-0 vertex {v.id!r}: not the shape of a minimal "
-                "semistable model"
-            )
+    tails = find_maximal_tails(graph)
+    if tails:
+        raise GraphStructureError(
+            f"1-valent genus-0 vertex {tails[0][-1]!r}: not the shape of a minimal "
+            "semistable model"
+        )
     cut_edges = bridges(graph)
     non_bridges = [e.id for e in graph.edges if e.id not in cut_edges]
     vertices = set()

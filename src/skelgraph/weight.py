@@ -53,7 +53,12 @@ class PluricanonicalModelData:
         if self.m < 1:
             raise GraphStructureError(f"m must be >= 1, got {self.m}")
         for name in ("nu", "ray_degrees"):
-            table = dict(getattr(self, name))
+            given = getattr(self, name)
+            try:
+                table = dict(given)
+            except (TypeError, ValueError):
+                raise GraphStructureError(
+                    f"{name} must be a mapping of ids to integers, got {given!r:.80}") from None
             for key, x in table.items():
                 if type(x) is not int:
                     raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
@@ -62,7 +67,13 @@ class PluricanonicalModelData:
             raise GraphStructureError(
                 f"horizontal_edges must be a collection of edge ids, "
                 f"not the string {self.horizontal_edges!r:.80}")
-        object.__setattr__(self, "horizontal_edges", frozenset(self.horizontal_edges))
+        try:
+            horizontal = frozenset(self.horizontal_edges)
+        except TypeError:
+            raise GraphStructureError(
+                f"horizontal_edges must be a collection of edge ids, "
+                f"got {self.horizontal_edges!r:.80}") from None
+        object.__setattr__(self, "horizontal_edges", horizontal)
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
         """The data, checked against the graph.  The horizontal edges are

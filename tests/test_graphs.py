@@ -139,6 +139,14 @@ class TestGraphGenus:
         assert min(verdicts.values()) > 50
 
 
+def test_repr_names_the_counts_and_metric():
+    assert repr(sk.fixtures.theta_graph()) == (
+        "<WeightedDualGraph 'theta': 2 vertices, 3 edges, 0 rays, model>")
+    g = WeightedDualGraph(vertices=[V("u"), V("v")], edges=[("u", "v")],
+                          rays=[sk.Ray("u", "x")], metric="stable")
+    assert repr(g) == "<WeightedDualGraph: 2 vertices, 1 edges, 1 rays, stable>"
+
+
 class TestCurveGenus:
     def test_kodaira_ii_models_elliptic(self):
         assert sk.curve_genus(sk.fixtures.kodaira_type_ii()) == 1
@@ -178,6 +186,63 @@ class TestCurveGenus:
 
         monkeypatch.setattr(sk.graphs, "resolve_loops", no_graph)
         assert [sk.curve_genus(g) for g in graphs] == want
+
+    @staticmethod
+    def _relabel(rng, g, max_multiplicity=9, max_genus=3):
+        return g.replace(vertices=[V(v.id, rng.randint(1, max_multiplicity),
+                                     rng.randint(0, max_genus)) for v in g.vertices])
+
+    @staticmethod
+    def _self_intersection_genus(graph):
+        """Adjunction through the self-intersections E_v^2 = -(1/N_v) sum
+        of the neighbour multiplicities over the nodes on E_v, summed as
+        Fractions: the reference the canonical-coefficient sum must match."""
+        crossing = {v: F(0) for v in graph.vertex_ids}
+        for e in graph.edges:
+            crossing[e.a] += graph.vertex(e.b).multiplicity
+            crossing[e.b] += graph.vertex(e.a).multiplicity
+        total = F(0)
+        for v in graph.vertices:
+            self_int = -crossing[v.id] / v.multiplicity
+            total += v.multiplicity * (2 * v.genus - 2 - self_int)
+        return 1 + total / 2
+
+    def test_matches_the_self_intersection_formula(self):
+        rng = random.Random(1263)
+        graphs = [self._relabel(rng, random_multigraph(rng, max_vertices=6, loops=2,
+                                                       rays=rng.randint(0, 3)))
+                  for _ in range(150)]
+        assert sum(not g.is_loop_free() for g in graphs) > 50
+        assert sum(bool(g.rays) for g in graphs) > 50
+        assert sum(sk.curve_genus(g).denominator == 2 for g in graphs) > 20
+        for g in graphs:
+            got, want = sk.curve_genus(g), self._self_intersection_genus(g)
+            assert (got, type(got)) == (want, type(want))
+
+    def test_unchanged_by_blowups(self):
+        """Blowing up a model changes its special fiber, not its curve."""
+        rng = random.Random(1506)
+        blown_up = 0
+        for _ in range(30):
+            g = self._relabel(rng, random_multigraph(rng, max_vertices=5, loops=0,
+                                                     rays=rng.randint(0, 2), lengths=False))
+            _, h = random_blowups(rng, g, steps=rng.randint(1, 12))
+            blown_up += len(h.vertex_ids) - len(g.vertex_ids)
+            assert sk.curve_genus(h) == sk.curve_genus(g)
+        assert blown_up > 100
+
+    def test_is_half_the_compact_canonical_degree_plus_one(self):
+        rng = random.Random(2015)
+        checked = 0
+        for _ in range(80):
+            g = self._relabel(rng, random_multigraph(rng, max_vertices=6, loops=0,
+                                                     rays=rng.randint(0, 3)))
+            if not g.is_loop_free():
+                continue
+            checked += 1
+            K = sk.canonical_divisor(g.without_rays(), 1)
+            assert K.degree == 2 * sk.curve_genus(g) - 2
+        assert checked > 40
 
 
 class TestDistance:

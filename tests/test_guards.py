@@ -246,6 +246,19 @@ GUARDS = [
     ("model-data-ray-degree-not-integer", lambda: sk.PluricanonicalModelData(
         m=1, nu={"u": 0}, ray_degrees={"x": F(1, 2)}), GSE,
      "ray_degrees['x'] must be an integer, got Fraction(1, 2)"),
+    ("model-data-nu-not-iterable", lambda: sk.PluricanonicalModelData(m=1, nu=5), GSE,
+     "nu must be a mapping of ids to integers, got 5"),
+    ("model-data-ray-degrees-none", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, ray_degrees=None), GSE,
+     "ray_degrees must be a mapping of ids to integers, got None"),
+    ("model-data-nu-not-pairs", lambda: sk.PluricanonicalModelData(m=1, nu=["abc"]), GSE,
+     "nu must be a mapping of ids to integers, got ['abc']"),
+    ("model-data-horizontal-not-iterable", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, horizontal_edges=5), GSE,
+     "horizontal_edges must be a collection of edge ids, got 5"),
+    ("model-data-horizontal-unhashable", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, horizontal_edges=[["e0"]]), GSE,
+     "horizontal_edges must be a collection of edge ids, got [['e0']]"),
     ("divisor-float-coefficient", lambda: sk.GraphDivisor({"v": 0.1}), NRE,
      "divisor coefficient must be an int or a Fraction, got 0.1"),
     ("divisor-string-coefficient", lambda: sk.GraphDivisor({"v": "1/2"}), NRE,
@@ -478,6 +491,15 @@ GUARDS = [
         sk.BridgeChain(edges=(["e6"],), endpoints=("l0", "r0"))), UEE, "unknown edge ['e6']"),
     ("bridge-lemma-string-chain", lambda: _bridge_lemma("e6"), GSE,
      "chain must be a BridgeChain, got 'e6'"),
+    ("bridge-witness-edges-not-a-sequence", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(2), sk.BridgeChain(edges=5, endpoints=("l0", "r0"))), GSE,
+     "chain edges must be a tuple or list of edge ids, got 5"),
+    ("bridge-lemma-edges-not-a-sequence", lambda: _bridge_lemma(
+        sk.BridgeChain(edges=5, endpoints=("l0", "r0"))), GSE,
+     "chain edges must be a tuple or list of edge ids, got 5"),
+    ("bridge-lemma-three-endpoints", lambda: _bridge_lemma(
+        sk.BridgeChain(edges=("e6", "e7"), endpoints=("l0", "r0", "x"))), GSE,
+     "chain endpoints must be a tuple or list of two vertex ids, got ('l0', 'r0', 'x')"),
 ]
 
 

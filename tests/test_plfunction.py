@@ -89,6 +89,12 @@ class TestEvaluate:
                     assert f.evaluate(g, P.on_edge(e.id, (x0 + x1) / 2)) == (y0 + y1) / 2
 
 
+def test_repr_names_the_breakpoints_and_ray_slopes():
+    assert repr(PLFunction({"a": 0, "b": 1})) == "<PLFunction: 2 breakpoints, ray slopes {}>"
+    f = PLFunction({"a": 0, P.on_edge("e0", 1): 2, "b": 1}, {"x": 3})
+    assert repr(f) == "<PLFunction: 3 breakpoints, ray slopes {'x': 3}>"
+
+
 def test_differ_by_constant_compares_ray_slopes():
     # a zero slope counts as no slope; any other difference on a ray is
     # not a constant, whatever the values on the compact part

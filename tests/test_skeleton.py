@@ -2,6 +2,7 @@
 
 import random
 import re
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -177,6 +178,52 @@ class TestEssentialSkeleton:
             sk.essential_skeleton(sk.fixtures.kodaira_type_ii())
             sk.essential_skeleton(sk.fixtures.kodaira_in_star(3))
 
+    @staticmethod
+    def _leaf_scan(graph):
+        """The minimality lint as a scan over every genus-0 leaf: the
+        reference the tail-based lint must match, message for message."""
+        found = []
+        for v in graph.vertices:
+            if v.genus != 0 or graph.valency(v.id, include_rays=False) != 1:
+                continue
+            e = graph.edges_at(v.id)[0]
+            other = e.b if e.a == v.id else e.a
+            if graph.vertex(other).multiplicity == v.multiplicity:
+                found.append(f"leaf {v.id!r} looks like a contractible exceptional "
+                             "component; is this really the minimal model?")
+        return found
+
+    def test_lint_matches_a_leaf_scan(self):
+        """Rays and blow-ups included; the warnings come in leaf order and
+        point past the skeleton module, at essential_skeleton's caller."""
+        rng = random.Random(506)
+        warned = 0
+        for _ in range(300):
+            g = TestMaximalTails.random_loop_free(rng)
+            want = self._leaf_scan(g) if sk.curve_genus(g) >= 1 else []
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    sk.essential_skeleton(g)
+                except sk.GraphStructureError:
+                    pass
+            assert [str(w.message) for w in caught] == want
+            assert all(w.category is UserWarning and w.filename != sk.skeleton.__file__
+                       for w in caught)
+            warned += bool(want)
+        assert warned > 120
+
+    def test_loop_graph_raises_the_typed_error_before_any_warning(self):
+        # leaf would warn, but the graph has a loop at b: tails are not defined
+        g = WeightedDualGraph(vertices=[V("a"), V("b"), V("leaf")],
+                              edges=[("a", "b"), ("b", "b"), ("a", "leaf")])
+        assert sk.curve_genus(g) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(sk.GraphStructureError, match="loop-free"):
+                sk.essential_skeleton(g)
+        assert caught == []
+
 
 class TestCanonicalFormLocus:
     def test_cycle_entire(self):
@@ -207,6 +254,25 @@ class TestCanonicalFormLocus:
         g = sk.fixtures.kodaira_type_ii()
         with pytest.raises(sk.GraphStructureError):
             sk.canonical_form_locus(g)
+
+    def test_names_the_first_genus_0_leaf(self):
+        from skelgraph.sampling import random_reduced_graph
+        rng = random.Random(1263)
+        several = 0
+        for _ in range(200):
+            g = random_reduced_graph(rng, max_vertices=10, genus=rng.randint(1, 3),
+                                     max_genus_label=1)
+            leaves = [v for v in g.vertex_ids
+                      if g.vertex(v).genus == 0 and g.valency(v, include_rays=False) == 1]
+            if not leaves:
+                sk.canonical_form_locus(g)
+                continue
+            several += len(leaves) > 1
+            with pytest.raises(sk.GraphStructureError) as raised:
+                sk.canonical_form_locus(g)
+            assert str(raised.value) == (f"1-valent genus-0 vertex {leaves[0]!r}: not the "
+                                         "shape of a minimal semistable model")
+        assert several > 20
 
     def test_contains_every_simple_cycle(self, rng):
         from skelgraph.sampling import random_reduced_graph

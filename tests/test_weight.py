@@ -297,6 +297,28 @@ class TestBlowUpDataTransport:
         assert slope == wt.ray_slopes["x"] == 2 * (1 + 3)
 
 
+def test_sprouted_rays_get_fresh_labels():
+    """Sprouting onto rays that already use the ``x{n}_{i}`` labels primes
+    the new ones until they are fresh, and keeps both identities."""
+    from skelgraph.sampling import _sprout_ray_pack
+    g = WeightedDualGraph(vertices=[V("a", 2, 1)],
+                          rays=[Ray("a", "x2_0", 2), Ray("a", "x2_1", 2)], pair_model=True)
+    data = PluricanonicalModelData(m=2, nu={"a": 4}, ray_degrees={"x2_0": 1, "x2_1": -1})
+    assert sk.verify_laplacian_theorem(g, data).ok
+    primed = 0
+    for seed in range(8):
+        g2, data2 = _sprout_ray_pack(random.Random(seed), g, data)
+        old, new = g.rays, g2.rays[len(g.rays):]
+        assert g2.rays[:len(old)] == old and new
+        labels = [r.label for r in g2.rays]
+        assert len(set(labels)) == len(labels)
+        assert set(data2.ray_degrees) == set(labels)
+        primed += sum(r.label.endswith("'") for r in new)
+        report = sk.verify_laplacian_theorem(g2, data2)
+        assert report.pair_identity_holds and report.compact_identity_holds
+    assert primed >= 8
+
+
 def _weight_answers(g, data):
     """What the weight layer answers on g: the weight function, the
     pushforward, the Laplacian report and the KS skeleton."""
