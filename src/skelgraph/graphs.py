@@ -19,13 +19,15 @@ other metric.
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is exact: Fractions,
 or integers counting a known unit.  So a graph keeps what it derives
-on first read: each edge's length; one integer network, the edge
-lengths as integer steps over the lcm of their denominators, read off
-each edge's numerator and denominator (a formula edge's denominator
-comes from the helper behind ``formula_length``); for each source that
-``vertex_distances`` or ``distance`` reads, its Dijkstra row of
-integer steps, from which ``vertex_distances`` builds a fresh
-``Fraction`` per vertex and ``distance`` one ``Fraction`` per answer;
+on first read: the adjacency, the edge ids at each vertex, which
+``edges_at`` and the depth-first search read; each edge's length; one
+integer network, the edge lengths as integer steps over the lcm of
+their denominators, read off each edge's numerator and denominator (a
+formula edge's denominator comes from the helper behind
+``formula_length``); for each source that ``vertex_distances`` or
+``distance`` reads, its Dijkstra row of integer steps, from which
+``vertex_distances`` builds a fresh ``Fraction`` per vertex and
+``distance`` one ``Fraction`` per answer;
 one ``GraphPoint`` per vertex, with which ``refine``, the function
 walk, ``laplacian``, ``min_locus``, ``canonical_divisor``,
 ``check_point`` (for an edge end) and, in ``weight``, the weight
@@ -35,10 +37,14 @@ the points they put on edges, so lookups among all these results match
 by identity; and, in ``potential``, ``canonical_divisor`` for each m
 asked for and ``bridges``, both immutable.  A new graph, ``replace``'s,
 a copy's, a blow-up's and a series reduction's included, starts with
-none of them, and ``_series_reduction`` keeps nothing on its input: it
-reads the edge steps afresh.  The derived views ``without_rays()`` and
-``strip_genus`` are not new graphs: each shares its parent's edges,
-vertex points and every kept value whose inputs it leaves unchanged
+none of them, but for the adjacency that the constructor's
+connectivity check builds (a blow-up and a series reduction are
+assembled without it), and ``_series_reduction`` keeps nothing on its
+input: it reads the edge steps afresh.  The derived views are not new
+graphs: ``without_rays()``, ``strip_genus``, the ray packs that
+``sampling.random_pair_fixture`` sprouts and the graph of a
+``toward_ray`` blow-up in ``weight`` each share their parent's edges,
+vertex points and every kept value whose inputs they leave unchanged
 (see ``WeightedDualGraph._derive``).
 """
 
@@ -108,6 +114,14 @@ class VertexLabel:
             if x < least:
                 raise GraphStructureError(
                     f"vertex {self.id!r}: {name} must be >= {least}, got {x}")
+
+    @classmethod
+    def _trusted(cls, vid: str, multiplicity: int, genus: int) -> "VertexLabel":
+        """A label kept as given, with no check: for callers whose parts
+        already meet every rule above, and say why (see ``models._blow_up``)."""
+        label = object.__new__(cls)
+        label.__dict__.update(id=vid, multiplicity=multiplicity, genus=genus)
+        return label
 
 
 @dataclass(frozen=True)
@@ -362,27 +376,23 @@ class WeightedDualGraph:
         length or None, and together they connect the vertices; ``rays``
         attach to known vertices under distinct labels, with a pair
         model's degrees equal to the multiplicities.  Nothing is checked
-        here: the constructor checks the parts before and connectivity
-        after, and ``models._blow_up``, which assembles its graph from a
-        checked parent, gives its reasons instead.  Every kept value
-        starts empty."""
-        adjacency = {vid: [] for vid in vertices}
-        for e in edges:
-            adjacency[e.a].append(e.id)
-            if e.b != e.a:
-                adjacency[e.b].append(e.id)
-
+        here.  Its callers: the constructor, which checks the parts
+        before and connectivity after, and ``models._blow_up`` and
+        ``_series_reduction``, which assemble a graph from a checked
+        one and give their reasons instead.  Every kept value starts
+        empty, the adjacency included."""
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "pair_model", pair_model)
         object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_rays", rays)
-        object.__setattr__(self, "_adjacency", {k: tuple(v) for k, v in adjacency.items()})
         object.__setattr__(self, "_edge_index", {e.id: e for e in edges})
         object.__setattr__(self, "_ray_index", {r.label: r for r in rays})
         # kept values, each filled on first use and named with the inputs
         # it reads; a derived view (see _derive) shares those it leaves unchanged
+        # vertex id -> ids of the edges at it (see _adjacent): vertex ids, edges
+        object.__setattr__(self, "_adjacency", None)
         # edge id -> length: edges, multiplicities, metric
         object.__setattr__(self, "_lengths", {})
         # source -> integer Dijkstra row: edges, multiplicities, metric
@@ -446,7 +456,7 @@ class WeightedDualGraph:
 
     def edges_at(self, vid: str) -> tuple[Edge, ...]:
         self.vertex(vid)
-        return tuple(self._edge_index[eid] for eid in self._adjacency[vid])
+        return tuple(self._edge_index[eid] for eid in self._adjacent()[vid])
 
     def rays_at(self, vid: str) -> tuple[Ray, ...]:
         self.vertex(vid)
@@ -491,6 +501,21 @@ class WeightedDualGraph:
         return self.is_reduced() and all(v.genus == 0 for v in self._vertices.values()) \
             and self.is_loop_free()
 
+    def _adjacent(self) -> dict[str, tuple[str, ...]]:
+        """Vertex id -> the ids of the edges at it, in edge order, a loop
+        listed once: built on the first read and kept.  The constructor's
+        connectivity check is such a read."""
+        adjacency = self._adjacency
+        if adjacency is None:
+            lists = {vid: [] for vid in self._vertices}
+            for e in self._edges:
+                lists[e.a].append(e.id)
+                if e.b != e.a:
+                    lists[e.b].append(e.id)
+            adjacency = {vid: tuple(ids) for vid, ids in lists.items()}
+            object.__setattr__(self, "_adjacency", adjacency)
+        return adjacency
+
     def _is_connected(self) -> bool:
         return len(_search(self, next(iter(self._vertices)), self._edge_index)) \
             == len(self._vertices)
@@ -526,21 +551,27 @@ class WeightedDualGraph:
                 pair_model: bool) -> "WeightedDualGraph":
         """A view of this graph with ``vertices`` (id -> label, the same
         ids in the same order with the same multiplicities; the genera
-        may differ), ``rays`` (this graph's own, or none) and
-        ``pair_model`` (this graph's own flag, or False) swapped in.
+        may differ), ``rays`` and ``pair_model`` swapped in.  The rays
+        may be any that meet the constructor's ray rules on these
+        vertices: each is a Ray attached to one of them, under a label no
+        other ray has, and with ``pair_model`` each ray's degree equals
+        its attachment's multiplicity.  The callers say why theirs do:
+        ``without_rays`` gives none, ``skeleton.strip_genus`` this
+        graph's own, and ``sampling._sprout_ray_pack`` and
+        ``weight.blow_up_interior_with_data`` (``toward_ray``) new ones.
 
-        It keeps this graph's metric, name and edges, so every rule the
-        constructor checks already holds: the ids are sorted, distinct
+        It keeps this graph's metric, name and edges, so every other rule
+        the constructor checks already holds: the ids are sorted, distinct
         and non-empty, each edge joins two of them with a positive
-        length, the edges connect them, each ray attaches to one of them
-        under a distinct label, and a pair model's ray degrees still
-        equal the unchanged multiplicities.  So nothing is checked again.
-        The view shares the edges, the adjacency and the edge index, and
-        each kept value whose inputs it leaves unchanged: the lengths,
-        the integer network and rows and the midpoints (edges,
-        multiplicities, metric) and the vertex points and the bridges
-        (ids, edges).  Its canonical divisors start empty: K counts rays
-        and reads the genera."""
+        length, and the edges connect them.  So nothing is checked again.
+        The view shares the edges and the edge index, and each kept value
+        whose inputs it leaves unchanged, as this graph holds it: the
+        lengths, the integer network and rows and the midpoints (edges,
+        multiplicities, metric) and the adjacency, the vertex points and
+        the bridges (ids, edges).  Its ray index is this graph's when the
+        rays are this graph's own tuple, else built from them.  Its
+        canonical divisors start empty: K counts rays and reads the
+        genera."""
         out = object.__new__(WeightedDualGraph)
         put = object.__setattr__
         for slot in ("name", "metric", "_edges", "_adjacency", "_edge_index", "_lengths",
@@ -549,7 +580,8 @@ class WeightedDualGraph:
         put(out, "pair_model", pair_model)
         put(out, "_vertices", vertices)
         put(out, "_rays", rays)
-        put(out, "_ray_index", self._ray_index if rays else {})
+        put(out, "_ray_index",
+            self._ray_index if rays is self._rays else {r.label: r for r in rays})
         put(out, "_canonical", {})
         return out
 
@@ -652,9 +684,10 @@ def _search(graph: WeightedDualGraph, root: str, usable) -> dict:
     via = {root: None}
     stack = [root]
     index = graph._edge_index
+    adjacency = graph._adjacent()
     while stack:
         v = stack.pop()
-        for eid in sorted(graph._adjacency[v]):
+        for eid in sorted(adjacency[v]):
             if eid in usable:
                 e = index[eid]
                 w = e.b if e.a == v else e.a
@@ -751,10 +784,17 @@ def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> Weighted
     neither step moves a distance among the vertices left, a hanging
     tree is pruned to its root, and a chain is smoothed to one edge.
 
-    The result is built by the public constructor from the input's
-    labels of the vertices left, one edge per neighbour pair with its
-    explicit length, and the input's metric; it has no rays.  Nothing is
-    kept on, or read from the kept values of, the input graph."""
+    The result is assembled (``WeightedDualGraph._assemble``) without
+    the constructor's checks, since every rule they check holds: its
+    vertices are the input's labels of the vertices left, in the
+    input's sorted order; its edges are ``e0, e1, ...``, one per
+    neighbour pair v < w, each with the explicit length
+    ``Fraction(steps, scale)``, positive as a sum of positive steps; and
+    dropping a loop, merging parallel edges, pruning a leaf and
+    splicing a 2-neighbour vertex each keep the graph connected.  It
+    has the input's metric, no rays, no name and is not a pair model.
+    Nothing is kept on, or read from the kept values of, the input
+    graph."""
     scale, ends = _steps(graph)
     nbrs: dict[str, dict[str, int]] = {v: {} for v in graph._vertices}
     for a, b, step in ends:
@@ -778,11 +818,13 @@ def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> Weighted
             if len(nbrs[w]) <= 2 and w not in keep:
                 stack.append(w)
     labels = graph._vertices
-    return WeightedDualGraph(
-        [labels[v] for v in nbrs],
-        [(v, w, Fraction(step, scale)) for v, ws in nbrs.items() for w, step in ws.items()
-         if v < w],
-        metric=graph.metric)
+    pairs = [(v, w, step) for v, ws in nbrs.items() for w, step in ws.items() if v < w]
+    out = object.__new__(WeightedDualGraph)
+    out._assemble({v: labels[v] for v in nbrs},
+                  tuple(Edge(f"e{i}", v, w, Fraction(step, scale))
+                        for i, (v, w, step) in enumerate(pairs)),
+                  (), graph.metric, "", False)
+    return out
 
 
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:

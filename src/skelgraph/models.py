@@ -43,15 +43,19 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
 
     The result is assembled without the constructor's checks
     (``WeightedDualGraph._assemble``), since every rule they check
-    still holds: ``fresh_id`` makes each new id distinct; each new edge
+    still holds: ``fresh_id`` makes each new id distinct and non-empty;
+    each new label is made without ``VertexLabel``'s checks
+    (``VertexLabel._trusted``), as its genus is 0 and its multiplicity
+    is a copy or a sum of checked integers >= 1; each new edge
     joins two known ids, sorted, and takes the formula length; a node
     blow-up replaces an edge by a path through the new vertex and an
     interior blow-up hangs a leaf, so the graph stays connected; the
     rays and the multiplicities they attach to are unchanged, so a pair
     model's ray degrees still hold.  The checks of this function stay:
     the target, loops, the metric and explicit lengths.  The parent's
-    Edge (``kept``) is reused at each position whose endpoints and
-    length did not change; a new or shifted position gets a new Edge.
+    Edge (``kept``) is reused where it stays at its own position, so its
+    id, endpoints and length are unchanged; a new Edge goes at each new
+    or shifted position.
     Nothing the parent keeps is shared, since edge ids shift."""
     steps = list(steps)
     if not steps:
@@ -76,7 +80,7 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
                         f"!= 1/(N1*N2) = {expected}; not the edge of a model node"
                     )
             wid = fresh_id(vertices, f"{target}*")
-            vertices[wid] = VertexLabel(wid, n1 + n2, 0)
+            vertices[wid] = VertexLabel._trusted(wid, n1 + n2, 0)
             # endpoints sorted as the constructor sorts them: a later
             # blow-up of a piece orders its two halves by them
             edges[i:i + 1] = [(min(a, wid), max(a, wid), None, None),
@@ -85,15 +89,16 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             if not isinstance(target, str) or target not in vertices:
                 raise UnknownElementError(f"unknown vertex {target!r}")
             wid = fresh_id(vertices, f"{target}'")
-            vertices[wid] = VertexLabel(wid, vertices[target].multiplicity, 0)
+            vertices[wid] = VertexLabel._trusted(wid, vertices[target].multiplicity, 0)
             edges.append((min(target, wid), max(target, wid), None, None))
         created.append(wid)
-    assembled = []
-    for i, (a, b, length, kept) in enumerate(edges):
-        eid = f"e{i}"
-        assembled.append(kept if kept is not None and kept.id == eid else Edge(eid, a, b, length))
+    # the parent's Edge at position i is the one with id e{i}
+    parent = graph._edges
+    assembled = tuple(kept if i < len(parent) and parent[i] is kept
+                      else Edge(f"e{i}", a, b, length)
+                      for i, (a, b, length, kept) in enumerate(edges))
     out = object.__new__(WeightedDualGraph)
-    out._assemble({vid: vertices[vid] for vid in sorted(vertices)}, tuple(assembled),
+    out._assemble({vid: vertices[vid] for vid in sorted(vertices)}, assembled,
                   graph.rays, graph.metric, graph.name, graph.pair_model)
     return out, created
 
@@ -170,9 +175,15 @@ def apply_blowups(graph: WeightedDualGraph,
     graph left by the steps before it, as if every step were applied
     alone, but the graph is built once, at the end, from the checked
     input graph and without a second validation (see ``_blow_up``).  An
-    empty sequence returns the input graph itself.  A step that is not
-    a BlowUpStep raises GraphStructureError naming its position."""
-    return _blow_up(graph, (_instruction(i, s) for i, s in enumerate(steps)))[0]
+    empty sequence returns the input graph itself.  Steps that are not
+    an iterable, and a step that is not a BlowUpStep, raise
+    GraphStructureError naming the value, the step with its position."""
+    try:
+        numbered = enumerate(steps)
+    except TypeError:
+        raise GraphStructureError(
+            f"blow-up steps must be an iterable of BlowUpSteps, got {steps!r:.80}") from None
+    return _blow_up(graph, (_instruction(i, s) for i, s in numbered))[0]
 
 
 def _instruction(i: int, step) -> tuple[str, str]:

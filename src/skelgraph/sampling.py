@@ -14,6 +14,7 @@ import random
 from dataclasses import replace
 from typing import Optional
 
+from .errors import GraphStructureError
 from .fixtures import cycle_graph, kodaira_type_ii, kodaira_type_ii_data
 from .graphs import Ray, VertexLabel, WeightedDualGraph
 from .weight import (
@@ -109,7 +110,14 @@ def _seed_fixture(rng: random.Random, m: int):
 def _sprout_ray_pack(rng: random.Random, graph: WeightedDualGraph,
                      data: PluricanonicalModelData):
     """Attach rays with divisor coefficients summing to zero at a random
-    vertex; both identities gain equal amounts on both sides."""
+    vertex; both identities gain equal amounts on both sides.
+
+    The result is a pair model and a derived view of ``graph``
+    (``WeightedDualGraph._derive``), not a new graph, since every ray
+    rule holds: each new ray attaches at an existing vertex, under a
+    label no ray has, with degree its multiplicity, and on every graph
+    ``random_pair_fixture`` makes each ray's degree already equals its
+    attachment's multiplicity (seeds, blow-ups and the moves keep it)."""
     vid = rng.choice(graph.vertex_ids)
     n = graph.vertex(vid).multiplicity
     count = rng.choice((1, 2, 3))
@@ -128,12 +136,16 @@ def _sprout_ray_pack(rng: random.Random, graph: WeightedDualGraph,
         existing.add(label)
         rays.append(Ray(vid, label, n))
         degrees[label] = c
-    out = graph.replace(rays=rays, pair_model=True)
+    out = graph._derive(graph._vertices, tuple(rays), True)
     return out, replace(data, ray_degrees=degrees)
 
 
 def random_pair_fixture(rng: random.Random, m: int, moves: int = 8):
-    """Grow a random consistent (graph, data) fixture from a seed."""
+    """Grow a random consistent (graph, data) fixture from a seed by
+    ``moves`` moves, an integer >= 0; any other value raises
+    GraphStructureError."""
+    if type(moves) is not int or moves < 0:
+        raise GraphStructureError(f"moves must be an integer >= 0, got {moves!r:.80}")
     graph, data = _seed_fixture(rng, m)
     for _ in range(moves):
         op = rng.random()

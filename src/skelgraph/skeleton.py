@@ -76,7 +76,14 @@ def find_maximal_tails(graph: WeightedDualGraph) -> list[tuple[str, ...]]:
 def combinatorial_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
     """Contract every maximal tail of the input to its starting point,
     exactly once; tails created by the contraction are kept."""
-    tails = find_maximal_tails(graph)
+    return _contract_tails(graph, find_maximal_tails(graph))
+
+
+def _contract_tails(graph: WeightedDualGraph,
+                    tails: list[tuple[str, ...]]) -> WeightedDualGraph:
+    """The graph with each of its maximal ``tails`` (as
+    ``find_maximal_tails`` gives them) contracted to its starting point;
+    the graph itself when there are none."""
     removed = set()
     for tail in tails:
         removed.update(tail[1:])
@@ -91,13 +98,14 @@ def combinatorial_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
     return graph.replace(vertices=survivors, edges=edges)
 
 
-def _lint_minimality(graph: WeightedDualGraph) -> None:
+def _lint_minimality(graph: WeightedDualGraph, tails: list[tuple[str, ...]]) -> None:
     """Warn on genus-0 leaves that look like contractible exceptional
     components (a leaf whose single neighbour has the same multiplicity
-    has self-intersection -1).  At curve genus >= 1 each genus-0 leaf
-    ends a maximal tail; else the graph would be a genus-0 path, of
-    curve genus 1 - (N_first + N_last)/2 <= 0."""
-    for *_, other, leaf in find_maximal_tails(graph):
+    has self-intersection -1), reading each leaf off the graph's maximal
+    ``tails``.  At curve genus >= 1 each genus-0 leaf ends a maximal
+    tail; else the graph would be a genus-0 path, of curve genus
+    1 - (N_first + N_last)/2 <= 0."""
+    for *_, other, leaf in tails:
         if graph.vertex(other).multiplicity == graph.vertex(leaf).multiplicity:
             warnings.warn(
                 f"leaf {leaf!r} looks like a contractible exceptional "
@@ -112,15 +120,17 @@ def essential_skeleton(graph: WeightedDualGraph) -> WeightedDualGraph:
     The input is assumed to be the dual graph of the minimal model; a
     warning is emitted when a leaf pattern suggests otherwise.  The
     total genus must be positive.  When the input has no tails, the
-    result is the input itself."""
+    result is the input itself.  The maximal tails are found once, for
+    both the warning and the contraction."""
     genus = curve_genus(graph)
     if genus < 1:
         raise GraphStructureError(
             "essential skeleton needs a curve of genus >= 1; "
             f"the graph models genus {genus}"
         )
-    _lint_minimality(graph)
-    return combinatorial_skeleton(graph)
+    tails = find_maximal_tails(graph)
+    _lint_minimality(graph, tails)
+    return _contract_tails(graph, tails)
 
 
 def canonical_form_locus(graph: WeightedDualGraph) -> SubgraphLocus:

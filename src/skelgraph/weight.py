@@ -224,6 +224,13 @@ def ks_skeleton(graph: WeightedDualGraph,
 # exactness of both Laplacian identities is preserved by each move.
 
 
+def _require_model_data(data) -> None:
+    """GraphStructureError naming ``data`` unless it is PluricanonicalModelData."""
+    if not isinstance(data, PluricanonicalModelData):
+        raise GraphStructureError(
+            f"model data must be a PluricanonicalModelData, got {data!r:.80}")
+
+
 def _entry(table, key, what):
     """``table[key]``, or MissingDataError naming what is missing."""
     try:
@@ -235,7 +242,9 @@ def _entry(table, key, what):
 def blow_up_node_with_data(graph: WeightedDualGraph,
                            data: PluricanonicalModelData, eid: str):
     """Node blow-up: the exceptional component has nu' = nu1 + nu2 (the
-    log-canonical bundle pulls back with no twist at a node)."""
+    log-canonical bundle pulls back with no twist at a node).  Data
+    that is not PluricanonicalModelData raises GraphStructureError."""
+    _require_model_data(data)
     e = graph.edge(eid)
     out, (wid,) = _blow_up(graph, [("node", eid)])
     nu = dict(data.nu)
@@ -249,7 +258,15 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
                                toward_ray: Optional[str] = None):
     """Interior-point blow-up: nu' = nu + m, plus the ray coefficient if
     the blown-up point is the specialization of that marked point, in
-    which case the ray moves to the new vertex."""
+    which case the ray moves to the new vertex.  Data that is not
+    PluricanonicalModelData raises GraphStructureError.
+
+    The moved ray is swapped into a derived view of the blown-up graph
+    (``WeightedDualGraph._derive``), not a new graph, since every ray
+    rule still holds: it keeps its label and degree, and the new vertex
+    it moves to has its old vertex's multiplicity, so a pair model's
+    degree still equals the multiplicity."""
+    _require_model_data(data)
     out, (wid,) = _blow_up(graph, [("interior", vid)])
     d = 0
     if toward_ray is not None:
@@ -258,10 +275,10 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
             raise GraphStructureError(
                 f"ray {toward_ray!r} is not attached at {vid!r}")
         d = _entry(data.ray_degrees, toward_ray, "divisor coefficient for ray")
-        moved = [r if r.label != toward_ray else
-                 Ray(attach=wid, label=r.label, degree=r.degree)
-                 for r in out.rays]
-        out = out.replace(rays=moved)
+        moved = tuple(r if r.label != toward_ray else
+                      Ray(attach=wid, label=r.label, degree=r.degree)
+                      for r in out.rays)
+        out = out._derive(out._vertices, moved, out.pair_model)
     nu = dict(data.nu)
     nu[wid] = _entry(data.nu, vid, "nu entry for vertex") + data.m + d
     return out, replace(data, nu=nu)

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from skelgraph.errors import (
     UnknownElementError as UEE,
 )
 from skelgraph.graphs import VertexLabel as V
+from skelgraph.sampling import random_pair_fixture
 
 
 def _pair(attach_mult=1, loop=False):
@@ -234,6 +236,22 @@ GUARDS = [
      "blow-up step 1 is not a BlowUpStep: None"),
     ("invariance-step-string", lambda: _invariance("e0"), GSE,
      "blow-up step 1 is not a BlowUpStep: 'e0'"),
+    ("apply-blowups-one-step", lambda: sk.apply_blowups(
+        sk.fixtures.theta_graph(), sk.BlowUpStep("node", "e0")), GSE,
+     "blow-up steps must be an iterable of BlowUpSteps, "
+     "got BlowUpStep(op='node', target='e0')"),
+    ("apply-blowups-none", lambda: sk.apply_blowups(sk.fixtures.theta_graph(), None), GSE,
+     "blow-up steps must be an iterable of BlowUpSteps, got None"),
+    ("invariance-steps-int", lambda: sk.verify_metric_invariance(sk.fixtures.theta_graph(), 5),
+     GSE, "blow-up steps must be an iterable of BlowUpSteps, got 5"),
+    ("blow-up-interior-with-data-int-data", lambda: sk.blow_up_interior_with_data(
+        sk.fixtures.kodaira_type_ii(), 5, "v1"), GSE,
+     "model data must be a PluricanonicalModelData, got 5"),
+    ("blow-up-node-with-data-dict-data", lambda: sk.blow_up_node_with_data(
+        sk.fixtures.kodaira_type_ii(), {"m": 1}, "e0"), GSE,
+     "model data must be a PluricanonicalModelData, got {'m': 1}"),
+    ("pair-fixture-negative-moves", lambda: random_pair_fixture(random.Random(0), 1, moves=-1),
+     GSE, "moves must be an integer >= 0, got -1"),
     ("canonical-divisor-m-not-integer", lambda: sk.canonical_divisor(
         sk.fixtures.triangle_chain(2), 1.5), GSE, "m must be a positive integer, got 1.5"),
     ("model-data-m-not-integer", lambda: sk.PluricanonicalModelData(m=2.5, nu={"u": 0}),

@@ -6,6 +6,7 @@ import pytest
 
 import skelgraph as sk
 from skelgraph import BlowUpStep, VertexLabel as V, WeightedDualGraph
+from skelgraph.graphs import _series_reduction
 
 from conftest import random_blowups
 
@@ -314,10 +315,10 @@ class TestVerifyMetricInvariance:
 
 
 # the slots a graph is built with, and the values it keeps on first read
-BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_adjacency",
-         "_edge_index", "_ray_index")
-KEPT = ("_lengths", "_distances", "_network", "_points", "_midpoints", "_canonical",
-        "_bridges")
+BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_edge_index",
+         "_ray_index")
+KEPT = ("_adjacency", "_lengths", "_distances", "_network", "_points", "_midpoints",
+        "_canonical", "_bridges")
 
 
 def answers(g):
@@ -331,23 +332,37 @@ def answers(g):
             sk.bridges(g))
 
 
+def assert_like_cold(out):
+    """``out``, assembled without the constructor, is the graph the
+    constructor builds from its parts, slot by slot: it keeps nothing
+    yet, and once read it holds the cold copy's answers and adjacency.
+    Its labels are the ones ``VertexLabel`` makes from their fields."""
+    for slot in KEPT:
+        assert getattr(out, slot) in ({}, None), slot
+    cold = WeightedDualGraph(*out.__reduce__()[1])
+    for slot in BUILT:
+        mine, theirs = getattr(out, slot), getattr(cold, slot)
+        if isinstance(mine, dict):  # dict order is vertex and edge order
+            mine, theirs = list(mine.items()), list(theirs.items())
+        assert mine == theirs, slot
+    for v in out.vertices:
+        assert type(v) is V and v == V(v.id, v.multiplicity, v.genus)
+    assert answers(out) == answers(cold)
+    assert list(out._adjacency.items()) == list(cold._adjacency.items())
+
+
 class TestBlowUpAssembly:
     """A blow-up assembles its graph from the checked parent: it must be
     the graph the public constructor builds from the same parts, slot by
-    slot, and share nothing the parent keeps."""
+    slot, share nothing the parent keeps, and give each new vertex
+    genus 0."""
 
     def assert_assembled(self, parent, seq):
         before = answers(parent)  # warms every kept value of the parent
         out = sk.apply_blowups(parent, seq)
-        for slot in KEPT:
-            assert getattr(out, slot) in ({}, None), slot
-        cold = WeightedDualGraph(*out.__reduce__()[1])
-        for slot in BUILT:
-            mine, theirs = getattr(out, slot), getattr(cold, slot)
-            if isinstance(mine, dict):  # dict order is vertex and edge order
-                mine, theirs = list(mine.items()), list(theirs.items())
-            assert mine == theirs, slot
-        assert answers(out) == answers(cold)
+        assert_like_cold(out)
+        assert all(out.vertex(v).genus == 0 for v in out.vertex_ids
+                   if not parent.has_vertex(v))
         assert answers(parent) == before
 
     def test_random_graphs(self, rng):
@@ -366,3 +381,34 @@ class TestBlowUpAssembly:
             seq, _ = random_blowups(rng, pg, 30)
             for k in (1, 5, 30):
                 self.assert_assembled(pg, seq[:k])
+
+
+class TestSeriesReductionAssembly:
+    """The series reduction assembles its graph from the blown-up one:
+    it must be the graph the public constructor builds from the same
+    parts, slot by slot, and share nothing the blown-up graph keeps."""
+
+    def assert_reduced(self, parent, seq):
+        big = sk.apply_blowups(parent, seq)
+        before = answers(big)  # warms every kept value of the blown-up graph
+        reduced = _series_reduction(big, parent.vertex_ids)
+        assert_like_cold(reduced)
+        assert (reduced.name, reduced.pair_model, reduced.rays) == ("", False, ())
+        assert answers(big) == before
+
+    def test_random_graphs(self, rng):
+        from skelgraph.sampling import random_graph
+        for _ in range(8):
+            g = random_graph(rng, max_vertices=8, max_multiplicity=8, extra_edges=3)
+            seq, _ = random_blowups(rng, g, 30)
+            for k in (1, 5, 30):
+                self.assert_reduced(g, seq[:k])
+            self.assert_reduced(g.replace(metric="stable"), [])
+
+    def test_random_pair_fixtures(self, rng):
+        from skelgraph.sampling import random_pair_fixture
+        for m in (1, 2, 3):
+            pg, _ = random_pair_fixture(rng, m)
+            seq, _ = random_blowups(rng, pg, 30)
+            for k in (1, 5, 30):
+                self.assert_reduced(pg, seq[:k])

@@ -224,6 +224,38 @@ class TestEssentialSkeleton:
                 sk.essential_skeleton(g)
         assert caught == []
 
+    @staticmethod
+    def _outcome(skeleton, g):
+        """The skeleton, or the message of the typed error it raised (a
+        ray on a tail)."""
+        try:
+            return skeleton(g)
+        except sk.GraphStructureError as exc:
+            return str(exc)
+
+    def test_maximal_tails_are_found_once(self, monkeypatch):
+        real, seen = sk.skeleton.find_maximal_tails, []
+
+        def counted(graph):
+            seen.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr("skelgraph.skeleton.find_maximal_tails", counted)
+        rng = random.Random(507)
+        checked = 0
+        for _ in range(100):
+            g = TestMaximalTails.random_loop_free(rng)
+            if sk.curve_genus(g) < 1:
+                continue
+            seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = self._outcome(sk.essential_skeleton, g)
+            assert len(seen) == 1 and seen[0] is g
+            assert out == self._outcome(sk.combinatorial_skeleton, g)
+            checked += 1
+        assert checked > 30
+
 
 class TestCanonicalFormLocus:
     def test_cycle_entire(self):

@@ -319,6 +319,89 @@ def test_sprouted_rays_get_fresh_labels():
     assert primed >= 8
 
 
+class TestRayDerivations:
+    """A ray pack and a toward-ray blow-up move only rays, so each result
+    is a derived view: the graph ``replace`` builds with those rays,
+    sharing its parent's edges and kept values, with no canonical
+    divisor kept yet."""
+
+    @staticmethod
+    def fixtures_with_rays():
+        from skelgraph.sampling import random_pair_fixture
+        rng = random.Random(4242)
+        out = []
+        while len(out) < 24:
+            g, data = random_pair_fixture(rng, rng.randint(1, 3), moves=rng.randint(0, 8))
+            if g.rays:
+                out.append((g, data))
+        return out
+
+    @staticmethod
+    def warm(g):
+        for v in g.vertex_ids:
+            sk.vertex_distances(g, v)
+        for e in g.edges:
+            g.midpoint(e.id)
+        sk.canonical_divisor(g, 1)
+
+    @staticmethod
+    def assert_view(out, expected, data):
+        assert out == expected
+        assert (out.pair_model, out.name) == (expected.pair_model, expected.name)
+        assert list(out._ray_index.items()) == list(expected._ray_index.items())
+        assert out._canonical == {}
+        report = sk.verify_laplacian_theorem(out, data)
+        assert report.pair_identity_holds and report.compact_identity_holds
+
+    @staticmethod
+    def assert_shared(out, parent):
+        assert out._lengths is parent._lengths and out._points is parent._points
+        assert out._edges is parent._edges and out._canonical is not parent._canonical
+
+    def test_sprouted_ray_pack(self):
+        from skelgraph.sampling import _sprout_ray_pack
+        for seed, (g, data) in enumerate(self.fixtures_with_rays()):
+            self.warm(g)
+            out, data2 = _sprout_ray_pack(random.Random(seed), g, data)
+            self.assert_view(out, g.replace(rays=out.rays, pair_model=True), data2)
+
+    def test_sprouted_ray_pack_shares_the_parents_kept_values(self):
+        from skelgraph.sampling import _sprout_ray_pack
+        for seed, (g, data) in enumerate(self.fixtures_with_rays()):
+            self.warm(g)
+            out, _ = _sprout_ray_pack(random.Random(seed), g, data)
+            self.assert_shared(out, g)
+
+    def toward_ray(self, monkeypatch, g, data, ray):
+        """The toward-ray blow-up of ``ray``, the graph the blow-up made
+        before the ray moved, and the new vertex's id."""
+        real, made = sk.weight._blow_up, []
+
+        def kept(graph, steps):
+            made.append(real(graph, steps))
+            return made[-1]
+
+        monkeypatch.setattr("skelgraph.weight._blow_up", kept)
+        out, data2 = sk.blow_up_interior_with_data(g, data, ray.attach, toward_ray=ray.label)
+        (blown, (wid,)), = made
+        self.warm(blown)
+        return out, data2, blown, wid
+
+    def test_toward_ray(self, monkeypatch):
+        for g, data in self.fixtures_with_rays():
+            ray = g.rays[-1]
+            out, data2, blown, wid = self.toward_ray(monkeypatch, g, data, ray)
+            moved = [Ray(wid, r.label, r.degree) if r.label == ray.label else r
+                     for r in blown.rays]
+            self.assert_view(out, blown.replace(rays=moved), data2)
+            assert out.ray(ray.label).attach == wid
+
+    def test_toward_ray_shares_the_blown_up_graphs_kept_values(self, monkeypatch):
+        for g, data in self.fixtures_with_rays():
+            out, _, blown, _ = self.toward_ray(monkeypatch, g, data, g.rays[0])
+            self.assert_shared(out, blown)
+
+
 def _weight_answers(g, data):
     """What the weight layer answers on g: the weight function, the
     pushforward, the Laplacian report and the KS skeleton."""
