@@ -35,17 +35,20 @@ function and the pushforward divisor key their vertices; one midpoint
 per edge that ``midpoint`` is asked for, with which the witnesses key
 the points they put on edges, so lookups among all these results match
 by identity; and, in ``potential``, ``canonical_divisor`` for each m
-asked for and ``bridges``, both immutable.  A new graph, ``replace``'s,
-a copy's, a blow-up's and a series reduction's included, starts with
-none of them, but for the adjacency that the constructor's
-connectivity check builds (a blow-up and a series reduction are
-assembled without it), and ``_series_reduction`` keeps nothing on its
-input: it reads the edge steps afresh.  The derived views are not new
-graphs: ``without_rays()``, ``strip_genus``, the ray packs that
-``sampling.random_pair_fixture`` sprouts and the graph of a
-``toward_ray`` blow-up in ``weight`` each share their parent's edges,
-vertex points and every kept value whose inputs they leave unchanged
-(see ``WeightedDualGraph._derive``).
+asked for and ``bridges``, both immutable; and its compact graph, the
+one ``without_rays()`` returns, with the canonical divisors that view
+keeps for itself.  A new graph, ``replace``'s, a copy's, a blow-up's
+and a series reduction's included, starts with none of them, but for
+the adjacency that the constructor's connectivity check builds (a
+blow-up and a series reduction are assembled without it), and
+``_series_reduction`` keeps nothing on its input: it reads the edge
+steps afresh.  The derived views are not new graphs: ``without_rays()``,
+``strip_genus``, the ray packs that ``sampling.random_pair_fixture``
+sprouts and the graph of a ``toward_ray`` blow-up in ``weight`` each
+share their parent's edges, vertex points and every kept value whose
+inputs they leave unchanged (see ``WeightedDualGraph._derive``); a
+view keeps no compact graph of its parent's, since its rays or genera
+differ.
 """
 
 from __future__ import annotations
@@ -75,6 +78,15 @@ def as_rational(x, what: str) -> Rational:
     if type(x) is int or isinstance(x, Fraction):
         return x
     raise NonRationalError(f"{what} must be an int or a Fraction, got {x!r:.80}")
+
+
+def _restore_checked(value, state) -> None:
+    """``__setstate__`` of a frozen dataclass that checks its fields in
+    ``__post_init__``: ``pickle`` and ``copy`` restore the fields, then
+    run the constructor's checks, so no copy holds a value the
+    constructor refuses."""
+    value.__dict__.update(state)
+    value.__post_init__()
 
 
 class MetricKind(Enum):
@@ -115,6 +127,8 @@ class VertexLabel:
                 raise GraphStructureError(
                     f"vertex {self.id!r}: {name} must be >= {least}, got {x}")
 
+    __setstate__ = _restore_checked
+
     @classmethod
     def _trusted(cls, vid: str, multiplicity: int, genus: int) -> "VertexLabel":
         """A label kept as given, with no check: for callers whose parts
@@ -151,6 +165,8 @@ class Ray:
             raise GraphStructureError(
                 f"ray {self.label!r}: degree must be >= 1, got {self.degree}"
             )
+
+    __setstate__ = _restore_checked
 
 
 @dataclass(frozen=True)
@@ -291,7 +307,7 @@ class WeightedDualGraph:
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
                  "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
                  "_distances", "_network", "_points", "_midpoints", "_canonical",
-                 "_bridges")
+                 "_bridges", "_compact")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -407,6 +423,8 @@ class WeightedDualGraph:
         object.__setattr__(self, "_canonical", {})
         # bridges(self): vertex ids, edges
         object.__setattr__(self, "_bridges", None)
+        # without_rays(): every input; a derived view starts it empty
+        object.__setattr__(self, "_compact", None)
 
     def __setattr__(self, *args):
         raise AttributeError("WeightedDualGraph is immutable")
@@ -541,11 +559,17 @@ class WeightedDualGraph:
     def without_rays(self) -> "WeightedDualGraph":
         """The compact graph: this one without its rays, and not a pair
         model.  A graph that is already both is its own compact graph;
-        any other gets a new derived view (see ``_derive``) on every
-        call, which shares this graph's edges and kept values."""
+        any other makes a derived view (see ``_derive``) on the first
+        call, which shares this graph's edges and kept values, and keeps
+        it, so every later call returns that same view and the canonical
+        divisors it keeps."""
         if not self._rays and not self.pair_model:
             return self
-        return self._derive(self._vertices, (), False)
+        compact = self._compact
+        if compact is None:
+            compact = self._derive(self._vertices, (), False)
+            object.__setattr__(self, "_compact", compact)
+        return compact
 
     def _derive(self, vertices: dict[str, VertexLabel], rays: tuple[Ray, ...],
                 pair_model: bool) -> "WeightedDualGraph":
@@ -570,8 +594,9 @@ class WeightedDualGraph:
         multiplicities, metric) and the adjacency, the vertex points and
         the bridges (ids, edges).  Its ray index is this graph's when the
         rays are this graph's own tuple, else built from them.  Its
-        canonical divisors start empty: K counts rays and reads the
-        genera."""
+        canonical divisors and its compact graph start empty: K counts
+        rays and reads the genera, and the compact graph has the view's
+        genera and its own K."""
         out = object.__new__(WeightedDualGraph)
         put = object.__setattr__
         for slot in ("name", "metric", "_edges", "_adjacency", "_edge_index", "_lengths",
@@ -583,6 +608,7 @@ class WeightedDualGraph:
         put(out, "_ray_index",
             self._ray_index if rays is self._rays else {r.label: r for r in rays})
         put(out, "_canonical", {})
+        put(out, "_compact", None)
         return out
 
     def fresh_vertex_id(self, stem: str) -> str:

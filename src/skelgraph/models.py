@@ -20,6 +20,7 @@ from .graphs import (
     MetricKind,
     VertexLabel,
     WeightedDualGraph,
+    _restore_checked,
     _series_reduction,
     distance,
     edge_position,
@@ -32,9 +33,9 @@ from .graphs import (
 
 def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
     """Apply ``(op, target)`` steps to working lists of vertex labels and
-    ``(a, b, length, kept)`` edges, then assemble the graph once from
-    the checked parent.  Returns the graph and the ids of the new
-    vertices, one per step.
+    edges (the parent's Edges, and an ``(a, b)`` pair for each new one),
+    then assemble the graph once from the checked parent.  Returns the
+    graph and the ids of the new vertices, one per step.
 
     Each target is read against the evolving graph: a node blow-up
     replaces edge e{i} by two edges at positions i and i+1, so later
@@ -52,21 +53,28 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
     interior blow-up hangs a leaf, so the graph stays connected; the
     rays and the multiplicities they attach to are unchanged, so a pair
     model's ray degrees still hold.  The checks of this function stay:
-    the target, loops, the metric and explicit lengths.  The parent's
-    Edge (``kept``) is reused where it stays at its own position, so its
-    id, endpoints and length are unchanged; a new Edge goes at each new
-    or shifted position.
+    the target, loops, the metric and explicit lengths.  Steps only
+    insert, and none changes a position before its own (a node step's
+    i, an interior step's append position), so the parent's Edges
+    before the least such position, ``first``, are reused as they are:
+    their ids, endpoints and lengths are unchanged.  Every position from
+    ``first`` on holds a new or shifted edge and gets a new Edge.
     Nothing the parent keeps is shared, since edge ids shift."""
     steps = list(steps)
     if not steps:
         return graph, []
     created = []
     vertices = dict(graph._vertices)
-    edges = [(e.a, e.b, e.length, e) for e in graph.edges]
+    edges: list = list(graph._edges)
+    first = len(edges)
     for op, target in steps:
         if op == "node":
             i = edge_position(target, len(edges))
-            a, b, length, _ = edges[i]
+            e = edges[i]
+            if type(e) is tuple:
+                (a, b), length = e, None
+            else:
+                a, b, length = e.a, e.b, e.length
             if a == b:
                 raise LoopsPresentError(f"edge {target!r} is a loop; resolve_loops first")
             if graph.metric is not MetricKind.MODEL:
@@ -83,20 +91,21 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             vertices[wid] = VertexLabel._trusted(wid, n1 + n2, 0)
             # endpoints sorted as the constructor sorts them: a later
             # blow-up of a piece orders its two halves by them
-            edges[i:i + 1] = [(min(a, wid), max(a, wid), None, None),
-                              (min(wid, b), max(wid, b), None, None)]
+            edges[i:i + 1] = [(min(a, wid), max(a, wid)), (min(wid, b), max(wid, b))]
+            if i < first:
+                first = i
         else:
             if not isinstance(target, str) or target not in vertices:
                 raise UnknownElementError(f"unknown vertex {target!r}")
             wid = fresh_id(vertices, f"{target}'")
             vertices[wid] = VertexLabel._trusted(wid, vertices[target].multiplicity, 0)
-            edges.append((min(target, wid), max(target, wid), None, None))
+            if len(edges) < first:
+                first = len(edges)
+            edges.append((min(target, wid), max(target, wid)))
         created.append(wid)
-    # the parent's Edge at position i is the one with id e{i}
-    parent = graph._edges
-    assembled = tuple(kept if i < len(parent) and parent[i] is kept
-                      else Edge(f"e{i}", a, b, length)
-                      for i, (a, b, length, kept) in enumerate(edges))
+    assembled = graph._edges[:first] + tuple(
+        Edge(f"e{i}", e[0], e[1]) if type(e) is tuple else Edge(f"e{i}", e.a, e.b, e.length)
+        for i, e in enumerate(edges[first:], first))
     out = object.__new__(WeightedDualGraph)
     out._assemble({vid: vertices[vid] for vid in sorted(vertices)}, assembled,
                   graph.rays, graph.metric, graph.name, graph.pair_model)
@@ -167,6 +176,8 @@ class BlowUpStep:
         if not isinstance(self.target, str) or not self.target:
             raise GraphStructureError(
                 f"blow-up target must be a non-empty string, got {self.target!r:.80}")
+
+    __setstate__ = _restore_checked
 
 
 def apply_blowups(graph: WeightedDualGraph,

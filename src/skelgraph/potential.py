@@ -88,6 +88,7 @@ from .graphs import (
     WeightedDualGraph,
     _ZERO,
     _bivalent_run,
+    _restore_checked,
     _search,
     refine,
 )
@@ -656,6 +657,8 @@ class BridgeChain:
             for x in ids:
                 if not isinstance(x, str):
                     raise UnknownElementError(f"unknown {kind} {x!r:.80}")
+
+    __setstate__ = _restore_checked
 
     def as_locus(self, graph: WeightedDualGraph) -> SubgraphLocus:
         verts = set(self.endpoints)

@@ -31,7 +31,7 @@ from .errors import (
     MissingDataError,
     PipelineError,
 )
-from .graphs import GraphPoint, Ray, WeightedDualGraph
+from .graphs import GraphPoint, Ray, WeightedDualGraph, _restore_checked
 from .loci import SubgraphLocus
 from .models import _blow_up
 from .plfunction import PLFunction
@@ -75,6 +75,8 @@ class PluricanonicalModelData:
                 f"got {self.horizontal_edges!r:.80}") from None
         object.__setattr__(self, "horizontal_edges", horizontal)
 
+    __setstate__ = _restore_checked
+
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
         """The data, checked against the graph.  The horizontal edges are
         checked in sorted order (by ``str``, so mixed ids still reach
@@ -99,12 +101,21 @@ class PluricanonicalModelData:
         return self
 
 
+def _require_model_data(data) -> None:
+    """GraphStructureError naming ``data`` unless it is PluricanonicalModelData."""
+    if not isinstance(data, PluricanonicalModelData):
+        raise GraphStructureError(
+            f"model data must be a PluricanonicalModelData, got {data!r:.80}")
+
+
 def _weights(graph, data, needs):
     """The value nu(v)/N(v) at each vertex, keyed by the graph's own
     point, and the slope N * (m + d) on each ray, read from validated
-    data on a loop-free graph; ``needs`` opens the loop-free message."""
+    data on a loop-free graph; ``needs`` opens the loop-free message, and
+    data that is not PluricanonicalModelData raises GraphStructureError."""
     if not graph.is_loop_free():
         raise LoopsPresentError(f"{needs} a loop-free graph")
+    _require_model_data(data)
     data.validate_on(graph)
     points = graph._vertex_points()
     values = {points[v.id]: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
@@ -134,8 +145,14 @@ def pushforward_divisor(graph: WeightedDualGraph,
                         data: PluricanonicalModelData) -> GraphDivisor:
     """Pushforward of the marked-point part of the form's divisor to the
     compact skeleton: each ray contributes deg(x) * d at its attachment,
-    keyed by the graph's own point of that vertex."""
-    data.validate_on(graph)
+    keyed by the graph's own point of that vertex.  Data that is not
+    PluricanonicalModelData raises GraphStructureError."""
+    _require_model_data(data)
+    return _pushforward(graph, data.validate_on(graph))
+
+
+def _pushforward(graph, data):
+    """``pushforward_divisor`` of data already validated on the graph."""
     points = graph._vertex_points()
     acc: dict[GraphPoint, int] = {}
     for r in graph.rays:
@@ -174,7 +191,10 @@ def verify_laplacian_theorem(graph: WeightedDualGraph,
     On the pair skeleton (rays in the valency and in the Laplacian):
     Delta(wt) = m * K.  On the compact skeleton, ``without_rays()``:
     Delta(wt restricted) = m * K_norays - pushforward, computed there
-    and not derived from the pair identity."""
+    and not derived from the pair identity.  The data is validated
+    once, by the weight function, and the pushforward reads it as
+    validated; the graph keeps its compact view and that view its K,
+    so a repeated check computes neither again."""
     wt = weight_function(graph, data)
 
     pair_lap = laplacian(graph, wt)
@@ -183,7 +203,7 @@ def verify_laplacian_theorem(graph: WeightedDualGraph,
 
     stripped = graph.without_rays()
     compact_lap = laplacian(stripped, wt.without_rays())
-    compact_rhs = canonical_divisor(stripped, data.m) - pushforward_divisor(graph, data)
+    compact_rhs = canonical_divisor(stripped, data.m) - _pushforward(graph, data)
     compact_diff = compact_lap - compact_rhs
 
     ok_pair = not pair_diff
@@ -222,13 +242,6 @@ def ks_skeleton(graph: WeightedDualGraph,
 # These extend blow-ups to (graph, data) pairs so that the new vertex
 # carries the divisor multiplicity of the exceptional component.  The
 # exactness of both Laplacian identities is preserved by each move.
-
-
-def _require_model_data(data) -> None:
-    """GraphStructureError naming ``data`` unless it is PluricanonicalModelData."""
-    if not isinstance(data, PluricanonicalModelData):
-        raise GraphStructureError(
-            f"model data must be a PluricanonicalModelData, got {data!r:.80}")
 
 
 def _entry(table, key, what):

@@ -404,14 +404,14 @@ class TestVerifyLaplacianReport:
                 assert code == 0
                 assert lap == sio.divisor_to_json(sk.laplacian(g, sk.weight_function(g, data)))
 
-    def test_data_is_validated_twice(self, tmp_path, capsys, monkeypatch):
+    def test_data_is_validated_once(self, tmp_path, capsys, monkeypatch):
         seen = []
         real = sk.PluricanonicalModelData.validate_on
         monkeypatch.setattr(sk.PluricanonicalModelData, "validate_on",
                             lambda self, graph: seen.append(graph) or real(self, graph))
         code, _ = self.reported(tmp_path, capsys, sk.fixtures.kodaira_type_ii(),
                                 sk.fixtures.kodaira_type_ii_data())
-        assert code == 0 and len(seen) == 2
+        assert code == 0 and len(seen) == 1
 
 
 class TestExportDotEscaping:

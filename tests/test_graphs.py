@@ -475,7 +475,7 @@ class TestSeriesReduction:
     fewer than three neighbours, and keeps nothing on its input."""
 
     KEPT = ("_lengths", "_distances", "_network", "_points", "_midpoints", "_canonical",
-            "_bridges")
+            "_bridges", "_compact")
 
     @staticmethod
     def answers(graph):

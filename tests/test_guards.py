@@ -250,6 +250,15 @@ GUARDS = [
     ("blow-up-node-with-data-dict-data", lambda: sk.blow_up_node_with_data(
         sk.fixtures.kodaira_type_ii(), {"m": 1}, "e0"), GSE,
      "model data must be a PluricanonicalModelData, got {'m': 1}"),
+    ("weight-function-none-data", lambda: sk.weight_function(
+        sk.fixtures.kodaira_type_ii(), None), GSE,
+     "model data must be a PluricanonicalModelData, got None"),
+    ("pushforward-int-data", lambda: sk.pushforward_divisor(_pair(), 5), GSE,
+     "model data must be a PluricanonicalModelData, got 5"),
+    ("laplacian-dict-data", lambda: sk.verify_laplacian_theorem(_pair(), {"m": 1}), GSE,
+     "model data must be a PluricanonicalModelData, got {'m': 1}"),
+    ("ks-skeleton-none-data", lambda: sk.ks_skeleton(sk.fixtures.kodaira_type_ii(), None),
+     GSE, "model data must be a PluricanonicalModelData, got None"),
     ("pair-fixture-negative-moves", lambda: random_pair_fixture(random.Random(0), 1, moves=-1),
      GSE, "moves must be an integer >= 0, got -1"),
     ("canonical-divisor-m-not-integer", lambda: sk.canonical_divisor(
@@ -624,6 +633,10 @@ def _queried_graph():
     sk.PLFunction({"u": 0, "v": F(1, 2), sk.GraphPoint.on_edge("e0", F(1, 4)): 3}, {"x": 2}),
     sk.SubgraphLocus(sk.fixtures.theta_graph(), vertices=["u"], whole_edges=["e2"],
                      segments={"e0": [(F(1, 5), F(1, 4))], "e1": [(0, F(1, 8))]}),
+    V("u", 2, 1), sk.Ray("u", "x", 3), sk.BridgeChain(edges=["e6", "e7"], endpoints=("l0", "r0")),
+    sk.BlowUpStep("interior", "v1"),
+    sk.PluricanonicalModelData(m=2, nu={"u": 1, "v": -3}, ray_degrees={"x": 0},
+                               horizontal_edges={"e1"}),
 ], ids=lambda x: type(x).__name__)
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                        lambda x: pickle.loads(pickle.dumps(x))],
@@ -644,3 +657,37 @@ def test_values_copy_and_pickle(value, duplicate):
     if isinstance(value, sk.PLFunction):
         assert out._walked is None and out.ray_slopes == value.ray_slopes
         assert list(out._values) == list(value._values)
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, made without its checks."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (_unchecked(V, id="", multiplicity=1, genus=0), GSE, "vertex id must be a non-empty string"),
+    (_unchecked(V, id="u", multiplicity=0, genus=0), GSE,
+     "vertex 'u': multiplicity must be >= 1, got 0"),
+    (_unchecked(V, id="u", multiplicity=1, genus=-1), GSE,
+     "vertex 'u': genus must be >= 0, got -1"),
+    (_unchecked(sk.Ray, attach="u", label="x", degree=0), GSE,
+     "ray 'x': degree must be >= 1, got 0"),
+    (_unchecked(sk.BridgeChain, edges=(["e6"],), endpoints=("l0", "m1")), UEE,
+     "unknown edge ['e6']"),
+    (_unchecked(sk.BlowUpStep, op="bogus", target=5), GSE, "unknown blow-up op 'bogus'"),
+    (_unchecked(sk.PluricanonicalModelData, m=0, nu={}, ray_degrees={},
+                horizontal_edges=frozenset()), GSE, "m must be >= 1, got 0"),
+], ids=["vertex-empty-id", "vertex-multiplicity", "vertex-genus", "ray-degree",
+        "chain-unhashable-edge", "blow-up-op", "model-data-m"])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_invalid_values_raise(value, error, message, duplicate):
+    """Unpickling and copying run the constructor's checks, so a state
+    the constructor refuses fails to load with its typed error."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        duplicate(value)
+    assert type(raised.value) is error
+

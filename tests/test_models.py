@@ -318,7 +318,7 @@ class TestVerifyMetricInvariance:
 BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_edge_index",
          "_ray_index")
 KEPT = ("_adjacency", "_lengths", "_distances", "_network", "_points", "_midpoints",
-        "_canonical", "_bridges")
+        "_canonical", "_bridges", "_compact")
 
 
 def answers(g):
@@ -381,6 +381,37 @@ class TestBlowUpAssembly:
             seq, _ = random_blowups(rng, pg, 30)
             for k in (1, 5, 30):
                 self.assert_assembled(pg, seq[:k])
+
+    @staticmethod
+    def first_change(parent, seq):
+        """The least position any step of ``seq`` changes: a node step's
+        edge position, an interior step's append position."""
+        count, first = len(parent.edges), len(parent.edges)
+        for step in seq:
+            first = min(first, int(step.target[1:]) if step.op == "node" else count)
+            count += 1
+        return first
+
+    def test_unchanged_prefix_is_the_parents_own_edges(self, rng):
+        """Edges before the least changed position are the parent's own
+        objects, and none from there on is."""
+        from skelgraph.sampling import random_graph, random_pair_fixture
+        parents = [random_graph(rng, max_vertices=8, max_multiplicity=8, extra_edges=3)
+                   for _ in range(6)]
+        parents += [random_pair_fixture(rng, m)[0] for m in (1, 2, 3)]
+        for g in parents:
+            seq, _ = random_blowups(rng, g, 10)
+            nodes = [e.id for e in g.edges if e.a != e.b and e.length is None]
+            singles = [[BlowUpStep("interior", g.vertex_ids[-1])],
+                       [BlowUpStep("node", nodes[len(nodes) // 2])]]
+            parents_own = set(map(id, g.edges))
+            for steps in (*singles, *(seq[:k] for k in (1, 2, 5, 10))):
+                out = sk.apply_blowups(g, steps)
+                first = self.first_change(g, steps)
+                assert all(out.edges[i] is g.edges[i] for i in range(first))
+                assert not any(id(e) in parents_own for e in out.edges[first:])
+                assert_like_cold(out)
+            assert self.first_change(g, singles[0]) == len(g.edges)
 
 
 class TestSeriesReductionAssembly:

@@ -962,7 +962,7 @@ class TestDerivedViews:
             assert compact.without_rays() is compact
             assert sk.strip_genus(g) is not flat
             if g.rays or g.pair_model:
-                assert g.without_rays() is not compact
+                assert g.without_rays() is compact
 
     def test_views_have_their_own_canonical_divisor(self):
         _, graphs = self.graphs()

@@ -30,13 +30,15 @@ replay = _tool()
 
 def _drive():
     """A few pair fixtures, a genus-labelled triangle chain and a call
-    that raises: every recorded function is reached."""
+    that raises: every recorded function is reached, the pushforward
+    by its own call, since the Laplacian check reads it privately."""
     from skelgraph.sampling import random_pair_fixture
     rng = random.Random(26)
     for m in (1, 2, 3):
         g, data = random_pair_fixture(rng, m)
         sk.verify_laplacian_theorem(g, data)
         sk.ks_skeleton(g, data)
+        sk.pushforward_divisor(g, data)
     chain = sk.fixtures.triangle_chain(2)
     chain = chain.replace(vertices=[sk.VertexLabel(v.id, 1, i % 2)
                                     for i, v in enumerate(chain.vertices)])

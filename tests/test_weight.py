@@ -440,7 +440,7 @@ class TestWeightMemos:
             compact = g.without_rays()
             assert compact.rays == () and not compact.pair_model
             assert compact == g.replace(rays=(), pair_model=False)
-            assert compact is not g and g.without_rays() is not compact
+            assert compact is not g and g.without_rays() is compact
             assert compact._distances == {} and compact._points == {}
             assert compact.without_rays() is compact
 
@@ -493,14 +493,86 @@ def validations(monkeypatch):
 
 class TestOneReading:
     """Each reader validates the model data once; the Laplacian check
-    reads it twice, through the weight function and the pushforward."""
+    too, through the weight function, and its pushforward reads the
+    validated data."""
 
     @pytest.mark.parametrize("read, count", [
         (sk.weight_function, 1), (sk.pushforward_divisor, 1), (sk.ks_skeleton, 1),
-        (sk.verify_laplacian_theorem, 2),
+        (sk.verify_laplacian_theorem, 1),
     ], ids=lambda x: getattr(x, "__name__", str(x)))
     def test_validations_per_call(self, validations, read, count):
         for g, data in TestWeightMemos.fixtures()[:6]:
             validations.clear()
             read(g, data)
             assert validations == [g] * count
+
+
+class TestKeptCompactView:
+    """A graph keeps its compact view: ``without_rays()`` is the same
+    object on every call, with the canonical divisors it keeps, while a
+    new graph and every derived view start without one, since their
+    rays or genera may differ."""
+
+    fixtures = staticmethod(TestRayDerivations.fixtures_with_rays)
+
+    def test_the_same_view_on_every_call(self):
+        for g, _ in self.fixtures():
+            assert g._compact is None
+            compact = g.without_rays()
+            assert g._compact is compact and compact is not g
+            assert all(g.without_rays() is compact for _ in range(3))
+            assert compact._compact is None and compact.without_rays() is compact
+
+    def test_new_graphs_and_views_start_without_one(self):
+        from skelgraph.graphs import _series_reduction
+        from skelgraph.sampling import _sprout_ray_pack
+        for seed, (g, data) in enumerate(self.fixtures()):
+            g.without_rays()
+            ray = g.rays[0]
+            made = [WeightedDualGraph(*g.__reduce__()[1]), pickle.loads(pickle.dumps(g)),
+                    copy.copy(g), copy.deepcopy(g), g.replace(),
+                    sk.apply_blowups(g, [sk.BlowUpStep("interior", g.vertex_ids[0])]),
+                    _series_reduction(g, g.vertex_ids),
+                    g.without_rays(), sk.strip_genus(g),
+                    _sprout_ray_pack(random.Random(seed), g, data)[0],
+                    sk.blow_up_interior_with_data(g, data, ray.attach, toward_ray=ray.label)[0]]
+            assert all(out._compact is None for out in made)
+
+    def test_a_stripped_view_has_its_own_compact_view(self):
+        for g, _ in self.fixtures():
+            g = g.replace(vertices=[V(v.id, v.multiplicity, (i + 1) % 2)
+                                    for i, v in enumerate(g.vertices)])
+            compact = g.without_rays()
+            flat = sk.strip_genus(g).without_rays()
+            cold = WeightedDualGraph([V(v.id, v.multiplicity, 0) for v in g.vertices], g.edges,
+                                     (), g.metric, g.name, False)
+            assert flat is not compact and flat == cold and not flat.pair_model
+            for m in (1, 2):
+                assert sk.canonical_divisor(flat, m) == sk.canonical_divisor(cold, m)
+                assert sk.canonical_divisor(compact, m) != sk.canonical_divisor(flat, m)
+
+    def test_compact_canonical_divisor_is_computed_once(self, monkeypatch):
+        real, computed = sk.weight.canonical_divisor, []
+
+        def counted(graph, m=1):
+            if m not in graph._canonical:
+                computed.append(graph)
+            return real(graph, m)
+
+        monkeypatch.setattr("skelgraph.weight.canonical_divisor", counted)
+        for g, data in self.fixtures():
+            computed.clear()
+            for _ in range(3):
+                assert sk.verify_laplacian_theorem(g, data).ok
+            assert computed == [g, g.without_rays()]
+
+    def test_reports_equal_a_pickled_copys_cold_and_warm(self):
+        fixtures = self.fixtures()
+        assert len(fixtures) >= 24
+        for g, data in fixtures:
+            copied = pickle.loads(pickle.dumps(g))
+            want = sk.verify_laplacian_theorem(copied, data)
+            assert want.ok, want.describe()
+            for _ in range(2):
+                assert sk.verify_laplacian_theorem(g, data) == want
+                assert sk.verify_laplacian_theorem(copied, data) == want
