@@ -19,23 +19,27 @@ other metric.
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is exact: Fractions,
 or integers counting a known unit.  So a graph keeps what it derives
-on first read: the adjacency, the edge ids at each vertex, which
-``edges_at`` and the depth-first search read; each edge's length; one
+on first read: the adjacency, the edge ids at each vertex, in edge
+order for ``edges_at`` and in id-string order for the depth-first
+search, built in one pass; each edge's length; one
 integer network, the edge lengths as integer steps over the lcm of
 their denominators, read off each edge's numerator and denominator (a
 formula edge's denominator comes from the helper behind
 ``formula_length``); for each source that ``vertex_distances`` or
 ``distance`` reads, its Dijkstra row of integer steps, from which
 ``vertex_distances`` builds a fresh ``Fraction`` per vertex and
-``distance`` one ``Fraction`` per answer;
+``distance`` one ``Fraction`` per answer; ``refine``'s uncut integer
+layout, which each call scales to its cuts;
 one ``GraphPoint`` per vertex, with which ``refine``, the function
 walk, ``laplacian``, ``min_locus``, ``canonical_divisor``,
 ``check_point`` (for an edge end) and, in ``weight``, the weight
 function and the pushforward divisor key their vertices; one midpoint
 per edge that ``midpoint`` is asked for, with which the witnesses key
 the points they put on edges, so lookups among all these results match
-by identity; and, in ``potential``, ``canonical_divisor`` for each m
-asked for and ``bridges``, both immutable; and its compact graph, the
+by identity, and ``check_point`` passes these points by identity; and,
+in ``potential``, ``canonical_divisor`` for each m asked for and
+``bridges``, both immutable, and each spanning tree that
+``is_spanning_tree`` accepts; and its compact graph, the
 one ``without_rays()`` returns, with the canonical divisors that view
 keeps for itself.  A new graph, ``replace``'s, a copy's, a blow-up's
 and a series reduction's included, starts with none of them, but for
@@ -182,6 +186,18 @@ class Edge:
     b: str
     length: Optional[Fraction] = None
 
+    @classmethod
+    def _trusted(cls, eid: str, a: str, b: str, length: Optional[Fraction]) -> "Edge":
+        """An edge kept as given, without the dataclass ``__init__``'s one
+        ``object.__setattr__`` per field: for callers whose parts already
+        meet every rule the graph constructor checks on an edge (``eid``
+        is ``e{i}`` at its position, ``a <= b`` are two ids of the graph,
+        ``length`` is a positive Fraction or None), and say why (see
+        ``models._blow_up``)."""
+        edge = object.__new__(cls)
+        edge.__dict__.update(id=eid, a=a, b=b, length=length)
+        return edge
+
 
 class GraphPoint:
     """A point of the metric realization: a vertex, an interior edge
@@ -305,9 +321,9 @@ class WeightedDualGraph:
     """
 
     __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
-                 "_rays", "_adjacency", "_edge_index", "_ray_index", "_lengths",
-                 "_distances", "_network", "_points", "_midpoints", "_canonical",
-                 "_bridges", "_compact")
+                 "_rays", "_adjacency", "_sorted_adjacency", "_edge_index", "_ray_index",
+                 "_lengths", "_distances", "_network", "_layout", "_points", "_midpoints",
+                 "_canonical", "_bridges", "_trees", "_compact")
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -407,14 +423,18 @@ class WeightedDualGraph:
         object.__setattr__(self, "_ray_index", {r.label: r for r in rays})
         # kept values, each filled on first use and named with the inputs
         # it reads; a derived view (see _derive) shares those it leaves unchanged
-        # vertex id -> ids of the edges at it (see _adjacent): vertex ids, edges
+        # vertex id -> ids of the edges at it, in edge order and in id-string
+        # order (see _adjacent), built together: vertex ids, edges
         object.__setattr__(self, "_adjacency", None)
+        object.__setattr__(self, "_sorted_adjacency", None)
         # edge id -> length: edges, multiplicities, metric
         object.__setattr__(self, "_lengths", {})
         # source -> integer Dijkstra row: edges, multiplicities, metric
         object.__setattr__(self, "_distances", {})
         # (scale, integer adjacency): edges, multiplicities, metric
         object.__setattr__(self, "_network", None)
+        # refine's uncut layout: vertex ids, edges, multiplicities, metric
+        object.__setattr__(self, "_layout", None)
         # vertex id -> its one GraphPoint, all at once: vertex ids
         object.__setattr__(self, "_points", {})
         # edge id -> its one midpoint: edges, multiplicities, metric
@@ -423,6 +443,9 @@ class WeightedDualGraph:
         object.__setattr__(self, "_canonical", {})
         # bridges(self): vertex ids, edges
         object.__setattr__(self, "_bridges", None)
+        # each spanning tree is_spanning_tree accepted, as a frozenset key:
+        # vertex ids, edges
+        object.__setattr__(self, "_trees", {})
         # without_rays(): every input; a derived view starts it empty
         object.__setattr__(self, "_compact", None)
 
@@ -521,7 +544,9 @@ class WeightedDualGraph:
 
     def _adjacent(self) -> dict[str, tuple[str, ...]]:
         """Vertex id -> the ids of the edges at it, in edge order, a loop
-        listed once: built on the first read and kept.  The constructor's
+        listed once: built on the first read and kept, in the same pass
+        as the same ids in id-string order (``e10`` before ``e2``), which
+        ``_search`` reads from ``_sorted_adjacency``.  The constructor's
         connectivity check is such a read."""
         adjacency = self._adjacency
         if adjacency is None:
@@ -531,6 +556,8 @@ class WeightedDualGraph:
                 if e.b != e.a:
                     lists[e.b].append(e.id)
             adjacency = {vid: tuple(ids) for vid, ids in lists.items()}
+            object.__setattr__(self, "_sorted_adjacency",
+                               {vid: tuple(sorted(ids)) for vid, ids in lists.items()})
             object.__setattr__(self, "_adjacency", adjacency)
         return adjacency
 
@@ -590,17 +617,20 @@ class WeightedDualGraph:
         length, and the edges connect them.  So nothing is checked again.
         The view shares the edges and the edge index, and each kept value
         whose inputs it leaves unchanged, as this graph holds it: the
-        lengths, the integer network and rows and the midpoints (edges,
-        multiplicities, metric) and the adjacency, the vertex points and
-        the bridges (ids, edges).  Its ray index is this graph's when the
+        lengths, the integer network and rows, the midpoints (edges,
+        multiplicities, metric), the ``refine`` layout (ids, edges,
+        multiplicities, metric) and the adjacency in both orders, the
+        vertex points, the bridges and the accepted spanning trees (ids,
+        edges).  Its ray index is this graph's when the
         rays are this graph's own tuple, else built from them.  Its
         canonical divisors and its compact graph start empty: K counts
         rays and reads the genera, and the compact graph has the view's
         genera and its own K."""
         out = object.__new__(WeightedDualGraph)
         put = object.__setattr__
-        for slot in ("name", "metric", "_edges", "_adjacency", "_edge_index", "_lengths",
-                     "_distances", "_network", "_points", "_midpoints", "_bridges"):
+        for slot in ("name", "metric", "_edges", "_adjacency", "_sorted_adjacency",
+                     "_edge_index", "_lengths", "_distances", "_network", "_layout",
+                     "_points", "_midpoints", "_bridges", "_trees"):
             put(out, slot, getattr(self, slot))
         put(out, "pair_model", pair_model)
         put(out, "_vertices", vertices)
@@ -633,12 +663,21 @@ class WeightedDualGraph:
         point; a vertex point and any other edge or ray point come back
         as given.  The point's own rules were checked when it was made,
         so only its vertex, edge or ray and an edge offset's bounds are
-        checked here."""
+        checked here.
+
+        A point that is this graph's own vertex point or kept midpoint
+        (the object itself, not one equal to it) comes back at once: the
+        graph built it from its own vertex id, or at half of its own
+        edge's positive length, so every check would pass and return it
+        as given.  Any other point takes the checks."""
         p = as_point(p)
         if p.kind == "vertex":
-            self.vertex(p.where)
+            if p is not self._points.get(p.where):
+                self.vertex(p.where)
             return p
         if p.kind == "edge":
+            if p is self._midpoints.get(p.where):
+                return p
             e = self.edge(p.where)
             ell = self.edge_length(p.where)
             if p.offset < 0 or p.offset > ell:
@@ -710,10 +749,11 @@ def _search(graph: WeightedDualGraph, root: str, usable) -> dict:
     via = {root: None}
     stack = [root]
     index = graph._edge_index
-    adjacency = graph._adjacent()
+    graph._adjacent()
+    adjacency = graph._sorted_adjacency
     while stack:
         v = stack.pop()
-        for eid in sorted(adjacency[v]):
+        for eid in adjacency[v]:
             if eid in usable:
                 e = index[eid]
                 w = e.b if e.a == v else e.a
@@ -1005,30 +1045,46 @@ class Refinement:
 def refine(graph: WeightedDualGraph, points: Iterable[GraphPoint]) -> Refinement:
     """The layout of the graph cut at the edge points among ``points``,
     which ``graph.check_point`` produced, so each lies strictly inside
-    its edge; the vertices are marks anyway."""
+    its edge; the vertices are marks anyway.
+
+    The graph keeps its uncut layout, built on the first call: L0, the
+    lcm of the edge-length denominators; each edge in order as (index,
+    id, mark of ``e.a``, mark of ``e.b``, length in units of 1/L0); and
+    the dict from each vertex point to its mark.  A call takes L, the
+    lcm of L0 and the cut denominators, scales each edge's steps by
+    L // L0 and copies the marks dict, so it reads no edge length."""
+    layout = graph._layout
+    if layout is None:
+        lengths = [graph.edge_length(e.id) for e in graph._edges]
+        L0 = math.lcm(*(x.denominator for x in lengths))
+        index = {v: i for i, v in enumerate(graph._vertices)}
+        layout = (L0, tuple((i, e.id, index[e.a], index[e.b], x.numerator * (L0 // x.denominator))
+                            for i, (e, x) in enumerate(zip(graph._edges, lengths))),
+                  {p: i for i, p in enumerate(graph._vertex_points().values())})
+        object.__setattr__(graph, "_layout", layout)
+    L0, edges, base = layout
     stops: dict[str, set[GraphPoint]] = {}
     for p in points:
         if p.kind == "edge":
             stops.setdefault(p.where, set()).add(p)
-    lengths = [graph.edge_length(e.id) for e in graph.edges]
-    L = math.lcm(*(x.denominator for x in lengths),
-                 *(p.offset.denominator for cut in stops.values() for p in cut))
-    index = {v: i for i, v in enumerate(graph.vertex_ids)}
-    marks = {p: i for i, p in enumerate(graph._vertex_points().values())}
+    L = math.lcm(L0, *(p.offset.denominator for cut in stops.values() for p in cut))
+    r = L // L0
+    marks = dict(base)
     segments: list[tuple[int, int, int, int]] = []
     inc: list[list[int]] = [[] for _ in marks]
-    for i, (e, ell) in enumerate(zip(graph.edges, lengths)):
-        x, at = index[e.a], 0
-        for p in [*sorted(stops.get(e.id, ()), key=lambda c: c.offset), None]:
-            if p is None:
-                y, k = index[e.b], ell.numerator * (L // ell.denominator)
-            else:
-                y, k = len(marks), p.offset.numerator * (L // p.offset.denominator)
-                marks[p] = y
-                inc.append([])
-            if x != y:
-                inc[x].append(len(segments))
-                inc[y].append(len(segments))
-                segments.append((i, x, y, k - at))
+    for i, eid, x, b, n in edges:
+        at = 0
+        cut = stops.get(eid)
+        for p in sorted(cut, key=lambda c: c.offset) if cut else ():
+            y, k = len(marks), p.offset.numerator * (L // p.offset.denominator)
+            marks[p] = y
+            inc.append([])
+            inc[x].append(len(segments))
+            inc[y].append(len(segments))
+            segments.append((i, x, y, k - at))
             x, at = y, k
+        if x != b:
+            inc[x].append(len(segments))
+            inc[b].append(len(segments))
+            segments.append((i, x, b, n * r - at))
     return Refinement(marks, tuple(segments), tuple(map(tuple, inc)), L)

@@ -47,8 +47,11 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
     still holds: ``fresh_id`` makes each new id distinct and non-empty;
     each new label is made without ``VertexLabel``'s checks
     (``VertexLabel._trusted``), as its genus is 0 and its multiplicity
-    is a copy or a sum of checked integers >= 1; each new edge
-    joins two known ids, sorted, and takes the formula length; a node
+    is a copy or a sum of checked integers >= 1; each new or shifted
+    edge is made without ``Edge``'s dataclass ``__init__``
+    (``Edge._trusted``), as its id is ``e{i}`` at its position, a new
+    edge joins two known ids, sorted, and takes the formula length, and
+    a shifted one keeps a parent Edge's endpoints and length; a node
     blow-up replaces an edge by a path through the new vertex and an
     interior blow-up hangs a leaf, so the graph stays connected; the
     rays and the multiplicities they attach to are unchanged, so a pair
@@ -104,7 +107,8 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
             edges.append((min(target, wid), max(target, wid)))
         created.append(wid)
     assembled = graph._edges[:first] + tuple(
-        Edge(f"e{i}", e[0], e[1]) if type(e) is tuple else Edge(f"e{i}", e.a, e.b, e.length)
+        Edge._trusted(f"e{i}", e[0], e[1], None) if type(e) is tuple
+        else Edge._trusted(f"e{i}", e.a, e.b, e.length)
         for i, e in enumerate(edges[first:], first))
     out = object.__new__(WeightedDualGraph)
     out._assemble({vid: vertices[vid] for vid in sorted(vertices)}, assembled,

@@ -203,16 +203,17 @@ class PLFunction:
                               [((yb - ya) * ell.denominator, ell.numerator * dy)], (), (ya, yb))
                 continue
             inner.sort(key=itemgetter(0))
-            if not 0 < inner[0][0] <= inner[-1][0] < ell:
-                x = inner[0][0] if inner[0][0] <= 0 else inner[-1][0]
-                if x in (0, ell):
-                    raise InvalidPointError(
-                        f"breakpoint {GraphPoint.on_edge(e.id, x)!r} is not normalized")
-                raise InvalidPointError(f"position {x} outside [0, {ell}] on edge {e.id!r}")
             offsets, values, keys = zip(*inner)
             dx = lcm(ell.denominator, *[x.denominator for x in offsets])
             xs = [0, *[x.numerator * (dx // x.denominator) for x in offsets],
                   ell.numerator * (dx // ell.denominator)]
+            # the first and last breakpoints against (0, ell), scaled by dx
+            if xs[1] <= 0 or xs[-2] >= xs[-1]:
+                j, x = (1, offsets[0]) if xs[1] <= 0 else (-2, offsets[-1])
+                if xs[j] in (0, xs[-1]):
+                    raise InvalidPointError(
+                        f"breakpoint {GraphPoint.on_edge(e.id, x)!r} is not normalized")
+                raise InvalidPointError(f"position {x} outside [0, {ell}] on edge {e.id!r}")
             ys = [ya, *[y.numerator * (dy // y.denominator) for y in values], yb]
             pieces = [((y1 - y0) * dx, (x1 - x0) * dy)
                       for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]

@@ -40,6 +40,13 @@ midpoints into D, ``reduce_divisor`` keys its output at an input point
 with that point, ``solve_poisson`` keys its values with the checked
 target points, and ``laplacian`` keys kinks with f's breakpoints, so
 the divisors and functions these pass each other match by identity.
+``check_point`` passes the graph's own vertex points and midpoints by
+identity, so on the witness path the solvers check only the points a
+reduction added, and ``refine`` scales the graph's kept uncut layout
+to its cuts.  A given tree is searched once per graph:
+``is_spanning_tree`` keeps each tree it accepts, so a witness's entry
+check, its lemma's "spanning-tree" hypothesis and ``fundamental_cycle``
+pay for one search.
 
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
@@ -390,13 +397,38 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
     return graph._bridges
 
 
-def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
-    """V - 1 edges that reach every vertex (a loop or a cycle among them
-    leaves one unreached).  Repeated ids count once; the first unknown
-    id, in the order given, raises."""
-    edges = {eid: graph.edge(eid) for eid in edge_ids}
+def _edge_ids(ids, what: str):
+    """An iterator over ``ids``, which the caller checks as edge ids in
+    that order; GraphStructureError names a value that is not iterable.
+    A string is iterable, and reads as its characters."""
+    try:
+        return iter(ids)
+    except TypeError:
+        raise GraphStructureError(
+            f"{what} must be an iterable of edge ids, got {ids!r:.80}") from None
+
+
+def _spans(graph: WeightedDualGraph, edges) -> bool:
+    """Whether the edge ids in ``edges`` (a container of known ids, each
+    once) are V - 1 edges that reach every vertex: a loop or a cycle
+    among them leaves one unreached."""
     ids = graph.vertex_ids
     return len(edges) == len(ids) - 1 and len(_search(graph, ids[0], edges)) == len(ids)
+
+
+def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
+    """V - 1 edges that reach every vertex (see ``_spans``).  Repeated
+    ids count once; the first unknown id, in the order given, raises,
+    on every call.  The graph keeps each tree it accepts, as a
+    frozenset (the one given, when it is a frozenset), so the search
+    runs once per tree; a rejected one is searched again on every call."""
+    edges = {eid: graph.edge(eid) for eid in _edge_ids(edge_ids, "tree")}
+    tree = edge_ids if type(edge_ids) is frozenset else frozenset(edges)
+    if tree not in graph._trees:
+        if not _spans(graph, edges):
+            return False
+        graph._trees[tree] = None
+    return True
 
 
 def spanning_tree(graph: WeightedDualGraph,
@@ -405,7 +437,7 @@ def spanning_tree(graph: WeightedDualGraph,
     search from the smallest vertex, taking each vertex's edges in
     id-string order, first reaches each other vertex.  It uses no edge
     of ``avoid``, each of which must name an edge."""
-    avoid = {graph.edge(eid).id for eid in avoid}
+    avoid = {graph.edge(eid).id for eid in _edge_ids(avoid, "avoid")}
     ids = graph.vertex_ids
     via = _search(graph, ids[0], graph._edge_index.keys() - avoid)
     if len(via) != len(ids):
@@ -417,11 +449,12 @@ def spanning_tree(graph: WeightedDualGraph,
 
 def all_spanning_trees(graph: WeightedDualGraph) -> list[frozenset[str]]:
     """Every spanning tree, by filtering edge subsets; fine for the
-    small graphs this package works with."""
+    small graphs this package works with.  The graph keeps none of
+    them (see ``is_spanning_tree``)."""
     non_loops = [e.id for e in graph.edges if e.a != e.b]
     k = len(graph.vertex_ids) - 1
     return [frozenset(c) for c in itertools.combinations(non_loops, k)
-            if is_spanning_tree(graph, c)]
+            if _spans(graph, c)]
 
 
 def _tree_path(graph, tree, a, b):
@@ -444,7 +477,7 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
     given.  It is built in canonical form, each edge as the one segment
     from 0 to its kept length, along ``_tree_path`` and then e, as the
     public constructor would order it."""
-    tset = dict.fromkeys(tree)  # a set in the given order
+    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
     e = graph.edge(eid)
     if eid in tset:
         raise GraphStructureError(f"edge {eid!r} lies in the tree")
@@ -746,7 +779,7 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
     requirement, raised on violation), and D's support meets the
     relative interior of every non-tree edge other than e.  Conclusion:
     the minimum locus of f is the fundamental cycle Z(tree, e)."""
-    tset = dict.fromkeys(tree)  # a set in the given order
+    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()
@@ -766,7 +799,7 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
     to 2K via f (exact, raised on violation), D's support meets the
     interior of every non-tree edge, and D >= K - (v1) - (v2).
     Conclusion: the minimum locus of f is the chain."""
-    tset = dict.fromkeys(tree)  # a set in the given order
+    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()

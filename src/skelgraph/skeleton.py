@@ -41,6 +41,7 @@ from .loci import SubgraphLocus, union_loci, vertex_locus
 from .plfunction import PLFunction
 from .potential import (
     BridgeChain,
+    _edge_ids,
     _maximal_chain,
     bridges,
     canonical_divisor,
@@ -220,7 +221,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     graph.edge(eid)
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
-    if tree is not None and iter(tree) is tree:  # an iterator, read once
+    if tree is not None and _edge_ids(tree, "tree") is tree:  # an iterator, read once
         tree = tuple(tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
@@ -261,7 +262,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
 
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective
-    if tree is not None and iter(tree) is tree:  # an iterator, read once
+    if tree is not None and _edge_ids(tree, "tree") is tree:  # an iterator, read once
         tree = tuple(tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
     if tree is not None and not is_spanning_tree(graph, tree):

@@ -474,8 +474,8 @@ class TestSeriesReduction:
     against the graph itself and networkx, leaves no other vertex with
     fewer than three neighbours, and keeps nothing on its input."""
 
-    KEPT = ("_lengths", "_distances", "_network", "_points", "_midpoints", "_canonical",
-            "_bridges", "_compact")
+    KEPT = ("_lengths", "_distances", "_network", "_layout", "_points", "_midpoints",
+            "_canonical", "_bridges", "_trees", "_compact")
 
     @staticmethod
     def answers(graph):
@@ -486,7 +486,9 @@ class TestSeriesReduction:
             return answers(graph)
         return ([graph.edge_length(e.id) for e in graph.edges],
                 [list(sk.vertex_distances(graph, v).items()) for v in graph.vertex_ids],
-                [graph.midpoint(e.id) for e in graph.edges], sk.bridges(graph))
+                [graph.midpoint(e.id) for e in graph.edges], sk.bridges(graph),
+                refine(graph, [graph.midpoint(e.id) for e in graph.edges]),
+                sk.is_spanning_tree(graph, sk.spanning_tree(graph)))
 
     def check(self, graph, keep):
         cold = pickle.loads(pickle.dumps(graph))
@@ -530,6 +532,14 @@ class TestSeriesReduction:
         for g in self.graphs(rng):
             for keep in self.keeps(rng, g):
                 self.check(g, keep)
+
+    def test_reduction_of_a_warm_graph_keeps_nothing(self, rng):
+        # the reduced graph is new: nothing its warm input keeps carries over
+        for g in self.graphs(rng):
+            self.answers(g)
+            reduced = _series_reduction(g, g.vertex_ids[:1])
+            for slot in self.KEPT:
+                assert getattr(reduced, slot) in ({}, None), slot
 
     def test_blown_up_model_reduces_to_the_original(self, rng):
         # node blow-ups subdivide edges and interior ones hang trees, so
@@ -802,6 +812,65 @@ class TestRefine:
         ref = refine(g, [])
         assert ref.marks == {P.at_vertex("u"): 0, P.at_vertex("v"): 1}
         assert [s[1:3] for s in ref.segments] == [(0, 1)] * 3
+
+    def test_kept_layout_answers_as_cold(self, rng):
+        # the graph keeps its uncut layout on the first call; later calls,
+        # derived views, which share it, and copies, which start without
+        # it, all give == layouts, and no call's marks are another's
+        from skelgraph.sampling import random_pair_fixture
+        graphs = [random_multigraph(rng, max_vertices=6, extra=4, loops=2, rays=2)
+                  for _ in range(20)]
+        graphs += [random_pair_fixture(rng, m)[0] for m in (1, 2, 3)]
+        for g in graphs:
+            cuts = [random_cuts(rng, g) for _ in range(3)] + [[]]
+            want = [refine(pickle.loads(pickle.dumps(g)), c) for c in cuts]
+            assert g._layout is None
+            first = refine(g, cuts[0])
+            layout = g._layout
+            assert layout is not None and first.marks is not layout[2]
+            for copied in (g, g.without_rays(), sk.strip_genus(g), copy.deepcopy(g),
+                           pickle.loads(pickle.dumps(g)), g.replace()):
+                assert [refine(copied, c) for c in cuts] == want
+                assert [refine(copied, c) for c in cuts] == want  # warm
+            assert g._layout is layout and sk.strip_genus(g)._layout is layout
+            assert g.replace()._layout is None
+
+
+class TestCheckPointOwnPoints:
+    """check_point passes the graph's own vertex points and midpoints by
+    identity, and checks every other point, one equal to them included."""
+
+    def test_own_points_come_back_as_given(self):
+        g = sk.fixtures.theta_graph()
+        points = g._vertex_points()
+        for e in g.edges:
+            m = g.midpoint(e.id)
+            assert g.check_point(m) is m
+            equal = P.on_edge(e.id, g.edge_length(e.id) / 2)
+            assert equal is not m and g.check_point(equal) is equal
+        for v, p in points.items():
+            assert g.check_point(p) is p
+            assert g.check_point(P.at_vertex(v)) == p
+
+    def test_other_points_are_checked_on_a_warm_graph(self):
+        g = sk.fixtures.theta_graph()
+        short = g.replace(edges=[(e.a, e.b, F(1, 4)) for e in g.edges])
+        for e in g.edges:
+            g.midpoint(e.id)
+            with pytest.raises(sk.InvalidPointError, match="outside"):
+                g.check_point(P.on_edge(e.id, 5))
+            with pytest.raises(sk.InvalidPointError, match="outside"):
+                g.check_point(P.on_edge(e.id, -1))
+            # another graph's midpoint, past the end of this graph's edge
+            with pytest.raises(sk.InvalidPointError, match="outside"):
+                short.check_point(g.midpoint(e.id))
+            assert g.check_point(P.on_edge(e.id, 0)) is g._vertex_points()[e.a]
+            assert g.check_point(P.on_edge(e.id, g.edge_length(e.id))) is \
+                g._vertex_points()[e.b]
+        with pytest.raises(sk.UnknownElementError, match="unknown edge 'e9'"):
+            g.check_point(P.on_edge("e9", F(1, 2)))
+        with pytest.raises(sk.UnknownElementError, match="unknown vertex 'zz'"):
+            g.check_point(P.at_vertex("zz"))
 
 
 class TestGraphPointValue:

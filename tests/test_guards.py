@@ -72,6 +72,14 @@ def _bridge_lemma(chain):
     return sk.check_bridge_lemma(g, chain, w.tree, w.divisor, w.function)
 
 
+def _cycle_lemma(tree):
+    """check_min_locus_lemma on the theta graph with a valid witness's D
+    and f, for edge e0 and ``tree``."""
+    g = sk.fixtures.theta_graph()
+    w = sk.witness_cycle(g, "e0")
+    return sk.check_min_locus_lemma(g, tree, "e0", w.divisor, w.function)
+
+
 def _short_nu():
     return sk.PluricanonicalModelData(m=1, nu={"v1": 1})
 
@@ -325,6 +333,29 @@ GUARDS = [
     # a bare string is iterated by character, and 'e' names no edge
     ("spanning-tree-avoid-string", lambda: sk.spanning_tree(
         sk.fixtures.theta_graph(), avoid="e0"), UEE, "unknown edge 'e'"),
+    # a tree or avoid set that is not iterable names its value
+    ("spanning-tree-check-none", lambda: sk.is_spanning_tree(
+        sk.fixtures.theta_graph(), None), GSE,
+     "tree must be an iterable of edge ids, got None"),
+    ("spanning-tree-check-int", lambda: sk.is_spanning_tree(
+        sk.fixtures.theta_graph(), 5), GSE, "tree must be an iterable of edge ids, got 5"),
+    ("spanning-tree-avoid-none", lambda: sk.spanning_tree(
+        sk.fixtures.theta_graph(), avoid=None), GSE,
+     "avoid must be an iterable of edge ids, got None"),
+    ("fundamental-cycle-tree-none", lambda: sk.fundamental_cycle(
+        sk.fixtures.theta_graph(), None, "e0"), GSE,
+     "tree must be an iterable of edge ids, got None"),
+    ("min-locus-lemma-tree-none", lambda: _cycle_lemma(None), GSE,
+     "tree must be an iterable of edge ids, got None"),
+    ("bridge-lemma-tree-none", lambda: sk.check_bridge_lemma(
+        sk.fixtures.dumbbell(2), sk.maximal_bridge_chains(sk.fixtures.dumbbell(2))[0], None,
+        sk.GraphDivisor(), sk.PLFunction({})), GSE,
+     "tree must be an iterable of edge ids, got None"),
+    ("witness-cycle-int-tree", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e0", tree=5), GSE,
+     "tree must be an iterable of edge ids, got 5"),
+    ("witness-chain-int-tree", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(1), tree=5), GSE, "tree must be an iterable of edge ids, got 5"),
     ("poisson-ray-anchor", lambda: sk.solve_poisson(
         _pair(), sk.GraphDivisor({"u": 1, "v": -1}), anchor=sk.GraphPoint.on_ray("x", 1)),
      IPE, "anchor GraphPoint.on_ray('x', '1') is on a ray; it must be on the compact part"),

@@ -6,7 +6,7 @@ import pytest
 
 import skelgraph as sk
 from skelgraph import BlowUpStep, VertexLabel as V, WeightedDualGraph
-from skelgraph.graphs import _series_reduction
+from skelgraph.graphs import _series_reduction, refine
 
 from conftest import random_blowups
 
@@ -317,19 +317,22 @@ class TestVerifyMetricInvariance:
 # the slots a graph is built with, and the values it keeps on first read
 BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_edge_index",
          "_ray_index")
-KEPT = ("_adjacency", "_lengths", "_distances", "_network", "_points", "_midpoints",
-        "_canonical", "_bridges", "_compact")
+KEPT = ("_adjacency", "_sorted_adjacency", "_lengths", "_distances", "_network", "_layout",
+        "_points", "_midpoints", "_canonical", "_bridges", "_trees", "_compact")
 
 
 def answers(g):
     """Every kept value of g, read through the public readers: edge
     lengths, the distance rows from each vertex, midpoints, K for
-    m = 1 and 2, and the bridges."""
+    m = 1 and 2, the bridges, the layout cut at the midpoints and the
+    verdict on a spanning tree."""
     return ([g.edge_length(e.id) for e in g.edges],
             [list(sk.vertex_distances(g, v).items()) for v in g.vertex_ids],
             [g.midpoint(e.id) for e in g.edges],
             [sk.canonical_divisor(g, m) for m in (1, 2)],
-            sk.bridges(g))
+            sk.bridges(g),
+            refine(g, [g.midpoint(e.id) for e in g.edges]),
+            sk.is_spanning_tree(g, sk.spanning_tree(g)))
 
 
 def assert_like_cold(out):

@@ -1264,6 +1264,85 @@ class TestSpanningTrees:
             [frozenset({"e0"}), frozenset({"e1"}), frozenset({"e2"})]
 
 
+class TestKeptTrees:
+    """is_spanning_tree keeps each tree it accepts, and only those; the
+    ids are checked in the order given on every call, and the verdicts
+    of a cold graph, the same graph warm, its derived views and its
+    copies agree."""
+
+    @staticmethod
+    def candidates(rng, g):
+        """Trees, edge sets that are not, repeated ids and the empty set."""
+        ids = [e.id for e in g.edges]
+        out = [sorted(sk.spanning_tree(g)), [], ids]
+        for _ in range(8):
+            out.append(rng.sample(ids, min(len(ids), len(g.vertex_ids) - 1)))
+        out.append([*out[0], *out[0]])
+        return out
+
+    def test_cold_warm_views_and_copies_agree(self):
+        from skelgraph.sampling import random_pair_fixture
+        rng = random.Random(36)
+        graphs = [random_multigraph(rng, max_vertices=6, loops=2, rays=1) for _ in range(20)]
+        graphs += [random_pair_fixture(rng, m)[0] for m in (1, 2)]
+        for g in graphs:
+            sets = self.candidates(rng, g)
+            want = [sk.is_spanning_tree(pickle.loads(pickle.dumps(g)), S) for S in sets]
+            assert [sk.is_spanning_tree(g, S) for S in sets] == want
+            kept = dict(g._trees)
+            assert set(kept) == {frozenset(S) for S, ok in zip(sets, want) if ok}
+            for copied in (g, g.without_rays(), sk.strip_genus(g), copy.deepcopy(g),
+                           pickle.loads(pickle.dumps(g)), g.replace()):
+                assert [sk.is_spanning_tree(copied, S) for S in sets] == want
+                assert [sk.is_spanning_tree(copied, S) for S in sets] == want  # warm
+            assert g._trees == kept and sk.strip_genus(g)._trees is g._trees
+            assert g.replace()._trees == {}
+
+    def test_a_rejected_tree_is_never_kept(self):
+        g = sk.fixtures.theta_graph()
+        for S in (["e0", "e1"], [], ["e0", "e1", "e2"]):
+            for _ in range(2):
+                assert not sk.is_spanning_tree(g, S)
+        assert g._trees == {}
+        assert sk.is_spanning_tree(g, ["e1"]) and list(g._trees) == [frozenset({"e1"})]
+        assert not sk.is_spanning_tree(g, ["e1", "e2"])
+        assert list(g._trees) == [frozenset({"e1"})]
+
+    def test_ids_are_checked_on_a_warm_graph(self):
+        g = sk.fixtures.theta_graph()
+        assert sk.is_spanning_tree(g, ["e1"])
+        for _ in range(2):
+            with pytest.raises(sk.UnknownElementError, match="unknown edge 'e99'"):
+                sk.is_spanning_tree(g, ["e1", "e99"])
+            with pytest.raises(sk.UnknownElementError, match="unknown edge 'zz'"):
+                sk.is_spanning_tree(g, iter(["zz", "e1", "yy"]))
+            assert sk.is_spanning_tree(g, ["e1", "e1"])
+            assert sk.is_spanning_tree(g, iter(["e1"]))
+        assert list(g._trees) == [frozenset({"e1"})]
+
+    def test_all_spanning_trees_keeps_none(self):
+        rng = random.Random(2013)
+        for _ in range(10):
+            g = random_multigraph(rng, max_vertices=6, lengths=False)
+            trees = sk.all_spanning_trees(g)
+            assert g._trees == {}
+            assert all(sk.is_spanning_tree(g, T) for T in trees)
+            assert set(g._trees) == set(trees)
+            assert sk.all_spanning_trees(g) == trees
+
+    def test_witness_searches_a_given_tree_once(self, monkeypatch):
+        # the entry check, the lemma's hypothesis and fundamental_cycle
+        # ask about one tree; only the first one searches
+        calls = []
+        real = potential._spans
+        monkeypatch.setattr(potential, "_spans", lambda g, edges: calls.append(edges)
+                            or real(g, edges))
+        g = sk.fixtures.theta_graph()
+        bundle = sk.witness_cycle(g, "e0", tree=["e1"])
+        assert bundle.locus == sk.fundamental_cycle(g, ["e1"], "e0")
+        assert len(calls) == 1
+
+
 class TestReduceDivisor:
     def test_already_reduced(self):
         g = unit_edge()
