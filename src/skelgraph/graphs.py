@@ -19,40 +19,22 @@ other metric.
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is exact: Fractions,
 or integers counting a known unit.  So a graph keeps what it derives
-on first read: the adjacency, the edge ids at each vertex, in edge
-order for ``edges_at`` and in id-string order for the depth-first
-search, built in one pass; each edge's length; one
-integer network, the edge lengths as integer steps over the lcm of
-their denominators, read off each edge's numerator and denominator (a
-formula edge's denominator comes from the helper behind
-``formula_length``); for each source that ``vertex_distances`` or
-``distance`` reads, its Dijkstra row of integer steps, from which
-``vertex_distances`` builds a fresh ``Fraction`` per vertex and
-``distance`` one ``Fraction`` per answer; ``refine``'s uncut integer
-layout, which each call scales to its cuts;
-one ``GraphPoint`` per vertex, with which ``refine``, the function
-walk, ``laplacian``, ``min_locus``, ``canonical_divisor``,
-``check_point`` (for an edge end) and, in ``weight``, the weight
-function and the pushforward divisor key their vertices; one midpoint
-per edge that ``midpoint`` is asked for, with which the witnesses key
-the points they put on edges, so lookups among all these results match
-by identity, and ``check_point`` passes these points by identity; and,
-in ``potential``, ``canonical_divisor`` for each m asked for and
-``bridges``, both immutable, and each spanning tree that
-``is_spanning_tree`` accepts; and its compact graph, the
-one ``without_rays()`` returns, with the canonical divisors that view
-keeps for itself.  A new graph, ``replace``'s, a copy's, a blow-up's
-and a series reduction's included, starts with none of them, but for
-the adjacency that the constructor's connectivity check builds (a
-blow-up and a series reduction are assembled without it), and
-``_series_reduction`` keeps nothing on its input: it reads the edge
-steps afresh.  The derived views are not new graphs: ``without_rays()``,
-``strip_genus``, the ray packs that ``sampling.random_pair_fixture``
-sprouts and the graph of a ``toward_ray`` blow-up in ``weight`` each
-share their parent's edges, vertex points and every kept value whose
-inputs they leave unchanged (see ``WeightedDualGraph._derive``); a
-view keeps no compact graph of its parent's, since its rays or genera
-differ.
+on first read: the adjacency in edge and in id-string order, the edge
+lengths, the integer network and each source's Dijkstra row of integer
+steps, ``refine``'s uncut layout, one ``GraphPoint`` per vertex and one
+midpoint per edge asked for (the readers key their results with these
+points, so later lookups match by identity), ``canonical_divisor`` for
+each m, ``bridges``, each spanning tree ``is_spanning_tree`` accepts,
+and the compact graph of ``without_rays()``.  The table ``_KEPT`` gives
+each one's empty value and the inputs it reads.  A new graph,
+``replace``'s, a copy's, a blow-up's and a series reduction's included,
+starts with every one empty but the adjacency, which the constructor's
+connectivity check builds (the last two are assembled without it).  The
+derived views, ``without_rays()``, ``strip_genus``, the ray packs of
+``sampling.random_pair_fixture`` and the graph of a ``toward_ray``
+blow-up in ``weight``, are not new graphs: each changes only the rays,
+the genera or the pair flag, and shares every kept value that reads
+none of them (see ``WeightedDualGraph._derive``).
 """
 
 from __future__ import annotations
@@ -312,6 +294,52 @@ def formula_length(n1: int, n2: int, metric: MetricKind) -> Fraction:
     return Fraction(1, _formula_denominator(n1, n2, metric))
 
 
+# -- kept values ------------------------------------------------------------
+
+# The inputs a kept value may read: the vertex ids, the edges, the
+# multiplicities, the metric, the rays, the genera and the pair flag.  A
+# derived view (see WeightedDualGraph._derive) may change the last three.
+_IDS, _EDGES, _MULTIPLICITIES, _METRIC, _RAYS, _GENERA, _PAIR = range(7)
+
+# One row per value a graph keeps once derived, filled by its reader on
+# first use: (slot, dict when it starts as a fresh empty dict and None
+# when it starts as None, the inputs it reads).  A new graph starts each
+# one empty (see WeightedDualGraph._assemble), and a derived view shares
+# its parent's when it reads none of the inputs the view may change.
+_KEPT = (
+    # vertex id -> the ids of the edges at it, in edge order (see _adjacent)
+    ("_adjacency", None, (_IDS, _EDGES)),
+    # the same ids in id-string order, built in the same pass, for _search
+    ("_sorted_adjacency", None, (_IDS, _EDGES)),
+    # edge id -> length; PLFunction._walk reuses a walk on a graph whose
+    # _lengths is the walked graph's own dict, so it relies on views sharing it
+    ("_lengths", dict, (_EDGES, _MULTIPLICITIES, _METRIC)),
+    # source -> integer Dijkstra row (see _row)
+    ("_distances", dict, (_EDGES, _MULTIPLICITIES, _METRIC)),
+    # (scale, integer adjacency): the edge lengths as integer steps (see _row)
+    ("_network", None, (_EDGES, _MULTIPLICITIES, _METRIC)),
+    # refine's uncut integer layout (see refine)
+    ("_layout", None, (_IDS, _EDGES, _MULTIPLICITIES, _METRIC)),
+    # vertex id -> its one GraphPoint, all built at once (see _vertex_points)
+    ("_points", dict, (_IDS,)),
+    # edge id -> its one midpoint (see midpoint)
+    ("_midpoints", dict, (_EDGES, _MULTIPLICITIES, _METRIC)),
+    # m -> potential.canonical_divisor(graph, m)
+    ("_canonical", dict, (_IDS, _EDGES, _MULTIPLICITIES, _RAYS, _GENERA)),
+    # potential.bridges(graph)
+    ("_bridges", None, (_IDS, _EDGES)),
+    # each spanning tree potential.is_spanning_tree accepted, a frozenset key
+    ("_trees", dict, (_IDS, _EDGES)),
+    # without_rays(): the compact graph, with the canonical divisors it keeps
+    ("_compact", None, (_IDS, _EDGES, _MULTIPLICITIES, _METRIC, _RAYS, _GENERA, _PAIR)),
+)
+
+# the kept values a derived view shares with its parent: those that read
+# none of the inputs a view may change
+_VIEW_SHARES = tuple(slot for slot, _, inputs in _KEPT
+                     if {_RAYS, _GENERA, _PAIR}.isdisjoint(inputs))
+
+
 class WeightedDualGraph:
     """Connected weighted multigraph with rays and exact edge lengths.
 
@@ -320,10 +348,8 @@ class WeightedDualGraph:
     A missing length means the metric formula applies.
     """
 
-    __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges",
-                 "_rays", "_adjacency", "_sorted_adjacency", "_edge_index", "_ray_index",
-                 "_lengths", "_distances", "_network", "_layout", "_points", "_midpoints",
-                 "_canonical", "_bridges", "_trees", "_compact")
+    __slots__ = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays",
+                 "_edge_index", "_ray_index", *(slot for slot, _, _ in _KEPT))
 
     def __init__(self, vertices: Iterable[VertexLabel],
                  edges: Iterable = (),
@@ -409,45 +435,21 @@ class WeightedDualGraph:
         attach to known vertices under distinct labels, with a pair
         model's degrees equal to the multiplicities.  Nothing is checked
         here.  Its callers: the constructor, which checks the parts
-        before and connectivity after, and ``models._blow_up`` and
-        ``_series_reduction``, which assemble a graph from a checked
-        one and give their reasons instead.  Every kept value starts
-        empty, the adjacency included."""
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "pair_model", pair_model)
-        object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_rays", rays)
-        object.__setattr__(self, "_edge_index", {e.id: e for e in edges})
-        object.__setattr__(self, "_ray_index", {r.label: r for r in rays})
-        # kept values, each filled on first use and named with the inputs
-        # it reads; a derived view (see _derive) shares those it leaves unchanged
-        # vertex id -> ids of the edges at it, in edge order and in id-string
-        # order (see _adjacent), built together: vertex ids, edges
-        object.__setattr__(self, "_adjacency", None)
-        object.__setattr__(self, "_sorted_adjacency", None)
-        # edge id -> length: edges, multiplicities, metric
-        object.__setattr__(self, "_lengths", {})
-        # source -> integer Dijkstra row: edges, multiplicities, metric
-        object.__setattr__(self, "_distances", {})
-        # (scale, integer adjacency): edges, multiplicities, metric
-        object.__setattr__(self, "_network", None)
-        # refine's uncut layout: vertex ids, edges, multiplicities, metric
-        object.__setattr__(self, "_layout", None)
-        # vertex id -> its one GraphPoint, all at once: vertex ids
-        object.__setattr__(self, "_points", {})
-        # edge id -> its one midpoint: edges, multiplicities, metric
-        object.__setattr__(self, "_midpoints", {})
-        # m -> canonical_divisor(self, m): edges, rays, multiplicities, genera
-        object.__setattr__(self, "_canonical", {})
-        # bridges(self): vertex ids, edges
-        object.__setattr__(self, "_bridges", None)
-        # each spanning tree is_spanning_tree accepted, as a frozenset key:
-        # vertex ids, edges
-        object.__setattr__(self, "_trees", {})
-        # without_rays(): every input; a derived view starts it empty
-        object.__setattr__(self, "_compact", None)
+        before and connectivity after, and ``_derive``,
+        ``models._blow_up`` and ``_series_reduction``, which assemble a
+        graph from a checked one and give their reasons instead.  Every
+        kept value (see ``_KEPT``) starts empty, the adjacency included."""
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "metric", metric)
+        put(self, "pair_model", pair_model)
+        put(self, "_vertices", vertices)
+        put(self, "_edges", edges)
+        put(self, "_rays", rays)
+        put(self, "_edge_index", {e.id: e for e in edges})
+        put(self, "_ray_index", {r.label: r for r in rays})
+        for slot, empty, _ in _KEPT:
+            put(self, slot, None if empty is None else empty())
 
     def __setattr__(self, *args):
         raise AttributeError("WeightedDualGraph is immutable")
@@ -614,31 +616,14 @@ class WeightedDualGraph:
         It keeps this graph's metric, name and edges, so every other rule
         the constructor checks already holds: the ids are sorted, distinct
         and non-empty, each edge joins two of them with a positive
-        length, and the edges connect them.  So nothing is checked again.
-        The view shares the edges and the edge index, and each kept value
-        whose inputs it leaves unchanged, as this graph holds it: the
-        lengths, the integer network and rows, the midpoints (edges,
-        multiplicities, metric), the ``refine`` layout (ids, edges,
-        multiplicities, metric) and the adjacency in both orders, the
-        vertex points, the bridges and the accepted spanning trees (ids,
-        edges).  Its ray index is this graph's when the
-        rays are this graph's own tuple, else built from them.  Its
-        canonical divisors and its compact graph start empty: K counts
-        rays and reads the genera, and the compact graph has the view's
-        genera and its own K."""
+        length, and the edges connect them.  So nothing is checked again:
+        the view is assembled from these parts, every kept value empty,
+        and then shares this graph's edges and each kept value that reads
+        none of the rays, the genera and the pair flag (see ``_KEPT``)."""
         out = object.__new__(WeightedDualGraph)
-        put = object.__setattr__
-        for slot in ("name", "metric", "_edges", "_adjacency", "_sorted_adjacency",
-                     "_edge_index", "_lengths", "_distances", "_network", "_layout",
-                     "_points", "_midpoints", "_bridges", "_trees"):
-            put(out, slot, getattr(self, slot))
-        put(out, "pair_model", pair_model)
-        put(out, "_vertices", vertices)
-        put(out, "_rays", rays)
-        put(out, "_ray_index",
-            self._ray_index if rays is self._rays else {r.label: r for r in rays})
-        put(out, "_canonical", {})
-        put(out, "_compact", None)
+        out._assemble(vertices, self._edges, rays, self.metric, self.name, pair_model)
+        for slot in _VIEW_SHARES:
+            object.__setattr__(out, slot, getattr(self, slot))
         return out
 
     def fresh_vertex_id(self, stem: str) -> str:

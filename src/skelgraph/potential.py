@@ -408,6 +408,24 @@ def _edge_ids(ids, what: str):
             f"{what} must be an iterable of edge ids, got {ids!r:.80}") from None
 
 
+def _tree_ids(graph: WeightedDualGraph, tree):
+    """The ids of a given tree as a set that iterates in the order given,
+    read once from ``tree`` (see ``_edge_ids``): a frozenset is its own,
+    and anything else gives the keys of a dict, so a frozenset made from
+    them iterates as one made from the tree itself.  The callers check
+    the ids later, in that order; an id that does not hash cannot wait,
+    so here the first unknown id up to it raises UnknownElementError."""
+    if type(tree) is frozenset:
+        return tree
+    ids = tuple(_edge_ids(tree, "tree"))
+    try:
+        return dict.fromkeys(ids).keys()
+    except TypeError:
+        for eid in ids:
+            graph.edge(eid)
+        raise
+
+
 def _spans(graph: WeightedDualGraph, edges) -> bool:
     """Whether the edge ids in ``edges`` (a container of known ids, each
     once) are V - 1 edges that reach every vertex: a loop or a cycle
@@ -477,7 +495,7 @@ def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
     given.  It is built in canonical form, each edge as the one segment
     from 0 to its kept length, along ``_tree_path`` and then e, as the
     public constructor would order it."""
-    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
+    tset = _tree_ids(graph, tree)
     e = graph.edge(eid)
     if eid in tset:
         raise GraphStructureError(f"edge {eid!r} lies in the tree")
@@ -779,7 +797,7 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
     requirement, raised on violation), and D's support meets the
     relative interior of every non-tree edge other than e.  Conclusion:
     the minimum locus of f is the fundamental cycle Z(tree, e)."""
-    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
+    tset = _tree_ids(graph, tree)
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()
@@ -799,7 +817,7 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
     to 2K via f (exact, raised on violation), D's support meets the
     interior of every non-tree edge, and D >= K - (v1) - (v2).
     Conclusion: the minimum locus of f is the chain."""
-    tset = dict.fromkeys(_edge_ids(tree, "tree"))  # a set in the given order
+    tset = _tree_ids(graph, tree)
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()

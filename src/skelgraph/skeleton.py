@@ -41,8 +41,8 @@ from .loci import SubgraphLocus, union_loci, vertex_locus
 from .plfunction import PLFunction
 from .potential import (
     BridgeChain,
-    _edge_ids,
     _maximal_chain,
+    _tree_ids,
     bridges,
     canonical_divisor,
     check_bridge_lemma,
@@ -221,8 +221,7 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     graph.edge(eid)
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
-    if tree is not None and _edge_ids(tree, "tree") is tree:  # an iterator, read once
-        tree = tuple(tree)
+    tree = None if tree is None else _tree_ids(graph, tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
     if eid in T:
         raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
@@ -262,8 +261,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
 
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective
-    if tree is not None and _edge_ids(tree, "tree") is tree:  # an iterator, read once
-        tree = tuple(tree)
+    tree = None if tree is None else _tree_ids(graph, tree)
     T = frozenset(tree) if tree is not None else spanning_tree(graph)
     if tree is not None and not is_spanning_tree(graph, tree):
         raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")

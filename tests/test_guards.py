@@ -54,6 +54,18 @@ def _two_rays():
     return sk.distance(g, sk.GraphPoint.on_ray("x", 1), sk.GraphPoint.on_ray("y", 1))
 
 
+def _dumbbell_lemma(lemma, tree):
+    """check_min_locus_lemma (for edge e0) or check_bridge_lemma on
+    dumbbell(1), with a valid witness's D and f and ``tree``."""
+    g = sk.fixtures.dumbbell(1)
+    if lemma == "cycle":
+        w = sk.witness_cycle(g, "e0")
+        return sk.check_min_locus_lemma(g, tree, "e0", w.divisor, w.function)
+    w = sk.witness_bridge_chain(g)
+    return sk.check_bridge_lemma(g, sk.maximal_bridge_chains(g)[0], tree, w.divisor,
+                                 w.function)
+
+
 def _short_chain():
     g = sk.fixtures.dumbbell(2)
     return sk.witness_bridge_chain(g, sk.BridgeChain(edges=("e6",), endpoints=("l0", "m1")))
@@ -506,6 +518,20 @@ GUARDS = [
         sk.fixtures.theta_graph(), [["e0"]]), UEE, "unknown edge ['e0']"),
     ("fundamental-cycle-unhashable-edge", lambda: sk.fundamental_cycle(
         sk.fixtures.theta_graph(), ["e1"], ["e0"]), UEE, "unknown edge ['e0']"),
+    # an unhashable id inside a given tree is named where the tree is read
+    ("fundamental-cycle-unhashable-tree-id", lambda: sk.fundamental_cycle(
+        sk.fixtures.theta_graph(), [["e0"]], "e1"), UEE, "unknown edge ['e0']"),
+    ("witness-cycle-unhashable-tree-id", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e0", tree=[["e1"]]), UEE, "unknown edge ['e1']"),
+    ("witness-chain-unhashable-tree-id", lambda: sk.witness_bridge_chain(
+        sk.fixtures.dumbbell(1), tree=[["e1"]]), UEE, "unknown edge ['e1']"),
+    ("min-locus-lemma-unhashable-tree-id", lambda: _dumbbell_lemma("cycle", [["e1"]]), UEE,
+     "unknown edge ['e1']"),
+    ("bridge-lemma-unhashable-tree-id", lambda: _dumbbell_lemma("bridge", [["e1"]]), UEE,
+     "unknown edge ['e1']"),
+    # the first unknown id in the order given is named, as on a hashable tree
+    ("witness-cycle-unknown-before-unhashable", lambda: sk.witness_cycle(
+        sk.fixtures.theta_graph(), "e0", tree=["zz", ["e1"]]), UEE, "unknown edge 'zz'"),
     ("locus-unhashable-whole-edge", lambda: sk.SubgraphLocus(
         sk.fixtures.theta_graph(), whole_edges=[["e0"]]), UEE, "unknown edge ['e0']"),
     ("blow-up-node-unhashable-edge", lambda: sk.blow_up_node_with_data(

@@ -6,7 +6,7 @@ import pytest
 
 import skelgraph as sk
 from skelgraph import BlowUpStep, VertexLabel as V, WeightedDualGraph
-from skelgraph.graphs import _series_reduction, refine
+from skelgraph.graphs import _KEPT, _series_reduction, refine
 
 from conftest import random_blowups
 
@@ -319,6 +319,12 @@ BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_edge_
          "_ray_index")
 KEPT = ("_adjacency", "_sorted_adjacency", "_lengths", "_distances", "_network", "_layout",
         "_points", "_midpoints", "_canonical", "_bridges", "_trees", "_compact")
+
+
+def test_kept_is_the_tables_slots():
+    # a new row in graphs._KEPT fails here until assert_like_cold covers it
+    assert len(set(KEPT)) == len(KEPT)
+    assert set(KEPT) == {slot for slot, _, _ in _KEPT}
 
 
 def answers(g):

@@ -898,12 +898,106 @@ def _view_answers(g, f, points):
 
 
 class TestDerivedViews:
-    """``without_rays()`` and ``strip_genus`` derive views that share
-    their parent's edges, vertex points and the kept values whose inputs
-    they leave unchanged.  Each view is == the graph the constructor
-    builds from the same parts and answers as it does, cold and warm;
-    the parent answers as before once its views have filled the shared
-    values; and each view has its own K."""
+    """``without_rays()``, ``strip_genus``, a ray pack and a toward-ray
+    blow-up derive views that share their parent's edges, vertex points
+    and the kept values whose inputs they leave unchanged.  Each view is
+    == the graph the constructor builds from the same parts and answers
+    as it does, cold and warm; the parent answers as before once its
+    views have filled the shared values; and each view has its own K."""
+
+    # the kept values that read no rays, genera or pair flag, so every
+    # view shares them; a view starts each other kept value empty
+    SHARED = ("_adjacency", "_sorted_adjacency", "_lengths", "_distances", "_network",
+              "_layout", "_points", "_midpoints", "_bridges", "_trees")
+
+    # what each kept value's reader answers, to see which inputs it reads
+    READERS = {
+        "_adjacency": lambda g: [g.edges_at(v) for v in g.vertex_ids],
+        "_sorted_adjacency": lambda g: sk.spanning_tree(g),
+        "_lengths": lambda g: [g.edge_length(e.id) for e in g.edges],
+        "_distances": lambda g: [sk.vertex_distances(g, v) for v in g.vertex_ids],
+        "_network": lambda g: [sk.vertex_distances(g, v) for v in g.vertex_ids],
+        "_layout": lambda g: refine(g, [g.midpoint(e.id) for e in g.edges]),
+        "_points": lambda g: g._vertex_points(),
+        "_midpoints": lambda g: [g.midpoint(e.id) for e in g.edges],
+        "_canonical": lambda g: [sk.canonical_divisor(g, m) for m in (1, 2)],
+        "_bridges": lambda g: sk.bridges(g),
+        "_trees": lambda g: sk.is_spanning_tree(g, sk.spanning_tree(g)),
+        "_compact": lambda g: (g.without_rays(), g.without_rays().pair_model,
+                               sk.canonical_divisor(g.without_rays(), 1)),
+    }
+
+    @staticmethod
+    def fixtures():
+        """Pair fixtures with rays and edges, so every kept value fills."""
+        from test_weight import TestRayDerivations
+        return [(g, data) for g, data in TestRayDerivations.fixtures_with_rays() if g.edges][:12]
+
+    @staticmethod
+    def warm(g):
+        """Fill every kept value of g."""
+        from test_models import answers
+        answers(g)
+        g.without_rays()
+
+    def parents_and_views(self, maker, monkeypatch):
+        """(parent, view) for pair fixtures with rays, each view made by
+        ``maker`` once its parent is warm; a toward-ray blow-up's parent
+        is the graph the blow-up made, warmed before the ray moves."""
+        from skelgraph.sampling import _sprout_ray_pack
+        real, made = sk.weight._blow_up, []
+
+        def warmed(graph, steps):
+            made.append(real(graph, steps))
+            self.warm(made[-1][0])
+            return made[-1]
+
+        monkeypatch.setattr("skelgraph.weight._blow_up", warmed)
+        for seed, (g, data) in enumerate(self.fixtures()):
+            if maker == "toward_ray":
+                ray = g.rays[seed % len(g.rays)]
+                view, _ = sk.blow_up_interior_with_data(g, data, ray.attach,
+                                                         toward_ray=ray.label)
+                yield made[-1][0], view
+                continue
+            self.warm(g)
+            if maker == "without_rays":
+                yield g, g.without_rays()
+            elif maker == "strip_genus":
+                yield g, sk.strip_genus(g)
+            else:
+                yield g, _sprout_ray_pack(random.Random(seed), g, data)[0]
+
+    @pytest.mark.parametrize("maker", ["without_rays", "strip_genus", "ray_pack", "toward_ray"])
+    def test_views_share_exactly_the_values_no_view_input_changes(self, maker, monkeypatch):
+        from test_models import KEPT
+        for parent, view in self.parents_and_views(maker, monkeypatch):
+            assert view is not parent and view._edges is parent._edges
+            for slot in self.SHARED:
+                assert getattr(parent, slot) not in ({}, None), slot
+                assert getattr(view, slot) is getattr(parent, slot), slot
+            for slot in set(KEPT) - set(self.SHARED):
+                assert getattr(view, slot) in ({}, None), slot
+
+    def test_each_kept_value_lists_the_view_inputs_its_reader_reads(self):
+        """A reader that answers otherwise once the rays, the genera or
+        the pair flag change has that input in its row of
+        ``graphs._KEPT``, so no view shares what it keeps."""
+        from skelgraph.graphs import _GENERA, _KEPT, _PAIR, _RAYS
+        assert set(self.READERS) == {slot for slot, _, _ in _KEPT}
+        for g, _ in self.fixtures():
+            first, *rest = g.vertices
+            genus = [V(first.id, first.multiplicity, first.genus + 1), *rest]
+            variants = {
+                _RAYS: WeightedDualGraph(g.vertices, g.edges, (), g.metric, g.name, g.pair_model),
+                _GENERA: WeightedDualGraph(genus, g.edges, g.rays, g.metric, g.name, g.pair_model),
+                _PAIR: WeightedDualGraph(g.vertices, g.edges, g.rays, g.metric, g.name,
+                                         not g.pair_model),
+            }
+            for slot, _, inputs in _KEPT:
+                read = self.READERS[slot]
+                changed = {given for given, h in variants.items() if read(h) != read(g)}
+                assert changed <= set(inputs), (slot, changed - set(inputs))
 
     @staticmethod
     def graphs():

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import pickle
 import random
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,49 @@ def test_compare_names_a_changed_call(recorded, monkeypatch):
     out = io.StringIO()
     assert replay.compare(before, after, out) == 1
     assert f"the first is call {first}: skelgraph.potential.canonical_divisor" in out.getvalue()
+
+
+# appended to a copy's potential.py: K read back from the graph gains a chip
+STALE_K = """
+
+_cold_canonical_divisor = canonical_divisor
+
+
+def canonical_divisor(graph, m=1):
+    warm = type(m) is int and m in graph._canonical
+    K = _cold_canonical_divisor(graph, m)
+    return K + GraphDivisor.at(graph.vertex_ids[0]) if warm else K
+"""
+
+
+def test_replay_names_a_call_whose_warm_answer_differs(recorded, tmp_path, capfd):
+    calls = recorded["calls"]
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src" / "skelgraph", tree / "src" / "skelgraph",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / "src" / "skelgraph" / "potential.py", "a") as fh:
+        fh.write(STALE_K)
+    replay._write(tmp_path / "calls", {"functions": FUNCTIONS, "source": "test", **recorded})
+    capfd.readouterr()
+    assert replay.main(["replay", "--calls", str(tmp_path / "calls"), "--tree", str(tree),
+                        "--out", str(tmp_path / "out")]) == 1
+    printed = capfd.readouterr().out
+    outcomes = replay._read(tmp_path / "out")["outcomes"]
+    differ = [i for i, (cold, warm) in enumerate(outcomes) if cold != warm]
+    module, name = calls[differ[0]][:2]
+    assert f"the first is call {differ[0]}: {module}.{name}" in printed
+    assert any(calls[i][1] == "canonical_divisor" for i in differ)
+
+
+def test_warm_run_reads_a_fresh_iterator():
+    # the cold run reads the iterator to its unknown id; the warm one starts over
+    theta = sk.fixtures.theta_graph()
+    calls = replay.record_calls(["is_spanning_tree"], lambda: pytest.raises(
+        sk.UnknownElementError, sk.is_spanning_tree, theta, iter(["zz", "yy"])))["calls"]
+    (cold, warm), = replay.run_calls(calls)
+    assert cold == warm == ("raise", ("skelgraph.errors.UnknownElementError",
+                                      "unknown edge 'zz'"))
+    assert replay.steady([c[:2] for c in calls], [(cold, warm)]) == 0
 
 
 def test_fingerprint_sees_order_types_and_errors():

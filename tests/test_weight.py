@@ -321,9 +321,9 @@ def test_sprouted_rays_get_fresh_labels():
 
 class TestRayDerivations:
     """A ray pack and a toward-ray blow-up move only rays, so each result
-    is a derived view: the graph ``replace`` builds with those rays,
-    sharing its parent's edges and kept values, with no canonical
-    divisor kept yet."""
+    is a derived view: the graph ``replace`` builds with those rays, with
+    no canonical divisor kept yet (``TestDerivedViews`` in
+    test_potential.py checks which kept values it shares)."""
 
     @staticmethod
     def fixtures_with_rays():
@@ -353,24 +353,12 @@ class TestRayDerivations:
         report = sk.verify_laplacian_theorem(out, data)
         assert report.pair_identity_holds and report.compact_identity_holds
 
-    @staticmethod
-    def assert_shared(out, parent):
-        assert out._lengths is parent._lengths and out._points is parent._points
-        assert out._edges is parent._edges and out._canonical is not parent._canonical
-
     def test_sprouted_ray_pack(self):
         from skelgraph.sampling import _sprout_ray_pack
         for seed, (g, data) in enumerate(self.fixtures_with_rays()):
             self.warm(g)
             out, data2 = _sprout_ray_pack(random.Random(seed), g, data)
             self.assert_view(out, g.replace(rays=out.rays, pair_model=True), data2)
-
-    def test_sprouted_ray_pack_shares_the_parents_kept_values(self):
-        from skelgraph.sampling import _sprout_ray_pack
-        for seed, (g, data) in enumerate(self.fixtures_with_rays()):
-            self.warm(g)
-            out, _ = _sprout_ray_pack(random.Random(seed), g, data)
-            self.assert_shared(out, g)
 
     def toward_ray(self, monkeypatch, g, data, ray):
         """The toward-ray blow-up of ``ray``, the graph the blow-up made
@@ -395,11 +383,6 @@ class TestRayDerivations:
                      for r in blown.rays]
             self.assert_view(out, blown.replace(rays=moved), data2)
             assert out.ray(ray.label).attach == wid
-
-    def test_toward_ray_shares_the_blown_up_graphs_kept_values(self, monkeypatch):
-        for g, data in self.fixtures_with_rays():
-            out, _, blown, _ = self.toward_ray(monkeypatch, g, data, g.rays[0])
-            self.assert_shared(out, blown)
 
 
 def _weight_answers(g, data):

@@ -24,9 +24,13 @@ dropped.
 ``replay`` runs every recorded call on a tree in a subprocess with
 ``PYTHONPATH=<tree>/src`` and ``PYTHONHASHSEED=0``, so set iteration
 order is the same in every replay.  Each call loads its arguments
-afresh and runs twice on them, cold and then warm; both outcomes are
-kept as fingerprints.  ``compare`` prints the first call whose
-fingerprints differ and exits 1, or exits 0 when every call agrees.
+afresh and runs twice on them, cold and then warm (an iterator among
+them is loaded again for the warm run); both outcomes are kept as
+fingerprints.  A call whose warm outcome differs from its cold
+one answers from a kept value that changed the answer: ``replay`` then
+prints the first such call and exits 1, after writing every outcome.
+``compare`` prints the first call whose fingerprints differ and exits
+1, or exits 0 when every call agrees.
 
 ``fingerprint`` alone defines equality: each value with its type, dict
 entries in insertion order with each key's ``repr``, sets in iteration
@@ -54,6 +58,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,7 +222,9 @@ def _source(source: str, tree: Path):
 
 def run_calls(calls):
     """(cold, warm) outcomes of each call, on freshly loaded arguments,
-    with the skelgraph that is imported here."""
+    with the skelgraph that is imported here.  The warm run reads the
+    cold run's arguments, but for an iterator, which the cold run has
+    read, a fresh copy."""
     out = []
     for module, name, blob in calls:
         fn = getattr(importlib.import_module(module), name)
@@ -226,16 +233,21 @@ def run_calls(calls):
         except Exception as exc:  # a call that no longer loads is an answer too
             out.append((("load", fingerprint(exc)),) * 2)
             continue
-        out.append((outcome(fn, args, kwargs), outcome(fn, args, kwargs)))
+        cold = outcome(fn, args, kwargs)
+        if any(isinstance(x, Iterator) for x in (*args, *kwargs.values())):
+            again, again_kw = _load(blob)
+            args = [b if isinstance(a, Iterator) else a for a, b in zip(args, again)]
+            kwargs = {k: again_kw[k] if isinstance(v, Iterator) else v
+                      for k, v in kwargs.items()}
+        out.append((cold, outcome(fn, args, kwargs)))
     return out
 
 
-def _child(tree: Path, *argv: str):
-    """Run this script on the skelgraph of ``tree``."""
+def _child(tree: Path, *argv: str) -> int:
+    """Run this script on the skelgraph of ``tree``; its exit status."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv], env=env)
-    if proc.returncode:
-        raise SystemExit(proc.returncode)
+    return subprocess.run([sys.executable, str(Path(__file__).resolve()), *argv],
+                          env=env).returncode
 
 
 def _check_tree(tree: Path):
@@ -256,6 +268,21 @@ def _digest(calls) -> str:
         h.update(f"{module}.{name}:{len(blob)}:".encode())
         h.update(blob)
     return h.hexdigest()
+
+
+def steady(names, outcomes, out=sys.stdout) -> int:
+    """Print the first call whose warm outcome differs from its cold
+    one; 1 if one does."""
+    differ = [i for i, (cold, warm) in enumerate(outcomes) if cold != warm]
+    if not differ:
+        return 0
+    i = differ[0]
+    module, name = names[i]
+    print(f"{len(differ)} of {len(outcomes)} calls answer differently warm than cold; "
+          f"the first is call {i}: {module}.{name}", file=out)
+    cold, warm = outcomes[i]
+    print(f"  cold: {_short(cold)}\n  warm: {_short(warm)}", file=out)
+    return 1
 
 
 def compare(a, b, out=sys.stdout) -> int:
@@ -310,8 +337,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "record":
-        _child(args.tree, "_record", args.functions, args.source, str(args.tree),
-               str(args.out))
+        return _child(args.tree, "_record", args.functions, args.source, str(args.tree),
+                      str(args.out))
     elif args.command == "_record":
         names, source, tree, out = args.rest
         tree = Path(tree)
@@ -324,14 +351,15 @@ def main(argv=None) -> int:
         print(f"recorded {len(recorded['calls'])} distinct calls of {recorded['seen']} "
               f"made: {per}; dropped {recorded['dropped']}")
     elif args.command == "replay":
-        _child(args.tree, "_replay", str(args.calls), str(args.tree), str(args.out))
+        return _child(args.tree, "_replay", str(args.calls), str(args.tree), str(args.out))
     elif args.command == "_replay":
         calls_path, tree, out = args.rest
         _check_tree(Path(tree))
         calls = _read(calls_path)["calls"]
-        _write(out, {"digest": _digest(calls), "names": [c[:2] for c in calls],
-                     "outcomes": run_calls(calls)})
+        names, outcomes = [c[:2] for c in calls], run_calls(calls)
+        _write(out, {"digest": _digest(calls), "names": names, "outcomes": outcomes})
         print(f"replayed {len(calls)} calls on {tree}, cold and warm")
+        return steady(names, outcomes)
     else:
         return compare(_read(args.a), _read(args.b))
     return 0
