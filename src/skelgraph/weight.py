@@ -8,7 +8,9 @@ function takes the value nu(v)/N(v) at each vertex, is affine on every
 compact edge of a pair model, and climbs each ray with slope
 N * (m + d) where d is the ray's divisor coefficient.  The weight
 function and the KS skeleton, with its minimum-locus cross-check, read
-these values and slopes from one reader that validates the data once.
+these values and slopes from one reader that validates the data once
+per (graph, data): the data keeps the reading until it is read on
+another graph object or one of its tables changes.
 
 Two exact identities are verified: on the pair skeleton, the Laplacian
 of the weight function equals the m-canonical divisor (rays counted in
@@ -19,7 +21,7 @@ the pushforward of the marked-point divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -30,6 +32,7 @@ from .errors import (
     LoopsPresentError,
     MissingDataError,
     PipelineError,
+    UnknownElementError,
 )
 from .graphs import GraphPoint, Ray, WeightedDualGraph, _restore_checked
 from .loci import SubgraphLocus
@@ -40,7 +43,12 @@ from .potential import canonical_divisor, laplacian, min_locus
 
 @dataclass(frozen=True)
 class PluricanonicalModelData:
-    """Divisor data of an m-pluricanonical form on a model of a pair."""
+    """Divisor data of an m-pluricanonical form on a model of a pair.
+
+    The data keeps its last reading (see ``_weights``): the graph object
+    it was read on, a snapshot of its fields, and the values and slopes
+    read.  Copies, pickles and ``replace`` carry the fields alone and
+    start with no reading."""
 
     m: int
     nu: Mapping[str, int]
@@ -52,7 +60,7 @@ class PluricanonicalModelData:
             raise GraphStructureError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphStructureError(f"m must be >= 1, got {self.m}")
-        for name in ("nu", "ray_degrees"):
+        for name, kind in (("nu", "vertex"), ("ray_degrees", "ray")):
             given = getattr(self, name)
             try:
                 table = dict(given)
@@ -60,6 +68,8 @@ class PluricanonicalModelData:
                 raise GraphStructureError(
                     f"{name} must be a mapping of ids to integers, got {given!r:.80}") from None
             for key, x in table.items():
+                if not isinstance(key, str):
+                    raise UnknownElementError(f"unknown {kind} {key!r:.80}")
                 if type(x) is not int:
                     raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
             object.__setattr__(self, name, table)
@@ -73,14 +83,20 @@ class PluricanonicalModelData:
             raise GraphStructureError(
                 f"horizontal_edges must be a collection of edge ids, "
                 f"got {self.horizontal_edges!r:.80}") from None
+        for eid in horizontal:
+            if not isinstance(eid, str):
+                raise UnknownElementError(f"unknown edge {eid!r:.80}")
         object.__setattr__(self, "horizontal_edges", horizontal)
+        object.__setattr__(self, "_reading", None)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     __setstate__ = _restore_checked
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
         """The data, checked against the graph.  The horizontal edges are
-        checked in sorted order (by ``str``, so mixed ids still reach
-        ``graph.edge``), as the frozenset keeps no given order."""
+        checked in sorted order, as the frozenset keeps no given order."""
         for v in graph.vertex_ids:
             if v not in self.nu:
                 raise MissingDataError(f"no nu entry for vertex {v!r}")
@@ -96,7 +112,7 @@ class PluricanonicalModelData:
                 )
         for label in self.ray_degrees:
             graph.ray(label)
-        for eid in sorted(self.horizontal_edges, key=str):
+        for eid in sorted(self.horizontal_edges):
             graph.edge(eid)
         return self
 
@@ -112,15 +128,26 @@ def _weights(graph, data, needs):
     """The value nu(v)/N(v) at each vertex, keyed by the graph's own
     point, and the slope N * (m + d) on each ray, read from validated
     data on a loop-free graph; ``needs`` opens the loop-free message, and
-    data that is not PluricanonicalModelData raises GraphStructureError."""
+    data that is not PluricanonicalModelData raises GraphStructureError.
+
+    The data keeps the reading: read again on the same graph object with
+    every field ``==`` its snapshot, it returns the kept dicts and
+    validates nothing.  ``nu`` and ``ray_degrees`` are plain dicts a
+    caller may edit, so they are compared, not only their identity."""
     if not graph.is_loop_free():
         raise LoopsPresentError(f"{needs} a loop-free graph")
     _require_model_data(data)
+    given = (data.m, data.nu, data.ray_degrees, data.horizontal_edges)
+    kept = data._reading
+    if kept is not None and kept[0] is graph and kept[1] == given:
+        return kept[2], kept[3]
     data.validate_on(graph)
     points = graph._vertex_points()
     values = {points[v.id]: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
     slopes = {r.label: graph.vertex(r.attach).multiplicity
               * (data.m + data.ray_degrees[r.label]) for r in graph.rays}
+    snapshot = (data.m, dict(data.nu), dict(data.ray_degrees), data.horizontal_edges)
+    object.__setattr__(data, "_reading", (graph, snapshot, values, slopes))
     return values, slopes
 
 
@@ -128,7 +155,9 @@ def weight_function(graph: WeightedDualGraph,
                     data: PluricanonicalModelData) -> PLFunction:
     """Value nu(v)/N(v) at every vertex, affine on compact edges, slope
     N*(m + d) on each ray, from the one reading of the data; its vertex
-    keys are the graph's own points.  Edges flagged as meeting the
+    keys are the graph's own points.  The function wraps the reading's
+    kept dicts, not copies: a function never changes its values, and
+    ``.values`` returns a copy.  Edges flagged as meeting the
     horizontal part are rejected: the function is only piecewise affine
     there and the caller must refine the model first."""
     values, slopes = _weights(graph, data, "weight functions need")
@@ -220,8 +249,8 @@ def ks_skeleton(graph: WeightedDualGraph,
     """Union of the essential faces: vertices attaining min nu/N, and
     edges whose endpoints both attain it and which do not meet the
     horizontal part.  When no edge is flagged and no ray slope is
-    negative, the same values and slopes, as a function, must have
-    this locus as their minimum locus."""
+    negative, the same values and slopes, as a function wrapping the
+    reading's kept dicts, must have this locus as their minimum locus."""
     values, slopes = _weights(graph, data, "KS skeleton needs")
     lowest = min(values.values())
     vset = {p.where for p, r in values.items() if r == lowest}

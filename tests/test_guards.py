@@ -306,6 +306,12 @@ GUARDS = [
     ("model-data-horizontal-unhashable", lambda: sk.PluricanonicalModelData(
         m=1, nu={"u": 0}, horizontal_edges=[["e0"]]), GSE,
      "horizontal_edges must be a collection of edge ids, got [['e0']]"),
+    ("model-data-nu-non-string-id", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"a": 1, 2: 3}), UEE, "unknown vertex 2"),
+    ("model-data-ray-degrees-non-string-id", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, ray_degrees={"x": 0, 5: 1}), UEE, "unknown ray 5"),
+    ("model-data-horizontal-non-string-id", lambda: sk.PluricanonicalModelData(
+        m=1, nu={"u": 0}, horizontal_edges=["e0", 3]), UEE, "unknown edge 3"),
     ("divisor-float-coefficient", lambda: sk.GraphDivisor({"v": 0.1}), NRE,
      "divisor coefficient must be an int or a Fraction, got 0.1"),
     ("divisor-string-coefficient", lambda: sk.GraphDivisor({"v": "1/2"}), NRE,

@@ -1,6 +1,7 @@
 """Weight functions, the Laplacian identities, pushforwards, KS skeleta."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction as F
@@ -488,6 +489,103 @@ class TestOneReading:
             validations.clear()
             read(g, data)
             assert validations == [g] * count
+
+    @pytest.mark.parametrize("first, then, count", [
+        (sk.weight_function, sk.weight_function, 0), (sk.ks_skeleton, sk.ks_skeleton, 0),
+        (sk.verify_laplacian_theorem, sk.verify_laplacian_theorem, 0),
+        (sk.verify_laplacian_theorem, sk.ks_skeleton, 0),
+        (sk.pushforward_divisor, sk.pushforward_divisor, 1),
+        (sk.pushforward_divisor, sk.weight_function, 1),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_validations_per_warm_call(self, validations, first, then, count):
+        """A reader after one that read the same graph and data: only
+        the pushforward keeps no reading."""
+        for g, data in TestWeightMemos.fixtures()[:6]:
+            first(g, data)
+            validations.clear()
+            then(g, data)
+            assert validations == [g] * count
+
+
+class TestKeptReading:
+    """Model data keeps its last reading, per graph object and per
+    field snapshot: a repeated call validates nothing, while another
+    graph object, or a table edited in place, is read afresh.  Copies
+    carry the fields alone, so they pickle as a cold copy does."""
+
+    @staticmethod
+    def fixtures():
+        return TestWeightMemos.fixtures() + TestRayDerivations.fixtures_with_rays()
+
+    @staticmethod
+    def answers(g, data):
+        return (sk.weight_function(g, data), sk.ks_skeleton(g, data),
+                sk.verify_laplacian_theorem(g, data))
+
+    @staticmethod
+    def copies(data):
+        return (copy.copy(data), copy.deepcopy(data), pickle.loads(pickle.dumps(data)),
+                dataclasses.replace(data))
+
+    def test_cold_warm_and_copies_agree(self):
+        for g, data in self.fixtures():
+            want = self.answers(g, copy.deepcopy(data))
+            assert want[2].ok, want[2].describe()
+            assert self.answers(g, data) == want
+            assert self.answers(g, data) == want  # warm
+            for copied in self.copies(data):
+                assert copied == data and copied._reading is None
+                assert self.answers(g, copied) == want
+
+    def test_the_reading_is_kept_per_graph_object(self, validations):
+        for g, data in self.fixtures():
+            sk.weight_function(g, data)
+            twin = pickle.loads(pickle.dumps(g))
+            validations.clear()
+            assert sk.weight_function(twin, data) == sk.weight_function(twin, data)
+            assert validations == [twin]
+            sk.ks_skeleton(g, data)
+            assert validations == [twin, g]
+
+    def test_an_edited_nu_is_read_again(self):
+        for g, data in self.fixtures():
+            if not g.edges:
+                continue
+            assert sk.verify_laplacian_theorem(g, data).ok
+            v = g.edges[0].a
+            data.nu[v] += 1
+            report = sk.verify_laplacian_theorem(g, data)
+            assert not report.ok
+            assert report == sk.verify_laplacian_theorem(g, dataclasses.replace(data))
+            assert sk.weight_function(g, data).values[g._vertex_points()[v]] == \
+                F(data.nu[v], g.vertex(v).multiplicity)
+            data.nu[v] -= 1
+            assert sk.verify_laplacian_theorem(g, data).ok
+
+    def test_a_popped_nu_raises(self):
+        for g, data in self.fixtures():
+            sk.verify_laplacian_theorem(g, data)
+            sk.ks_skeleton(g, data)
+            data.nu.pop(g.vertex_ids[-1])
+            for read in (sk.weight_function, sk.ks_skeleton, sk.verify_laplacian_theorem):
+                with pytest.raises(sk.MissingDataError):
+                    read(g, data)
+
+    def test_an_edited_ray_degree_changes_the_slopes(self):
+        for g, data in TestRayDerivations.fixtures_with_rays():
+            before = sk.weight_function(g, data).ray_slopes
+            ray = g.rays[0]
+            data.ray_degrees[ray.label] += 1
+            after = sk.weight_function(g, data).ray_slopes
+            assert after[ray.label] == before[ray.label] + g.vertex(ray.attach).multiplicity
+            assert after == sk.weight_function(g, dataclasses.replace(data)).ray_slopes
+
+    def test_read_data_pickles_as_a_cold_copy(self):
+        for g, data in self.fixtures():
+            cold = pickle.dumps(copy.deepcopy(data))
+            self.answers(g, data)
+            assert data._reading is not None
+            assert pickle.dumps(data) == cold
 
 
 class TestKeptCompactView:
