@@ -763,15 +763,11 @@ class LemmaReport:
 
 def _witness_hypotheses(graph, D, f, covered):
     """D effective, f tropical, and D's support meeting the relative
-    interior of every edge outside ``covered``.  A point that is the
-    graph's own kept midpoint (the object itself) is interior by
-    construction, as in ``check_point``; any other edge point is tested."""
+    interior of every edge outside ``covered``."""
     yield "effective", D.is_effective()
     yield "tropical", f.has_integer_slopes(graph)
-    midpoints = graph._midpoints
     hit = {p.where for p in D._support
-           if p.kind == "edge" and (p is midpoints.get(p.where)
-                                    or 0 < p.offset < graph.edge_length(p.where))}
+           if p.kind == "edge" and 0 < p.offset < graph.edge_length(p.where)}
     for other in graph.edges:
         if other.id not in covered:
             yield f"support-on-{other.id}", other.id in hit

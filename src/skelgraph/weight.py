@@ -41,14 +41,27 @@ from .plfunction import PLFunction
 from .potential import canonical_divisor, laplacian, min_locus
 
 
+_TABLES = (("nu", "vertex"), ("ray_degrees", "ray"))
+
+
+def _check_table(name, kind, table):
+    """UnknownElementError naming the first id of ``table`` that is not a
+    string, GraphStructureError naming the first value that is not an int."""
+    for key, x in table.items():
+        if not isinstance(key, str):
+            raise UnknownElementError(f"unknown {kind} {key!r:.80}")
+        if type(x) is not int:
+            raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
+
+
 @dataclass(frozen=True)
 class PluricanonicalModelData:
     """Divisor data of an m-pluricanonical form on a model of a pair.
 
     The data keeps its last reading (see ``_weights``): the graph object
-    it was read on, a snapshot of its fields, and the values and slopes
-    read.  Copies, pickles and ``replace`` carry the fields alone and
-    start with no reading."""
+    it was read on, a snapshot of its two tables, and the values and
+    slopes read.  Copies, pickles and ``replace`` carry the fields alone
+    and start with no reading."""
 
     m: int
     nu: Mapping[str, int]
@@ -60,18 +73,14 @@ class PluricanonicalModelData:
             raise GraphStructureError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphStructureError(f"m must be >= 1, got {self.m}")
-        for name, kind in (("nu", "vertex"), ("ray_degrees", "ray")):
+        for name, kind in _TABLES:
             given = getattr(self, name)
             try:
                 table = dict(given)
             except (TypeError, ValueError):
                 raise GraphStructureError(
                     f"{name} must be a mapping of ids to integers, got {given!r:.80}") from None
-            for key, x in table.items():
-                if not isinstance(key, str):
-                    raise UnknownElementError(f"unknown {kind} {key!r:.80}")
-                if type(x) is not int:
-                    raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
+            _check_table(name, kind, table)
             object.__setattr__(self, name, table)
         if isinstance(self.horizontal_edges, str):
             raise GraphStructureError(
@@ -95,8 +104,13 @@ class PluricanonicalModelData:
     __setstate__ = _restore_checked
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
-        """The data, checked against the graph.  The horizontal edges are
-        checked in sorted order, as the frozenset keeps no given order."""
+        """The data, checked against the graph.  The tables' ids and values
+        are checked first, as the constructor checks them, since ``nu`` and
+        ``ray_degrees`` are plain dicts a caller may edit.  The horizontal
+        edges are checked in sorted order, as the frozenset keeps no given
+        order."""
+        for name, kind in _TABLES:
+            _check_table(name, kind, getattr(self, name))
         for v in graph.vertex_ids:
             if v not in self.nu:
                 raise MissingDataError(f"no nu entry for vertex {v!r}")
@@ -130,23 +144,27 @@ def _weights(graph, data, needs):
     data on a loop-free graph; ``needs`` opens the loop-free message, and
     data that is not PluricanonicalModelData raises GraphStructureError.
 
-    The data keeps the reading: read again on the same graph object with
-    every field ``==`` its snapshot, it returns the kept dicts and
-    validates nothing.  ``nu`` and ``ray_degrees`` are plain dicts a
-    caller may edit, so they are compared, not only their identity."""
+    The data keeps the reading: read again on the same graph object, with
+    ``nu`` and ``ray_degrees`` ``==`` their snapshot and holding ints
+    alone, it returns the kept dicts and validates nothing.  Both are
+    plain dicts a caller may edit, so they are compared, not only their
+    identity, and an equal value of another type (``2.0``, ``True``) is
+    read again and refused as on a cold call; the other fields are
+    frozen."""
     if not graph.is_loop_free():
         raise LoopsPresentError(f"{needs} a loop-free graph")
     _require_model_data(data)
-    given = (data.m, data.nu, data.ray_degrees, data.horizontal_edges)
+    given = (data.nu, data.ray_degrees)
     kept = data._reading
-    if kept is not None and kept[0] is graph and kept[1] == given:
+    if (kept is not None and kept[0] is graph and kept[1] == given
+            and all(type(x) is int for table in given for x in table.values())):
         return kept[2], kept[3]
     data.validate_on(graph)
     points = graph._vertex_points()
     values = {points[v.id]: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
     slopes = {r.label: graph.vertex(r.attach).multiplicity
               * (data.m + data.ray_degrees[r.label]) for r in graph.rays}
-    snapshot = (data.m, dict(data.nu), dict(data.ray_degrees), data.horizontal_edges)
+    snapshot = (dict(data.nu), dict(data.ray_degrees))
     object.__setattr__(data, "_reading", (graph, snapshot, values, slopes))
     return values, slopes
 

@@ -1686,44 +1686,6 @@ class TestBridgeLemma:
         assert report.conclusion_holds is None
 
 
-class TestLemmaMidpoints:
-    """The lemma checks take the graph's own kept midpoints as interior
-    without testing their bounds; every other edge point is tested, so
-    a D holding equal copies of the midpoints gets the same report."""
-
-    @staticmethod
-    def copied(g, divisor):
-        """``divisor`` with each edge point replaced by an equal new point."""
-        out = {p if p.kind != "edge" else sk.GraphPoint.on_edge(p.where, p.offset): c
-               for p, c in divisor.items()}
-        kept = [p for p in divisor.support if p is g._midpoints.get(p.where)]
-        assert kept and not any(p is g._midpoints.get(p.where) for p in out)
-        return D(out)
-
-    def test_cycle_witnesses(self):
-        for g in (sk.fixtures.theta_graph(), sk.fixtures.triangle_chain(2),
-                  sk.fixtures.dumbbell(2)):
-            for e in g.edges:
-                if e.id in sk.bridges(g):
-                    continue
-                b = sk.witness_cycle(g, e.id)
-                want = sk.check_min_locus_lemma(g, b.tree, e.id, b.divisor, b.function)
-                assert want.ok
-                assert sk.check_min_locus_lemma(
-                    g, b.tree, e.id, self.copied(g, b.divisor), b.function) == want
-
-    def test_bridge_witnesses(self):
-        for g in (sk.fixtures.dumbbell(1), sk.fixtures.dumbbell(2),
-                  sk.fixtures.triangle_chain(3, bridge_len=1)):
-            b = sk.witness_bridge_chain(g)
-            chain = next(c for c in sk.maximal_bridge_chains(g)
-                         if c.as_locus(g) == b.locus)
-            want = sk.check_bridge_lemma(g, chain, b.tree, b.divisor, b.function)
-            assert want.ok
-            assert sk.check_bridge_lemma(
-                g, chain, b.tree, self.copied(g, b.divisor), b.function) == want
-
-
 class TestMaximalBridgeChains:
     @staticmethod
     def check_partition(g):

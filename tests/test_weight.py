@@ -580,6 +580,31 @@ class TestKeptReading:
             assert after[ray.label] == before[ray.label] + g.vertex(ray.attach).multiplicity
             assert after == sk.weight_function(g, dataclasses.replace(data)).ray_slopes
 
+    @pytest.mark.parametrize("table, retype", [
+        ("nu", float), ("nu", F), ("ray_degrees", float),
+    ], ids=["nu-float", "nu-fraction", "ray-degrees-float"])
+    def test_an_equal_value_of_another_type_is_refused_cold_and_warm(self, table, retype):
+        """A table entry edited to an equal value that is not an int
+        raises the same GraphStructureError from data already read as
+        from a cold copy, on every reader."""
+        for g, warm in self.fixtures():
+            entries = getattr(warm, table)
+            if not entries:
+                continue
+            self.answers(g, warm)
+            cold = copy.deepcopy(warm)
+            key = next(iter(entries))
+            edited = retype(entries[key])
+            for data in (warm, cold):
+                getattr(data, table)[key] = edited
+            want = f"{table}[{key!r}] must be an integer, got {edited!r}"
+            for read in (sk.weight_function, sk.ks_skeleton, sk.verify_laplacian_theorem,
+                         sk.pushforward_divisor):
+                for data in (cold, warm, warm):
+                    with pytest.raises(sk.GraphStructureError) as caught:
+                        read(g, data)
+                    assert str(caught.value) == want
+
     def test_read_data_pickles_as_a_cold_copy(self):
         for g, data in self.fixtures():
             cold = pickle.dumps(copy.deepcopy(data))
