@@ -9,10 +9,13 @@ from .graphs import MetricKind, VertexLabel, WeightedDualGraph
 from .weight import PluricanonicalModelData
 
 
-def _size(n, what: str) -> None:
-    """GraphStructureError naming n unless it is an int (a bool is not)."""
+def _size(n, what: str, low: Optional[int] = None) -> None:
+    """GraphStructureError naming n unless it is an int (a bool is not)
+    and, when ``low`` is given, at least ``low``."""
     if type(n) is not int:
         raise GraphStructureError(f"{what} must be an integer, got {n!r:.80}")
+    if low is not None and n < low:
+        raise GraphStructureError(f"{what} must be an integer >= {low}, got {n}")
 
 
 def kodaira_type_ii(metric: MetricKind = MetricKind.MODEL) -> WeightedDualGraph:

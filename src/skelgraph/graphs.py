@@ -767,14 +767,13 @@ def _bivalent_run(graph: WeightedDualGraph, v: str, e: Edge, through):
 
 def _steps(graph: WeightedDualGraph) -> tuple[int, list[tuple[str, str, int]]]:
     """(scale, ends): scale is the lcm of the edge-length denominators,
-    and ends lists every edge but a loop as ``(a, b, steps)``, an edge of
-    length n/d taking n*(scale//d) steps of 1/scale.  Each length is read
-    off the edge's integers (a formula edge's from its denominator), so
-    no length becomes a Fraction here.  A fresh list on every call."""
+    and ends lists every edge, loops included, in edge order as ``(a, b,
+    steps)``, an edge of length n/d taking n*(scale//d) steps of
+    1/scale.  Each length is read off the edge's integers (a formula
+    edge's from its denominator), so no length becomes a Fraction here.
+    A fresh list on every call."""
     ends = []
     for e in graph._edges:
-        if e.a == e.b:
-            continue
         if e.length is None:
             n, d = 1, _formula_denominator(graph._vertices[e.a].multiplicity,
                                            graph._vertices[e.b].multiplicity, graph.metric)
@@ -789,7 +788,8 @@ def _row(graph: WeightedDualGraph, source: str):
     """(scale, row): row maps every vertex to its distance from source
     in steps of 1/scale, kept on the graph for that source; callers must
     not change it.  The graph's integer network, built from ``_steps`` on
-    first use and kept too, is the adjacency of those steps."""
+    first use and kept too, is the adjacency of those steps; a loop's
+    entry at its own vertex is never relaxed, as that vertex is done."""
     network = graph._network
     if network is None:
         scale, ends = _steps(graph)
@@ -849,7 +849,7 @@ def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> Weighted
     scale, ends = _steps(graph)
     nbrs: dict[str, dict[str, int]] = {v: {} for v in graph._vertices}
     for a, b, step in ends:
-        if nbrs[a].get(b, step) >= step:
+        if a != b and nbrs[a].get(b, step) >= step:
             nbrs[a][b] = nbrs[b][a] = step
     keep = set(keep)
     stack = [v for v, ws in nbrs.items() if len(ws) <= 2 and v not in keep]
@@ -1032,19 +1032,18 @@ def refine(graph: WeightedDualGraph, points: Iterable[GraphPoint]) -> Refinement
     which ``graph.check_point`` produced, so each lies strictly inside
     its edge; the vertices are marks anyway.
 
-    The graph keeps its uncut layout, built on the first call: L0, the
-    lcm of the edge-length denominators; each edge in order as (index,
-    id, mark of ``e.a``, mark of ``e.b``, length in units of 1/L0); and
-    the dict from each vertex point to its mark.  A call takes L, the
+    The graph keeps its uncut layout, built from ``_steps`` on the first
+    call: L0, the lcm of the edge-length denominators; each edge in
+    order as (index, id, mark of ``e.a``, mark of ``e.b``, length in
+    units of 1/L0); and the dict from each vertex point to its mark.  A call takes L, the
     lcm of L0 and the cut denominators, scales each edge's steps by
     L // L0 and copies the marks dict, so it reads no edge length."""
     layout = graph._layout
     if layout is None:
-        lengths = [graph.edge_length(e.id) for e in graph._edges]
-        L0 = math.lcm(*(x.denominator for x in lengths))
+        L0, ends = _steps(graph)
         index = {v: i for i, v in enumerate(graph._vertices)}
-        layout = (L0, tuple((i, e.id, index[e.a], index[e.b], x.numerator * (L0 // x.denominator))
-                            for i, (e, x) in enumerate(zip(graph._edges, lengths))),
+        layout = (L0, tuple((i, e.id, index[a], index[b], n)
+                            for i, (e, (a, b, n)) in enumerate(zip(graph._edges, ends))),
                   {p: i for i, p in enumerate(graph._vertex_points().values())})
         object.__setattr__(graph, "_layout", layout)
     L0, edges, base = layout

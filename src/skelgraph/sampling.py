@@ -14,8 +14,7 @@ import random
 from dataclasses import replace
 from typing import Optional
 
-from .errors import GraphStructureError
-from .fixtures import cycle_graph, kodaira_type_ii, kodaira_type_ii_data
+from .fixtures import _size, cycle_graph, kodaira_type_ii, kodaira_type_ii_data
 from .graphs import Ray, VertexLabel, WeightedDualGraph
 from .weight import (
     PluricanonicalModelData,
@@ -56,7 +55,15 @@ def random_graph(rng: random.Random, max_vertices: int = 10,
                  extra_edges: Optional[int] = None,
                  allow_leaves: bool = True) -> WeightedDualGraph:
     """Random connected loop-free multigraph: a random tree plus a few
-    extra (possibly parallel) edges."""
+    extra (possibly parallel) edges.  Each size is checked before the
+    first draw: ``max_vertices`` must be an integer >= 2,
+    ``max_multiplicity`` >= 1, and ``max_genus`` and ``extra_edges``
+    (when given) >= 0."""
+    _size(max_vertices, "max_vertices", 2)
+    _size(max_multiplicity, "max_multiplicity", 1)
+    _size(max_genus, "max_genus", 0)
+    if extra_edges is not None:
+        _size(extra_edges, "extra_edges", 0)
     n = rng.randint(2, max_vertices)
     vertices = [VertexLabel(f"v{i}", rng.randint(1, max_multiplicity),
                             rng.randint(0, max_genus)) for i in range(n)]
@@ -67,8 +74,15 @@ def random_reduced_graph(rng: random.Random, max_vertices: int = 8,
                          genus: Optional[int] = None,
                          max_genus_label: int = 0,
                          allow_leaves: bool = True) -> WeightedDualGraph:
-    """Random reduced loop-free graph with prescribed first Betti number
-    when ``genus`` is given."""
+    """Random reduced loop-free graph whose first Betti number is
+    ``genus`` when it is given and leaves are allowed (removing leaves
+    adds edges).  Each size is checked before the first draw:
+    ``max_vertices`` must be an integer >= 2, and ``genus`` (when given)
+    and ``max_genus_label`` >= 0."""
+    _size(max_vertices, "max_vertices", 2)
+    if genus is not None:
+        _size(genus, "genus", 0)
+    _size(max_genus_label, "max_genus_label", 0)
     n = rng.randint(2, max_vertices)
     vertices = [VertexLabel(f"v{i}", 1, rng.randint(0, max_genus_label))
                 for i in range(n)]
@@ -121,14 +135,11 @@ def _sprout_ray_pack(rng: random.Random, graph: WeightedDualGraph,
     vid = rng.choice(graph.vertex_ids)
     n = graph.vertex(vid).multiplicity
     count = rng.choice((1, 2, 3))
-    if count == 1:
-        coeffs = [0]
-    else:
-        coeffs = [rng.randint(-2, 2) for _ in range(count - 1)]
-        coeffs.append(-sum(coeffs))
+    coeffs = [rng.randint(-2, 2) for _ in range(count - 1)]
+    coeffs.append(-sum(coeffs))  # a single ray gets 0
     existing = {r.label for r in graph.rays}
     rays = list(graph.rays)
-    degrees = dict(data.ray_degrees)
+    degrees = data.ray_degrees.copy()
     for i, c in enumerate(coeffs):
         label = f"x{len(existing)}_{i}"
         while label in existing:
@@ -144,8 +155,7 @@ def random_pair_fixture(rng: random.Random, m: int, moves: int = 8):
     """Grow a random consistent (graph, data) fixture from a seed by
     ``moves`` moves, an integer >= 0; any other value raises
     GraphStructureError."""
-    if type(moves) is not int or moves < 0:
-        raise GraphStructureError(f"moves must be an integer >= 0, got {moves!r:.80}")
+    _size(moves, "moves", 0)
     graph, data = _seed_fixture(rng, m)
     for _ in range(moves):
         op = rng.random()

@@ -9,8 +9,8 @@ compact edge of a pair model, and climbs each ray with slope
 N * (m + d) where d is the ray's divisor coefficient.  The weight
 function and the KS skeleton, with its minimum-locus cross-check, read
 these values and slopes from one reader that validates the data once
-per (graph, data): the data keeps the reading until it is read on
-another graph object or one of its tables changes.
+per (graph, data).  The data's tables are read-only, so the data keeps
+the reading until it is read on another graph object.
 
 Two exact identities are verified: on the pair skeleton, the Laplacian
 of the weight function equals the m-canonical divisor (rays counted in
@@ -21,8 +21,9 @@ the pushforward of the marked-point divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .divisors import GraphDivisor
@@ -41,27 +42,16 @@ from .plfunction import PLFunction
 from .potential import canonical_divisor, laplacian, min_locus
 
 
-_TABLES = (("nu", "vertex"), ("ray_degrees", "ray"))
-
-
-def _check_table(name, kind, table):
-    """UnknownElementError naming the first id of ``table`` that is not a
-    string, GraphStructureError naming the first value that is not an int."""
-    for key, x in table.items():
-        if not isinstance(key, str):
-            raise UnknownElementError(f"unknown {kind} {key!r:.80}")
-        if type(x) is not int:
-            raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
-
-
 @dataclass(frozen=True)
 class PluricanonicalModelData:
     """Divisor data of an m-pluricanonical form on a model of a pair.
 
-    The data keeps its last reading (see ``_weights``): the graph object
-    it was read on, a snapshot of its two tables, and the values and
-    slopes read.  Copies, pickles and ``replace`` carry the fields alone
-    and start with no reading."""
+    ``nu`` and ``ray_degrees`` are read-only views of checked copies
+    (``types.MappingProxyType``): an edit in place raises TypeError, and
+    ``replace`` makes new data.  So the data keeps its last reading (see
+    ``_weights``), the graph object it was read on and the values and
+    slopes read.  Copies, pickles and ``replace`` carry the fields alone,
+    the tables as plain dicts, and start with no reading."""
 
     m: int
     nu: Mapping[str, int]
@@ -73,15 +63,19 @@ class PluricanonicalModelData:
             raise GraphStructureError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphStructureError(f"m must be >= 1, got {self.m}")
-        for name, kind in _TABLES:
+        for name, kind in (("nu", "vertex"), ("ray_degrees", "ray")):
             given = getattr(self, name)
             try:
                 table = dict(given)
             except (TypeError, ValueError):
                 raise GraphStructureError(
                     f"{name} must be a mapping of ids to integers, got {given!r:.80}") from None
-            _check_table(name, kind, table)
-            object.__setattr__(self, name, table)
+            for key, x in table.items():
+                if not isinstance(key, str):
+                    raise UnknownElementError(f"unknown {kind} {key!r:.80}")
+                if type(x) is not int:
+                    raise GraphStructureError(f"{name}[{key!r}] must be an integer, got {x!r}")
+            object.__setattr__(self, name, MappingProxyType(table))
         if isinstance(self.horizontal_edges, str):
             raise GraphStructureError(
                 f"horizontal_edges must be a collection of edge ids, "
@@ -99,18 +93,14 @@ class PluricanonicalModelData:
         object.__setattr__(self, "_reading", None)
 
     def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"m": self.m, "nu": self.nu.copy(), "ray_degrees": self.ray_degrees.copy(),
+                "horizontal_edges": self.horizontal_edges}
 
     __setstate__ = _restore_checked
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
-        """The data, checked against the graph.  The tables' ids and values
-        are checked first, as the constructor checks them, since ``nu`` and
-        ``ray_degrees`` are plain dicts a caller may edit.  The horizontal
-        edges are checked in sorted order, as the frozenset keeps no given
-        order."""
-        for name, kind in _TABLES:
-            _check_table(name, kind, getattr(self, name))
+        """The data, checked against the graph.  The horizontal edges are
+        checked in sorted order, as the frozenset keeps no given order."""
         for v in graph.vertex_ids:
             if v not in self.nu:
                 raise MissingDataError(f"no nu entry for vertex {v!r}")
@@ -144,28 +134,22 @@ def _weights(graph, data, needs):
     data on a loop-free graph; ``needs`` opens the loop-free message, and
     data that is not PluricanonicalModelData raises GraphStructureError.
 
-    The data keeps the reading: read again on the same graph object, with
-    ``nu`` and ``ray_degrees`` ``==`` their snapshot and holding ints
-    alone, it returns the kept dicts and validates nothing.  Both are
-    plain dicts a caller may edit, so they are compared, not only their
-    identity, and an equal value of another type (``2.0``, ``True``) is
-    read again and refused as on a cold call; the other fields are
-    frozen."""
+    The data keeps the reading: read again on the same graph object, it
+    returns the kept dicts and validates nothing.  Every field of the
+    data and of the graph is immutable, so the graph's identity alone
+    says the reading still holds."""
     if not graph.is_loop_free():
         raise LoopsPresentError(f"{needs} a loop-free graph")
     _require_model_data(data)
-    given = (data.nu, data.ray_degrees)
     kept = data._reading
-    if (kept is not None and kept[0] is graph and kept[1] == given
-            and all(type(x) is int for table in given for x in table.values())):
-        return kept[2], kept[3]
+    if kept is not None and kept[0] is graph:
+        return kept[1], kept[2]
     data.validate_on(graph)
     points = graph._vertex_points()
     values = {points[v.id]: Fraction(data.nu[v.id], v.multiplicity) for v in graph.vertices}
     slopes = {r.label: graph.vertex(r.attach).multiplicity
               * (data.m + data.ray_degrees[r.label]) for r in graph.rays}
-    snapshot = (dict(data.nu), dict(data.ray_degrees))
-    object.__setattr__(data, "_reading", (graph, snapshot, values, slopes))
+    object.__setattr__(data, "_reading", (graph, values, slopes))
     return values, slopes
 
 
@@ -307,7 +291,7 @@ def blow_up_node_with_data(graph: WeightedDualGraph,
     _require_model_data(data)
     e = graph.edge(eid)
     out, (wid,) = _blow_up(graph, [("node", eid)])
-    nu = dict(data.nu)
+    nu = data.nu.copy()
     nu[wid] = _entry(data.nu, e.a, "nu entry for vertex") + \
         _entry(data.nu, e.b, "nu entry for vertex")
     return out, replace(data, nu=nu)
@@ -339,6 +323,6 @@ def blow_up_interior_with_data(graph: WeightedDualGraph,
                       Ray(attach=wid, label=r.label, degree=r.degree)
                       for r in out.rays)
         out = out._derive(out._vertices, moved, out.pair_model)
-    nu = dict(data.nu)
+    nu = data.nu.copy()
     nu[wid] = _entry(data.nu, vid, "nu entry for vertex") + data.m + d
     return out, replace(data, nu=nu)

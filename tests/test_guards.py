@@ -28,7 +28,7 @@ from skelgraph.errors import (
     UnknownElementError as UEE,
 )
 from skelgraph.graphs import VertexLabel as V
-from skelgraph.sampling import random_pair_fixture
+from skelgraph.sampling import random_graph, random_pair_fixture, random_reduced_graph
 
 
 def _pair(attach_mult=1, loop=False):
@@ -281,6 +281,22 @@ GUARDS = [
      GSE, "model data must be a PluricanonicalModelData, got None"),
     ("pair-fixture-negative-moves", lambda: random_pair_fixture(random.Random(0), 1, moves=-1),
      GSE, "moves must be an integer >= 0, got -1"),
+    ("random-graph-one-vertex", lambda: random_graph(random.Random(0), max_vertices=1), GSE,
+     "max_vertices must be an integer >= 2, got 1"),
+    ("random-graph-zero-multiplicity", lambda: random_graph(
+        random.Random(0), max_multiplicity=0), GSE,
+     "max_multiplicity must be an integer >= 1, got 0"),
+    ("random-graph-fractional-genus", lambda: random_graph(random.Random(0), max_genus=0.5),
+     GSE, "max_genus must be an integer, got 0.5"),
+    ("random-graph-negative-extra-edges", lambda: random_graph(
+        random.Random(0), extra_edges=-2), GSE, "extra_edges must be an integer >= 0, got -2"),
+    ("random-reduced-graph-bool-vertices", lambda: random_reduced_graph(
+        random.Random(0), max_vertices=True), GSE, "max_vertices must be an integer, got True"),
+    ("random-reduced-graph-negative-genus", lambda: random_reduced_graph(
+        random.Random(0), genus=-1), GSE, "genus must be an integer >= 0, got -1"),
+    ("random-reduced-graph-negative-genus-label", lambda: random_reduced_graph(
+        random.Random(0), max_genus_label=-1), GSE,
+     "max_genus_label must be an integer >= 0, got -1"),
     ("canonical-divisor-m-not-integer", lambda: sk.canonical_divisor(
         sk.fixtures.triangle_chain(2), 1.5), GSE, "m must be a positive integer, got 1.5"),
     ("model-data-m-not-integer", lambda: sk.PluricanonicalModelData(m=2.5, nu={"u": 0}),
@@ -599,6 +615,19 @@ def test_guard_raises_typed_error(build, error, message):
     with pytest.raises(error, match=re.escape(message)) as raised:
         build()
     assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("sample, sizes", [
+    (random_graph, {"max_vertices": 1}), (random_graph, {"max_genus": 0.5}),
+    (random_graph, {"extra_edges": -2}), (random_reduced_graph, {"genus": 2.5}),
+    (random_reduced_graph, {"max_genus_label": -1}),
+], ids=["vertices", "genus", "extra-edges", "reduced-genus", "reduced-genus-label"])
+def test_samplers_refuse_a_size_before_drawing(sample, sizes):
+    rng = random.Random(5)
+    before = rng.getstate()
+    with pytest.raises(GSE):
+        sample(rng, **sizes)
+    assert rng.getstate() == before
 
 
 def test_has_vertex_answers_false_on_an_unhashable_id():

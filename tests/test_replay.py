@@ -8,6 +8,7 @@ import random
 import shutil
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -140,6 +141,22 @@ def test_fingerprint_sees_order_types_and_errors():
     assert fp(sk.GraphDivisor({"u": 1, "v": -1})) != fp(sk.GraphDivisor({"v": -1, "u": 1}))
     assert replay.outcome(sk.canonical_divisor, (sk.fixtures.theta_graph(), 0), {}) == \
         ("raise", ("skelgraph.errors.GraphStructureError", "m must be a positive integer, got 0"))
+
+
+def test_fingerprint_reads_a_read_only_table_as_its_dict():
+    """Model data's read-only tables fingerprint as the dicts they view,
+    order included, so a call that returns model data replays."""
+    fp = replay.fingerprint
+    assert fp(MappingProxyType({"b": 1, "a": 2})) == fp({"b": 1, "a": 2}) != \
+        fp(MappingProxyType({"a": 2, "b": 1}))
+    data = sk.PluricanonicalModelData(m=2, nu={"v": -3, "u": 1}, ray_degrees={"x": 0})
+    assert fp(data) == ("skelgraph.weight.PluricanonicalModelData",
+                        (fp(2), fp({"v": -3, "u": 1}), fp({"x": 0}), fp(frozenset())))
+    g, data = sk.fixtures.kodaira_type_ii(), sk.fixtures.kodaira_type_ii_data()
+    calls = replay.record_calls(["blow_up_node_with_data"],
+                                lambda: sk.blow_up_node_with_data(g, data, "e0"))["calls"]
+    (cold, warm), = replay.run_calls(calls)
+    assert cold == warm == ("return", fp(sk.blow_up_node_with_data(g, data, "e0")))
 
 
 @pytest.mark.parametrize("value", [

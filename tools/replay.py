@@ -33,7 +33,8 @@ prints the first such call and exits 1, after writing every outcome.
 1, or exits 0 when every call agrees.
 
 ``fingerprint`` alone defines equality: each value with its type, dict
-entries in insertion order with each key's ``repr``, sets in iteration
+entries in insertion order with each key's ``repr`` (a read-only
+``MappingProxyType`` as the dict it views), sets in iteration
 order, for an error, raised or returned, its type and message, and for a
 skelgraph value its ``__reduce__`` state, the arguments its constructor
 is rebuilt from on ``pickle`` and ``deepcopy``, so kept values are left
@@ -61,6 +62,7 @@ import tempfile
 from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +79,8 @@ def fingerprint(x):
         return (name, tuple(map(fingerprint, x)))
     if t is dict:
         return (name, tuple((repr(k), fingerprint(k), fingerprint(v)) for k, v in x.items()))
+    if t is MappingProxyType:  # a read-only view: the dict it views
+        return fingerprint(x.copy())
     if t in (set, frozenset):
         return (name, tuple(map(fingerprint, x)))
     if isinstance(x, enum.Enum):
