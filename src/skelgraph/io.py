@@ -28,7 +28,10 @@ from .weight import PluricanonicalModelData
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    """x as its canonical "p/q" string; a Fraction is read as it is,
+    anything else is made one first."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -47,10 +50,18 @@ def parse_rational(raw) -> Fraction:
 
 
 def _shaped(doc, kind: type, what: str, *keys: str):
-    """The document itself, once it is a ``kind`` holding every key."""
+    """The document itself, once it is a ``kind`` holding every key; a
+    str must also encode as UTF-8, so a lone surrogate is refused here
+    and never reaches an output stream."""
     if not isinstance(doc, kind) or any(k not in doc for k in keys):
         need = f"a {kind.__name__}" + (f" with keys {', '.join(keys)}" if keys else "")
         raise GraphStructureError(f"malformed {what} JSON: expected {need}, got {doc!r:.80}")
+    if kind is str and not doc.isascii():
+        try:
+            doc.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise GraphStructureError(
+                f"malformed {what} JSON: {doc!r:.80} is not UTF-8 text") from exc
     return doc
 
 

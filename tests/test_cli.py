@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import skelgraph as sk
 from skelgraph import io as sio
-from skelgraph.cli import build_parser, main
+from skelgraph.cli import _emit, build_parser, main
 from skelgraph.sampling import random_pair_fixture
 
 from dot_reader import awkward_graph, dot_strings, parse_dot
@@ -29,6 +29,11 @@ def run(capsys, *argv):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# text with lone surrogates, quotes, backslashes and control characters in it
+_JSON_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+                     | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028'), max_size=8)
 
 
 def _document_argv(tmp_path, g, subject, doc):
@@ -466,18 +471,120 @@ class TestEmptyFileOption:
         assert run(capsys, *argv[:-2])[0] == 0  # the option left out is no request
 
 
-class TestEmitFormat:
-    """A JSON report is json.dumps(doc, indent=2) and one newline."""
+_ODD = '"\\\x01\u00e9'  # a quote, a backslash, a control character and non-ASCII
 
-    @pytest.mark.parametrize("command", ["fixture", "verify-min-locus"])
-    def test_stdout_is_indented_json(self, tmp_path, capsys, command):
-        gpath = write_json(tmp_path / "g.json",
-                           sio.graph_to_json(sk.fixtures.triangle_chain(3)))
-        argv = (["fixture", "kodaira-II"] if command == "fixture"
-                else ["verify", "min-locus", "--graph", gpath])
-        code, out, err = run(capsys, *argv)
+
+def _odd_graph(g):
+    """g's JSON with its name, every vertex id and every ray label made
+    to need escaping."""
+    doc = sio.graph_to_json(g)
+    odd = (g.name or "g") + _ODD
+    return {**doc, "name": odd,
+            "vertices": [{**v, "id": v["id"] + _ODD} for v in doc["vertices"]],
+            "edges": [{**e, "a": e["a"] + _ODD, "b": e["b"] + _ODD} for e in doc["edges"]],
+            "rays": [{**r, "attach": r["attach"] + _ODD, "label": r["label"] + _ODD}
+                     for r in doc["rays"]]}
+
+
+def _odd_data(data):
+    """data's JSON renamed as _odd_graph renames its graph."""
+    doc = sio.data_to_json(data)
+    return {**doc, "nu": {k + _ODD: v for k, v in doc["nu"].items()},
+            "rays": {k + _ODD: v for k, v in doc["rays"].items()}}
+
+
+_BAD_KODAIRA_DATA = sk.PluricanonicalModelData(m=1, nu={"v1": 0, "v2": 2, "v3": 3, "v4": 5})
+
+# JSON subcommand -> (graph, model data or None, extra --data document or None, exit code)
+_EMITTING = {
+    "solve": (sk.fixtures.theta_graph(), None, None, 0),
+    "laplacian": (sk.fixtures.kodaira_type_ii(), sk.fixtures.kodaira_type_ii_data(), None, 0),
+    "laplacian-fails": (sk.fixtures.kodaira_type_ii(), _BAD_KODAIRA_DATA, None, 1),
+    "ks": (sk.fixtures.kodaira_type_ii(), sk.fixtures.kodaira_type_ii_data(), None, 0),
+    "essential": (sk.fixtures.kodaira_type_ii(), None, None, 0),
+    "min-locus": (sk.fixtures.triangle_chain(3), None, None, 0),
+    "min-locus-fails": (sk.fixtures.path_graph(3), None, {"edge": "e0"}, 1),
+    "bridge": (sk.fixtures.dumbbell(2), None, None, 0),
+    "nonbridge": (sk.fixtures.theta_graph(), None, None, 0),
+}
+
+
+class TestEmitFormat:
+    """A JSON report is byte for byte json.dumps(doc, indent=2) and one newline."""
+
+    @staticmethod
+    def _is_indented_json(out):
+        return out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sk.fixtures.fixture_names())
+    def test_fixture(self, capsys, name):
+        code, out, err = run(capsys, "fixture", name)
         assert (code, err) == (0, "")
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert self._is_indented_json(out)
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["plain", "escaped-ids"])
+    @pytest.mark.parametrize("command", list(_EMITTING))
+    def test_report(self, tmp_path, capsys, command, odd):
+        g, data, request, expected = _EMITTING[command]
+        gdoc = _odd_graph(g) if odd else sio.graph_to_json(g)
+        argv = ["--graph", write_json(tmp_path / "g.json", gdoc)]
+        if data is not None:
+            ddoc = _odd_data(data) if odd else sio.data_to_json(data)
+            argv += ["--data", write_json(tmp_path / "d.json", ddoc)]
+        if request is not None:
+            argv += ["--data", write_json(tmp_path / "d.json", request)]
+        if command == "solve":
+            u, v = ("u" + _ODD, "v" + _ODD) if odd else ("u", "v")
+            target = sio.divisor_to_json(sk.GraphDivisor({u: 1, v: -1}))
+            argv = ["solve", *argv, "--divisor", write_json(tmp_path / "t.json", target),
+                    "--anchor", u]
+        else:
+            argv = ["verify", command.removesuffix("-fails"), *argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (expected, "")
+        assert self._is_indented_json(out)
+        assert (json.dumps(_ODD)[1:-1] in out) == odd
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)
+        | st.integers(-2**200, -2**64) | st.floats() | _JSON_TEXT,
+        lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                      | st.dictionaries(_JSON_TEXT, kids)),
+        max_leaves=25))
+    @example(doc={"": [], "a": {}, "b": [[], {}, ()], "c": [{"d": [[]]}], "\ud800": "\udfff"})
+    @example(doc=())
+    def test_writer_is_json_dumps(self, doc):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            _emit(doc)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None, ("a",)])
+    def test_non_str_key_raises_before_writing(self, capsys, key):
+        # json.dumps writes an int, float, bool or None key as a string;
+        # no report has one, and the writer refuses it instead
+        with pytest.raises(TypeError, match=f"keys must be str, not {type(key).__name__}"):
+            _emit({"ok": True, "nested": [{key: 1}]})
+        assert capsys.readouterr().out == ""
+
+
+class TestUndecodableText:
+    """A lone surrogate is not UTF-8 text: a graph that holds one is
+    malformed input, refused where it is read."""
+
+    @pytest.mark.parametrize("where, doc", [
+        ("vertex id", {"vertices": [{"id": "\ud800"}, {"id": "b"}],
+                       "edges": [{"a": "\ud800", "b": "b"}]}),
+        ("graph name", {**sio.graph_to_json(sk.fixtures.theta_graph()), "name": "t\udfff"}),
+    ])
+    @pytest.mark.parametrize("argv", [["export-dot"], ["verify", "essential"]],
+                             ids=["export-dot", "verify-essential"])
+    def test_exits_two(self, tmp_path, capsys, argv, where, doc):
+        code, out, err = run(capsys, *argv, "--graph", write_json(tmp_path / "g.json", doc))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed {where} JSON: ") and err.count("\n") == 1
+        assert err.endswith(" is not UTF-8 text\n")
 
 
 class TestSolve:

@@ -462,6 +462,9 @@ GUARDS = [
     ("io-graph-metric", lambda: sio.graph_from_json(
         {"vertices": [{"id": "u"}], "edges": [], "metric": "bogus"}), GSE,
      "unknown metric 'bogus'; known: model, stable"),
+    ("io-graph-lone-surrogate-id", lambda: sio.graph_from_json(
+        {"vertices": [{"id": "\ud800"}, {"id": "b"}], "edges": [{"a": "\ud800", "b": "b"}]}),
+     GSE, "malformed vertex id JSON: '\\ud800' is not UTF-8 text"),
     ("graph-unknown-metric", lambda: sk.WeightedDualGraph(vertices=[V("u")], metric="foo"),
      GSE, "unknown metric 'foo'; known: model, stable"),
     ("graph-replace-unknown-metric", lambda: sk.fixtures.theta_graph().replace(metric="foo"),
