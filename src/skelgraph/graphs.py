@@ -328,7 +328,7 @@ _KEPT = (
     ("_canonical", dict, (_IDS, _EDGES, _MULTIPLICITIES, _RAYS, _GENERA)),
     # potential.bridges(graph)
     ("_bridges", None, (_IDS, _EDGES)),
-    # each spanning tree potential.is_spanning_tree accepted, a frozenset key
+    # each spanning tree potential._kept_tree accepted, a frozenset key
     ("_trees", dict, (_IDS, _EDGES)),
     # without_rays(): the compact graph, with the canonical divisors it keeps
     ("_compact", None, (_IDS, _EDGES, _MULTIPLICITIES, _METRIC, _RAYS, _GENERA, _PAIR)),

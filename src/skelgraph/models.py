@@ -102,8 +102,6 @@ def _blow_up(graph: WeightedDualGraph, steps: Iterable[tuple]):
                 raise UnknownElementError(f"unknown vertex {target!r}")
             wid = fresh_id(vertices, f"{target}'")
             vertices[wid] = VertexLabel._trusted(wid, vertices[target].multiplicity, 0)
-            if len(edges) < first:
-                first = len(edges)
             edges.append((min(target, wid), max(target, wid)))
         created.append(wid)
     assembled = graph._edges[:first] + tuple(

@@ -43,10 +43,14 @@ the divisors and functions these pass each other match by identity.
 ``check_point`` passes the graph's own vertex points and midpoints by
 identity, so on the witness path the solvers check only the points a
 reduction added, and ``refine`` scales the graph's kept uncut layout
-to its cuts.  A given tree is searched once per graph:
-``is_spanning_tree`` keeps each tree it accepts, so a witness's entry
-check, its lemma's "spanning-tree" hypothesis and ``fundamental_cycle``
-pay for one search.
+to its cuts.  Every given tree, ``spanning_tree``'s avoid set and a
+model's horizontal edges are read and checked once, by ``_edge_set``,
+which checks a frozenset's ids in sorted order, so the same unknown id
+is named under every hash seed.  A given tree is searched once per
+graph: ``_kept_tree`` keeps each tree it accepts, and ``_edge_set``
+passes such a tree at once, so a witness's entry check, its lemma's
+"spanning-tree" hypothesis and ``fundamental_cycle`` pay for one read
+and one search.
 
 Sign conventions: the Laplacian's degree at a point is the sum of the
 outgoing slopes; div(f) = -laplacian(f) is the sum of incoming slopes.
@@ -397,33 +401,27 @@ def bridges(graph: WeightedDualGraph) -> frozenset[str]:
     return graph._bridges
 
 
-def _edge_ids(ids, what: str):
-    """An iterator over ``ids``, which the caller checks as edge ids in
-    that order; GraphStructureError names a value that is not iterable.
-    A string is iterable, and reads as its characters."""
+def _edge_set(graph: WeightedDualGraph, ids, what: str = "tree") -> frozenset:
+    """The edge ids in ``ids`` as a frozenset, each checked once.  A value
+    that is not iterable raises GraphStructureError, and the first
+    unknown id UnknownElementError.  A frozenset the graph keeps as a
+    tree passes at once; any other frozenset keeps no given order, so its
+    ids are checked sorted (strings first, anything else by its repr) and
+    the same id is named under every hash seed.  Anything else is checked
+    in the order given, and its frozenset is made from a dict of the ids,
+    so it iterates as one made from ``ids`` itself.  A string is
+    iterable, and reads as its characters."""
+    if type(ids) is frozenset:
+        if ids not in graph._trees:
+            for eid in sorted(ids, key=lambda x: (0, x) if isinstance(x, str) else (1, repr(x))):
+                graph.edge(eid)
+        return ids
     try:
-        return iter(ids)
+        given = iter(ids)
     except TypeError:
         raise GraphStructureError(
             f"{what} must be an iterable of edge ids, got {ids!r:.80}") from None
-
-
-def _tree_ids(graph: WeightedDualGraph, tree):
-    """The ids of a given tree as a set that iterates in the order given,
-    read once from ``tree`` (see ``_edge_ids``): a frozenset is its own,
-    and anything else gives the keys of a dict, so a frozenset made from
-    them iterates as one made from the tree itself.  The callers check
-    the ids later, in that order; an id that does not hash cannot wait,
-    so here the first unknown id up to it raises UnknownElementError."""
-    if type(tree) is frozenset:
-        return tree
-    ids = tuple(_edge_ids(tree, "tree"))
-    try:
-        return dict.fromkeys(ids).keys()
-    except TypeError:
-        for eid in ids:
-            graph.edge(eid)
-        raise
+    return frozenset({eid: graph.edge(eid) for eid in given})
 
 
 def _spans(graph: WeightedDualGraph, edges) -> bool:
@@ -436,14 +434,16 @@ def _spans(graph: WeightedDualGraph, edges) -> bool:
 
 def is_spanning_tree(graph: WeightedDualGraph, edge_ids: Iterable[str]) -> bool:
     """V - 1 edges that reach every vertex (see ``_spans``).  Repeated
-    ids count once; the first unknown id, in the order given, raises,
-    on every call.  The graph keeps each tree it accepts, as a
-    frozenset (the one given, when it is a frozenset), so the search
-    runs once per tree; a rejected one is searched again on every call."""
-    edges = {eid: graph.edge(eid) for eid in _edge_ids(edge_ids, "tree")}
-    tree = edge_ids if type(edge_ids) is frozenset else frozenset(edges)
+    ids count once, and the ids are read by ``_edge_set`` on every call."""
+    return _kept_tree(graph, _edge_set(graph, edge_ids))
+
+
+def _kept_tree(graph: WeightedDualGraph, tree: frozenset) -> bool:
+    """Whether ``tree``, a frozenset of known edge ids, is a spanning
+    tree.  The graph keeps each tree it accepts, so the search runs once
+    per tree; a rejected one is searched again on every call."""
     if tree not in graph._trees:
-        if not _spans(graph, edges):
+        if not _spans(graph, tree):
             return False
         graph._trees[tree] = None
     return True
@@ -455,7 +455,7 @@ def spanning_tree(graph: WeightedDualGraph,
     search from the smallest vertex, taking each vertex's edges in
     id-string order, first reaches each other vertex.  It uses no edge
     of ``avoid``, each of which must name an edge."""
-    avoid = {graph.edge(eid).id for eid in _edge_ids(avoid, "avoid")}
+    avoid = _edge_set(graph, avoid, "avoid")
     ids = graph.vertex_ids
     via = _search(graph, ids[0], graph._edge_index.keys() - avoid)
     if len(via) != len(ids):
@@ -491,15 +491,15 @@ def _tree_path(graph, tree, a, b):
 def fundamental_cycle(graph: WeightedDualGraph, tree: Iterable[str],
                       eid: str) -> SubgraphLocus:
     """Z(tree, e): the unique cycle in tree + e, as a closed locus of
-    whole edges and their vertices; the tree is checked in the order
-    given.  It is built in canonical form, each edge as the one segment
+    whole edges and their vertices; the tree is read by ``_edge_set``.
+    It is built in canonical form, each edge as the one segment
     from 0 to its kept length, along ``_tree_path`` and then e, as the
     public constructor would order it."""
-    tset = _tree_ids(graph, tree)
+    tset = _edge_set(graph, tree)
     e = graph.edge(eid)
     if eid in tset:
         raise GraphStructureError(f"edge {eid!r} lies in the tree")
-    if not is_spanning_tree(graph, tset):
+    if not _kept_tree(graph, tset):
         raise GraphStructureError("given edge set is not a spanning tree")
     path_vertices, path_edges = _tree_path(graph, tset, e.a, e.b)
     path_edges.append(eid)
@@ -763,11 +763,14 @@ class LemmaReport:
 
 def _witness_hypotheses(graph, D, f, covered):
     """D effective, f tropical, and D's support meeting the relative
-    interior of every edge outside ``covered``."""
+    interior of every edge outside ``covered``.  ``_check_lemma`` runs
+    these only once div(f) = D - mK holds, and then every edge point of
+    D is interior: mK lies on vertices, and div(f) has an edge
+    coefficient only at a breakpoint of f, which lies strictly inside
+    its edge (see ``PLFunction._walk``)."""
     yield "effective", D.is_effective()
     yield "tropical", f.has_integer_slopes(graph)
-    hit = {p.where for p in D._support
-           if p.kind == "edge" and 0 < p.offset < graph.edge_length(p.where)}
+    hit = {p.where for p in D._support if p.kind == "edge"}
     for other in graph.edges:
         if other.id not in covered:
             yield f"support-on-{other.id}", other.id in hit
@@ -797,11 +800,11 @@ def check_min_locus_lemma(graph: WeightedDualGraph, tree: Iterable[str],
     requirement, raised on violation), and D's support meets the
     relative interior of every non-tree edge other than e.  Conclusion:
     the minimum locus of f is the fundamental cycle Z(tree, e)."""
-    tset = _tree_ids(graph, tree)
+    tset = _edge_set(graph, tree)
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()
-        yield "spanning-tree", is_spanning_tree(graph, tset)
+        yield "spanning-tree", _kept_tree(graph, tset)
         yield "edge-outside-tree", eid not in tset
         yield from _witness_hypotheses(graph, D, f, {*tset, eid})
 
@@ -817,14 +820,14 @@ def check_bridge_lemma(graph: WeightedDualGraph, chain: BridgeChain,
     to 2K via f (exact, raised on violation), D's support meets the
     interior of every non-tree edge, and D >= K - (v1) - (v2).
     Conclusion: the minimum locus of f is the chain."""
-    tset = _tree_ids(graph, tree)
+    tset = _edge_set(graph, tree)
 
     def hypotheses(K):
         yield "loop-free", graph.is_loop_free()
         yield "no-1-valent", not any(graph.valency(v, include_rays=False) == 1
                                      for v in graph.vertex_ids)
         yield "maximal-bridge-chain", _maximal_chain(graph, chain) is not None
-        yield "spanning-tree", is_spanning_tree(graph, tset)
+        yield "spanning-tree", _kept_tree(graph, tset)
         yield from _witness_hypotheses(graph, D, f, tset)
         v1, v2 = chain.endpoints
         yield "dominates-K-minus-endpoints", D >= K - GraphDivisor.at(v1) - GraphDivisor.at(v2)

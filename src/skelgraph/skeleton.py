@@ -16,10 +16,11 @@ The witness constructions realize, by exact chip-firing and Poisson
 solving, the effective divisors whose associated tropical functions
 have as minimum locus a prescribed fundamental cycle (``witness_cycle``,
 D ~ K) or a maximal bridge chain (``witness_bridge_chain``, D ~ 2K).
-Both check their inputs and then run one recipe, ``_witness``: a point
-in the interior of the non-tree edges (plus K - (v1) - (v2) for a
-chain), completed to an effective D ~ mK by a q-reduced divisor, the
-Poisson solution of div(f) = D - mK, and the lemma that pins min_locus(f).
+Both check their inputs and then run one recipe, ``_witness``, which
+reads and checks a given tree once: a point in the interior of the
+non-tree edges (plus K - (v1) - (v2) for a chain), completed to an
+effective D ~ mK by a q-reduced divisor, the Poisson solution of
+div(f) = D - mK, and the lemma that pins min_locus(f).
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from .loci import SubgraphLocus, union_loci, vertex_locus
 from .plfunction import PLFunction
 from .potential import (
     BridgeChain,
+    _edge_set,
+    _kept_tree,
     _maximal_chain,
-    _tree_ids,
     bridges,
     canonical_divisor,
     check_bridge_lemma,
     check_min_locus_lemma,
-    is_spanning_tree,
     maximal_bridge_chains,
     reduce_divisor,
     solve_poisson,
@@ -190,11 +191,21 @@ def _require_maximally_degenerate(graph: WeightedDualGraph, what: str) -> None:
         )
 
 
-def _witness(graph, T, skip, mK, fixed, q, lemma, what) -> WitnessBundle:
-    """The recipe both witnesses run: D = D0 + E, where D0 is ``fixed``
-    plus the midpoints of the non-tree edges but ``skip`` and E is the
-    q-reduced form of mK - D0, at the graph's own point of vertex q; f
-    solves div(f) = D - mK, checked by lemma."""
+def _witness(graph, tree, skip, mK, fixed, q, lemma, what) -> WitnessBundle:
+    """The recipe both witnesses run.  T is the given ``tree``, read by
+    ``_edge_set``, which must avoid ``skip`` and span, or else the
+    spanning tree that avoids ``skip``.  D = D0 + E, where D0 is
+    ``fixed`` plus the midpoints of the non-tree edges but ``skip`` and
+    E is the q-reduced form of mK - D0, at the graph's own point of
+    vertex q; f solves div(f) = D - mK, checked by ``lemma(T, D, f)``."""
+    if tree is None:
+        T = spanning_tree(graph, avoid=() if skip is None else (skip,))
+    else:
+        T = _edge_set(graph, tree)
+        if skip in T:
+            raise GraphStructureError(f"the spanning tree must avoid {skip!r}")
+        if not _kept_tree(graph, T):
+            raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     q = graph._vertex_points()[q]
     D0 = GraphDivisor({graph.midpoint(e.id): 1 for e in graph.edges
                        if e.id not in T and e.id != skip}) + fixed
@@ -203,7 +214,7 @@ def _witness(graph, T, skip, mK, fixed, q, lemma, what) -> WitnessBundle:
         raise PipelineError(f"no effective representative: reduced divisor is {E}")
     D = D0 + E
     f = solve_poisson(graph, mK - D, anchor=q)
-    report = lemma(D, f)
+    report = lemma(T, D, f)
     if not report:
         raise PipelineError(f"{what}: hypotheses {report.failed_hypotheses}, "
                             f"conclusion {report.conclusion_holds}")
@@ -216,20 +227,14 @@ def witness_cycle(graph: WeightedDualGraph, eid: str,
     minimum locus: D is effective, equivalent to K, and carries a point
     in the interior of every non-tree edge other than e; f solves
     div(f) = D - K.  Asserts min_locus(f) = Z(T, e); a given T must
-    span, and is checked in the order given."""
+    avoid e and span (see ``_witness``)."""
     _require_maximally_degenerate(graph, "witness_cycle")
     graph.edge(eid)
     if eid in bridges(graph):
         raise GraphStructureError(f"edge {eid!r} is a bridge; no cycle contains it")
-    tree = None if tree is None else _tree_ids(graph, tree)
-    T = frozenset(tree) if tree is not None else spanning_tree(graph, avoid=[eid])
-    if eid in T:
-        raise GraphStructureError(f"the spanning tree must avoid {eid!r}")
-    if tree is not None and not is_spanning_tree(graph, tree):
-        raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
-    return _witness(graph, T, eid, canonical_divisor(graph, 1), GraphDivisor(),
+    return _witness(graph, tree, eid, canonical_divisor(graph, 1), GraphDivisor(),
                     graph.edge(eid).a,
-                    lambda D, f: check_min_locus_lemma(graph, T, eid, D, f),
+                    lambda T, D, f: check_min_locus_lemma(graph, T, eid, D, f),
                     f"cycle witness failed for {eid!r}")
 
 
@@ -240,7 +245,7 @@ def witness_bridge_chain(graph: WeightedDualGraph,
     minimum locus: D is effective, equivalent to 2K, dominates
     K - (v1) - (v2), and has a point in the interior of every non-tree
     edge; f solves div(f) = D - 2K.  Asserts min_locus(f) = B; a given
-    T must span, and is checked in the order given."""
+    T must span (see ``_witness``)."""
     _require_maximally_degenerate(graph, "witness_bridge_chain")
     g = graph_genus(graph)
     if g <= 1:
@@ -261,15 +266,11 @@ def witness_bridge_chain(graph: WeightedDualGraph,
 
     # K(v) = val(v) - 2 here, and a maximal chain's endpoints are
     # distinct and of valency >= 3, so D1 is effective
-    tree = None if tree is None else _tree_ids(graph, tree)
-    T = frozenset(tree) if tree is not None else spanning_tree(graph)
-    if tree is not None and not is_spanning_tree(graph, tree):
-        raise GraphStructureError(f"tree {sorted(T)} is not a spanning tree")
     K = canonical_divisor(graph, 1)
     v1, v2 = chain.endpoints
     D1 = K - GraphDivisor.at(v1) - GraphDivisor.at(v2)
-    return _witness(graph, T, None, 2 * K, D1, v1,
-                    lambda D, f: check_bridge_lemma(graph, chain, T, D, f),
+    return _witness(graph, tree, None, 2 * K, D1, v1,
+                    lambda T, D, f: check_bridge_lemma(graph, chain, T, D, f),
                     f"bridge witness failed for {chain.edges}")
 
 

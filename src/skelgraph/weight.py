@@ -39,7 +39,7 @@ from .graphs import GraphPoint, Ray, WeightedDualGraph, _restore_checked
 from .loci import SubgraphLocus
 from .models import _blow_up
 from .plfunction import PLFunction
-from .potential import canonical_divisor, laplacian, min_locus
+from .potential import _edge_set, canonical_divisor, laplacian, min_locus
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ class PluricanonicalModelData:
 
     def validate_on(self, graph: WeightedDualGraph) -> "PluricanonicalModelData":
         """The data, checked against the graph.  The horizontal edges are
-        checked in sorted order, as the frozenset keeps no given order."""
+        read by ``potential._edge_set``: a frozenset keeps no given order,
+        so they are checked in sorted order."""
         for v in graph.vertex_ids:
             if v not in self.nu:
                 raise MissingDataError(f"no nu entry for vertex {v!r}")
@@ -116,8 +117,7 @@ class PluricanonicalModelData:
                 )
         for label in self.ray_degrees:
             graph.ray(label)
-        for eid in sorted(self.horizontal_edges):
-            graph.edge(eid)
+        _edge_set(graph, self.horizontal_edges)
         return self
 
 

@@ -223,6 +223,21 @@ class TestVerifyCommand:
         assert len(report["chains"]) == 1
         assert len(report["chains"][0]["chain"]) == 2
 
+    @pytest.mark.parametrize("edges", [["e6", "e7", "e8"], ["e8", "e6", "e7"]])
+    def test_bridge_named_chain(self, tmp_path, capsys, edges):
+        argv = _document_argv(tmp_path, sk.fixtures.dumbbell(3), "bridge", {"chain": edges})
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert [entry["chain"] for entry in report["chains"]] == [["e6", "e7", "e8"]]
+
+    def test_bridge_unknown_chain_exits_two(self, tmp_path, capsys):
+        argv = _document_argv(tmp_path, sk.fixtures.dumbbell(3), "bridge", {"chain": ["e0"]})
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: no maximal bridge chain with edges ['e0']\n"
+
     def test_bridge_with_pendant_leaf_exits_one(self, tmp_path, capsys):
         # two triangles joined by a bridge, plus a pendant leaf: every
         # chain's witness is refused, and each entry says why

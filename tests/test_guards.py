@@ -554,6 +554,11 @@ GUARDS = [
      "unknown edge ['e1']"),
     ("bridge-lemma-unhashable-tree-id", lambda: _dumbbell_lemma("bridge", [["e1"]]), UEE,
      "unknown edge ['e1']"),
+    # a frozenset's ids are checked sorted: strings first, then the rest by repr
+    ("spanning-tree-frozenset-mixed-ids", lambda: sk.is_spanning_tree(
+        sk.fixtures.theta_graph(), frozenset({1, (2,), "zz"})), UEE, "unknown edge 'zz'"),
+    ("spanning-tree-frozenset-non-string-ids", lambda: sk.is_spanning_tree(
+        sk.fixtures.theta_graph(), frozenset({1, (2,)})), UEE, "unknown edge (2,)"),
     # the first unknown id in the order given is named, as on a hashable tree
     ("witness-cycle-unknown-before-unhashable", lambda: sk.witness_cycle(
         sk.fixtures.theta_graph(), "e0", tree=["zz", ["e1"]]), UEE, "unknown edge 'zz'"),
@@ -638,7 +643,8 @@ def test_has_vertex_answers_false_on_an_unhashable_id():
 
 
 # Each call names the unknown tree ids zz, yy, xx (horizontal edges for
-# validate_on); the argv is a verify min-locus request with the same tree.
+# validate_on), and then reads them as one frozenset, a tree or an avoid
+# set; the argv is a verify min-locus request with the same tree.
 _UNKNOWN_IDS = """
 import dataclasses, io, sys
 from contextlib import redirect_stderr
@@ -646,6 +652,7 @@ import skelgraph as sk
 from skelgraph.cli import main
 
 ids = ["zz", "yy", "xx"]
+frozen = frozenset(ids)
 theta, dumbbell = sk.fixtures.theta_graph(), sk.fixtures.dumbbell(1)
 cycle, bridge = sk.witness_cycle(theta, "e0"), sk.witness_bridge_chain(dumbbell)
 chain = sk.maximal_bridge_chains(dumbbell)[0]
@@ -657,6 +664,11 @@ calls = [
     lambda: sk.check_min_locus_lemma(theta, iter(ids), "e0", cycle.divisor, cycle.function),
     lambda: sk.check_bridge_lemma(dumbbell, chain, ids, bridge.divisor, bridge.function),
     lambda: data.validate_on(sk.fixtures.kodaira_type_ii()),
+    lambda: sk.is_spanning_tree(theta, frozen),
+    lambda: sk.spanning_tree(theta, avoid=frozen),
+    lambda: sk.fundamental_cycle(theta, frozen, "e0"),
+    lambda: sk.witness_cycle(theta, "e0", tree=frozen),
+    lambda: sk.check_min_locus_lemma(theta, frozen, "e0", cycle.divisor, cycle.function),
 ]
 for call in calls:
     try:
@@ -671,15 +683,16 @@ print(err.getvalue(), end="")
 
 
 def test_unknown_ids_named_in_the_callers_order(tmp_path):
-    """A tree is checked in the order given, and horizontal edges in
-    sorted order, so the same unknown id is named under every hash seed."""
+    """A tree or avoid set is checked in the order given, and a frozenset
+    one and horizontal edges in sorted order, as a frozenset keeps no
+    given order, so the same unknown id is named under every hash seed."""
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(sio.graph_to_json(sk.fixtures.theta_graph())))
     dpath = tmp_path / "d.json"
     dpath.write_text(json.dumps({"edge": "e0", "tree": ["zz", "yy", "xx"]}))
     src = Path(sk.__file__).resolve().parent.parent
     outs = set()
-    for seed in "1234":
+    for seed in "12345":
         proc = subprocess.run(
             [sys.executable, "-c", _UNKNOWN_IDS,
              "verify", "min-locus", "--graph", str(gpath), "--data", str(dpath)],
@@ -690,7 +703,7 @@ def test_unknown_ids_named_in_the_callers_order(tmp_path):
     assert len(outs) == 1
     assert outs.pop().splitlines() == [
         *["UnknownElementError unknown edge 'zz'"] * 5,
-        "UnknownElementError unknown edge 'xx'",
+        *["UnknownElementError unknown edge 'xx'"] * 6,
         "exit 2",
         "error: unknown edge 'zz'",
     ]

@@ -1686,6 +1686,41 @@ class TestBridgeLemma:
         assert report.conclusion_holds is None
 
 
+@pytest.mark.parametrize("where", ["start", "end", "past-end"])
+@pytest.mark.parametrize("lemma", ["cycle", "bridge"])
+def test_lemma_identity_refuses_an_edge_point_off_the_interior(lemma, where):
+    """The support hypotheses test no bounds: div(f) has an edge
+    coefficient only at a breakpoint strictly inside its edge, so a D
+    whose point on an uncovered edge moves to an end of it, or past
+    it, fails div(f) = D - mK before any hypothesis is read.  So does a
+    D that gains such a point."""
+    if lemma == "cycle":
+        g = sk.fixtures.theta_graph()
+        w = sk.witness_cycle(g, "e0")
+        covered = {*w.tree, "e0"}
+
+        def check(divisor):
+            return sk.check_min_locus_lemma(g, w.tree, "e0", divisor, w.function)
+    else:
+        g = sk.fixtures.dumbbell(1)
+        w = sk.witness_bridge_chain(g)
+        covered = w.tree
+        chain = sk.maximal_bridge_chains(g)[0]
+
+        def check(divisor):
+            return sk.check_bridge_lemma(g, chain, w.tree, divisor, w.function)
+    eid = next(e.id for e in g.edges if e.id not in covered)
+    length = g.edge_length(eid)
+    offset = {"start": 0, "end": length, "past-end": length + 1}[where]
+    assert check(w.divisor)
+    gained = w.divisor + D({P.on_edge(eid, offset): 1})
+    moved = gained - D({g.midpoint(eid): 1})
+    assert moved.is_effective()
+    for divisor in (gained, moved):
+        with pytest.raises(sk.DivisorMismatchError):
+            check(divisor)
+
+
 class TestMaximalBridgeChains:
     @staticmethod
     def check_partition(g):
