@@ -23,9 +23,10 @@ from . import io as sio
 from .errors import GraphStructureError, SkelgraphError
 from .fixtures import fixture, fixture_names
 from .potential import (
+    _edge_set,
+    _kept_tree,
     bridges,
     canonical_divisor,
-    is_spanning_tree,
     maximal_bridge_chains,
     solve_poisson,
 )
@@ -165,8 +166,13 @@ def _verify_min_locus(g, data_doc) -> dict:
     edge, tree = sio.min_locus_request_from_json(data_doc)
     if edge is not None:
         work.edge(edge)
-        if tree is not None and (edge in tree or not is_spanning_tree(work, tree)):
-            raise GraphStructureError(f"tree {tree} is not a spanning tree avoiding {edge!r}")
+        if tree is not None:
+            # read once: witness_cycle gets the checked set, which the
+            # graph keeps as a tree, so its reader passes it at once
+            checked = None if edge in tree else _edge_set(work, tree)
+            if checked is None or not _kept_tree(work, checked):
+                raise GraphStructureError(f"tree {tree} is not a spanning tree avoiding {edge!r}")
+            tree = checked
         eids = [edge]
     else:
         cut_edges = bridges(work)

@@ -18,10 +18,12 @@ graph.
 Reduced divisors are computed by chip-firing on the metric graph
 itself (Luo, "Rank-determining sets of metric graphs"; Baker-Shokrieh,
 "Chip-firing games, potential theory on graphs, and spanning trees").
-State lives only at marks, joined by chip-free segments: least-action
-borrowing works segment by segment, and each Dhar firing moves the
-unburnt set by the distance to the next event, so the work is bounded
-by events and not by L.
+State lives only at marks, joined by chip-free segments, each taking
+its share by a floor division.  Least-action borrowing raises a mark in
+debt together with the marks its raise would force into debt, the way
+Dhar's burn grows a set, and each Dhar firing moves the unburnt set by
+the distance to the next event, so the work is bounded by events and
+not by L.
 
 The Laplacian, the integer-slope test and the minimum locus read one
 walk of f per graph (``PLFunction._walk``): one pass validates f
@@ -519,9 +521,15 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     The reduction starts on the ``refine`` layout at the interior
     support and q, and adds a mark wherever a chip lands; a chip-free
     segment between marks carries f linearly with integer slope.
-    Stage 1 borrows mark by mark until no mark off q is in debt; stage 2
+    Stage 1 borrows until no mark off q is in debt: a mark in debt
+    grows its forced set, the marks that a raise of it and of the
+    members before them would put in debt, and the set rises together
+    by the least step at which a member stops being forced.  Stage 2
     burns from q and fires the unburnt set by the shortest segment out
-    of it, one step per event, until the burn consumes everything.
+    of it, one step per event, until the burn consumes everything.  The
+    result is certified equivalent to the input through the independent
+    ``laplacian`` path, and effective off q; that it is q-reduced rests
+    on stage 2's last burn.
     Both results key a vertex with the graph's own point, a point of
     the input with that (checked) point, and only a point the reduction
     adds with a new one.
@@ -567,42 +575,81 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
         A.append(m), B.append(b), N.append(N[j] - k), E.append(E[j])
         B[j], N[j] = m, k
 
-    def taken(x, t):
-        """Chips the least scripts on x's segments take from x at height t:
+    def short(z, d, out, need):
+        """Whether z, raised d steps while the far marks of its segments
+        ``out`` stay, takes back fewer than ``need`` chips from them:
         inside a chip-free segment the least script is the most even
-        concave sequence, whose first step from x is ceil((u_y - t) / n)."""
-        return -sum((t - u[B[j] if A[j] == x else A[j]]) // N[j] for j in inc[x])
+        concave sequence, whose first step from z is ceil((u_w - u_z) / n)."""
+        uz = u[z]
+        return sum((uz + d - u[w]) // n - (uz - u[w]) // n for w, n in out) < need
 
-    # stage 1: each mark off q in debt borrows, raising u until its
-    # segments take no more than it holds.  By least action no mark
-    # rises above any script that clears the debt, and the end state
-    # does not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
-    # chips[x] tracks what x has left after its segments take their share.
-    start = chips[:]
-    unit = [all(N[j] == 1 for j in inc[x]) for x in range(len(chips))]
+    # stage 1: borrow by forced sets until no mark off q is in debt.  By
+    # least action u never passes the least script that clears the debt,
+    # so the end state does not depend on the order (Fey-Levine-Peres;
+    # Baker-Shokrieh).  A mark x in debt must rise, and its forced set
+    # grows from it as a burn does: a mark y joins once more of the
+    # members before it would take a chip from y, each by rising one step
+    # on a segment whose rise to y is a multiple of its length, than y
+    # holds.  Raised together, a member that joined on k such segments
+    # stays forced while it holds fewer than k chips (x while it holds
+    # fewer than none), so the set rises by the least step at which one
+    # of them stops; a set of one is x's own jump.  chips[x] tracks what
+    # x has left after its segments take their share, and nbrs[x] lists
+    # the far mark and length of each of x's segments.
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in chips]
+    unit = [True] * len(chips)
+    for a, b, n in zip(A, B, N):
+        nbrs[a].append((b, n))
+        nbrs[b].append((a, n))
+        if n != 1:
+            unit[a] = unit[b] = False
     debt = [x for x, c in enumerate(chips) if x != q_mark and c < 0]
     while debt:
         x = debt.pop()
-        t0 = u[x]
-        # raising x by d takes at most d chips less per segment, exactly
-        # d when it is one step long: the jump never overshoots
-        t = t0 - chips[x] // len(inc[x])
-        if not unit[x] and taken(x, t) > start[x]:  # gallop, then bisect
-            lo, hi = t, 2 * t - t0
-            while taken(x, hi) > start[x]:
-                lo, hi = hi, 2 * hi - t0
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if taken(x, mid) > start[x] else (lo, mid)
-            t = hi
-        u[x] = t
-        for j in inc[x]:
-            y, n = B[j] if A[j] == x else A[j], N[j]
-            chips[x] += (t - u[y]) // n - (t0 - u[y]) // n
-            more = (u[y] - t0) // n - (u[y] - t) // n  # taken from y besides
-            chips[y] -= more
-            if y != q_mark and chips[y] < 0 <= chips[y] + more:
-                debt.append(y)
+        while chips[x] < 0:  # a set raised since may have cleared it
+            members, owed, hits = [x], {x: 0}, {}
+            for z in members:
+                uz = u[z]
+                for y, n in nbrs[z]:
+                    if (u[y] - uz) % n or y in owed or y == q_mark:
+                        continue
+                    k = hits.get(y, 0) + 1
+                    if k > chips[y]:
+                        owed[y] = k
+                        members.append(y)
+                    else:
+                        hits[y] = k
+            # raising z by d takes back at most d chips per segment out of
+            # the set, exactly d when it is one step long
+            delta, outs = None, []
+            for z in members:
+                # a set of one mark has no segment inside it
+                out = nbrs[z] if len(members) == 1 else [s for s in nbrs[z] if s[0] not in owed]
+                if not out:
+                    continue
+                outs.append((z, out))
+                need = owed[z] - chips[z]
+                d = (need - 1) // len(out) + 1
+                if not unit[z] and short(z, d, out, need):  # gallop, then bisect
+                    lo, hi = d, 2 * d
+                    while short(z, hi, out, need):
+                        lo, hi = hi, 2 * hi
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        lo, hi = (mid, hi) if short(z, mid, out, need) else (lo, mid)
+                    d = hi
+                if delta is None or d < delta:
+                    delta = d
+            for z in members:
+                u[z] += delta
+            for z, out in outs:
+                uz = u[z]
+                for y, n in out:
+                    chips[z] += (uz - u[y]) // n - (uz - delta - u[y]) // n
+                    more = (u[y] - uz + delta) // n - (u[y] - uz) // n  # taken from y
+                    chips[y] -= more
+                    if y != q_mark and chips[y] < 0 <= chips[y] + more:
+                        debt.append(y)
     # the least script on a segment of n steps rising by s n + r (the
     # first r steps by s + 1, the rest by s) leaves one chip r steps in
     for j in range(len(A)):
@@ -676,7 +723,8 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     f = PLFunction._trusted(values, {})
 
     # certificate: equivalence to the checked input via the independent
-    # laplacian path, effectivity off q, and a clean burn
+    # laplacian path, and effectivity off q; reducedness is not checked
+    # again here, it rests on stage 2's last burn
     if reduced != GraphDivisor(support) - laplacian(graph, f):
         raise PipelineError("reduction certificate failed: D' != D + div(f)")
     for p, c in reduced._support.items():

@@ -214,6 +214,26 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["edges"]["e0"]["witness"]["tree"] == ["e1"]
 
+    def test_min_locus_reads_a_given_tree_once(self, tmp_path, capsys, monkeypatch):
+        # the entry check reads the list; witness_cycle and its lemma get
+        # the tree it checked, which the reader passes at once
+        from skelgraph import cli, potential, skeleton
+        reads = []
+        real = potential._edge_set
+
+        def counting(graph, ids, what="tree"):
+            if what == "tree" and (type(ids) is not frozenset or ids not in graph._trees):
+                reads.append(ids)
+            return real(graph, ids, what)
+
+        for module in (cli, potential, skeleton):
+            monkeypatch.setattr(module, "_edge_set", counting, raising=False)
+        argv = _document_argv(tmp_path, sk.fixtures.theta_graph(), "min-locus",
+                              {"edge": "e0", "tree": ["e1"]})
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert reads == [["e1"]]
+
     def test_bridge_dumbbell(self, tmp_path, capsys):
         gpath = write_json(tmp_path / "g.json",
                            sio.graph_to_json(sk.fixtures.dumbbell(2)))

@@ -1558,11 +1558,18 @@ class TestLatticeOracle:
 
     @staticmethod
     def lattice_rounds(g, Din, q):
-        """Check one input; return the oracle's stage-2 firing count."""
+        """Check one input; return the oracle's stage-2 firing count.  Where
+        the oracle's stage 2 does not fire, its stage 1 already ends
+        reduced, so stage 1 here must reach the same least script and
+        leave stage 2 nothing to fire: it runs under a round cap of 0."""
         reduced, f = sk.reduce_divisor(g, Din, q)
         want, want_f, rounds = reduce_on_lattice(g, Din, q)
         assert reduced == want
         assert list(f.values.items()) == list(want_f.values.items())
+        if rounds == 0:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(potential, "_MAX_DHAR_ROUNDS", 0)
+                sk.reduce_divisor(g, Din, q)
         return rounds
 
     def test_reduce_divisor_inputs(self, rng):
@@ -1590,6 +1597,134 @@ class TestLatticeOracle:
             for q in (g.vertex_ids[-1], g.midpoint(rng.choice(g.edges).id)):
                 rounds.append(self.lattice_rounds(g, Din, q))
         assert sum(r > 0 for r in rounds) >= 10
+
+    @staticmethod
+    def witness_reductions(g, monkeypatch):
+        """The (graph, K - D0, q) that witness_cycle reduces, one for each
+        edge on a cycle."""
+        from skelgraph import skeleton
+        calls = []
+        real = skeleton.reduce_divisor
+        monkeypatch.setattr(skeleton, "reduce_divisor",
+                            lambda *args: calls.append(args) or real(*args))
+        cycle_edges = [e.id for e in g.edges if e.id not in sk.bridges(g)]
+        for eid in cycle_edges:
+            sk.witness_cycle(g, eid)
+        assert len(calls) == len(cycle_edges)
+        return calls
+
+    @staticmethod
+    def stage1_sets(g, Din, q):
+        """How many forced sets stage 1 raises on one input, counted by a
+        line tracer on the line that starts each set."""
+        import inspect
+        import sys
+        lines, first = inspect.getsourcelines(potential.reduce_divisor)
+        start = first + next(i for i, line in enumerate(lines)
+                             if line.strip() == "members, owed, hits = [x], {x: 0}, {}")
+        code, sets = potential.reduce_divisor.__code__, 0
+
+        def trace(frame, event, arg):
+            nonlocal sets
+            if frame.f_code is not code:
+                return None
+            sets += event == "line" and frame.f_lineno == start
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            sk.reduce_divisor(g, Din, q)
+        finally:
+            sys.settrace(previous)
+        return sets
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_triangle_chain_witness_reductions(self, n, monkeypatch):
+        # a debt bounces along the chain, so stage 1 raises sets of many
+        # marks, and the two-step segments of the tree edges gallop
+        for case in self.witness_reductions(sk.fixtures.triangle_chain(n), monkeypatch):
+            assert self.lattice_rounds(*case) == 0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_stage1_sets_grow_with_the_graph(self, n, monkeypatch):
+        # a debt bounces along the chain, and one set per mark it reaches
+        # keeps the work linear in V; a set that leaves out a mark its
+        # members force (one whose chips cover a single segment's take
+        # but not the count of them) costs more sets than there are
+        # vertices
+        g = sk.fixtures.triangle_chain(n)
+        for case in self.witness_reductions(g, monkeypatch):
+            assert 0 < self.stage1_sets(*case) <= len(g.vertex_ids)
+
+    @pytest.mark.parametrize("lengths", [(2, 3, 1, 1), (F(1, 2), 1, F(3, 2)), (3, 1, 2, 2)])
+    def test_chain_with_long_segments(self, lengths):
+        # four triangles with edge lengths cycling through ``lengths``:
+        # members of one set gallop on segments of several steps; stage 2
+        # fires on the first divisor and not on the others
+        vs, es = [], []
+        for t in range(4):
+            ids = [f"t{t}v{j}" for j in range(3)]
+            vs += [V(v) for v in ids]
+            es += [(ids[0], ids[1]), (ids[1], ids[2]), (ids[2], ids[0])]
+            if t:
+                es.append((f"t{t - 1}v1", ids[0]))
+        g = WeightedDualGraph(vertices=vs, edges=[
+            (a, b, lengths[i % len(lengths)]) for i, (a, b) in enumerate(es)])
+        K = sk.canonical_divisor(g)
+        far = 2 * K - D({P.at_vertex("t3v2"): 3, g.midpoint("e13"): 1})
+        debt = D({P.at_vertex("t3v1"): -3, P.at_vertex("t3v2"): -2, P.at_vertex("t0v0"): 9})
+        middle = K - D({g.midpoint("e1"): 1, g.midpoint("e5"): 1, g.midpoint("e9"): 1})
+        rounds = [self.lattice_rounds(g, Din, q)
+                  for Din, q in ((far, "t0v0"), (debt, "t0v0"), (middle, "t3v0"))]
+        assert rounds[0] > 0 and rounds[1:] == [0, 0]
+
+
+class TestJacobianOracle:
+    """Reduced divisors are one per class: closing {0} under
+    D -> red_q(D + (p) - (q)) over the points at multiples of 1/L gives
+    exactly as many classes as the graph subdivided at those points has
+    spanning trees (Kirchhoff; Baker-Norine), counted by networkx."""
+
+    @staticmethod
+    def classes_and_trees(g):
+        import networkx as nx
+        L = lcm(*(g.edge_length(e.id).denominator for e in g.edges))
+        G = nx.MultiGraph()
+        G.add_nodes_from(g.vertex_ids)
+        points = [P.at_vertex(v) for v in g.vertex_ids]
+        for e in g.edges:
+            steps = int(g.edge_length(e.id) * L)
+            inner = [P.on_edge(e.id, F(k, L)) for k in range(1, steps)]
+            points += inner
+            nx.add_path(G, [e.a, *inner, e.b])
+        q = P.at_vertex(g.vertex_ids[0])
+        seen, todo = {D()}, [D()]
+        while todo:
+            E = todo.pop()
+            for p in points:
+                reduced, _ = sk.reduce_divisor(g, E + D.at(p, 1) - D.at(q, 1), q)
+                if reduced not in seen:
+                    seen.add(reduced)
+                    todo.append(reduced)
+        # networkx returns a float for multigraphs
+        return len(seen), round(nx.number_of_spanning_trees(G))
+
+    @pytest.mark.parametrize("g", [sk.fixtures.theta_graph(), sk.fixtures.dumbbell(1),
+                                   sk.fixtures.triangle_chain(2)], ids=lambda g: g.name)
+    def test_fixtures(self, g):
+        classes, trees = self.classes_and_trees(g)
+        assert classes == trees
+
+    def test_random_multigraphs(self):
+        # parallel edges and loops, lengths 1 to 3
+        rng = random.Random(1)
+        for _ in range(20):
+            shape = random_multigraph(rng, max_vertices=4, extra=3, loops=1, lengths=False)
+            g = WeightedDualGraph(vertices=shape.vertices, edges=[
+                (e.a, e.b, rng.randint(1, 3)) for e in shape.edges])
+            classes, trees = self.classes_and_trees(g)
+            assert classes == trees
 
 
 class TestMinLocusLemma:
