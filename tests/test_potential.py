@@ -1,10 +1,12 @@
 """Laplacians, Poisson solving, reduced divisors, bridges, lemmas."""
 
 import copy
+import inspect
 import itertools
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction as F
 from math import lcm
 
@@ -1617,8 +1619,6 @@ class TestLatticeOracle:
     def stage1_sets(g, Din, q):
         """How many forced sets stage 1 raises on one input, counted by a
         line tracer on the line that starts each set."""
-        import inspect
-        import sys
         lines, first = inspect.getsourcelines(potential.reduce_divisor)
         start = first + next(i for i, line in enumerate(lines)
                              if line.strip() == "members, owed, hits = [x], {x: 0}, {}")
