@@ -18,12 +18,13 @@ graph.
 Reduced divisors are computed by chip-firing on the metric graph
 itself (Luo, "Rank-determining sets of metric graphs"; Baker-Shokrieh,
 "Chip-firing games, potential theory on graphs, and spanning trees").
-State lives only at marks, joined by chip-free segments, each taking
-its share by a floor division.  Least-action borrowing raises a mark in
-debt together with the marks its raise would force into debt, the way
-Dhar's burn grows a set, and each Dhar firing moves the unburnt set by
-the distance to the next event, so the work is bounded by events and
-not by L.
+State lives only at marks, joined by chip-free segments along which
+the script is linear with an integer slope.  One loop burns and
+moves: Dhar's burn grows from the last mark off q in debt, or from q
+once no mark is, and the burnt set borrows one chip along each segment
+out of it, all by the length of the shortest, so the work is bounded by
+events and not by L.  Least action makes a burn from a debt a set that
+must rise, and the loop ends when the burn from q reaches every mark.
 
 The Laplacian, the integer-slope test and the minimum locus read one
 walk of f per graph (``PLFunction._walk``): one pass validates f
@@ -109,6 +110,8 @@ from .loci import SubgraphLocus
 from .plfunction import PLFunction, _integral_ray_slopes
 
 _MAX_LATTICE_NODES = 20000
+# caps reduce_divisor's rounds seeded at q; the rounds seeded at a debt are
+# not counted, as least action bounds them: u never passes the least script
 _MAX_DHAR_ROUNDS = 200000
 
 
@@ -521,15 +524,13 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
     The reduction starts on the ``refine`` layout at the interior
     support and q, and adds a mark wherever a chip lands; a chip-free
     segment between marks carries f linearly with integer slope.
-    Stage 1 borrows until no mark off q is in debt: a mark in debt
-    grows its forced set, the marks that a raise of it and of the
-    members before them would put in debt, and the set rises together
-    by the least step at which a member stops being forced.  Stage 2
-    burns from q and fires the unburnt set by the shortest segment out
-    of it, one step per event, until the burn consumes everything.  The
-    result is certified equivalent to the input through the independent
-    ``laplacian`` path, and effective off q; that it is q-reduced rests
-    on stage 2's last burn.
+    Each round burns from a seed, the last mark off q still in debt (q
+    does not burn then) or, once no mark is, q itself; the burnt set
+    then borrows one chip along each segment out of it, by the shortest
+    of them.  The loop ends when the burn from q reaches every mark.
+    The result is certified equivalent to the input through the
+    independent ``laplacian`` path, and effective off q; that it is
+    q-reduced rests on the last burn from q.
     Both results key a vertex with the graph's own point, a point of
     the input with that (checked) point, and only a point the reduction
     adds with a new one.
@@ -575,127 +576,54 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
         A.append(m), B.append(b), N.append(N[j] - k), E.append(E[j])
         B[j], N[j] = m, k
 
-    def short(z, d, out, need):
-        """Whether z, raised d steps while the far marks of its segments
-        ``out`` stay, takes back fewer than ``need`` chips from them:
-        inside a chip-free segment the least script is the most even
-        concave sequence, whose first step from z is ceil((u_w - u_z) / n)."""
-        uz = u[z]
-        return sum((uz + d - u[w]) // n - (uz - u[w]) // n for w, n in out) < need
-
-    # stage 1: borrow by forced sets until no mark off q is in debt.  By
-    # least action u never passes the least script that clears the debt,
-    # so the end state does not depend on the order (Fey-Levine-Peres;
-    # Baker-Shokrieh).  A mark x in debt must rise, and its forced set
-    # grows from it as a burn does: a mark y joins once more of the
-    # members before it would take a chip from y, each by rising one step
-    # on a segment whose rise to y is a multiple of its length, than y
-    # holds.  Raised together, a member that joined on k such segments
-    # stays forced while it holds fewer than k chips (x while it holds
-    # fewer than none), so the set rises by the least step at which one
-    # of them stops; a set of one is x's own jump.  chips[x] tracks what
-    # x has left after its segments take their share, and nbrs[x] lists
-    # the far mark and length of each of x's segments.
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in chips]
-    unit = [True] * len(chips)
-    for a, b, n in zip(A, B, N):
-        nbrs[a].append((b, n))
-        nbrs[b].append((a, n))
-        if n != 1:
-            unit[a] = unit[b] = False
-    debt = [x for x, c in enumerate(chips) if x != q_mark and c < 0]
-    while debt:
-        x = debt.pop()
-        while chips[x] < 0:  # a set raised since may have cleared it
-            members, owed, hits = [x], {x: 0}, {}
-            for z in members:
-                uz = u[z]
-                for y, n in nbrs[z]:
-                    if (u[y] - uz) % n or y in owed or y == q_mark:
-                        continue
-                    k = hits.get(y, 0) + 1
-                    if k > chips[y]:
-                        owed[y] = k
-                        members.append(y)
-                    else:
-                        hits[y] = k
-            # raising z by d takes back at most d chips per segment out of
-            # the set, exactly d when it is one step long
-            delta, outs = None, []
-            for z in members:
-                # a set of one mark has no segment inside it
-                out = nbrs[z] if len(members) == 1 else [s for s in nbrs[z] if s[0] not in owed]
-                if not out:
-                    continue
-                outs.append((z, out))
-                need = owed[z] - chips[z]
-                d = (need - 1) // len(out) + 1
-                if not unit[z] and short(z, d, out, need):  # gallop, then bisect
-                    lo, hi = d, 2 * d
-                    while short(z, hi, out, need):
-                        lo, hi = hi, 2 * hi
-                    while hi - lo > 1:
-                        mid = (lo + hi) // 2
-                        lo, hi = (mid, hi) if short(z, mid, out, need) else (lo, mid)
-                    d = hi
-                if delta is None or d < delta:
-                    delta = d
-            for z in members:
-                u[z] += delta
-            for z, out in outs:
-                uz = u[z]
-                for y, n in out:
-                    chips[z] += (uz - u[y]) // n - (uz - delta - u[y]) // n
-                    more = (u[y] - uz + delta) // n - (u[y] - uz) // n  # taken from y
-                    chips[y] -= more
-                    if y != q_mark and chips[y] < 0 <= chips[y] + more:
-                        debt.append(y)
-    # the least script on a segment of n steps rising by s n + r (the
-    # first r steps by s + 1, the rest by s) leaves one chip r steps in
-    for j in range(len(A)):
-        s, r = divmod(u[B[j]] - u[A[j]], N[j])
-        if r:
-            split(j, r, u[A[j]] + r * (s + 1))
-
-    # stage 2: burn from q; the unburnt set fires by the shortest
-    # segment out of it, delta steps at once.  Each boundary chip walks
-    # delta steps along its out-segment and lands on a new mark (or on
-    # the far end), and u drops by delta on the unburnt set; until a
-    # chip lands, each lattice firing burns the same set, so this is
-    # delta lattice firings in one event.
+    # one loop: burn from a seed, then the burnt set borrows delta steps,
+    # the shortest segment out of it.  The seed is the last mark off q
+    # still in debt, and q does not burn in its round; with no debt left
+    # it is q, and the loop ends when the burn from q reaches every mark,
+    # which makes the divisor q-reduced (Dhar).  A mark burns once more
+    # burnt segments reach it than it holds chips.  The unburnt end w of
+    # each segment out of the set sends one chip delta steps toward it,
+    # onto the member or onto a new mark, and u rises by delta on the set;
+    # until a chip lands each lattice step burns the same set, so a round
+    # is delta lattice firings.  w holds at least one chip per segment it
+    # sends one along, so no mark off q goes into debt and debts only
+    # clear.  Every member of a burn from a debt must rise with it, so by
+    # least action u never passes the least script, and the end state
+    # does not depend on the order (Fey-Levine-Peres; Baker-Shokrieh).
+    debts = [x for x, c in enumerate(chips) if x != q_mark and c < 0]
     events = 0
     while True:
-        burnt = [False] * len(chips)
-        burnt[q_mark] = True
-        arriving = [0] * len(chips)
-        stack = [q_mark]
+        while debts and chips[debts[-1]] >= 0:
+            debts.pop()
+        seed = debts[-1] if debts else q_mark
+        burnt, arriving, stack = {seed}, {}, [seed]
         while stack:
             x = stack.pop()
             for j in inc[x]:
                 y = B[j] if A[j] == x else A[j]
-                if not burnt[y]:
-                    arriving[y] += 1
-                    if arriving[y] > chips[y]:
-                        burnt[y] = True
+                if y not in burnt and y != q_mark:
+                    k = arriving[y] = arriving.get(y, 0) + 1
+                    if k > chips[y]:
+                        burnt.add(y)
                         stack.append(y)
-        unburnt = [x for x, b in enumerate(burnt) if not b]
-        if not unburnt:
-            break
-        out = [(x, j) for x in unburnt for j in inc[x] if burnt[B[j] if A[j] == x else A[j]]]
+        if not debts:
+            if len(burnt) == len(chips):
+                break
+            events += 1
+            if events > _MAX_DHAR_ROUNDS:
+                raise PipelineError("Dhar reduction did not terminate")
+        out = [(x, j) for x in burnt for j in inc[x] if (B[j] if A[j] == x else A[j]) not in burnt]
         delta = min(N[j] for _, j in out)
         for x, j in out:
-            chips[x] -= 1
-            y, n = B[j] if A[j] == x else A[j], N[j]
+            w, n = B[j] if A[j] == x else A[j], N[j]
+            chips[w] -= 1
             if n == delta:
-                chips[y] += 1
+                chips[x] += 1
             else:
-                height = u[x] + delta * ((u[y] - u[x]) // n)
-                split(j, delta if A[j] == x else n - delta, height)
-        for x in unburnt:
-            u[x] -= delta
-        events += 1
-        if events > _MAX_DHAR_ROUNDS:
-            raise PipelineError("Dhar reduction did not terminate")
+                split(j, delta if A[j] == w else n - delta,
+                      u[w] + delta * ((u[x] - u[w]) // n + 1))
+        for x in burnt:
+            u[x] += delta
 
     # read-off in units of 1/L: chips and values at the vertices, then
     # edge by edge each interior mark holding chips or where the slopes
@@ -724,7 +652,7 @@ def reduce_divisor(graph: WeightedDualGraph, divisor_in: GraphDivisor,
 
     # certificate: equivalence to the checked input via the independent
     # laplacian path, and effectivity off q; reducedness is not checked
-    # again here, it rests on stage 2's last burn
+    # again here, it rests on the last burn from q
     if reduced != GraphDivisor(support) - laplacian(graph, f):
         raise PipelineError("reduction certificate failed: D' != D + div(f)")
     for p, c in reduced._support.items():

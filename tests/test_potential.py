@@ -1556,14 +1556,15 @@ class TestReduceDivisor:
 class TestLatticeOracle:
     """reduce_divisor against the uniform-lattice reducer it replaced:
     == reduced divisors and == f, breakpoints in the same order, on
-    inputs where stage 2 fires as well as where it does not."""
+    inputs where the oracle's stage 2 fires as well as where it does not."""
 
     @staticmethod
     def lattice_rounds(g, Din, q):
         """Check one input; return the oracle's stage-2 firing count.  Where
         the oracle's stage 2 does not fire, its stage 1 already ends
-        reduced, so stage 1 here must reach the same least script and
-        leave stage 2 nothing to fire: it runs under a round cap of 0."""
+        reduced, so the rounds seeded at a debt here must reach the same
+        least script and leave the rounds seeded at q nothing to move:
+        it runs under a round cap of 0."""
         reduced, f = sk.reduce_divisor(g, Din, q)
         want, want_f, rounds = reduce_on_lattice(g, Din, q)
         assert reduced == want
@@ -1616,19 +1617,22 @@ class TestLatticeOracle:
         return calls
 
     @staticmethod
-    def stage1_sets(g, Din, q):
-        """How many forced sets stage 1 raises on one input, counted by a
-        line tracer on the line that starts each set."""
-        lines, first = inspect.getsourcelines(potential.reduce_divisor)
+    def debt_rounds(g, Din, q):
+        """How many rounds of the reduction loop are seeded at a mark in
+        debt on one input, counted by a line tracer on the seed line,
+        read through any wrapper around ``reduce_divisor``."""
+        reduce = inspect.unwrap(potential.reduce_divisor)
+        lines, first = inspect.getsourcelines(reduce)
         start = first + next(i for i, line in enumerate(lines)
-                             if line.strip() == "members, owed, hits = [x], {x: 0}, {}")
-        code, sets = potential.reduce_divisor.__code__, 0
+                             if line.strip() == "seed = debts[-1] if debts else q_mark")
+        code, rounds = reduce.__code__, 0
 
         def trace(frame, event, arg):
-            nonlocal sets
+            nonlocal rounds
             if frame.f_code is not code:
                 return None
-            sets += event == "line" and frame.f_lineno == start
+            if event == "line" and frame.f_lineno == start and frame.f_locals["debts"]:
+                rounds += 1
             return trace
 
         previous = sys.gettrace()
@@ -1637,31 +1641,41 @@ class TestLatticeOracle:
             sk.reduce_divisor(g, Din, q)
         finally:
             sys.settrace(previous)
-        return sets
+        return rounds
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_triangle_chain_witness_reductions(self, n, monkeypatch):
-        # a debt bounces along the chain, so stage 1 raises sets of many
-        # marks, and the two-step segments of the tree edges gallop
+        # a debt bounces along the chain, so the burns from it grow sets
+        # of many marks, and the tree edges have segments of two steps
         for case in self.witness_reductions(sk.fixtures.triangle_chain(n), monkeypatch):
             assert self.lattice_rounds(*case) == 0
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_stage1_sets_grow_with_the_graph(self, n, monkeypatch):
-        # a debt bounces along the chain, and one set per mark it reaches
-        # keeps the work linear in V; a set that leaves out a mark its
-        # members force (one whose chips cover a single segment's take
-        # but not the count of them) costs more sets than there are
-        # vertices
+    def test_debt_rounds_grow_with_the_graph(self, n, monkeypatch):
+        # a debt bounces along the chain, and one round per mark it
+        # reaches keeps the work linear in V; a burn that leaves out a
+        # mark its members force (one whose chips cover a single
+        # segment's take but not the count of them) costs more rounds
+        # than there are vertices
         g = sk.fixtures.triangle_chain(n)
         for case in self.witness_reductions(g, monkeypatch):
-            assert 0 < self.stage1_sets(*case) <= len(g.vertex_ids)
+            assert 0 < self.debt_rounds(*case) <= len(g.vertex_ids)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 30])
+    def test_deep_debt_on_theta(self, k):
+        # a debt of k at v, with u = q holding k: each round v borrows one
+        # chip along each of the three edges, so at most ceil(k/3) rounds
+        g = sk.fixtures.theta_graph()
+        Din = k * D.at("u") - k * D.at("v")
+        self.lattice_rounds(g, Din, "u")
+        assert 0 < self.debt_rounds(g, Din, "u") <= -(-k // 3)
 
     @pytest.mark.parametrize("lengths", [(2, 3, 1, 1), (F(1, 2), 1, F(3, 2)), (3, 1, 2, 2)])
     def test_chain_with_long_segments(self, lengths):
         # four triangles with edge lengths cycling through ``lengths``:
-        # members of one set gallop on segments of several steps; stage 2
-        # fires on the first divisor and not on the others
+        # the burns from a debt have segments of several steps out of
+        # them; rounds seeded at q move the burnt set on the first divisor
+        # and not on the others
         vs, es = [], []
         for t in range(4):
             ids = [f"t{t}v{j}" for j in range(3)]

@@ -179,3 +179,16 @@ def test_fingerprint_is_the_reduce_state(value):
         sk.distance(value, "a", "b")
         sk.bridges(value)
         assert replay.fingerprint(value) == fp
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_record_exits_one_when_the_suite_fails(code, tmp_path, monkeypatch):
+    # the suite stands in for tier-1: it makes one call and exits with code
+    def suite(argv):
+        sk.canonical_divisor(sk.fixtures.theta_graph())
+        return pytest.ExitCode(code)
+
+    monkeypatch.setattr(pytest, "main", suite)
+    out = tmp_path / "calls"
+    assert replay.main(["_record", "canonical_divisor", "tier1", str(ROOT), str(out)]) == code
+    assert [name for _, name, _ in replay._read(out)["calls"]] == ["canonical_divisor"]

@@ -19,7 +19,9 @@ is ``tier1``, the tree's test suite run in process, or
 ``perfbench/workloads.py`` builds for that workload and seed.  Calls
 whose arguments do not pickle, or would need a module outside
 ``skelgraph`` and the standard library to load, are counted and
-dropped.
+dropped.  ``record`` writes the record and then exits 1 when the
+``tier1`` suite failed under recording; a job source only prints how
+many of its jobs failed, since some job lists hold known failures.
 
 ``replay`` runs every recorded call on a tree in a subprocess with
 ``PYTHONPATH=<tree>/src`` and ``PYTHONHASHSEED=0``, so set iteration
@@ -192,9 +194,10 @@ def record_calls(names, run):
 
 def _run_tier1(tree: Path):
     import pytest
-    code = pytest.main([str(tree / "tests"), "-q", "-p", "no:cacheprovider",
-                        "--ignore", str(tree / "tests" / "test_replay.py")])
-    print(f"tier-1 exit status {int(code)}", file=sys.stderr)
+    code = int(pytest.main([str(tree / "tests"), "-q", "-p", "no:cacheprovider",
+                            "--ignore", str(tree / "tests" / "test_replay.py")]))
+    print(f"tier-1 exit status {code}", file=sys.stderr)
+    return code
 
 
 def _run_jobs(tree: Path, workload: str, seed: int):
@@ -347,13 +350,15 @@ def main(argv=None) -> int:
         names, source, tree, out = args.rest
         tree = Path(tree)
         _check_tree(tree)
-        recorded = record_calls(names.split(","), _source(source, tree))
+        run, status = _source(source, tree), []
+        recorded = record_calls(names.split(","), lambda: status.append(run()))
         _write(out, {"functions": names.split(","), "source": source, **recorded})
         per = {}
         for _, name, _ in recorded["calls"]:
             per[name] = per.get(name, 0) + 1
         print(f"recorded {len(recorded['calls'])} distinct calls of {recorded['seen']} "
               f"made: {per}; dropped {recorded['dropped']}")
+        return 1 if status[0] else 0
     elif args.command == "replay":
         return _child(args.tree, "_replay", str(args.calls), str(args.tree), str(args.out))
     elif args.command == "_replay":
