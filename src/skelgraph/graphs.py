@@ -19,9 +19,9 @@ other metric.
 Everything is immutable after construction; operations are pure
 functions returning new graphs.  All arithmetic is exact: Fractions,
 or integers counting a known unit.  So a graph keeps what it derives
-on first read: the adjacency in edge and in id-string order, the edge
-lengths, the integer network and each source's Dijkstra row of integer
-steps, ``refine``'s uncut layout, one ``GraphPoint`` per vertex and one
+on first read: the adjacency, the edge lengths, the edge lengths in
+integer steps and each source's Dijkstra row of integer steps,
+``refine``'s uncut layout, one ``GraphPoint`` per vertex and one
 midpoint per edge asked for (the readers key their results with these
 points, so later lookups match by identity), ``canonical_divisor`` for
 each m, ``bridges``, each spanning tree ``is_spanning_tree`` accepts,
@@ -307,16 +307,14 @@ _IDS, _EDGES, _MULTIPLICITIES, _METRIC, _RAYS, _GENERA, _PAIR = range(7)
 # one empty (see WeightedDualGraph._assemble), and a derived view shares
 # its parent's when it reads none of the inputs the view may change.
 _KEPT = (
-    # vertex id -> the ids of the edges at it, in edge order (see _adjacent)
+    # vertex id -> (edge id, far end, edge index) of each edge at it, in
+    # id-string order (see _adjacent)
     ("_adjacency", None, (_IDS, _EDGES)),
-    # the same ids in id-string order, built in the same pass, for _search
-    ("_sorted_adjacency", None, (_IDS, _EDGES)),
-    # edge id -> length; PLFunction._walk reuses a walk on a graph whose
-    # _lengths is the walked graph's own dict, so it relies on views sharing it
+    # edge id -> length
     ("_lengths", dict, (_EDGES, _MULTIPLICITIES, _METRIC)),
     # source -> integer Dijkstra row (see _row)
     ("_distances", dict, (_EDGES, _MULTIPLICITIES, _METRIC)),
-    # (scale, integer adjacency): the edge lengths as integer steps (see _row)
+    # (scale, steps): each edge's length in integer steps, by edge index (see _steps)
     ("_network", None, (_EDGES, _MULTIPLICITIES, _METRIC)),
     # refine's uncut integer layout (see refine)
     ("_layout", None, (_IDS, _EDGES, _MULTIPLICITIES, _METRIC)),
@@ -498,8 +496,9 @@ class WeightedDualGraph:
         return isinstance(vid, str) and vid in self._vertices
 
     def edges_at(self, vid: str) -> tuple[Edge, ...]:
+        """The edges at the vertex in edge order, a loop listed once."""
         self.vertex(vid)
-        return tuple(self._edge_index[eid] for eid in self._adjacent()[vid])
+        return tuple(self._edges[i] for i in sorted(i for _, _, i in self._adjacent()[vid]))
 
     def rays_at(self, vid: str) -> tuple[Ray, ...]:
         self.vertex(vid)
@@ -507,9 +506,8 @@ class WeightedDualGraph:
 
     def valency(self, vid: str, include_rays: bool = True) -> int:
         """Number of edge ends at the vertex; loops count twice."""
-        n = 0
-        for e in self.edges_at(vid):
-            n += 2 if e.a == e.b else 1
+        self.vertex(vid)
+        n = sum(2 if w == vid else 1 for _, w, _ in self._adjacent()[vid])
         if include_rays:
             n += len(self.rays_at(vid))
         return n
@@ -544,22 +542,20 @@ class WeightedDualGraph:
         return self.is_reduced() and all(v.genus == 0 for v in self._vertices.values()) \
             and self.is_loop_free()
 
-    def _adjacent(self) -> dict[str, tuple[str, ...]]:
-        """Vertex id -> the ids of the edges at it, in edge order, a loop
-        listed once: built on the first read and kept, in the same pass
-        as the same ids in id-string order (``e10`` before ``e2``), which
-        ``_search`` reads from ``_sorted_adjacency``.  The constructor's
-        connectivity check is such a read."""
+    def _adjacent(self) -> dict[str, tuple[tuple[str, str, int], ...]]:
+        """Vertex id -> ``(edge id, far end, edge index)`` for each edge at
+        it, in id-string order (``e10`` before ``e2``), a loop listed once
+        with the vertex itself as its far end: built on the first read and
+        kept.  The constructor's connectivity check is such a read, and
+        every reader of the edges at a vertex reads this one adjacency."""
         adjacency = self._adjacency
         if adjacency is None:
             lists = {vid: [] for vid in self._vertices}
-            for e in self._edges:
-                lists[e.a].append(e.id)
+            for i, e in enumerate(self._edges):
+                lists[e.a].append((e.id, e.b, i))
                 if e.b != e.a:
-                    lists[e.b].append(e.id)
-            adjacency = {vid: tuple(ids) for vid, ids in lists.items()}
-            object.__setattr__(self, "_sorted_adjacency",
-                               {vid: tuple(sorted(ids)) for vid, ids in lists.items()})
+                    lists[e.b].append((e.id, e.a, i))
+            adjacency = {vid: tuple(sorted(entries)) for vid, entries in lists.items()}
             object.__setattr__(self, "_adjacency", adjacency)
         return adjacency
 
@@ -733,18 +729,13 @@ def _search(graph: WeightedDualGraph, root: str, usable) -> dict:
     each vertex's edges in id-string order (``e10`` before ``e2``)."""
     via = {root: None}
     stack = [root]
-    index = graph._edge_index
-    graph._adjacent()
-    adjacency = graph._sorted_adjacency
+    adjacency = graph._adjacent()
     while stack:
         v = stack.pop()
-        for eid in adjacency[v]:
-            if eid in usable:
-                e = index[eid]
-                w = e.b if e.a == v else e.a
-                if w not in via:
-                    via[w] = (v, eid)
-                    stack.append(w)
+        for eid, w, _ in adjacency[v]:
+            if eid in usable and w not in via:
+                via[w] = (v, eid)
+                stack.append(w)
     return via
 
 
@@ -755,53 +746,51 @@ def _bivalent_run(graph: WeightedDualGraph, v: str, e: Edge, through):
     ``e.id`` on, and the stop vertex.  ``e`` is on no cycle of 2-valent
     vertices: a walk from a leaf cannot return, and one from a bridge meets
     only bridges (a 2-valent vertex's other edge), which form a forest."""
-    passed, taken = [], [e.id]
+    eid = e.id
+    passed, taken = [], [eid]
     w = e.b if e.a == v else e.a
+    adjacency = graph._adjacent()
     while graph.valency(w, include_rays=False) == 2 and through(w):
         passed.append(w)
-        e = next(t for t in graph.edges_at(w) if t.id != e.id)
-        taken.append(e.id)
-        w = e.b if e.a == w else e.a
+        eid, w, _ = next(t for t in adjacency[w] if t[0] != eid)
+        taken.append(eid)
     return passed, taken, w
 
 
-def _steps(graph: WeightedDualGraph) -> tuple[int, list[tuple[str, str, int]]]:
-    """(scale, ends): scale is the lcm of the edge-length denominators,
-    and ends lists every edge, loops included, in edge order as ``(a, b,
-    steps)``, an edge of length n/d taking n*(scale//d) steps of
-    1/scale.  Each length is read off the edge's integers (a formula
-    edge's from its denominator), so no length becomes a Fraction here.
-    A fresh list on every call."""
-    ends = []
+def _steps(graph: WeightedDualGraph) -> tuple[int, list[int]]:
+    """(scale, steps): scale is the lcm of the edge-length denominators,
+    and ``steps[i]`` is edge i's length in steps of 1/scale, loops
+    included, an edge of length n/d taking n*(scale//d) steps.  Each
+    length is read off the edge's integers (a formula edge's from its
+    denominator), so no length becomes a Fraction here.  A fresh list on
+    every call."""
+    lengths = []
     for e in graph._edges:
         if e.length is None:
-            n, d = 1, _formula_denominator(graph._vertices[e.a].multiplicity,
-                                           graph._vertices[e.b].multiplicity, graph.metric)
+            lengths.append((1, _formula_denominator(graph._vertices[e.a].multiplicity,
+                                                    graph._vertices[e.b].multiplicity,
+                                                    graph.metric)))
         else:
-            n, d = e.length.numerator, e.length.denominator
-        ends.append((e.a, e.b, n, d))
-    scale = math.lcm(*(d for _, _, _, d in ends))
-    return scale, [(a, b, n * (scale // d)) for a, b, n, d in ends]
+            lengths.append((e.length.numerator, e.length.denominator))
+    scale = math.lcm(*(d for _, d in lengths))
+    return scale, [n * (scale // d) for n, d in lengths]
 
 
 def _row(graph: WeightedDualGraph, source: str):
     """(scale, row): row maps every vertex to its distance from source
-    in steps of 1/scale, kept on the graph for that source; callers must
-    not change it.  The graph's integer network, built from ``_steps`` on
-    first use and kept too, is the adjacency of those steps; a loop's
-    entry at its own vertex is never relaxed, as that vertex is done."""
+    in steps of 1/scale, in the order Dijkstra first reaches them, kept
+    on the graph for that source; callers must not change it.  Dijkstra
+    runs on the graph's adjacency (see ``_adjacent``) with the edge steps
+    of ``_steps``, kept as ``_network`` on first use; a loop's entry at
+    its own vertex is never relaxed, as that vertex is done."""
     network = graph._network
     if network is None:
-        scale, ends = _steps(graph)
-        adjacency = {v: [] for v in graph._vertices}
-        for a, b, step in ends:
-            adjacency[a].append((b, step))
-            adjacency[b].append((a, step))
-        network = (scale, adjacency)
+        network = _steps(graph)
         object.__setattr__(graph, "_network", network)
-    scale, adjacency = network
+    scale, steps = network
     dist = graph._distances.get(source)
     if dist is None:
+        adjacency = graph._adjacent()
         dist = {source: 0}
         heap = [(0, source)]
         done = set()
@@ -810,10 +799,12 @@ def _row(graph: WeightedDualGraph, source: str):
             if v in done:
                 continue
             done.add(v)
-            for w, step in adjacency[v]:
-                if w not in done and (w not in dist or d + step < dist[w]):
-                    dist[w] = d + step
-                    heapq.heappush(heap, (d + step, w))
+            for _, w, i in adjacency[v]:
+                if w not in done:
+                    k = d + steps[i]
+                    if w not in dist or k < dist[w]:
+                        dist[w] = k
+                        heapq.heappush(heap, (k, w))
         graph._distances[source] = dist
     return scale, dist
 
@@ -846,9 +837,10 @@ def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> Weighted
     has the input's metric, no rays, no name and is not a pair model.
     Nothing is kept on, or read from the kept values of, the input
     graph."""
-    scale, ends = _steps(graph)
+    scale, steps = _steps(graph)
     nbrs: dict[str, dict[str, int]] = {v: {} for v in graph._vertices}
-    for a, b, step in ends:
+    for e, step in zip(graph._edges, steps):
+        a, b = e.a, e.b
         if a != b and nbrs[a].get(b, step) >= step:
             nbrs[a][b] = nbrs[b][a] = step
     keep = set(keep)
@@ -881,13 +873,15 @@ def _series_reduction(graph: WeightedDualGraph, keep: Iterable[str]) -> Weighted
 def vertex_distances(graph: WeightedDualGraph, source: str) -> dict[str, Fraction]:
     """Exact single-source shortest-path distances to all vertices.
 
-    The graph keeps one integer network, built on the first call: every
-    edge length scaled by the lcm L of the length denominators, as an
-    adjacency of integer steps.  Each source then runs only Dijkstra's
-    heap on it, and the graph keeps the source's row of integer steps,
-    so each source costs one Dijkstra per graph.  Every call returns a
-    fresh dict in which each distance d*L is Fraction(d, L), still
-    exact."""
+    The graph keeps its edge lengths as integer steps, built on the
+    first call: every length scaled by the lcm L of the length
+    denominators.  Each source then runs only Dijkstra's heap on the
+    graph's adjacency with those steps, and the graph keeps the source's
+    row of integer steps, so each source costs one Dijkstra per graph.
+    Every call returns a fresh dict in which each distance d*L is
+    Fraction(d, L), still exact, with its keys in the order the search
+    first reaches the vertices, each vertex's edges taken in id-string
+    order."""
     graph.vertex(source)
     scale, row = _row(graph, source)
     return {v: Fraction(d, scale) for v, d in row.items()}
@@ -1040,10 +1034,10 @@ def refine(graph: WeightedDualGraph, points: Iterable[GraphPoint]) -> Refinement
     L // L0 and copies the marks dict, so it reads no edge length."""
     layout = graph._layout
     if layout is None:
-        L0, ends = _steps(graph)
+        L0, steps = _steps(graph)
         index = {v: i for i, v in enumerate(graph._vertices)}
-        layout = (L0, tuple((i, e.id, index[a], index[b], n)
-                            for i, (e, (a, b, n)) in enumerate(zip(graph._edges, ends))),
+        layout = (L0, tuple((i, e.id, index[e.a], index[e.b], n)
+                            for i, (e, n) in enumerate(zip(graph._edges, steps))),
                   {p: i for i, p in enumerate(graph._vertex_points().values())})
         object.__setattr__(graph, "_layout", layout)
     L0, edges, base = layout

@@ -171,10 +171,12 @@ class PLFunction:
         an edge without any, whose walk reads the scaled values at its
         ends and sorts and scales nothing else."""
         walked = self._walked
-        if walked is not None and walked[0]._lengths is graph._lengths:
-            # the walked graph, or a graph derived from the same one: the
-            # same vertex points, edges and lengths, so the same walk; only
-            # the ray slopes are checked against this graph's own rays
+        if walked is not None and walked[0]._edges is graph._edges and graph._edges:
+            # the walked graph, or a graph derived from the same one, as
+            # only a derived view shares its parent's edge tuple: the same
+            # vertex points, edges and lengths, so the same walk; only the
+            # ray slopes are checked against this graph's own rays.  Every
+            # edgeless graph holds the one empty tuple, so it walks afresh
             for label in self._ray_slopes:
                 graph.ray(label)
             return walked[1]

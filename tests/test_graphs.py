@@ -140,6 +140,37 @@ class TestGraphGenus:
         assert min(verdicts.values()) > 50
 
 
+class TestEdgesAtVertex:
+    """``edges_at`` lists the edges at a vertex in edge order, a loop
+    once, and ``valency`` counts a loop twice, on multigraphs with at
+    least 11 edges, where id-string order (``e10`` before ``e2``) and
+    edge order differ."""
+
+    def test_against_the_edge_list_and_networkx(self):
+        import networkx as nx
+        rng = random.Random(44)
+        reordered = 0
+        for _ in range(40):
+            g = random_multigraph(rng, max_vertices=6, extra=12, loops=3)
+            if len(g.edges) < 11:
+                continue
+            H = nx.MultiGraph()
+            H.add_nodes_from(g.vertex_ids)
+            H.add_edges_from((e.a, e.b) for e in g.edges)
+            for v in g.vertex_ids:
+                want = tuple(e for e in g.edges if v in (e.a, e.b))
+                assert g.edges_at(v) == want
+                assert g.valency(v, include_rays=False) == H.degree(v)
+                ids = [e.id for e in want]
+                reordered += ids != sorted(ids)
+        assert reordered >= 20
+
+    def test_edge_order_is_not_id_string_order(self):
+        g = sk.fixtures.triangle_chain(4)
+        assert tuple(e.id for e in g.edges_at("t3v0")) == ("e9", "e11", "e14")
+        assert sorted(("e9", "e11", "e14")) == ["e11", "e14", "e9"]
+
+
 def test_repr_names_the_counts_and_metric():
     assert repr(sk.fixtures.theta_graph()) == (
         "<WeightedDualGraph 'theta': 2 vertices, 3 edges, 0 rays, model>")
@@ -475,9 +506,9 @@ class TestSeriesReduction:
     against the graph itself and networkx, leaves no other vertex with
     fewer than three neighbours, and keeps nothing on its input."""
 
-    # every kept value but the adjacency pair, which the constructor's
+    # every kept value but the adjacency, which the constructor's
     # connectivity check fills on the cold copies read here
-    KEPT = tuple(slot for slot in KEPT if slot not in ("_adjacency", "_sorted_adjacency"))
+    KEPT = tuple(slot for slot in KEPT if slot != "_adjacency")
 
     @staticmethod
     def answers(graph):

@@ -317,8 +317,8 @@ class TestVerifyMetricInvariance:
 # the slots a graph is built with, and the values it keeps on first read
 BUILT = ("name", "metric", "pair_model", "_vertices", "_edges", "_rays", "_edge_index",
          "_ray_index")
-KEPT = ("_adjacency", "_sorted_adjacency", "_lengths", "_distances", "_network", "_layout",
-        "_points", "_midpoints", "_canonical", "_bridges", "_trees", "_compact")
+KEPT = ("_adjacency", "_lengths", "_distances", "_network", "_layout", "_points",
+        "_midpoints", "_canonical", "_bridges", "_trees", "_compact")
 
 
 def test_kept_is_the_tables_slots():

@@ -1,5 +1,6 @@
 """PLFunction profile readers: evaluation, and functions that do not fit the graph."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -224,6 +225,31 @@ class TestWalkOnDerivedViews:
         for graph, fn in ((compact, stripped), (flat, f), (g, stripped), (flat, stripped),
                           (g, f)):
             TestWalkPerGraph().assert_reads_like_a_fresh_copy(graph, fn)
+
+    def test_walk_is_kept_on_views_and_rebuilt_on_new_graphs(self):
+        # a view shares its parent's edge tuple, so it reads the walk kept
+        # for the parent; a replace() or a pickle copy is a new graph
+        g, _ = TestWalkPerGraph.model_and_stable()
+        g = g.replace(vertices=[V("a", 2, 1), V("b", 2), V("c")])
+        f = PLFunction({"a": 0, "b": 0, "c": 1, P.on_edge("e0", F(1, 8)): 0}).without_rays()
+        for view in (g.without_rays(), sk.strip_genus(g)):
+            f.validate_on(g)
+            walk = f._walked[1]
+            f.validate_on(view)
+            assert f._walked[1] is walk
+        for copy in (g.replace(), pickle.loads(pickle.dumps(g))):
+            f.validate_on(g)
+            walk = f._walked[1]
+            f.validate_on(copy)
+            assert f._walked[1] is not walk and f._walked[0] is copy
+            assert f._walked[1] == walk
+
+    def test_edgeless_graphs_do_not_share_a_walk(self):
+        # every edgeless graph holds the one empty edge tuple
+        f = PLFunction({"a": 0})
+        f.validate_on(WeightedDualGraph([V("a")]))
+        with pytest.raises(sk.InvalidPointError, match="^no value at vertex 'b'$"):
+            f.validate_on(WeightedDualGraph([V("b")]))
 
     @pytest.mark.parametrize("reader", WALK_READERS)
     def test_slope_on_a_dropped_ray_raises_on_every_read(self, reader):

@@ -909,13 +909,12 @@ class TestDerivedViews:
 
     # the kept values that read no rays, genera or pair flag, so every
     # view shares them; a view starts each other kept value empty
-    SHARED = ("_adjacency", "_sorted_adjacency", "_lengths", "_distances", "_network",
-              "_layout", "_points", "_midpoints", "_bridges", "_trees")
+    SHARED = ("_adjacency", "_lengths", "_distances", "_network", "_layout", "_points",
+              "_midpoints", "_bridges", "_trees")
 
     # what each kept value's reader answers, to see which inputs it reads
     READERS = {
         "_adjacency": lambda g: [g.edges_at(v) for v in g.vertex_ids],
-        "_sorted_adjacency": lambda g: sk.spanning_tree(g),
         "_lengths": lambda g: [g.edge_length(e.id) for e in g.edges],
         "_distances": lambda g: [sk.vertex_distances(g, v) for v in g.vertex_ids],
         "_network": lambda g: [sk.vertex_distances(g, v) for v in g.vertex_ids],

@@ -87,6 +87,11 @@ def test_compare_names_a_changed_call(recorded, monkeypatch):
     out = io.StringIO()
     assert replay.compare(before, after, out) == 1
     assert f"the first is call {first}: skelgraph.potential.canonical_divisor" in out.getvalue()
+    # every canonical_divisor call that returns gains a chip; the one that raises still raises
+    returned = sum(name == "canonical_divisor" and cold[0] == "return"
+                   for (_, name, _), (cold, _) in zip(calls, before["outcomes"]))
+    counts = out.getvalue().partition("the first is call")[0].splitlines()
+    assert f"  canonical_divisor: {returned}" in counts
 
 
 # appended to a copy's potential.py: K read back from the graph gains a chip

@@ -31,8 +31,9 @@ them is loaded again for the warm run); both outcomes are kept as
 fingerprints.  A call whose warm outcome differs from its cold
 one answers from a kept value that changed the answer: ``replay`` then
 prints the first such call and exits 1, after writing every outcome.
-``compare`` prints the first call whose fingerprints differ and exits
-1, or exits 0 when every call agrees.
+``compare`` prints how many calls differ for each function name, then
+the first call whose fingerprints differ, and exits 1, or exits 0 when
+every call agrees.
 
 ``fingerprint`` alone defines equality: each value with its type, dict
 entries in insertion order with each key's ``repr`` (a read-only
@@ -61,6 +62,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
@@ -293,7 +295,8 @@ def steady(names, outcomes, out=sys.stdout) -> int:
 
 
 def compare(a, b, out=sys.stdout) -> int:
-    """Print the first call on which two replays differ; 1 if one does."""
+    """Print how many calls two replays differ on for each function name,
+    then the first such call; 1 if one differs."""
     if a["digest"] != b["digest"]:
         print("the replays ran different call records", file=out)
         return 1
@@ -302,10 +305,12 @@ def compare(a, b, out=sys.stdout) -> int:
     if not differ:
         print(f"all {total} calls agree, cold and warm", file=out)
         return 0
+    print(f"{len(differ)} of {total} calls differ, by function:", file=out)
+    for name, n in Counter(a["names"][i][1] for i in differ).items():
+        print(f"  {name}: {n}", file=out)
     i = differ[0]
     module, name = a["names"][i]
-    print(f"{len(differ)} of {total} calls differ; the first is call {i}: {module}.{name}",
-          file=out)
+    print(f"the first is call {i}: {module}.{name}", file=out)
     for label, side in (("a", a), ("b", b)):
         cold, warm = side["outcomes"][i]
         print(f"  {label} cold: {_short(cold)}", file=out)
